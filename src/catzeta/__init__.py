@@ -1,8 +1,9 @@
 """Zeta functions and series Euler characteristics of finite categories.
 
 The pipeline: a finite category (or any square integer matrix) yields an
-adjacency matrix A; the pencil E - A z yields three exact polynomials
-d, k, m; their degree defects decide the Euler characteristic; the roots
+adjacency matrix A; one sweep over its powers yields the chain counts,
+the zeta series and the three exact polynomials d, k, m of the pencil
+E - A z; their degree defects decide the Euler characteristic; the roots
 of d turn m/d into partial fractions and hence a closed form for the
 zeta function, whose identities are machine-verified against the exact
 power series.
@@ -19,6 +20,7 @@ from .category import (
     category_from_dict,
     category_to_dict,
     chain_count,
+    chain_counts,
     check_structure,
     discrete,
     disjoint_union,
@@ -28,28 +30,9 @@ from .category import (
     product,
     validate,
 )
-from .charpoly import (
-    CharPolyBundle,
-    adjsum_poly,
-    adjsum_times_a_poly,
-    bareiss_det,
-    char_poly_bundle,
-    degree_defects,
-    det_poly,
-    monic_charpoly,
-    reversal_check,
-    reversed_adjsum_poly,
-    reversed_det_poly,
-    reversed_pencil_polys,
-)
-from .euler import (
-    EulerReport,
-    euler_char_of_matrix,
-    euler_char_oracle,
-    mobius_euler_char,
-    series_euler_char,
-)
-from .poly import RatPoly, binomial, lagrange_interpolate, poly_gcd, squarefree_decompose
+from .charpoly import CharPolyBundle, char_poly_bundle, degree_defects, monic_charpoly
+from .euler import EulerReport, euler_char_of_matrix, series_euler_char
+from .poly import RatPoly, binomial, poly_gcd, squarefree_decompose
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -73,7 +56,6 @@ from .zeta import (
     analyze_matrix,
     closed_form,
     closed_form_taylor,
-    log_derivative_check,
     partial_fractions,
     singularity_report,
     verify_conjecture,

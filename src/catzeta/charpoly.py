@@ -1,4 +1,4 @@
-"""Determinant and adjugate-sum polynomials of the pencil E - A z.
+"""The pencil polynomials of E - A z, read off one sweep over the powers of A.
 
 For an N x N integer matrix A, three polynomials drive everything else:
 
@@ -6,128 +6,45 @@ For an N x N integer matrix A, three polynomials drive everything else:
     k(z) = sum of entries of adj(E - A z)
     m(z) = sum of entries of adj(E - A z) A
 
-All are computed exactly: evaluate at integer points with fraction-free
-Bareiss elimination, then interpolate.  Adjugate sums never form the
-adjugate itself; they use the rank-one update identities
+All three come from integer power sums: the chain counts #N_j = 1^T A^j 1
+(by v <- A v, see category.chain_counts) and the traces tr A^j (by
+P <- P A).  Newton's identities turn the traces into d,
 
-    sum(adj(M))   = det(M + J) - det(M)        (J the all-ones matrix)
-    sum(adj(M) A) = det(M + (A 1) 1^T) - det(M)
+    j d_j = -sum_{i=1..j} tr(A^i) d_{j-i},
 
-m(z) is additionally recomputed from z m(z) = k(z) - N d(z), and the two
-routes must agree to the last digit.
+and since adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
+
+    k(z) = d(z) sum_j #N_j z^j        mod z^N
+    m(z) = d(z) sum_j #N_{j+1} z^j    mod z^N.
+
+By Cayley-Hamilton the z^N coefficient of both products vanishes.  That
+is checked on every call, traces against chain counts, and it also pins
+z m(z) = k(z) - N d(z) down to the top coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Sequence
 
-from .category import IntMatrix
-from .poly import RatPoly, lagrange_interpolate
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination with pivoting."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    m = [[int(x) for x in row] for row in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            pivot = next((i for i in range(col + 1, n) if m[i][col] != 0), None)
-            if pivot is None:
-                return 0
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                # Division is exact at every step; that is Bareiss's point.
-                m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]) // prev
-            m[i][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+from .category import IntMatrix, chain_counts
+from .poly import RatPoly
 
 
-def _interpolated(value_at: Callable[[int], int], degree_bound: int) -> RatPoly:
-    """Polynomial of degree <= degree_bound from its values at 0..degree_bound."""
-    points = [(Fraction(z), Fraction(value_at(z))) for z in range(degree_bound + 1)]
-    return lagrange_interpolate(points)
+def power_traces(a: IntMatrix) -> list[int]:
+    """tr A^1 .. tr A^N, by repeated P <- P A."""
+    traces = []
+    power = IntMatrix.identity(a.n)
+    for _ in range(a.n):
+        power = power @ a
+        traces.append(power.trace())
+    return traces
 
 
-def _pencil_entry(a: IntMatrix, i: int, j: int, z: int) -> int:
-    return (1 if i == j else 0) - a[i, j] * z
-
-
-def det_poly(a: IntMatrix) -> RatPoly:
-    """d(z) = det(E - A z), exactly."""
-    n = a.n
-    if n == 0:
-        return RatPoly.one()
-
-    def value_at(z: int) -> int:
-        return bareiss_det([[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)])
-
-    return _interpolated(value_at, n)
-
-
-def adjsum_poly(a: IntMatrix) -> RatPoly:
-    """k(z) = sum of entries of adj(E - A z), exactly."""
-    n = a.n
-    if n == 0:
-        return RatPoly.zero()
-
-    def value_at(z: int) -> int:
-        m = [[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)]
-        bumped = [[m[i][j] + 1 for j in range(n)] for i in range(n)]
-        return bareiss_det(bumped) - bareiss_det(m)
-
-    # The z^N terms of det(M+J) and det(M) cancel, so degree <= N-1; we
-    # interpolate with a point to spare and check that they really did.
-    k = _interpolated(value_at, n)
-    if k.degree > n - 1:
-        raise ArithmeticError("adjugate sum exceeded its degree bound")
-    return k
-
-
-def adjsum_times_a_poly(a: IntMatrix, k: RatPoly | None = None,
-                        d: RatPoly | None = None) -> RatPoly:
-    """m(z) = sum of entries of adj(E - A z) A, exactly, via two routes.
-
-    Route one is the rank-one update determinant; route two divides
-    k(z) - N d(z) by z.  Disagreement means the determinant backend is
-    broken, and raises.
-    """
-    n = a.n
-    if n == 0:
-        return RatPoly.zero()
-    row_sums = [sum(a.rows[i]) for i in range(n)]
-
-    def value_at(z: int) -> int:
-        m = [[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)]
-        bumped = [[m[i][j] + row_sums[i] for j in range(n)] for i in range(n)]
-        return bareiss_det(bumped) - bareiss_det(m)
-
-    direct = _interpolated(value_at, n)
-    if direct.degree > n - 1:
-        raise ArithmeticError("adjugate sum exceeded its degree bound")
-
-    if k is None:
-        k = adjsum_poly(a)
-    if d is None:
-        d = det_poly(a)
-    shifted = k - d * n
-    quot, rem = divmod(shifted, RatPoly.monomial(1))
-    if not rem.is_zero():
-        raise ArithmeticError("k(z) - N d(z) has a nonzero constant term")
-    if quot != direct:
-        raise ArithmeticError("the two adjugate-sum-times-A routes disagree")
-    return direct
+def _times_d(d: list[int], counts: Sequence[int]) -> list[int]:
+    """Coefficients z^0 .. z^N of d(z) * sum_j counts[j] z^j."""
+    return [sum(d[i] * counts[t - i] for i in range(t + 1)) for t in range(len(d))]
 
 
 def degree_defects(d: RatPoly, k: RatPoly, n: int) -> tuple[int, int]:
@@ -158,14 +75,34 @@ class CharPolyBundle:
         return self.d.lead
 
 
+def bundle_from_sums(chains: Sequence[int], traces: Sequence[int]) -> CharPolyBundle:
+    """d, k, m and the degree defects from #N_0 .. #N_{N+1} and tr A^1 .. tr A^N.
+
+    Raises ArithmeticError if a Newton division leaves a remainder or the
+    z^N coefficient of d * (chain-count series) does not vanish: either
+    means the sums do not come from one integer matrix.
+    """
+    n = len(traces)
+    if len(chains) < n + 2:
+        raise ValueError(f"need the chain counts #N_0 .. #N_{n + 1}")
+    d = [1]
+    for j in range(1, n + 1):
+        q, rem = divmod(-sum(traces[i - 1] * d[j - i] for i in range(1, j + 1)), j)
+        if rem:
+            raise ArithmeticError(f"Newton's identity is not integral at z^{j}")
+        d.append(q)
+    k = _times_d(d, chains)
+    m = _times_d(d, chains[1:])
+    if k[n] or m[n]:
+        raise ArithmeticError("Cayley-Hamilton fails: traces and chain counts disagree")
+    d_poly, k_poly = RatPoly(d), RatPoly(k[:n])
+    r, s = degree_defects(d_poly, k_poly, n)
+    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(m[:n]), r=r, s=s)
+
+
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
     """Compute d, k, m and the degree defects for one adjacency matrix."""
-    n = a.n
-    d = det_poly(a)
-    k = adjsum_poly(a)
-    m = adjsum_times_a_poly(a, k=k, d=d)
-    r, s = degree_defects(d, k, n)
-    return CharPolyBundle(n=n, d=d, k=k, m=m, r=r, s=s)
+    return bundle_from_sums(chain_counts(a, a.n + 1), power_traces(a))
 
 
 def monic_charpoly(d: RatPoly, n: int) -> RatPoly:
@@ -175,55 +112,3 @@ def monic_charpoly(d: RatPoly, n: int) -> RatPoly:
     coefficient of t^j is d_{N-j}.
     """
     return RatPoly([d.coeff(n - j) for j in range(n + 1)])
-
-
-def reversed_det_poly(d: RatPoly, n: int) -> RatPoly:
-    """det(A - E z) = (-1)^N (d_0 z^N + d_1 z^{N-1} + ... + d_N)."""
-    sign = -1 if n % 2 else 1
-    return RatPoly([sign * d.coeff(n - j) for j in range(n + 1)])
-
-
-def reversed_adjsum_poly(k: RatPoly, n: int) -> RatPoly:
-    """sum adj(A - E z) = (-1)^{N-1} (k_0 z^{N-1} + ... + k_{N-1})."""
-    if n == 0:
-        return RatPoly.zero()
-    sign = 1 if n % 2 else -1
-    return RatPoly([sign * k.coeff(n - 1 - j) for j in range(n)])
-
-
-def reversed_pencil_polys(a: IntMatrix) -> tuple[RatPoly, RatPoly]:
-    """det(A - E z) and sum adj(A - E z), computed directly from A.
-
-    Independent of det_poly and adjsum_poly; used to cross-check the
-    coefficient-reversal formulas and as an alternative route to the
-    series Euler characteristic.
-    """
-    n = a.n
-    if n == 0:
-        return RatPoly.one(), RatPoly.zero()
-
-    def rev_entry(i: int, j: int, z: int) -> int:
-        return a[i, j] - (z if i == j else 0)
-
-    def det_at(z: int) -> int:
-        return bareiss_det([[rev_entry(i, j, z) for j in range(n)] for i in range(n)])
-
-    def adjsum_at(z: int) -> int:
-        m = [[rev_entry(i, j, z) for j in range(n)] for i in range(n)]
-        bumped = [[m[i][j] + 1 for j in range(n)] for i in range(n)]
-        return bareiss_det(bumped) - bareiss_det(m)
-
-    return _interpolated(det_at, n), _interpolated(adjsum_at, n)
-
-
-def reversal_check(a: IntMatrix, bundle: CharPolyBundle | None = None) -> bool:
-    """Recompute det(A - E z) and sum adj(A - E z) directly and compare
-    against the coefficient-reversal formulas.  True iff both match."""
-    if bundle is None:
-        bundle = char_poly_bundle(a)
-    n = a.n
-    if n == 0:
-        return True
-    direct_det, direct_adj = reversed_pencil_polys(a)
-    return (direct_det == reversed_det_poly(bundle.d, n)
-            and direct_adj == reversed_adjsum_poly(bundle.k, n))

@@ -32,7 +32,7 @@ from .category import (
     adjacency,
     category_from_dict,
     category_to_dict,
-    chain_count,
+    chain_counts,
     discrete,
     disjoint_union,
     monoid_delooping,
@@ -202,7 +202,7 @@ def cmd_validate(args) -> int:
 
 def cmd_chains(args) -> int:
     a = _load_adjacency(args)
-    counts = [chain_count(a, m) for m in range(1, args.max + 1)]
+    counts = chain_counts(a, args.max)[1:]
     if args.json:
         _emit_json({"command": "chains", "max": args.max,
                     "counts": [str(c) for c in counts]})

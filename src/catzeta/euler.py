@@ -8,10 +8,6 @@ s = N - 1 - deg k of the pencil polynomials:
     s = r : defined, equal to -k_{N-1-s} / d_{N-r}
 
 The empty category has d = 1 and k = 0; its characteristic is 0.
-
-Two cross-checks live here as well: an oracle that reads the same value
-from the valuations of det(A - E z) and sum adj(A - E z) at z = 0, and
-the classical sum-of-inverse-entries formula for posets.
 """
 
 from __future__ import annotations
@@ -20,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .category import IntMatrix
-from .charpoly import CharPolyBundle, char_poly_bundle, reversed_pencil_polys
-from .poly import RatPoly
+from .charpoly import CharPolyBundle, char_poly_bundle
 
 
 @dataclass(frozen=True)
@@ -46,60 +41,6 @@ def series_euler_char(bundle: CharPolyBundle) -> EulerReport:
     return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
 
 
-def _valuation(p: RatPoly) -> int | None:
-    """Order of vanishing at 0; None for the zero polynomial."""
-    if p.is_zero():
-        return None
-    return next(i for i in range(p.degree + 1) if p.coeff(i) != 0)
-
-
-def euler_char_oracle(a: IntMatrix) -> EulerReport:
-    """Same characteristic via the reversed pencil, straight from A.
-
-    det(A - E z) vanishes to order r at z = 0 and sum adj(A - E z) to
-    order s; the characteristic is the ratio of the two lowest nonzero
-    coefficients when the orders agree.
-    """
-    det_rev, adj_rev = reversed_pencil_polys(a)
-    r = _valuation(det_rev)
-    assert r is not None  # lowest coefficient of det(A - E z) includes z^N
-    s = _valuation(adj_rev)
-    if s is None:
-        # adjugate sum is identically zero only for the empty matrix
-        return EulerReport(exists=True, chi=Fraction(0), r=0, s=0, branch="empty")
-    if s < r:
-        return EulerReport(exists=False, chi=None, r=r, s=s, branch="undefined")
-    if s > r:
-        return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
-    chi = adj_rev.coeff(s) / det_rev.coeff(r)
-    return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
-
-
 def euler_char_of_matrix(a: IntMatrix) -> EulerReport:
     return series_euler_char(char_poly_bundle(a))
 
-
-def mobius_euler_char(a: IntMatrix) -> Fraction:
-    """Sum of the entries of A^{-1}, computed exactly.
-
-    For the adjacency matrix of a poset this is the classical Euler
-    characteristic via the incidence-algebra inverse.  Raises
-    ZeroDivisionError when A is singular.
-    """
-    n = a.n
-    if n == 0:
-        return Fraction(0)
-    work = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[col])]
-    return sum(work[i][n + j] for i in range(n) for j in range(n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class RatPoly:
@@ -244,27 +244,6 @@ def squarefree_decompose(p: RatPoly) -> list[tuple[RatPoly, int]]:
         b = b2
         mult += 1
     return out
-
-
-def lagrange_interpolate(points: Sequence[tuple]) -> RatPoly:
-    """The unique polynomial of degree < len(points) through the given points."""
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation abscissae must be pairwise distinct")
-    result = RatPoly.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = RatPoly.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * RatPoly((-xj, 1))
-            denom *= xi - xj
-        result = result + basis * (yi / denom)
-    return result
 
 
 def binomial(n: int, k: int) -> int:

@@ -1,9 +1,12 @@
 """The zeta function of a finite category, both ways, and its checks.
 
-One way: zeta_series exponentiates the chain-count generating series
-exactly in rational arithmetic.  The other: the logarithmic derivative
-of zeta is the rational function m(z)/d(z), so partial fractions over
-the roots of d give a closed form
+Both ways start from one integer sweep over the powers of A: the chain
+counts #N_m = 1^T A^m 1 and the traces tr A^m.  One way: zeta_series
+exponentiates sum_m #N_m z^m / m through an integer recurrence and
+divides by n! only at the end.  The other: the logarithmic derivative of
+zeta is the rational function m(z)/d(z), whose polynomials charpoly
+builds from the same sums, so partial fractions over the roots of d give
+a closed form
 
     zeta(z) = prod_k (1 - alpha_k z)^(-beta_{k,0})
               * exp(Q(z) + sum_k sum_{j>=1} beta_{k,j} z^j / (j (1 - alpha_k z)^j))
@@ -14,20 +17,27 @@ beta_{k,0} = N, each 1/theta_k an eigenvalue of A, and an alternating
 sum of the beta's equal to the series Euler characteristic.  A final
 report classifies each root as a pole, zero or essential singularity.
 
-Everything runs on one of two paths: fully exact rational arithmetic
-when every root of d is rational, or high-precision complex arithmetic
-otherwise.
+Everything after the sweep runs on one of two paths: fully exact
+rational arithmetic when every root of d is rational, or high-precision
+complex arithmetic otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from mpmath import mp
 
-from .category import FiniteCategory, IntMatrix, adjacency
-from .charpoly import CharPolyBundle, char_poly_bundle, monic_charpoly
+from .category import FiniteCategory, IntMatrix, adjacency, chain_counts
+from .charpoly import (
+    CharPolyBundle,
+    bundle_from_sums,
+    char_poly_bundle,
+    monic_charpoly,
+    power_traces,
+)
 from .euler import EulerReport, series_euler_char
 from .poly import RatPoly, binomial
 from .roots import (
@@ -48,6 +58,28 @@ _GUARD_BITS = 64
 
 # -- the series side -------------------------------------------------------
 
+def series_from_counts(chains: Sequence[int], order: int) -> RatSeries:
+    """zeta through z**order from the chain counts #N_0 .. #N_order.
+
+    zeta' = (sum_i #N_{i+1} z^i) zeta gives (n+1) g_{n+1} = sum_i #N_{i+1} g_{n-i}
+    for the coefficients g_n; with h_n = n! g_n this runs on integers:
+
+        h_{n+1} = sum_{i=0..n} #N_{i+1} n!/(n-i)! h_{n-i}
+    """
+    h = [1]
+    for n in range(order):
+        acc, falling = 0, 1  # falling = n!/(n-i)!
+        for i in range(n + 1):
+            acc += chains[i + 1] * falling * h[n - i]
+            falling *= n - i
+        h.append(acc)
+    coeffs, factorial = [Fraction(1)], 1
+    for n in range(1, order + 1):
+        factorial *= n
+        coeffs.append(Fraction(h[n], factorial))
+    return RatSeries(order, coeffs)
+
+
 def zeta_series(a: IntMatrix, order: int) -> RatSeries:
     """Exact Taylor coefficients of zeta through z**order.
 
@@ -56,30 +88,7 @@ def zeta_series(a: IntMatrix, order: int) -> RatSeries:
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    log_coeffs = [Fraction(0)] * (order + 1)
-    power = IntMatrix.identity(a.n)
-    for m in range(1, order + 1):
-        power = power @ a
-        log_coeffs[m] = Fraction(power.entry_sum(), m)
-    return RatSeries(order, exp_trunc(log_coeffs))
-
-
-def log_derivative_check(a: IntMatrix, order: int) -> bool:
-    """True iff the Taylor expansion of m(z)/d(z) through z**(order-1)
-    reproduces the chain counts: coefficient of z^t must be the number
-    of chains of t+1 morphisms.  Exact rational series division."""
-    if order < 1:
-        raise ValueError("need at least one coefficient to compare")
-    bundle = char_poly_bundle(a)
-    dc = [bundle.d.coeff(i) for i in range(order)]
-    mc = [bundle.m.coeff(i) for i in range(order)]
-    quotient = mul_trunc(mc, inv_trunc(dc))
-    power = a
-    for t in range(order):
-        if quotient[t] != power.entry_sum():
-            return False
-        power = power @ a
-    return True
+    return series_from_counts(chain_counts(a, order), order)
 
 
 # -- partial fractions -----------------------------------------------------
@@ -322,17 +331,21 @@ class ZetaAnalysis:
         return "exact" if self.closed.exact else "numeric"
 
 
-def analyze_matrix(a: IntMatrix,
-                   precision_bits: int = DEFAULT_PRECISION_BITS,
-                   recombination_tol: float = DEFAULT_TOLERANCE) -> ZetaAnalysis:
-    """Everything derived from one adjacency matrix, computed once."""
-    bundle = char_poly_bundle(a)
+def _analysis(a: IntMatrix, bundle: CharPolyBundle, precision_bits: int,
+              recombination_tol: float) -> ZetaAnalysis:
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, recombination_tol)
     pfd = partial_fractions(bundle.m, bundle.d, rootset, recombination_tol)
     cf = closed_form(pfd)
     return ZetaAnalysis(matrix=a, bundle=bundle, euler=euler, rootset=rootset,
                         pfd=pfd, closed=cf)
+
+
+def analyze_matrix(a: IntMatrix,
+                   precision_bits: int = DEFAULT_PRECISION_BITS,
+                   recombination_tol: float = DEFAULT_TOLERANCE) -> ZetaAnalysis:
+    """Everything derived from one adjacency matrix, computed once."""
+    return _analysis(a, char_poly_bundle(a), precision_bits, recombination_tol)
 
 
 def analyze_category(c: FiniteCategory,
@@ -394,9 +407,15 @@ def _c4_sum(factors, one):
 def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                   tolerance: float = DEFAULT_VERIFY_TOL,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
-    """Run all four identity checks on one adjacency matrix."""
-    analysis = analyze_matrix(a, precision_bits)
-    series = zeta_series(a, order)
+    """Run all four identity checks on one adjacency matrix.
+
+    One sweep of chain counts, long enough for both the series and the
+    pencil, feeds both sides of the comparison.
+    """
+    chains = chain_counts(a, max(order, a.n + 1))
+    analysis = _analysis(a, bundle_from_sums(chains, power_traces(a)), precision_bits,
+                         DEFAULT_TOLERANCE)
+    series = series_from_counts(chains, order)
     taylor = closed_form_taylor(analysis.closed, order)
     cf = analysis.closed
     euler = analysis.euler

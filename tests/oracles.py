@@ -1,0 +1,303 @@
+"""Independent oracles for the pencil polynomials and the Euler characteristic.
+
+The library reads d, k and m off one sweep over the powers of A (Newton's
+identities on the traces, then products with the chain-count series).
+Everything here takes a different road, so that agreement means something:
+
+- Bareiss determinants of E - A z at N+1 integer points, then Lagrange
+  interpolation.  Adjugate sums never form the adjugate itself; they use
+  the rank-one update identities
+
+      sum(adj(M))   = det(M + J) - det(M)        (J the all-ones matrix)
+      sum(adj(M) A) = det(M + (A 1) 1^T) - det(M)
+
+  and m(z) is recomputed from z m(z) = k(z) - N d(z), the two routes
+  agreeing to the last digit.
+- The reversed pencil A - E z, computed directly, against coefficient
+  reversal of d and k; its valuations at z = 0 give the Euler
+  characteristic a second time.
+- The sum of the entries of A^{-1}, the classical Euler characteristic of
+  a poset by Moebius inversion.
+- The Taylor expansion of m/d against chain counts from matrix powers.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Sequence
+
+from catzeta import (
+    CharPolyBundle,
+    EulerReport,
+    IntMatrix,
+    RatPoly,
+    char_poly_bundle,
+    inv_trunc,
+    mul_trunc,
+)
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free elimination with pivoting."""
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    m = [[int(x) for x in row] for row in rows]
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            pivot = next((i for i in range(col + 1, n) if m[i][col] != 0), None)
+            if pivot is None:
+                return 0
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        for i in range(col + 1, n):
+            for j in range(col + 1, n):
+                # Division is exact at every step; that is Bareiss's point.
+                m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]) // prev
+            m[i][col] = 0
+        prev = m[col][col]
+    return sign * m[n - 1][n - 1]
+
+
+def lagrange_interpolate(points: Sequence[tuple]) -> RatPoly:
+    """The unique polynomial of degree < len(points) through the given points."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation abscissae must be pairwise distinct")
+    result = RatPoly.zero()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        basis = RatPoly.one()
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = basis * RatPoly((-xj, 1))
+            denom *= xi - xj
+        result = result + basis * (yi / denom)
+    return result
+
+
+def _interpolated(value_at: Callable[[int], int], degree_bound: int) -> RatPoly:
+    """Polynomial of degree <= degree_bound from its values at 0..degree_bound."""
+    points = [(Fraction(z), Fraction(value_at(z))) for z in range(degree_bound + 1)]
+    return lagrange_interpolate(points)
+
+
+def _pencil_entry(a: IntMatrix, i: int, j: int, z: int) -> int:
+    return (1 if i == j else 0) - a[i, j] * z
+
+
+# -- the pencil E - A z ---------------------------------------------------------
+
+def det_poly(a: IntMatrix) -> RatPoly:
+    """d(z) = det(E - A z), exactly."""
+    n = a.n
+    if n == 0:
+        return RatPoly.one()
+
+    def value_at(z: int) -> int:
+        return bareiss_det([[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)])
+
+    return _interpolated(value_at, n)
+
+
+def adjsum_poly(a: IntMatrix) -> RatPoly:
+    """k(z) = sum of entries of adj(E - A z), exactly."""
+    n = a.n
+    if n == 0:
+        return RatPoly.zero()
+
+    def value_at(z: int) -> int:
+        m = [[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)]
+        bumped = [[m[i][j] + 1 for j in range(n)] for i in range(n)]
+        return bareiss_det(bumped) - bareiss_det(m)
+
+    # The z^N terms of det(M+J) and det(M) cancel, so degree <= N-1; we
+    # interpolate with a point to spare and check that they really did.
+    k = _interpolated(value_at, n)
+    if k.degree > n - 1:
+        raise ArithmeticError("adjugate sum exceeded its degree bound")
+    return k
+
+
+def adjsum_times_a_poly(a: IntMatrix, k: RatPoly | None = None,
+                        d: RatPoly | None = None) -> RatPoly:
+    """m(z) = sum of entries of adj(E - A z) A, exactly, via two routes.
+
+    Route one is the rank-one update determinant; route two divides
+    k(z) - N d(z) by z.  Disagreement means the determinant backend is
+    broken, and raises.
+    """
+    n = a.n
+    if n == 0:
+        return RatPoly.zero()
+    row_sums = [sum(a.rows[i]) for i in range(n)]
+
+    def value_at(z: int) -> int:
+        m = [[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)]
+        bumped = [[m[i][j] + row_sums[i] for j in range(n)] for i in range(n)]
+        return bareiss_det(bumped) - bareiss_det(m)
+
+    direct = _interpolated(value_at, n)
+    if direct.degree > n - 1:
+        raise ArithmeticError("adjugate sum exceeded its degree bound")
+
+    if k is None:
+        k = adjsum_poly(a)
+    if d is None:
+        d = det_poly(a)
+    shifted = k - d * n
+    quot, rem = divmod(shifted, RatPoly.monomial(1))
+    if not rem.is_zero():
+        raise ArithmeticError("k(z) - N d(z) has a nonzero constant term")
+    if quot != direct:
+        raise ArithmeticError("the two adjugate-sum-times-A routes disagree")
+    return direct
+
+
+def oracle_pencil(a: IntMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """(d, k, m) by Bareiss determinants and Lagrange interpolation."""
+    d = det_poly(a)
+    k = adjsum_poly(a)
+    return d, k, adjsum_times_a_poly(a, k=k, d=d)
+
+
+# -- the reversed pencil A - E z ------------------------------------------------
+
+def reversed_det_poly(d: RatPoly, n: int) -> RatPoly:
+    """det(A - E z) = (-1)^N (d_0 z^N + d_1 z^{N-1} + ... + d_N)."""
+    sign = -1 if n % 2 else 1
+    return RatPoly([sign * d.coeff(n - j) for j in range(n + 1)])
+
+
+def reversed_adjsum_poly(k: RatPoly, n: int) -> RatPoly:
+    """sum adj(A - E z) = (-1)^{N-1} (k_0 z^{N-1} + ... + k_{N-1})."""
+    if n == 0:
+        return RatPoly.zero()
+    sign = 1 if n % 2 else -1
+    return RatPoly([sign * k.coeff(n - 1 - j) for j in range(n)])
+
+
+def reversed_pencil_polys(a: IntMatrix) -> tuple[RatPoly, RatPoly]:
+    """det(A - E z) and sum adj(A - E z), computed directly from A.
+
+    Independent of the pencil E - A z; used to cross-check the
+    coefficient-reversal formulas and as an alternative route to the
+    series Euler characteristic.
+    """
+    n = a.n
+    if n == 0:
+        return RatPoly.one(), RatPoly.zero()
+
+    def rev_entry(i: int, j: int, z: int) -> int:
+        return a[i, j] - (z if i == j else 0)
+
+    def det_at(z: int) -> int:
+        return bareiss_det([[rev_entry(i, j, z) for j in range(n)] for i in range(n)])
+
+    def adjsum_at(z: int) -> int:
+        m = [[rev_entry(i, j, z) for j in range(n)] for i in range(n)]
+        bumped = [[m[i][j] + 1 for j in range(n)] for i in range(n)]
+        return bareiss_det(bumped) - bareiss_det(m)
+
+    return _interpolated(det_at, n), _interpolated(adjsum_at, n)
+
+
+def reversal_check(a: IntMatrix, bundle: CharPolyBundle | None = None) -> bool:
+    """Recompute det(A - E z) and sum adj(A - E z) directly and compare
+    against the coefficient-reversal formulas.  True iff both match."""
+    if bundle is None:
+        bundle = char_poly_bundle(a)
+    n = a.n
+    if n == 0:
+        return True
+    direct_det, direct_adj = reversed_pencil_polys(a)
+    return (direct_det == reversed_det_poly(bundle.d, n)
+            and direct_adj == reversed_adjsum_poly(bundle.k, n))
+
+
+# -- the Euler characteristic, twice more ---------------------------------------
+
+def _valuation(p: RatPoly) -> int | None:
+    """Order of vanishing at 0; None for the zero polynomial."""
+    if p.is_zero():
+        return None
+    return next(i for i in range(p.degree + 1) if p.coeff(i) != 0)
+
+
+def euler_char_oracle(a: IntMatrix) -> EulerReport:
+    """The series Euler characteristic via the reversed pencil, straight from A.
+
+    det(A - E z) vanishes to order r at z = 0 and sum adj(A - E z) to
+    order s; the characteristic is the ratio of the two lowest nonzero
+    coefficients when the orders agree.
+    """
+    det_rev, adj_rev = reversed_pencil_polys(a)
+    r = _valuation(det_rev)
+    assert r is not None  # lowest coefficient of det(A - E z) includes z^N
+    s = _valuation(adj_rev)
+    if s is None:
+        # adjugate sum is identically zero only for the empty matrix
+        return EulerReport(exists=True, chi=Fraction(0), r=0, s=0, branch="empty")
+    if s < r:
+        return EulerReport(exists=False, chi=None, r=r, s=s, branch="undefined")
+    if s > r:
+        return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
+    chi = adj_rev.coeff(s) / det_rev.coeff(r)
+    return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
+
+
+def mobius_euler_char(a: IntMatrix) -> Fraction:
+    """Sum of the entries of A^{-1}, computed exactly.
+
+    For the adjacency matrix of a poset this is the classical Euler
+    characteristic via the incidence-algebra inverse.  Raises
+    ZeroDivisionError when A is singular.
+    """
+    n = a.n
+    if n == 0:
+        return Fraction(0)
+    work = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)]
+            for i in range(n)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[col])]
+    return sum(work[i][n + j] for i in range(n) for j in range(n))
+
+
+# -- the log-derivative identity ------------------------------------------------
+
+def log_derivative_check(a: IntMatrix, order: int) -> bool:
+    """True iff the Taylor expansion of m(z)/d(z) through z**(order-1)
+    reproduces the chain counts: coefficient of z^t must be the number
+    of chains of t+1 morphisms.  d and m come from the Bareiss oracle and
+    the counts from matrix powers, so the library's sweep is not involved.
+    Exact rational series division."""
+    if order < 1:
+        raise ValueError("need at least one coefficient to compare")
+    d, _, m = oracle_pencil(a)
+    dc = [d.coeff(i) for i in range(order)]
+    mc = [m.coeff(i) for i in range(order)]
+    quotient = mul_trunc(mc, inv_trunc(dc))
+    power = a
+    for t in range(order):
+        if quotient[t] != power.entry_sum():
+            return False
+        power = power @ a
+    return True

@@ -28,16 +28,18 @@ from catzeta import (
     disjoint_union,
     enumerate_chains,
     euler_char_of_matrix,
-    euler_char_oracle,
-    log_derivative_check,
-    mobius_euler_char,
-    reversal_check,
     series_euler_char,
     singularity_report,
     verify_matrix,
     zeta_series,
 )
 from conftest import FIXTURE_DIR
+from oracles import (
+    euler_char_oracle,
+    log_derivative_check,
+    mobius_euler_char,
+    reversal_check,
+)
 
 SWEEP_ORDER = 30
 SWEEP_TOL = 1e-9

@@ -13,6 +13,7 @@ from catzeta import (
     category_from_dict,
     category_to_dict,
     chain_count,
+    chain_counts,
     check_structure,
     discrete,
     disjoint_union,
@@ -71,13 +72,6 @@ class TestIntMatrix:
         assert e.entry_sum() == 3
 
     @given(small_matrices)
-    def test_power_matches_repeated_matmul(self, a):
-        acc = IntMatrix.identity(a.n)
-        for m in range(4):
-            assert a.power(m) == acc
-            acc = acc @ a
-
-    @given(small_matrices)
     def test_identity_is_neutral(self, a):
         e = IntMatrix.identity(a.n)
         assert a @ e == a
@@ -94,10 +88,6 @@ class TestIntMatrix:
         assert b == IntMatrix([[4, 3], [2, 1]])
         assert b.trace() == a.trace()
         assert b.entry_sum() == a.entry_sum()
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            IntMatrix.identity(2).power(-1)
 
 
 class TestChainCounting:
@@ -117,6 +107,21 @@ class TestChainCounting:
         assert [chain_count(a, m) for m in range(1, 5)] == [3, 4, 5, 6]
         a = adjacency(fixture_categories["k2"])
         assert [chain_count(a, m) for m in range(1, 5)] == [4, 8, 16, 32]
+
+    @given(small_matrices)
+    def test_chain_counts_match_matrix_powers(self, a):
+        acc = IntMatrix.identity(a.n)
+        counts = chain_counts(a, 4)
+        assert len(counts) == 5
+        for m in range(5):
+            assert counts[m] == acc.entry_sum() == chain_count(a, m)
+            acc = acc @ a
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            chain_counts(IntMatrix.identity(2), -1)
+        with pytest.raises(ValueError):
+            chain_count(IntMatrix.identity(2), -1)
 
     def test_enumeration_cap(self, fixture_categories):
         with pytest.raises(ValueError, match="chain_count"):

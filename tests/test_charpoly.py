@@ -2,7 +2,9 @@
 
 d(z) = det(E - A z), k(z) = sum of entries of adj(E - A z), and m(z) the
 entry sum of adj(E - A z) A.  The three are tied together by
-z m(z) = k(z) - N d(z) and by reversal against the pencil A - E z.
+z m(z) = k(z) - N d(z) and by reversal against the pencil A - E z.  The
+library reads them off one power sweep; the oracles in oracles.py take
+the Bareiss + Lagrange road, and the two must agree exactly.
 """
 
 from fractions import Fraction
@@ -13,13 +15,21 @@ from hypothesis import given, strategies as st
 from catzeta import (
     IntMatrix,
     RatPoly,
+    adjacency,
+    char_poly_bundle,
+    degree_defects,
+    exp_trunc,
+    monic_charpoly,
+    zeta_series,
+)
+from catzeta import charpoly
+from catzeta.charpoly import bundle_from_sums
+from oracles import (
     adjsum_poly,
     adjsum_times_a_poly,
     bareiss_det,
-    char_poly_bundle,
-    degree_defects,
     det_poly,
-    monic_charpoly,
+    oracle_pencil,
     reversal_check,
     reversed_adjsum_poly,
     reversed_det_poly,
@@ -219,3 +229,82 @@ class TestTopCoefficientFormulas:
         b = char_poly_bundle(IntMatrix([[1, 0], [0, 0]]))
         assert b.s < b.r
         assert b.m.coeff(b.n - 1 - b.r) != -b.n * b.d.coeff(b.n - b.r)
+
+
+oracle_matrices = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+).map(IntMatrix)
+
+EDGE_MATRICES = {
+    "empty": [],
+    "nilpotent": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+    "singular_all_ones": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "huge_entry": [[10**30, 1, 0], [2, -3, 10**30], [1, -1, 1]],
+    "negative": [[-2, 3, -1], [0, -1, 2], [4, -3, 0]],
+}
+
+
+def series_from_matrix_powers(a, order):
+    """Fraction log-series sum #N_m z^m / m with counts from A @ A @ ...,
+    exponentiated by exp_trunc: independent of the chain-count sweep."""
+    log_coeffs = [Fraction(0)] * (order + 1)
+    power = IntMatrix.identity(a.n)
+    for m in range(1, order + 1):
+        power = power @ a
+        log_coeffs[m] = Fraction(power.entry_sum(), m)
+    return exp_trunc(log_coeffs)
+
+
+class TestSweepAgainstOracle:
+    """d, k, m from the power sweep against Bareiss determinants plus
+    Lagrange interpolation, and the integer series recurrence against
+    exp_trunc of the rational log-series, all at zero tolerance."""
+
+    def test_corpus(self, corpus_matrices):
+        for label, a in corpus_matrices:
+            b = char_poly_bundle(a)
+            assert (b.d, b.k, b.m) == oracle_pencil(a), label
+
+    @given(oracle_matrices)
+    def test_random_matrices(self, a):
+        b = char_poly_bundle(a)
+        assert (b.d, b.k, b.m) == oracle_pencil(a)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    def test_edge_matrices(self, name):
+        a = IntMatrix(EDGE_MATRICES[name])
+        b = char_poly_bundle(a)
+        assert (b.d, b.k, b.m) == oracle_pencil(a)
+        assert list(zeta_series(a, 12).coeffs) == series_from_matrix_powers(a, 12)
+
+    def test_series_on_fixtures_at_long_order(self, fixture_categories, fixture_matrices):
+        matrices = [adjacency(c) for c in fixture_categories.values()]
+        matrices += list(fixture_matrices.values())
+        for a in matrices:
+            assert list(zeta_series(a, 200).coeffs) == series_from_matrix_powers(a, 200), a
+
+    @given(oracle_matrices, st.integers(min_value=0, max_value=40))
+    def test_series_on_random_matrices(self, a, order):
+        assert list(zeta_series(a, order).coeffs) == series_from_matrix_powers(a, order)
+
+    @pytest.mark.parametrize("name", ["power_traces", "chain_counts"])
+    def test_cayley_hamilton_guard(self, monkeypatch, name):
+        """One wrong power sum and the z^N coefficient no longer vanishes.
+        The bump is even so that Newton's divisions stay exact and the
+        guard itself has to catch it."""
+        good = getattr(charpoly, name)
+        monkeypatch.setattr(charpoly, name, lambda *args: good(*args)[:-1] + [good(*args)[-1] + 2])
+        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+            char_poly_bundle(IntMatrix([[1, 1], [0, 1]]))
+
+    def test_newton_division_must_be_exact(self):
+        # traces (1, 0) would need d_2 = 1/2, which no integer matrix has
+        with pytest.raises(ArithmeticError, match="Newton"):
+            bundle_from_sums([2, 1, 1, 1], [1, 0])
+
+    def test_needs_counts_through_n_plus_one(self):
+        with pytest.raises(ValueError):
+            bundle_from_sums([2, 3], [2, 2])

@@ -10,10 +10,9 @@ from catzeta import (
     adjacency,
     char_poly_bundle,
     euler_char_of_matrix,
-    euler_char_oracle,
-    mobius_euler_char,
     series_euler_char,
 )
+from oracles import euler_char_oracle, mobius_euler_char
 
 small_matrices = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.lists(

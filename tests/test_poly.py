@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 from catzeta import (
     RatPoly,
     binomial,
-    lagrange_interpolate,
     poly_gcd,
     squarefree_decompose,
 )
+from oracles import lagrange_interpolate
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 polys = st.lists(fractions, max_size=6).map(RatPoly)

@@ -21,13 +21,13 @@ from catzeta import (
     closed_form_taylor,
     disjoint_union,
     factor_charpoly,
-    log_derivative_check,
     partial_fractions,
     singularity_report,
     verify_conjecture,
     verify_matrix,
     zeta_series,
 )
+from oracles import log_derivative_check
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(

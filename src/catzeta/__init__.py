@@ -55,6 +55,7 @@ from .zeta import (
     analyze_category,
     analyze_matrix,
     closed_form,
+    closed_form_counts,
     closed_form_taylor,
     partial_fractions,
     singularity_report,

@@ -246,6 +246,14 @@ def squarefree_decompose(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return out
 
 
+def linear_power(root, e: int) -> RatPoly:
+    """(z - root)**e, read off the binomial theorem."""
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    neg = -Fraction(root)
+    return RatPoly([binomial(e, t) * neg ** (e - t) for t in range(e + 1)])
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), zero outside the triangle; C(0, 0) = 1."""
     if k < 0 or k > n:

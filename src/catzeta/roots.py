@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .poly import RatPoly, squarefree_decompose
+from .poly import RatPoly, linear_power, squarefree_decompose
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-12
@@ -65,17 +65,38 @@ class RootSet:
         return all(r.kind == "rational" for r in self.roots)
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, limit: int) -> list[int]:
+    """The positive divisors of n that are at most limit."""
     n = abs(n)
     out = []
-    i = 1
-    while i * i <= n:
+    for i in range(1, min(limit, math.isqrt(n)) + 1):
         if n % i == 0:
             out.append(i)
-            if i != n // i:
+            if i != n // i and n // i <= limit:
                 out.append(n // i)
-        i += 1
     return out
+
+
+def _iroot_ceil(t: int, k: int) -> int:
+    """The least integer r >= 0 with r**k >= t, for t >= 0."""
+    if t <= 1:
+        return t
+    r = 1 << -(-t.bit_length() // k)  # r**k >= 2**bit_length > t
+    while True:  # Newton's method from above settles on floor(t**(1/k))
+        s = ((k - 1) * r + t // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k >= t else r + 1
+
+
+def _root_bound(ints: list[int]) -> int:
+    """An integer bound on |z| over the roots of sum ints[i] z^i (Fujiwara):
+    2 max(|c_{m-i}/c_m|^(1/i) for i < m, |c_0/(2 c_m)|^(1/m))."""
+    m, lead = len(ints) - 1, abs(ints[-1])
+    terms = [_iroot_ceil(-(-abs(ints[m - i]) // lead), i) for i in range(1, m)]
+    terms.append(_iroot_ceil(-(-abs(ints[0]) // (2 * lead)), m))
+    return 2 * max(terms)
 
 
 def _primitive_int_coeffs(p: RatPoly) -> list[int]:
@@ -85,12 +106,22 @@ def _primitive_int_coeffs(p: RatPoly) -> list[int]:
     return [c // g for c in ints]
 
 
+def _scaled_value(ints: list[int], num: int, den: int) -> int:
+    """den**m f(num/den) for f = sum ints[i] z^i of degree m, in integers."""
+    acc, den_pow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return acc
+
+
 def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """All rational roots of p with multiplicities, plus the deflated cofactor.
 
     Candidates come from the rational-root theorem applied to the primitive
-    integer form; each is divided out to full multiplicity, so the cofactor
-    has no rational roots at all.
+    integer form, within integer root bounds of it and of its reversal, and
+    are screened by an integer evaluation; each root is divided out to full
+    multiplicity, so the cofactor has no rational roots at all.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every number as a root")
@@ -106,13 +137,22 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
         roots.append((Fraction(0), mult))
 
     if cof.degree >= 1:
+        # A root num/den in lowest terms has |num/den| <= bound and
+        # den/|num| <= bound_rev, a bound for the reversed polynomial,
+        # whose roots are the reciprocals; that caps both divisor searches.
         ints = _primitive_int_coeffs(cof)
+        bound, bound_rev = _root_bound(ints), _root_bound(ints[::-1])
+        nums = _divisors(ints[0], abs(ints[-1]) * bound)
+        dens = _divisors(ints[-1], abs(ints[0]) * bound_rev)
         candidates = sorted(
             {Fraction(sign * num, den)
-             for num in _divisors(ints[0]) for den in _divisors(ints[-1])
+             for num in nums for den in dens
+             if num <= den * bound and den <= num * bound_rev
              for sign in (1, -1)}
         )
         for cand in candidates:
+            if _scaled_value(ints, cand.numerator, cand.denominator):
+                continue
             mult = 0
             while cof.degree >= 1 and cof(cand) == 0:
                 cof = cof // RatPoly((-cand, 1))
@@ -213,7 +253,7 @@ def _sort_key(root: Root, precision_bits: int):
 def _recombine_exact(rs: RootSet) -> RatPoly:
     prod = RatPoly.constant(rs.lead)
     for root in rs.roots:
-        prod = prod * RatPoly((-root.theta, 1)) ** root.multiplicity
+        prod = prod * linear_power(root.theta, root.multiplicity)
     return prod
 
 

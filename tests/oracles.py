@@ -19,11 +19,15 @@ Everything here takes a different road, so that agreement means something:
 - The sum of the entries of A^{-1}, the classical Euler characteristic of
   a poset by Moebius inversion.
 - The Taylor expansion of m/d against chain counts from matrix powers.
+- Rational roots by the rational-root theorem with no root bounds at all:
+  every divisor of both end coefficients, found by trial division up to
+  the coefficient itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from catzeta import (
@@ -301,3 +305,43 @@ def log_derivative_check(a: IntMatrix, order: int) -> bool:
             return False
         power = power @ a
     return True
+
+
+# -- rational roots by unbounded enumeration --------------------------------------
+
+def rational_roots_oracle(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
+    """Rational roots with multiplicities and the deflated cofactor, trying
+    every +-num/den with num | c_0 and den | c_m of the primitive integer
+    form, in increasing order, by exact evaluation.  Divisors come from
+    trial division all the way up to |n|, so only small coefficients are
+    practical."""
+    roots: list[tuple[Fraction, int]] = []
+    cof = p
+    mult = 0
+    while cof.degree >= 1 and cof.coeff(0) == 0:
+        cof = cof // RatPoly.monomial(1)
+        mult += 1
+    if mult:
+        roots.append((Fraction(0), mult))
+    if cof.degree < 1:
+        return roots, cof
+    scale = 1
+    for c in cof.coeffs:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in cof.coeffs]
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+
+    def divisors(n: int) -> list[int]:
+        return [i for i in range(1, abs(n) + 1) if n % i == 0]
+
+    candidates = sorted({Fraction(sign * num, den) for num in divisors(ints[0])
+                         for den in divisors(ints[-1]) for sign in (1, -1)})
+    for cand in candidates:
+        mult = 0
+        while cof.degree >= 1 and cof(cand) == 0:
+            cof = cof // RatPoly((-cand, 1))
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    return roots, cof

@@ -1,9 +1,10 @@
 """Root extraction: rational-root deflation, Aberth iteration, certification."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from catzeta import (
@@ -15,6 +16,7 @@ from catzeta import (
     rational_roots,
 )
 from catzeta.roots import to_mpc, to_mpf
+from oracles import rational_roots_oracle
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -80,6 +82,40 @@ class TestRationalRoots:
         for r, _ in roots:
             assert p(r) == 0
         assert cof.degree == 0
+
+    def test_large_lead_is_fast(self):
+        # (1 - 101 z) ... (1 - 137 z) (2 - 3 z) (4 z - 5) (1 - z - z^2):
+        # a lead about 4 * 10^17, whose divisors an unbounded search would
+        # trial-divide up to its square root, about 6 * 10^8
+        primes = (101, 103, 107, 109, 113, 127, 131, 137)
+        quadratic = RatPoly([1, -1, -1])
+        p = RatPoly([2, -3]) * RatPoly([-5, 4]) * quadratic
+        for lam in primes:
+            p = p * RatPoly([1, -lam])
+        assert abs(p.lead) > 10**17
+        start = time.perf_counter()
+        roots, cof = rational_roots(p)
+        elapsed = time.perf_counter() - start
+        expected = sorted([Fraction(1, lam) for lam in primes]
+                          + [Fraction(2, 3), Fraction(5, 4)])
+        assert roots == [(r, 1) for r in expected]
+        assert cof == quadratic * (p.lead / quadratic.lead)
+        assert elapsed < 0.1
+
+    @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
+                              st.integers(min_value=1, max_value=6)), max_size=4),
+           st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unbounded_enumeration(self, linears, extra, zeros):
+        """Roots, their order and the cofactor agree with the oracle that
+        tries every divisor, on products of (q z - p) factors with an
+        arbitrary small polynomial."""
+        p = RatPoly(extra) * RatPoly.monomial(zeros)
+        for num, den in linears:
+            p = p * RatPoly([-num, den])
+        assume(not p.is_zero())
+        assert rational_roots(p) == rational_roots_oracle(p)
 
 
 class TestNumericRoots:

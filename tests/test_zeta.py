@@ -1,5 +1,6 @@
 """Zeta series, partial fractions, closed form, verification, singularities."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from catzeta import (
     adjacency,
     analyze_category,
     analyze_matrix,
+    chain_counts,
     char_poly_bundle,
     closed_form,
+    closed_form_counts,
     closed_form_taylor,
     disjoint_union,
     factor_charpoly,
@@ -27,6 +30,7 @@ from catzeta import (
     verify_matrix,
     zeta_series,
 )
+from catzeta import zeta as zeta_module
 from oracles import log_derivative_check
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -127,6 +131,28 @@ class TestPartialFractions:
                 )
                 assert direct == summed, rows
 
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_recombination_catches_a_corrupt_term(self, monkeypatch, j):
+        # a 4-chain poset (root 1, e = 4) next to the monoid Z/2 (root 1/2)
+        a = IntMatrix([[1, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 0, 1, 1, 0],
+                       [0, 0, 0, 1, 0], [0, 0, 0, 0, 2]])
+        bundle = char_poly_bundle(a)
+        rs = factor_charpoly(bundle.d)
+        k = next(i for i, root in enumerate(rs.roots) if root.multiplicity >= 3)
+        assert len(rs.roots) == 2
+        partial_fractions(bundle.m, bundle.d, rs)
+        real = zeta_module._hermite_terms
+
+        def corrupt(*args):
+            terms = real(*args)
+            bad = list(terms[k])
+            bad[j - 1] += Fraction(1, 3)
+            return terms[:k] + [tuple(bad)] + terms[k + 1:]
+
+        monkeypatch.setattr(zeta_module, "_hermite_terms", corrupt)
+        with pytest.raises(ArithmeticError):
+            partial_fractions(bundle.m, bundle.d, rs)
+
     def test_standalone_call(self):
         bundle = char_poly_bundle(IntMatrix([[1, 1], [0, 1]]))
         rs = factor_charpoly(bundle.d)
@@ -196,6 +222,154 @@ class TestClosedForm:
             for got, want in zip(taylor, series.coeffs):
                 scale = max(1, abs(Fraction(want)))
                 assert abs(got - want) / scale < 1e-9
+
+
+# an arrow (root 1, e = 2, beta_1 = 1) next to a nilpotent chain (Q != 0)
+ARROW_AND_CHAIN = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
+                             [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]])
+
+
+def _perturbed(cf, what):
+    """The closed form with one ingredient off by 1/7."""
+    delta = Fraction(1, 7)
+    if what == "Q":
+        return replace(cf, q_integral=cf.q_integral + RatPoly.monomial(1, delta))
+    factor = cf.factors[0]
+    if what == "beta0":
+        factor = replace(factor, beta0=factor.beta0 + delta)
+    elif what == "beta_j":
+        factor = replace(factor, betas=(factor.betas[0] + delta,) + factor.betas[1:])
+    else:
+        factor = replace(factor, alpha=factor.alpha + delta)
+    return replace(cf, factors=(factor,) + cf.factors[1:])
+
+
+class TestClosedFormCounts:
+    """C1 on the log coefficients: n [z^n] log of the closed form against
+    the chain counts, equivalent to the Taylor comparison."""
+
+    @staticmethod
+    def assert_both_routes_agree(a, order):
+        analysis = analyze_matrix(a)
+        assert analysis.path == "exact"
+        assert closed_form_counts(analysis.closed, order) == chain_counts(a, order)[1:]
+        assert closed_form_taylor(analysis.closed, order) == \
+            list(zeta_series(a, order).coeffs)
+
+    def test_exact_corpus_at_order_30(self, corpus_matrices):
+        exact = 0
+        for label, a in corpus_matrices:
+            if analyze_matrix(a).path == "exact":
+                self.assert_both_routes_agree(a, 30)
+                exact += 1
+        assert exact >= 200
+
+    def test_exact_fixtures_at_order_200(self, fixture_categories, fixture_matrices):
+        mats = [adjacency(c) for c in fixture_categories.values()]
+        mats += list(fixture_matrices.values())
+        exact = [a for a in mats if analyze_matrix(a).path == "exact"]
+        assert len(exact) >= 7
+        for a in exact:
+            self.assert_both_routes_agree(a, 200)
+
+    def test_numeric_counts_approximate_chains(self, fixture_matrices):
+        a = fixture_matrices["pell"]
+        analysis = analyze_matrix(a)
+        assert analysis.path == "numeric"
+        counts = closed_form_counts(analysis.closed, 40)
+        for got, want in zip(counts, chain_counts(a, 40)[1:]):
+            assert abs(got - want) / max(1, want) < 1e-20
+
+    @pytest.mark.parametrize("what", ["beta0", "beta_j", "alpha", "Q"])
+    def test_perturbed_closed_form_fails_c1(self, monkeypatch, what):
+        cf = analyze_matrix(ARROW_AND_CHAIN).closed
+        assert cf.q_integral != RatPoly.zero() and cf.factors[0].betas
+        bad = _perturbed(cf, what)
+        series = zeta_series(ARROW_AND_CHAIN, 12)
+        assert closed_form_taylor(bad, 12) != list(series.coeffs)
+        assert closed_form_counts(bad, 12) != chain_counts(ARROW_AND_CHAIN, 12)[1:]
+        real = zeta_module.closed_form
+        monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: _perturbed(real(pfd), what))
+        report = verify_matrix(ARROW_AND_CHAIN, order=12)
+        assert report.path == "exact"
+        assert not report.c1_pass and not report.passed
+        assert report.c1_max_rel_err > 0
+
+    def test_empty_matrix(self):
+        a = IntMatrix([])
+        cf = analyze_matrix(a).closed
+        assert closed_form_counts(cf, 5) == [0] * 5
+        report = verify_matrix(a, order=5)
+        assert report.passed and report.c1_max_rel_err == 0
+
+    def test_nilpotent_is_q_only(self):
+        a = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        cf = analyze_matrix(a).closed
+        assert cf.factors == ()
+        assert closed_form_counts(cf, 6) == [2, 1, 0, 0, 0, 0]
+        assert verify_matrix(a, order=6).c1_max_rel_err == 0
+
+    def test_order_zero(self):
+        cf = analyze_matrix(ARROW_AND_CHAIN).closed
+        assert closed_form_counts(cf, 0) == []
+        report = verify_matrix(ARROW_AND_CHAIN, order=0)
+        assert report.passed and report.c1_max_rel_err == 0
+
+    def test_order_below_size(self):
+        a = IntMatrix([[1 if i <= j else 0 for j in range(6)] for i in range(6)])
+        cf = analyze_matrix(a).closed
+        assert closed_form_counts(cf, 2) == chain_counts(a, 2)[1:]
+        report = verify_matrix(a, order=2)
+        assert report.passed and report.c1_max_rel_err == 0
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            closed_form_counts(analyze_matrix(ARROW_AND_CHAIN).closed, -1)
+
+
+class TestExactVerifyRoute:
+    """The exact path compares log coefficients and never expands the
+    closed form as a series; the numeric path still does."""
+
+    def test_exact_path_skips_the_taylor_product(self, monkeypatch, fixture_categories,
+                                                 fixture_matrices):
+        order = 200
+
+        def refuse(*args):
+            raise AssertionError("series route used on the exact path")
+
+        def short_products_only(a, b):
+            # the Hermite expansions multiply lists of length e <= N
+            if len(a) > order // 2:
+                raise AssertionError("series-length product on the exact path")
+            return real_mul(a, b)
+
+        real_mul = zeta_module.mul_trunc
+        for name in ("closed_form_taylor", "series_from_counts", "exp_trunc"):
+            monkeypatch.setattr(zeta_module, name, refuse)
+        monkeypatch.setattr(zeta_module, "mul_trunc", short_products_only)
+        mats = [adjacency(c) for c in fixture_categories.values()]
+        mats += list(fixture_matrices.values())
+        exact = 0
+        for a in mats:
+            if analyze_matrix(a).path == "exact":
+                report = verify_matrix(a, order=order)
+                assert report.path == "exact" and report.passed
+                exact += 1
+        assert exact >= 7
+
+    def test_numeric_path_keeps_the_taylor_route(self, monkeypatch, fixture_matrices):
+        calls = []
+        real = zeta_module.closed_form_taylor
+
+        def counting(cf, order):
+            calls.append(order)
+            return real(cf, order)
+
+        monkeypatch.setattr(zeta_module, "closed_form_taylor", counting)
+        report = verify_matrix(fixture_matrices["pell"], order=20)
+        assert report.path == "numeric" and report.passed
+        assert calls == [20]
 
 
 class TestAnalysis:

@@ -7,8 +7,8 @@ algebra pipeline is well-defined on any such matrix, which is how the
 synthetic cases are driven.
 
 Exit codes: 0 success, 1 verification or numeric failure, 2 malformed
-input (message carries the location), 3 category axiom violation
-(message carries a violating pair or triple).
+input (message carries the location) or a flag out of range, 3 category
+axiom violation (message carries a violating pair or triple).
 
 Exact values print as integer or fraction strings, never floats;
 polynomials print lowest degree first; --json output is deterministic
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -255,9 +256,8 @@ def cmd_euler(args) -> int:
     return 0
 
 
-def _closed_form_json(analysis, digits: int) -> dict:
+def _closed_form_json(analysis, sing, digits: int) -> dict:
     cf = analysis.closed
-    sing = singularity_report(cf, analysis.rootset)
     factors = []
     for factor, point in zip(cf.factors, sing.points):
         factors.append({
@@ -294,7 +294,8 @@ def cmd_zeta(args) -> int:
     closed = None
     if args.closed:
         analysis = analyze_matrix(a, args.precision, args.tol)
-        closed = _closed_form_json(analysis, digits)
+        sing = singularity_report(analysis.closed, analysis.rootset)
+        closed = _closed_form_json(analysis, sing, digits)
         doc["closed_form"] = closed
     if args.json:
         _emit_json(doc)
@@ -306,9 +307,7 @@ def cmd_zeta(args) -> int:
         print(f"lead = {closed['lead']}")
         if not analysis.closed.factors:
             print("no roots: zeta = exp(Q)")
-        for factor, point in zip(analysis.closed.factors,
-                                 singularity_report(analysis.closed,
-                                                    analysis.rootset).points):
+        for factor, point in zip(analysis.closed.factors, sing.points):
             desc = point.classification
             if point.pole_order is not None:
                 desc = f"pole of order {point.pole_order}"
@@ -491,6 +490,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2
     if getattr(args, "max", 1) < 1:
         print("error: --max must be at least 1", file=sys.stderr)
+        return 2
+    if args.precision < 1:
+        print("error: --precision must be at least 1", file=sys.stderr)
+        return 2
+    if not 0 <= args.tol < math.inf:
+        print("error: --tol must be a finite nonnegative number", file=sys.stderr)
         return 2
     try:
         return args.func(args)

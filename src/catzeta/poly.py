@@ -5,14 +5,16 @@ coefficient of z**i, with trailing zeros trimmed.  The zero polynomial is
 the empty tuple.  Degrees in this project are bounded by the object count
 of a finite category, so the dense representation is deliberate.
 
-Everything here is exact: no floats enter or leave.
+RatPoly is exact: no floats enter or leave.  The list kernels mul_coeffs
+and linear_power work in whatever scalar type they are given, so the
+root checks run them on Fractions and on mpmath complex numbers alike.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class RatPoly:
@@ -113,16 +115,9 @@ class RatPoly:
             return RatPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, RatPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly(out)
+        return RatPoly(mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -178,20 +173,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def shifted(self, a) -> "RatPoly":
-        """The polynomial p(z + a), exactly."""
-        a = Fraction(a)
-        out = [Fraction(0)] * max(len(self.coeffs), 1)
-        pw = [Fraction(1)]  # coefficients of (z + a)**i
-        for c in self.coeffs:
-            for j, b in enumerate(pw):
-                out[j] += c * b
-            nxt = [b * a for b in pw] + [Fraction(0)]
-            for j, b in enumerate(pw):
-                nxt[j + 1] += b
-            pw = nxt
-        return RatPoly(out)
-
     def monic(self) -> "RatPoly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
@@ -246,12 +227,29 @@ def squarefree_decompose(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return out
 
 
-def linear_power(root, e: int) -> RatPoly:
-    """(z - root)**e, read off the binomial theorem."""
+def mul_coeffs(a: Sequence, b: Sequence) -> list:
+    """Product of two nonempty coefficient lists, in their scalar type.
+
+    b is walked in the outer loop: its zero terms are skipped and its
+    unit terms (the leads of monic factors) cost no multiplication.
+    """
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb == 0:
+            continue
+        unit = cb == 1
+        for i, ca in enumerate(a, start=j):
+            out[i] = out[i] + (ca if unit else ca * cb)
+    return out
+
+
+def linear_power(root, e: int) -> list:
+    """Coefficients of (z - root)**e in root's scalar type, read off the
+    binomial theorem."""
     if e < 0:
         raise ValueError("negative polynomial power")
-    neg = -Fraction(root)
-    return RatPoly([binomial(e, t) * neg ** (e - t) for t in range(e + 1)])
+    neg = -root
+    return [binomial(e, t) * neg ** (e - t) for t in range(e + 1)]
 
 
 def binomial(n: int, k: int) -> int:

@@ -6,23 +6,29 @@ clustering never decides them.  Rational roots are extracted exactly by
 the rational-root theorem; whatever remains is handed, factor by factor,
 to an Aberth-Ehrlich simultaneous iteration polished by Newton steps.
 
-Every RootSet is checked by recombination: multiplying the factors back
-together must reproduce d, exactly in the all-rational case and to a
-small relative coefficient error otherwise.
+The root set also chooses, once, the arithmetic of every later stage:
+its Arithmetic is exact (Fractions) when every root is rational and
+numeric (mpmath complex numbers at the precision plus GUARD_BITS)
+otherwise.  Every RootSet is checked by recombination in that
+arithmetic: multiplying the factors back together must reproduce d,
+exactly in the all-rational case and to a small relative coefficient
+error otherwise.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
-from .poly import RatPoly, linear_power, squarefree_decompose
+from .poly import RatPoly, linear_power, mul_coeffs, squarefree_decompose
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-12
+GUARD_BITS = 64  # working precision above the requested one, for every mpmath stage
 
 
 class RootFindingError(ArithmeticError):
@@ -54,6 +60,35 @@ class Root:
 
 
 @dataclass(frozen=True)
+class Arithmetic:
+    """The scalars every stage after root finding computes in.
+
+    Exact: Fractions, and a check holds only with a zero residual.
+    Numeric: mpmath complex numbers at precision + GUARD_BITS, and a check
+    holds when its residual is within tolerance.
+    """
+
+    exact: bool
+    precision: int
+
+    @property
+    def one(self):
+        return Fraction(1) if self.exact else mp.mpc(1)
+
+    def lift(self, x):
+        """An exact number (int or Fraction) as a scalar of this arithmetic."""
+        return x if self.exact else to_mpc(x)
+
+    def context(self):
+        """The mpmath working precision the scalars need; nothing when exact."""
+        return nullcontext() if self.exact else mp.workprec(self.precision + GUARD_BITS)
+
+    def within(self, err, tol, scale=1) -> bool:
+        """err == 0 when exact, err <= tol * scale otherwise."""
+        return err == 0 if self.exact else bool(err <= tol * scale)
+
+
+@dataclass(frozen=True)
 class RootSet:
     roots: tuple[Root, ...]
     lead: Fraction       # leading coefficient of d
@@ -63,6 +98,11 @@ class RootSet:
     @property
     def all_rational(self) -> bool:
         return all(r.kind == "rational" for r in self.roots)
+
+    @property
+    def arithmetic(self) -> Arithmetic:
+        """Exact exactly when every root is rational."""
+        return Arithmetic(self.all_rational, self.precision)
 
 
 def _divisors(n: int, limit: int) -> list[int]:
@@ -180,7 +220,7 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
     deg = p.degree
     if deg < 1:
         raise ValueError("root finding needs degree >= 1")
-    with mp.workprec(precision_bits + 64):
+    with mp.workprec(precision_bits + GUARD_BITS):
         cs = [to_mpc(c) for c in p.coeffs]
         dcs = [i * cs[i] for i in range(1, len(cs))]
         lead = cs[-1]
@@ -243,41 +283,24 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
 
 
 def _sort_key(root: Root, precision_bits: int):
-    with mp.workprec(precision_bits + 64):
+    with mp.workprec(precision_bits + GUARD_BITS):
         if root.kind == "rational":
             t = to_mpf(root.theta)
             return (abs(t), mp.pi if t < 0 else mp.mpf(0))
         return (abs(root.theta), mp.arg(root.theta))
 
 
-def _recombine_exact(rs: RootSet) -> RatPoly:
-    prod = RatPoly.constant(rs.lead)
-    for root in rs.roots:
-        prod = prod * linear_power(root.theta, root.multiplicity)
-    return prod
-
-
 def _check_recombination(rs: RootSet, d: RatPoly, tol: float) -> None:
-    if rs.all_rational:
-        if _recombine_exact(rs) != d:
-            raise RootFindingError("exact root recombination does not reproduce d")
-        return
-    with mp.workprec(rs.precision + 64):
-        coeffs = [to_mpc(rs.lead)]
+    """lead * prod (z - theta)^e must reproduce d."""
+    arith = rs.arithmetic
+    with arith.context():
+        got = [arith.lift(rs.lead)]
         for root in rs.roots:
-            theta = to_mpc(root.theta)
-            for _ in range(root.multiplicity):
-                shifted = [mp.mpc(0)] + coeffs
-                coeffs = [shifted[i] - theta * coeffs[i] if i < len(coeffs) else shifted[i]
-                          for i in range(len(shifted))]
-        err = mp.mpf(0)
-        scale = mp.mpf(0)
-        for i in range(max(len(coeffs), d.degree + 1)):
-            want = to_mpc(d.coeff(i)) if i <= d.degree else mp.mpc(0)
-            got = coeffs[i] if i < len(coeffs) else mp.mpc(0)
-            err = max(err, abs(got - want))
-            scale = max(scale, abs(want))
-        if err > tol * scale:
+            got = mul_coeffs(got, linear_power(arith.lift(root.theta), root.multiplicity))
+        want = [arith.lift(c) for c in d.coeffs]
+        err = max(abs(g - w) for g, w in zip(got, want))
+        scale = max(abs(w) for w in want)
+        if len(got) != len(want) or not arith.within(err, tol, scale):
             raise RootFindingError(
                 f"recombination residual {mp.nstr(err / scale)} above tolerance; "
                 "raise the precision"

@@ -111,10 +111,6 @@ class RatSeries:
     def one(cls, order: int) -> "RatSeries":
         return cls(order, (1,) + (0,) * order)
 
-    @classmethod
-    def from_poly(cls, p, order: int) -> "RatSeries":
-        return cls(order, [p.coeff(i) for i in range(order + 1)])
-
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i]
 

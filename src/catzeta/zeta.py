@@ -17,14 +17,19 @@ beta_{k,0} = N, each 1/theta_k an eigenvalue of A, and an alternating
 sum of the beta's equal to the series Euler characteristic.  A final
 report classifies each root as a pole, zero or essential singularity.
 
-Everything after the sweep runs on one of two paths: fully exact
-rational arithmetic when every root of d is rational, or high-precision
-complex arithmetic otherwise.  On the exact path the Taylor match is
-checked on logarithms: closed_form_counts reads n [z^n] log zeta off the
+The arithmetic is chosen once, by the root set: exact Fractions when
+every root of d is rational, complex numbers at the working precision
+otherwise (roots.Arithmetic).  Partial fractions, the closed form, its
+Taylor and log coefficients, identities 2 to 4 and the singularity report
+each run one code path over whichever scalars the root set carries; an
+identity holds with a zero residual in exact arithmetic and within the
+tolerance in numeric arithmetic.  The Taylor match is the one check that
+still forks.  Exact: closed_form_counts reads n [z^n] log zeta off the
 closed form term by term, and these must equal the swept chain counts
 #N_1..#N_K, which says the same as equal Taylor coefficients through z^K
-without expanding the closed form as a series.  The numeric path
-compares Taylor coefficients from closed_form_taylor with the series.
+without expanding the closed form as a series.  Numeric: the Taylor
+coefficients from closed_form_taylor are compared with the series; this
+fork stays until C1 is exact for irrational spectra as well.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-from mpmath import mp
 
 from .category import FiniteCategory, IntMatrix, adjacency, chain_counts
 from .charpoly import (
@@ -44,21 +47,18 @@ from .charpoly import (
     power_traces,
 )
 from .euler import EulerReport, series_euler_char
-from .poly import RatPoly, binomial, linear_power
+from .poly import RatPoly, binomial, linear_power, mul_coeffs
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
+    Arithmetic,
     RootSet,
     factor_charpoly,
-    to_mpc,
-    to_mpf,
 )
 from .series import RatSeries, exp_trunc, inv_trunc, mul_trunc
 
 DEFAULT_ORDER = 30
 DEFAULT_VERIFY_TOL = 1e-9
-
-_GUARD_BITS = 64
 
 
 # -- the series side -------------------------------------------------------
@@ -116,13 +116,13 @@ class PartialFractionDecomposition:
 
 def _taylor_at(p: RatPoly, center, order: int, zero):
     """Coefficients of p(center + w) in w, through w**order."""
+    powers = [center ** e for e in range(p.degree + 1)]
     out = [zero] * (order + 1)
-    for i in range(p.degree + 1):
-        ci = p.coeff(i)
+    for i, ci in enumerate(p.coeffs):
         if ci == 0:
             continue
         for t in range(min(i, order) + 1):
-            out[t] = out[t] + ci * binomial(i, t) * center ** (i - t)
+            out[t] = out[t] + ci * binomial(i, t) * powers[i - t]
     return out
 
 
@@ -138,9 +138,9 @@ def _hermite_terms(rem: RatPoly, thetas: list, mults: list[int], one) -> list[tu
             if l == k:
                 continue
             shift = theta_k - theta_l
-            factor = [binomial(e_l, t) * shift ** (e_l - t) for t in range(e_l + 1)]
-            factor = (factor + [zero] * e_k)[:e_k]
-            denom = mul_trunc(denom, factor)
+            # (w + shift)^(e_l) through w^(e_k - 1), with w = z - theta_k
+            factor = [binomial(e_l, t) * shift ** (e_l - t) for t in range(min(e_l + 1, e_k))]
+            denom = mul_trunc(denom, factor + [zero] * (e_k - len(factor)))
         h = mul_trunc(numer, inv_trunc(denom))
         terms.append(tuple(reversed(h)))
     return terms
@@ -152,70 +152,42 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly, rootset: RootSet,
 
     The quotient and remainder come from exact polynomial division.  The
     A_{k,j} come from Taylor expansion of the deflated remainder at each
-    root (exact for rational roots, working precision otherwise), and the
-    decomposition is verified by recombining over the common denominator.
+    root, in the root set's arithmetic, and the decomposition is verified
+    by recombining over the common denominator.
     """
     if d.is_zero():
         raise ValueError("denominator must be nonzero")
     q, rem = divmod(m_poly, d)
+    arith = rootset.arithmetic
     mults = [root.multiplicity for root in rootset.roots]
-    exact = rootset.all_rational
-    if not rootset.roots:
-        if not rem.is_zero():
-            raise ArithmeticError("no roots but a nonzero remainder")
-        return PartialFractionDecomposition(q=q, remainder=rem, lead=rootset.lead,
-                                            rootset=rootset, terms=(), exact=True)
-    if exact:
-        thetas = [root.theta for root in rootset.roots]
-        terms = _hermite_terms(rem, thetas, mults, Fraction(1))
+    with arith.context():
+        one = arith.one
+        thetas = [arith.lift(root.theta) for root in rootset.roots]
+        terms = _hermite_terms(rem, thetas, mults, one)
+        # rem = sum_k [sum_j A_{k,j} (z - theta_k)^(e_k - j), by Horner in
+        # z - theta_k] * prod_{l != k} (z - theta_l)^(e_l)
         powers = [linear_power(theta, e) for theta, e in zip(thetas, mults)]
-        recombined = RatPoly.zero()
+        got = [one * 0] * sum(mults)
         for k, theta_k in enumerate(thetas):
-            # sum_j A_{k,j} (z - theta_k)^(e_k - j), by Horner in z - theta_k
-            linear = RatPoly((-theta_k, 1))
-            piece = RatPoly.zero()
-            for coeff in terms[k]:
-                piece = piece * linear + coeff
+            piece = [terms[k][0]]
+            for coeff in terms[k][1:]:
+                piece = mul_coeffs(piece, [-theta_k, one])
+                piece[0] = piece[0] + coeff
             for l, power in enumerate(powers):
                 if l != k:
-                    piece = piece * power
-            recombined = recombined + piece
-        if recombined != rem:
-            raise ArithmeticError("partial fraction recombination failed")
-        return PartialFractionDecomposition(q=q, remainder=rem, lead=rootset.lead,
-                                            rootset=rootset, terms=tuple(terms),
-                                            exact=True)
-    with mp.workprec(rootset.precision + _GUARD_BITS):
-        thetas = [to_mpc(root.theta) for root in rootset.roots]
-        terms = _hermite_terms(rem, thetas, mults, mp.mpc(1))
-        # recombine numerically over the common denominator
-        degree = sum(mults)
-        total = [mp.mpc(0)] * degree
-        for k in range(len(thetas)):
-            for j in range(1, mults[k] + 1):
-                piece = [terms[k][j - 1]]
-                for l in range(len(thetas)):
-                    reps = (mults[k] - j) if l == k else mults[l]
-                    for _ in range(reps):
-                        shifted = [mp.mpc(0)] + piece
-                        piece = [shifted[t] - thetas[l] * piece[t] if t < len(piece)
-                                 else shifted[t] for t in range(len(shifted))]
-                for t, c in enumerate(piece):
-                    total[t] = total[t] + c
-        err = mp.mpf(0)
-        scale = max(mp.mpf(1), max(abs(to_mpf(c)) for c in rem.coeffs)
-                    if not rem.is_zero() else mp.mpf(0))
-        for t in range(degree):
-            want = to_mpc(rem.coeff(t)) if t <= rem.degree else mp.mpc(0)
-            err = max(err, abs(total[t] - want))
-        if err > tol * scale:
+                    piece = mul_coeffs(piece, power)
+            got = [g + c for g, c in zip(got, piece)]
+        want = [arith.lift(rem.coeff(t)) for t in range(len(got))]
+        err = max((abs(g - w) for g, w in zip(got, want)), default=0)
+        scale = max(abs(w) for w in [one] + want)
+        if rem.degree >= len(got) or not arith.within(err, tol, scale):
             raise ArithmeticError(
                 "partial fraction recombination residual above tolerance; "
                 "raise the precision"
             )
-        return PartialFractionDecomposition(q=q, remainder=rem, lead=rootset.lead,
-                                            rootset=rootset, terms=tuple(terms),
-                                            exact=False)
+    return PartialFractionDecomposition(q=q, remainder=rem, lead=rootset.lead,
+                                        rootset=rootset, terms=tuple(terms),
+                                        exact=arith.exact)
 
 
 # -- closed form -----------------------------------------------------------
@@ -240,6 +212,11 @@ class ClosedFormZeta:
     exact: bool
     precision: int
 
+    @property
+    def arithmetic(self) -> Arithmetic:
+        """The arithmetic of the root set the closed form was built over."""
+        return Arithmetic(self.exact, self.precision)
+
 
 def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
     """Assemble the closed form from a partial fraction decomposition.
@@ -252,34 +229,26 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
     so that the factor and exponential coefficients carry no stray
     normalization; the sum of the beta0 is then exactly N.
     """
+    arith = pfd.rootset.arithmetic
     factors = []
-
-    def build(theta, e, kind, terms, lead_inv, one):
-        alpha = one / theta
-        beta0 = -terms[0] * lead_inv
-        betas = []
-        for j in range(1, e):
-            acc = one * 0
-            for i in range(j, e):
-                sign = 1 if i % 2 else -1  # (-1)^(i+1)
-                acc = acc + sign * binomial(i - 1, j - 1) * alpha ** (i + j) * terms[i]
-            betas.append(acc * lead_inv)
-        return ZetaFactor(theta=theta, alpha=alpha, multiplicity=e, kind=kind,
-                          beta0=beta0, betas=tuple(betas))
-
-    if pfd.exact:
-        lead_inv = 1 / Fraction(pfd.lead)
+    with arith.context():
+        one = arith.one
+        lead_inv = one / arith.lift(pfd.lead)
         for root, terms in zip(pfd.rootset.roots, pfd.terms):
-            factors.append(build(root.theta, root.multiplicity, root.kind,
-                                 terms, lead_inv, Fraction(1)))
-    else:
-        with mp.workprec(pfd.rootset.precision + _GUARD_BITS):
-            lead_inv = 1 / to_mpc(pfd.lead)
-            for root, terms in zip(pfd.rootset.roots, pfd.terms):
-                factors.append(build(to_mpc(root.theta), root.multiplicity,
-                                     root.kind, terms, lead_inv, mp.mpc(1)))
+            theta, e = arith.lift(root.theta), root.multiplicity
+            alpha = one / theta
+            betas = []
+            for j in range(1, e):
+                acc = one * 0
+                for i in range(j, e):
+                    sign = 1 if i % 2 else -1  # (-1)^(i+1)
+                    acc = acc + sign * binomial(i - 1, j - 1) * alpha ** (i + j) * terms[i]
+                betas.append(acc * lead_inv)
+            factors.append(ZetaFactor(theta=theta, alpha=alpha,
+                                      multiplicity=e, kind=root.kind,
+                                      beta0=-terms[0] * lead_inv, betas=tuple(betas)))
     return ClosedFormZeta(q_integral=pfd.q.antiderivative(), factors=tuple(factors),
-                          exact=pfd.exact, precision=pfd.rootset.precision)
+                          exact=arith.exact, precision=pfd.rootset.precision)
 
 
 def _binomial_factor_coeffs(alpha, beta0, order: int, one) -> list:
@@ -292,23 +261,6 @@ def _binomial_factor_coeffs(alpha, beta0, order: int, one) -> list:
     return out
 
 
-def _assemble_taylor(cf: ClosedFormZeta, order: int, one) -> list:
-    exponent = [one * 0 + cf.q_integral.coeff(i) for i in range(order + 1)]
-    for factor in cf.factors:
-        for j, beta in enumerate(factor.betas, start=1):
-            if beta == 0:
-                continue
-            apow = one
-            for n in range(j, order + 1):
-                exponent[n] = exponent[n] + beta * binomial(n - 1, j - 1) * apow / j
-                apow = apow * factor.alpha
-    out = exp_trunc(exponent)
-    for factor in cf.factors:
-        out = mul_trunc(out, _binomial_factor_coeffs(factor.alpha, factor.beta0,
-                                                     order, one))
-    return out
-
-
 def closed_form_taylor(cf: ClosedFormZeta, order: int) -> list:
     """Taylor coefficients of the closed form through z**order.
 
@@ -317,35 +269,22 @@ def closed_form_taylor(cf: ClosedFormZeta, order: int) -> list:
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    if cf.exact:
-        return _assemble_taylor(cf, order, Fraction(1))
-    with mp.workprec(cf.precision + _GUARD_BITS):
-        return _assemble_taylor(cf, order, mp.mpc(1))
-
-
-def _assemble_counts(cf: ClosedFormZeta, order: int, one) -> list:
-    zero = one * 0
-    q = [zero + n * c for n, c in enumerate(cf.q_integral.coeffs[1:order + 1], start=1)]
-    out = q + [zero] * (order - len(q))  # q_{n-1} = n Q_n
-    for factor in cf.factors:
-        # beta_j C(n, j) alpha^(n-j) = alpha^n gamma_j C(n, j) with
-        # gamma_j = beta_j alpha^(-j).  diffs[j] runs through
-        # sum_{i>=j} gamma_i C(n, i-j), the forward difference table of
-        # sum_j gamma_j C(n, j), so stepping n costs additions only.
-        diffs, scale = [], one
-        for beta in (factor.beta0,) + factor.betas:
-            diffs.append(beta * scale)
-            scale = scale / factor.alpha
-        while diffs and diffs[-1] == 0:
-            diffs.pop()
-        if not diffs:
-            continue
-        apow = one
-        for n in range(1, order + 1):
-            for j in range(len(diffs) - 1):
-                diffs[j] = diffs[j] + diffs[j + 1]
-            apow = apow * factor.alpha
-            out[n - 1] = out[n - 1] + apow * diffs[0]
+    arith = cf.arithmetic
+    with arith.context():
+        one = arith.one
+        exponent = [one * 0 + cf.q_integral.coeff(i) for i in range(order + 1)]
+        for factor in cf.factors:
+            for j, beta in enumerate(factor.betas, start=1):
+                if beta == 0:
+                    continue
+                apow = one
+                for n in range(j, order + 1):
+                    exponent[n] = exponent[n] + beta * binomial(n - 1, j - 1) * apow / j
+                    apow = apow * factor.alpha
+        out = exp_trunc(exponent)
+        for factor in cf.factors:
+            out = mul_trunc(out, _binomial_factor_coeffs(factor.alpha, factor.beta0,
+                                                         order, one))
     return out
 
 
@@ -364,10 +303,32 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    if cf.exact:
-        return _assemble_counts(cf, order, Fraction(1))
-    with mp.workprec(cf.precision + _GUARD_BITS):
-        return _assemble_counts(cf, order, mp.mpc(1))
+    arith = cf.arithmetic
+    with arith.context():
+        one = arith.one
+        zero = one * 0
+        q = [zero + n * c for n, c in enumerate(cf.q_integral.coeffs[1:order + 1], start=1)]
+        out = q + [zero] * (order - len(q))  # q_{n-1} = n Q_n
+        for factor in cf.factors:
+            # beta_j C(n, j) alpha^(n-j) = alpha^n gamma_j C(n, j) with
+            # gamma_j = beta_j alpha^(-j).  diffs[j] runs through
+            # sum_{i>=j} gamma_i C(n, i-j), the forward difference table of
+            # sum_j gamma_j C(n, j), so stepping n costs additions only.
+            diffs, scale = [], one
+            for beta in (factor.beta0,) + factor.betas:
+                diffs.append(beta * scale)
+                scale = scale / factor.alpha
+            while diffs and diffs[-1] == 0:
+                diffs.pop()
+            if not diffs:
+                continue
+            apow = one
+            for n in range(1, order + 1):
+                for j in range(len(diffs) - 1):
+                    diffs[j] = diffs[j] + diffs[j + 1]
+                apow = apow * factor.alpha
+                out[n - 1] = out[n - 1] + apow * diffs[0]
+    return out
 
 
 # -- one-stop analysis -----------------------------------------------------
@@ -484,70 +445,46 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     n = a.n
     applicable = euler.exists
     cp = monic_charpoly(analysis.bundle.d, n)
+    arith = analysis.rootset.arithmetic
 
-    if cf.exact:
-        c1_err = max(
-            (abs(got - want) / max(1, abs(want))
-             for got, want in zip(closed_form_counts(cf, order), chains[1:order + 1])
-             if got != want),
-            default=Fraction(0),
-        )
-        c1_pass = c1_err == 0
-        c2_sum = sum((f.beta0 for f in cf.factors), Fraction(0))
+    with arith.context():
+        one = arith.one
+        if arith.exact:  # the one fork: log coefficients against the chain counts
+            pairs = zip(closed_form_counts(cf, order), chains[1:order + 1])
+        else:  # Taylor coefficients against the series
+            pairs = zip(closed_form_taylor(cf, order),
+                        map(arith.lift, series_from_counts(chains, order).coeffs))
+        c1_err = max((abs(got - want) / max(abs(one), abs(want))
+                      for got, want in pairs if got != want), default=abs(one) * 0)
+        c1_pass = arith.within(c1_err, tolerance)
+        c2_sum = sum((f.beta0 for f in cf.factors), one * 0)
         c2_residual = abs(c2_sum - n)
-        c2_pass = (c2_residual == 0) if applicable else None
+        c2_pass = arith.within(c2_residual, tolerance) if applicable else None
         residuals, scales = [], []
-        for f in cf.factors:
-            x = f.alpha
-            residuals.append(abs(cp(x)))
-            scales.append(sum(abs(c) for c in cp.coeffs) * max(Fraction(1), abs(x)) ** cp.degree)
-        c3_pass = all(res == 0 for res in residuals)
-        c4_value = _c4_sum(cf.factors, Fraction(1))
+        c3_pass = True
+        coeff_sum = sum(abs(arith.lift(c)) for c in cp.coeffs)
+        for f, root in zip(cf.factors, analysis.rootset.roots):
+            scale = coeff_sum * max(abs(one), abs(f.alpha)) ** cp.degree
+            if root.kind == "rational":
+                # rational roots are checked exactly on both paths
+                exact_res = abs(cp(1 / root.theta))
+                res, ok = abs(arith.lift(exact_res)), exact_res == 0
+            else:
+                res = abs(cp(f.alpha))
+                ok = arith.within(res, tolerance, scale)
+            residuals.append(res)
+            scales.append(scale)
+            c3_pass = c3_pass and ok
+        c4_value = _c4_sum(cf.factors, one)
         c4_target = euler.chi
-        c4_residual = abs(c4_value - c4_target) if applicable else None
-        c4_imag = Fraction(0)
-        c4_pass = (c4_residual == 0) if applicable else None
-        path = "exact"
-    else:
-        series = series_from_counts(chains, order)
-        taylor = closed_form_taylor(cf, order)
-        with mp.workprec(precision_bits + _GUARD_BITS):
-            c1_err = mp.mpf(0)
-            for i in range(order + 1):
-                want = series.coeff(i)
-                got = taylor[i]
-                denom = max(mp.mpf(1), to_mpf(abs(want)))
-                c1_err = max(c1_err, abs(got - to_mpc(want)) / denom)
-            c1_pass = bool(c1_err <= tolerance)
-            c2_sum = sum((f.beta0 for f in cf.factors), mp.mpc(0))
-            c2_residual = abs(c2_sum - n)
-            c2_pass = bool(c2_residual <= tolerance) if applicable else None
-            residuals, scales = [], []
-            c3_pass = True
-            coeff_sum = sum(to_mpf(abs(c)) for c in cp.coeffs)
-            for f, root in zip(cf.factors, analysis.rootset.roots):
-                if root.kind == "rational":
-                    # exact evaluation stays available for rational roots
-                    exact_res = abs(cp(1 / root.theta))
-                    res = to_mpf(exact_res)
-                    ok = exact_res == 0
-                else:
-                    res = abs(cp(f.alpha))
-                    ok = res <= tolerance * coeff_sum * max(mp.mpf(1), abs(f.alpha)) ** cp.degree
-                residuals.append(res)
-                scales.append(coeff_sum * max(mp.mpf(1), abs(f.alpha)) ** cp.degree)
-                if not ok:
-                    c3_pass = False
-            c4_value = _c4_sum(cf.factors, mp.mpc(1))
-            c4_target = euler.chi
-            c4_residual = abs(c4_value - to_mpc(c4_target)) if applicable else None
-            c4_imag = abs(c4_value.imag)
-            c4_pass = (bool(c4_residual <= tolerance and c4_imag <= tolerance)
-                       if applicable else None)
-            path = "numeric"
+        c4_residual = abs(c4_value - arith.lift(c4_target)) if applicable else None
+        c4_imag = abs(c4_value - c4_value.real)  # |Im|, in the scalar type
+        c4_pass = (arith.within(c4_residual, tolerance) and arith.within(c4_imag, tolerance)
+                   if applicable else None)
 
     return VerificationReport(
-        n=n, order=order, tolerance=tolerance, precision=precision_bits, path=path,
+        n=n, order=order, tolerance=tolerance, precision=precision_bits,
+        path="exact" if arith.exact else "numeric",
         chi_exists=euler.exists, chi=euler.chi,
         c1_max_rel_err=c1_err, c1_pass=c1_pass,
         c2_applicable=applicable, c2_sum=c2_sum, c2_residual=c2_residual,
@@ -598,35 +535,30 @@ def singularity_report(cf: ClosedFormZeta, rootset: RootSet,
     would contradict the root/singularity correspondence, so it is
     flagged as a violation rather than silently accepted.
     """
+    arith = cf.arithmetic
     points = []
     violations = []
-    for idx, (root, factor) in enumerate(zip(rootset.roots, cf.factors)):
-        beta0 = factor.beta0
-        if cf.exact:
-            beta0_zero = beta0 == 0
-            essential = any(b != 0 for b in factor.betas)
-            re = beta0
-            is_integer = isinstance(beta0, Fraction) and beta0.denominator == 1
-        else:
-            beta0_zero = abs(beta0) <= tol
-            essential = any(abs(b) > tol for b in factor.betas)
+    with arith.context():
+        for idx, (root, factor) in enumerate(zip(rootset.roots, cf.factors)):
+            beta0 = factor.beta0
             re = beta0.real
-            is_integer = abs(beta0.imag) <= tol and abs(re - mp.nint(re)) <= tol
-        if beta0_zero:
-            classification = "essential" if essential else "violation"
-        elif re > 0:
-            classification = "pole"
-        elif re < 0:
-            classification = "zero"
-        else:
-            classification = "essential"
-        pole_order = None
-        if classification == "pole" and is_integer:
-            pole_order = int(beta0) if cf.exact else int(mp.nint(re))
-        if classification == "violation":
-            violations.append(idx)
-        points.append(SingularPoint(theta=root.theta, multiplicity=root.multiplicity,
-                                    kind=root.kind, beta0=beta0,
-                                    classification=classification,
-                                    essential=essential, pole_order=pole_order))
+            essential = not all(arith.within(abs(b), tol) for b in factor.betas)
+            if arith.within(abs(beta0), tol):
+                classification = "essential" if essential else "violation"
+            elif re > 0:
+                classification = "pole"
+            elif re < 0:
+                classification = "zero"
+            else:
+                classification = "essential"
+            pole_order = None
+            if (classification == "pole" and arith.within(abs(beta0.imag), tol)
+                    and arith.within(abs(re - round(re)), tol)):
+                pole_order = round(re)
+            if classification == "violation":
+                violations.append(idx)
+            points.append(SingularPoint(theta=root.theta, multiplicity=root.multiplicity,
+                                        kind=root.kind, beta0=beta0,
+                                        classification=classification,
+                                        essential=essential, pole_order=pole_order))
     return SingularityReport(points=tuple(points), violations=tuple(violations))

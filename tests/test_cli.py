@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from catzeta.cli import cli_main
 from conftest import FIXTURE_DIR
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def fixture(name: str) -> str:
@@ -98,6 +101,26 @@ class TestErrorHandling:
     def test_zero_max_rejected(self, capsys):
         code, _, err = run(capsys, "chains", fixture("z2"), "--max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-100"])
+    def test_nonpositive_precision_rejected(self, capsys, value):
+        code, out, err = run(capsys, "verify", matrix_fixture("pell"), "--matrix",
+                             f"--precision={value}")
+        assert code == 2
+        assert out == ""
+        assert "--precision must be at least 1" in err
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-30", "nan", "inf", "-inf"])
+    def test_bad_tolerance_rejected(self, capsys, value):
+        code, out, err = run(capsys, "verify", fixture("k2"), f"--tol={value}")
+        assert code == 2
+        assert out == ""
+        assert "--tol must be a finite nonnegative number" in err
+
+    def test_zero_tolerance_and_one_bit_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", fixture("k2"), "--tol=0", "--precision=1")
+        assert code == 0
+        assert "overall: PASS" in out
 
     def test_bool_matrix_entry_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bools.json"
@@ -284,6 +307,24 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "poset", str(rel))
         assert code == 3
         assert "antisymmetric" in err
+
+
+class TestPinnedOutput:
+    """stdout byte for byte against files under tests/golden, written by
+    `python -m catzeta.cli <argv> --matrix fixtures/matrices/<name>.json`.
+    pell pins the numeric path's 40-digit residuals, jordan2 the exact
+    path; rewrite a file only in a change meant to alter those bytes."""
+
+    @pytest.mark.parametrize("name", ["pell", "jordan2"])
+    @pytest.mark.parametrize("argv,stem", [
+        (("verify", "--json", "--order", "30"), "verify.30"),
+        (("verify", "--json", "--order", "200"), "verify.200"),
+        (("zeta", "--closed", "--json"), "zeta-closed"),
+    ])
+    def test_stdout_matches_pinned_bytes(self, capsys, name, argv, stem):
+        code, out, _ = run(capsys, *argv, "--matrix", matrix_fixture(name))
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"{name}.{stem}.json").read_text(encoding="utf-8")
 
 
 class TestDeterminism:

@@ -133,14 +133,6 @@ class TestCalculusAndEvaluation:
         p = RatPoly([1, 0, 1])  # 1 + z^2
         assert p(mp.mpc(0, 1)) == 0
 
-    @given(polys, fractions, fractions)
-    def test_shifted_evaluates_consistently(self, p, a, x):
-        assert p.shifted(a)(x) == p(x + a)
-
-    @given(polys)
-    def test_shift_by_zero(self, p):
-        assert p.shifted(Fraction(0)) == p
-
     @given(nonzero_polys)
     def test_monic(self, p):
         m = p.monic()

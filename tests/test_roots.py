@@ -15,7 +15,8 @@ from catzeta import (
     numeric_roots,
     rational_roots,
 )
-from catzeta.roots import to_mpc, to_mpf
+from catzeta import roots as roots_module
+from catzeta.roots import RootFindingError, to_mpc, to_mpf
 from oracles import rational_roots_oracle
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -194,6 +195,30 @@ class TestFactorCharpoly:
         rs = factor_charpoly(d)
         assert sum(r.multiplicity for r in rs.roots) == d.degree
         assert rs.lead == (d.lead if d.degree >= 0 else 1)
+
+    @pytest.mark.parametrize("kind", ["rational", "numeric"])
+    def test_recombination_catches_a_perturbed_root(self, monkeypatch, kind):
+        # a repeated root at 1 beside 1/2 (an exact root set) or beside the
+        # irrational pair -1 +- sqrt 2 (a numeric one)
+        other = RatPoly([1, -2]) if kind == "rational" else RatPoly([1, -2, -1])
+        d = RatPoly([1, -1]) ** 2 * other
+        assert factor_charpoly(d).arithmetic.exact == (kind == "rational")
+        real_rational, real_numeric = roots_module.rational_roots, roots_module.numeric_roots
+
+        def nudge_rational(p):
+            found, cof = real_rational(p)
+            return [(theta + Fraction(1, 10 ** 6), e) for theta, e in found], cof
+
+        def nudge_numeric(p, bits):
+            first, *rest = real_numeric(p, bits)
+            return [first + mp.mpf(10) ** -6] + rest
+
+        if kind == "rational":
+            monkeypatch.setattr(roots_module, "rational_roots", nudge_rational)
+        else:
+            monkeypatch.setattr(roots_module, "numeric_roots", nudge_numeric)
+        with pytest.raises(RootFindingError):
+            factor_charpoly(d)
 
     def test_constant_pencil_has_no_roots(self):
         rs = factor_charpoly(RatPoly.one())

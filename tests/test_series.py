@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catzeta import (
-    RatPoly,
     RatSeries,
     exp_trunc,
     inv_trunc,
@@ -68,11 +67,6 @@ class TestRatSeries:
             RatSeries(3, [1, 2])
         with pytest.raises(ValueError):
             RatSeries(-1, [])
-
-    def test_from_poly_truncates_and_pads(self):
-        p = RatPoly([1, 2, 3, 4])
-        assert RatSeries.from_poly(p, 2) == RatSeries(2, [1, 2, 3])
-        assert RatSeries.from_poly(p, 5) == RatSeries(5, [1, 2, 3, 4, 0, 0])
 
     def test_coeff(self):
         f = RatSeries(2, [5, 6, 7])

@@ -131,24 +131,14 @@ class TestPartialFractions:
                 )
                 assert direct == summed, rows
 
-    @pytest.mark.parametrize("path,j", [("exact", 1), ("exact", 2), ("exact", 3),
-                                        ("exact", 4), ("numeric", 1), ("numeric", 2),
-                                        ("numeric", 3)])
-    def test_recombination_catches_a_corrupt_term(self, monkeypatch, path, j):
-        if path == "exact":
-            # a 4-chain poset (root 1, e = 4) next to the monoid Z/2 (root 1/2)
-            a = IntMatrix([[1, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 0, 1, 1, 0],
-                           [0, 0, 0, 1, 0], [0, 0, 0, 0, 2]])
-        else:
-            # a 3-chain poset (root 1, e = 3) next to pell (roots -1 +- sqrt 2)
-            a = IntMatrix([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0],
-                           [0, 0, 0, 1, 2], [0, 0, 0, 1, 1]])
+    @staticmethod
+    def assert_corrupt_term_caught(monkeypatch, a, exact, n_roots, j):
         bundle = char_poly_bundle(a)
         rs = factor_charpoly(bundle.d)
-        assert rs.arithmetic.exact == (path == "exact")
+        assert rs.arithmetic.exact == exact
         k = next(i for i, root in enumerate(rs.roots) if root.multiplicity >= 3)
-        assert len(rs.roots) == (2 if path == "exact" else 3)
-        assert partial_fractions(bundle.m, bundle.d, rs).exact == (path == "exact")
+        assert len(rs.roots) == n_roots
+        assert partial_fractions(bundle.m, bundle.d, rs).exact == exact
         real = zeta_module._hermite_terms
 
         def corrupt(*args):
@@ -160,6 +150,20 @@ class TestPartialFractions:
         monkeypatch.setattr(zeta_module, "_hermite_terms", corrupt)
         with pytest.raises(ArithmeticError):
             partial_fractions(bundle.m, bundle.d, rs)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_recombination_catches_a_corrupt_term(self, monkeypatch, j):
+        # a 4-chain poset (root 1, e = 4) next to the monoid Z/2 (root 1/2)
+        a = IntMatrix([[1, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 0, 1, 1, 0],
+                       [0, 0, 0, 1, 0], [0, 0, 0, 0, 2]])
+        self.assert_corrupt_term_caught(monkeypatch, a, True, 2, j)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_recombination_catches_a_corrupt_numeric_term(self, monkeypatch, j):
+        # a 3-chain poset (root 1, e = 3) next to pell (roots -1 +- sqrt 2)
+        a = IntMatrix([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0],
+                       [0, 0, 0, 1, 2], [0, 0, 0, 1, 1]])
+        self.assert_corrupt_term_caught(monkeypatch, a, False, 3, j)
 
     def test_standalone_call(self):
         bundle = char_poly_bundle(IntMatrix([[1, 1], [0, 1]]))

@@ -293,7 +293,7 @@ def cmd_zeta(args) -> int:
     }
     closed = None
     if args.closed:
-        analysis = analyze_matrix(a, args.precision, args.tol)
+        analysis = analyze_matrix(a, args.precision)
         sing = singularity_report(analysis.closed, analysis.rootset)
         closed = _closed_form_json(analysis, sing, digits)
         doc["closed_form"] = closed

@@ -1,10 +1,16 @@
 """Root finding for det(E - A z): exact where possible, certified otherwise.
 
-d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n}.
-Multiplicities always come from exact square-free decomposition; numeric
-clustering never decides them.  Rational roots are extracted exactly by
-the rational-root theorem; whatever remains is handed, factor by factor,
-to an Aberth-Ehrlich simultaneous iteration polished by Newton steps.
+d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n},
+starting from its factors over the strongly connected blocks of A (see
+charpoly).  A linear factor gives its root directly, and equal ones are
+counted.  Only the product of the non-linear factors goes through exact
+square-free decomposition (Yun), so numeric clustering never decides a
+multiplicity.  Its rational roots are extracted exactly by the
+rational-root theorem and merged with the linear ones; whatever remains
+is handed, factor by factor, to an Aberth-Ehrlich simultaneous iteration
+polished by Newton steps.  An irrational root comes only from the
+non-linear factors, with its multiplicity in d, so the numeric part does
+not depend on how d was split.
 
 The root set also chooses, once, the arithmetic of every later stage:
 its Arithmetic is exact (Fractions) when every root is rational and
@@ -21,6 +27,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from mpmath import mp
 
@@ -176,7 +183,10 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     if mult:
         roots.append((Fraction(0), mult))
 
-    if cof.degree >= 1:
+    if cof.degree == 1:
+        roots.append((-cof.coeff(0) / cof.coeff(1), 1))
+        cof = RatPoly.constant(cof.coeff(1))
+    elif cof.degree >= 1:
         # A root num/den in lowest terms has |num/den| <= bound and
         # den/|num| <= bound_rev, a bound for the reversed polynomial,
         # whose roots are the reciprocals; that caps both divisor searches.
@@ -308,28 +318,42 @@ def _check_recombination(rs: RootSet, d: RatPoly, tol: float) -> None:
 
 
 def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
-                    tol: float = DEFAULT_TOLERANCE) -> RootSet:
+                    tol: float = DEFAULT_TOLERANCE,
+                    factors: Sequence[RatPoly] | None = None) -> RootSet:
     """Full factorization of d over the complex numbers as a RootSet.
 
-    Multiplicities are read off the square-free decomposition; each
-    square-free factor is split into exact rational roots and numeric
-    ones.  d(0) must be nonzero (it is 1 for determinant pencils), so
-    zero is never a root.
+    factors, when given, multiply to d (a CharPolyBundle's block
+    factors); d alone is one factor.  Linear factors give their roots
+    directly.  The multiplicities of the other roots are read off the
+    square-free decomposition of the product of the non-linear factors;
+    each square-free factor is split into exact rational roots, merged
+    with the linear ones, and numeric ones.  d(0) must be nonzero (it is
+    1 for determinant pencils), so zero is never a root.
     """
     if d.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if d.coeff(0) == 0:
         raise ValueError("z = 0 must not be a root")
+    rational: dict[Fraction, int] = {}
+    nonlinear = RatPoly.one()
+    for factor in (d,) if factors is None else factors:
+        if factor.degree == 1:
+            theta = -factor.coeff(0) / factor.coeff(1)
+            rational[theta] = rational.get(theta, 0) + 1
+        else:
+            nonlinear = nonlinear * factor
     roots: list[Root] = []
-    for factor, mult in squarefree_decompose(d):
+    for factor, mult in squarefree_decompose(nonlinear):
         found, cofactor = rational_roots(factor)
         for theta, inner in found:
             if inner != 1:
                 raise ArithmeticError("square-free factor with a repeated root")
-            roots.append(Root(theta=theta, multiplicity=mult, kind="rational"))
+            rational[theta] = rational.get(theta, 0) + mult
         if cofactor.degree >= 1:
             for theta in numeric_roots(cofactor, precision_bits):
                 roots.append(Root(theta=theta, multiplicity=mult, kind="numeric"))
+    roots += [Root(theta=theta, multiplicity=mult, kind="rational")
+              for theta, mult in rational.items()]
     roots.sort(key=lambda root: _sort_key(root, precision_bits))
     rs = RootSet(roots=tuple(roots), lead=d.lead, precision=precision_bits,
                  degree=max(d.degree, 0))

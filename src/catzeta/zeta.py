@@ -1,12 +1,13 @@
 """The zeta function of a finite category, both ways, and its checks.
 
-Both ways start from one integer sweep over the powers of A: the chain
-counts #N_m = 1^T A^m 1 and the traces tr A^m.  One way: zeta_series
+Both ways start from integer power sums: the chain counts
+#N_m = 1^T A^m 1 from one sweep over the powers of A, and the traces of
+the powers of A's strongly connected blocks.  One way: zeta_series
 exponentiates sum_m #N_m z^m / m through an integer recurrence and
 divides by n! only at the end.  The other: the logarithmic derivative of
 zeta is the rational function m(z)/d(z), whose polynomials charpoly
-builds from the same sums, so partial fractions over the roots of d give
-a closed form
+builds from the same sums, so partial fractions over the roots of d,
+found block factor by block factor, give a closed form
 
     zeta(z) = prod_k (1 - alpha_k z)^(-beta_{k,0})
               * exp(Q(z) + sum_k sum_{j>=1} beta_{k,j} z^j / (j (1 - alpha_k z)^j))
@@ -41,10 +42,10 @@ from typing import Sequence
 from .category import FiniteCategory, IntMatrix, adjacency, chain_counts
 from .charpoly import (
     CharPolyBundle,
+    block_traces,
     bundle_from_sums,
     char_poly_bundle,
     monic_charpoly,
-    power_traces,
 )
 from .euler import EulerReport, series_euler_char
 from .poly import RatPoly, binomial, linear_power, mul_coeffs
@@ -102,8 +103,8 @@ def zeta_series(a: IntMatrix, order: int) -> RatSeries:
 class PartialFractionDecomposition:
     """m(z)/d(z) = q(z) + (1/lead) sum_k sum_j A_{k,j} / (z - theta_k)^j.
 
-    terms[k][j-1] holds A_{k,j} for the k-th root of the root set;
-    exact means every coefficient is a Fraction.
+    terms[k][j-1] holds A_{k,j} for the k-th root of the root set, in
+    the root set's arithmetic.
     """
 
     q: RatPoly
@@ -111,7 +112,6 @@ class PartialFractionDecomposition:
     lead: Fraction
     rootset: RootSet
     terms: tuple[tuple, ...]
-    exact: bool
 
 
 def _taylor_at(p: RatPoly, center, order: int, zero):
@@ -186,8 +186,7 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly, rootset: RootSet,
                 "raise the precision"
             )
     return PartialFractionDecomposition(q=q, remainder=rem, lead=rootset.lead,
-                                        rootset=rootset, terms=tuple(terms),
-                                        exact=arith.exact)
+                                        rootset=rootset, terms=tuple(terms))
 
 
 # -- closed form -----------------------------------------------------------
@@ -350,7 +349,7 @@ class ZetaAnalysis:
 def _analysis(a: IntMatrix, bundle: CharPolyBundle, precision_bits: int,
               recombination_tol: float) -> ZetaAnalysis:
     euler = series_euler_char(bundle)
-    rootset = factor_charpoly(bundle.d, precision_bits, recombination_tol)
+    rootset = factor_charpoly(bundle.d, precision_bits, recombination_tol, bundle.factors)
     pfd = partial_fractions(bundle.m, bundle.d, rootset, recombination_tol)
     cf = closed_form(pfd)
     return ZetaAnalysis(matrix=a, bundle=bundle, euler=euler, rootset=rootset,
@@ -438,7 +437,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     coefficients are compared with the series to the tolerance.
     """
     chains = chain_counts(a, max(order, a.n + 1))
-    analysis = _analysis(a, bundle_from_sums(chains, power_traces(a)), precision_bits,
+    analysis = _analysis(a, bundle_from_sums(chains, block_traces(a)), precision_bits,
                          DEFAULT_TOLERANCE)
     cf = analysis.closed
     euler = analysis.euler

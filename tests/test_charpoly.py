@@ -7,6 +7,7 @@ library reads them off one power sweep; the oracles in oracles.py take
 the Bareiss + Lagrange road, and the two must agree exactly.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from catzeta import (
     char_poly_bundle,
     degree_defects,
     exp_trunc,
+    factor_charpoly,
     monic_charpoly,
     zeta_series,
 )
@@ -294,17 +296,145 @@ class TestSweepAgainstOracle:
     def test_cayley_hamilton_guard(self, monkeypatch, name):
         """One wrong power sum and the z^N coefficient no longer vanishes.
         The bump is even so that Newton's divisions stay exact and the
-        guard itself has to catch it."""
+        guard itself has to catch it.  The matrix has a 2 x 2 block, the
+        only kind whose traces come from power_traces."""
         good = getattr(charpoly, name)
         monkeypatch.setattr(charpoly, name, lambda *args: good(*args)[:-1] + [good(*args)[-1] + 2])
         with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
-            char_poly_bundle(IntMatrix([[1, 1], [0, 1]]))
+            char_poly_bundle(IntMatrix(GUARD_MATRIX))
+
+    def test_cayley_hamilton_guard_on_a_unit_block(self, monkeypatch):
+        """A wrong 1 x 1 block factor makes the blockwise d wrong, and the
+        whole-matrix chain counts catch it."""
+        good = charpoly.block_traces
+
+        def corrupt(a):
+            blocks = good(a)
+            i = next(i for i, traces in enumerate(blocks) if len(traces) == 1)
+            return blocks[:i] + [[blocks[i][0] + 2]] + blocks[i + 1:]
+
+        monkeypatch.setattr(charpoly, "block_traces", corrupt)
+        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+            char_poly_bundle(IntMatrix(GUARD_MATRIX))
 
     def test_newton_division_must_be_exact(self):
         # traces (1, 0) would need d_2 = 1/2, which no integer matrix has
         with pytest.raises(ArithmeticError, match="Newton"):
-            bundle_from_sums([2, 1, 1, 1], [1, 0])
+            bundle_from_sums([2, 1, 1, 1], [[1, 0]])
 
     def test_needs_counts_through_n_plus_one(self):
         with pytest.raises(ValueError):
-            bundle_from_sums([2, 3], [2, 2])
+            bundle_from_sums([2, 3], [[2, 2]])
+
+
+# the Fibonacci block {0, 1} coupled into the 1 x 1 block {2}.  The guard
+# checks one coefficient of d times the chain-count series, so it catches
+# a wrong factor only where that series sees the factor's root: beside
+# [[1, 1], [1, 1]] instead, the counts are 3 / (1 - 2z), blind to the 1 x 1
+# block, and a corrupt factor there would pass.
+GUARD_MATRIX = [[1, 1, 1], [1, 0, 0], [0, 0, 1]]
+
+PELL = [[2, 1], [1, 0]]
+FIXED_BLOCKS = (
+    PELL,                                # 1 -+ sqrt 2, irrational
+    [[1, 1], [1, 1]],                    # eigenvalues 0 and 2
+    [[0, 1, 0], [0, 0, 1], [1, 1, 0]],   # t^3 - t - 1, irrational
+)
+blocks = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(lambda x: [[x]]),
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            min_size=n, max_size=n)),
+    st.sampled_from(FIXED_BLOCKS),
+)
+
+
+def block_matrix(diagonal, coupling):
+    """The blocks down the diagonal, coupling(i, j) above them, zero below."""
+    n = sum(len(b) for b in diagonal)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for b in diagonal:
+        end = start + len(b)
+        for i, row in enumerate(b):
+            rows[start + i][start:end] = row
+            rows[start + i][end:] = [coupling(start + i, j) for j in range(end, n)]
+        start = end
+    return IntMatrix(rows)
+
+
+@st.composite
+def scrambled_block_matrices(draw):
+    """A block upper-triangular matrix under a random simultaneous
+    permutation of its rows and columns."""
+    diagonal = draw(st.lists(blocks, max_size=4))
+    entry = st.integers(min_value=-3, max_value=3)
+    a = block_matrix(diagonal, lambda i, j: draw(entry))
+    return a.permuted(draw(st.permutations(range(a.n))))
+
+
+# name -> (matrix, sorted (kind, multiplicity) of the roots of d)
+SCRAMBLED_CASES = {
+    # two equal irrational blocks: the root pair is repeated in d
+    "pell_pell": (block_matrix([PELL, PELL], lambda i, j: (i + j) % 3 - 1)
+                  .permuted([3, 0, 2, 1]),
+                  [("numeric", 2), ("numeric", 2)]),
+    # a 2 x 2 block's rational eigenvalue 2 equals the 1 x 1 block's
+    "ones_beside_two": (block_matrix([[[1, 1], [1, 1]], [[2]]], lambda i, j: 1)
+                        .permuted([2, 0, 1]),
+                        [("rational", 2)]),
+    # a non-linear block factor (1 - 2z)(1 + z) whose rational root 1/2
+    # merges with the 1 x 1 block's
+    "two_minus_one_beside_two": (block_matrix([[[1, 2], [1, 0]], [[2]]], lambda i, j: 1)
+                                 .permuted([1, 2, 0]),
+                                 [("rational", 1), ("rational", 2)]),
+    "ones_pell_two": (block_matrix([[[1, 1], [1, 1]], PELL, [[2]], [[0]]],
+                                   lambda i, j: i - j + 2).permuted([5, 2, 0, 4, 1, 3]),
+                      [("numeric", 1), ("numeric", 1), ("rational", 2)]),
+}
+
+
+class TestStrongBlocks:
+    """The blockwise pencil against the Bareiss oracle, and the factored
+    root set against the factorization of d alone."""
+
+    def check(self, a):
+        b = char_poly_bundle(a)
+        assert (b.d, b.k, b.m) == oracle_pencil(a)
+        product = RatPoly.one()
+        for f in b.factors:
+            assert f.degree >= 1 and f.coeff(0) == 1
+            product = product * f
+        assert product == b.d
+        assert factor_charpoly(b.d, factors=b.factors) == factor_charpoly(b.d)
+
+    @given(scrambled_block_matrices())
+    def test_scrambled_block_matrices(self, a):
+        self.check(a)
+
+    @pytest.mark.parametrize("name", sorted(SCRAMBLED_CASES))
+    def test_scrambled_cases(self, name):
+        a, roots = SCRAMBLED_CASES[name]
+        self.check(a)
+        b = char_poly_bundle(a)
+        rs = factor_charpoly(b.d, factors=b.factors)
+        assert sorted((root.kind, root.multiplicity) for root in rs.roots) == roots
+
+    def test_blocks_of_a_scrambled_matrix(self):
+        a = block_matrix([PELL, [[3]], [[1, 1], [1, 1]]], lambda i, j: 1)
+        perm = [4, 2, 0, 3, 1]
+        blocks = charpoly.strong_blocks(a.permuted(perm))
+        assert sorted(sorted(perm[i] for i in block) for block in blocks) == [
+            [0, 1], [2], [3, 4]]
+        # reverse topological order: a block comes before every block that reaches it
+        assert [sorted(perm[i] for i in block) for block in blocks] == [[3, 4], [2], [0, 1]]
+        assert charpoly.block_traces(IntMatrix([[5]])) == [[5]]
+        assert charpoly.block_traces(IntMatrix([])) == []
+
+    def test_long_path_needs_no_recursion(self):
+        n = 2 * sys.getrecursionlimit()
+        path = IntMatrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+        assert charpoly.strong_blocks(path) == [[i] for i in reversed(range(n))]
+        cycle = IntMatrix([[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+        assert charpoly.strong_blocks(cycle) == [list(range(n))]

@@ -122,6 +122,15 @@ class TestErrorHandling:
         assert code == 0
         assert "overall: PASS" in out
 
+    def test_tolerance_leaves_the_closed_form_alone(self, capsys):
+        # --tol is the verification tolerance; the closed form recombines at
+        # the library default, so even 1e-300 changes no byte of it
+        argv = ("zeta", "--closed", "--matrix", matrix_fixture("pell"))
+        _, plain, _ = run(capsys, *argv)
+        code, tight, _ = run(capsys, *argv, "--tol", "1e-300")
+        assert code == 0
+        assert tight == plain
+
     def test_bool_matrix_entry_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bools.json"
         bad.write_text("[[true, false], [false, true]]")

@@ -103,6 +103,15 @@ class TestRationalRoots:
         assert cof == quadratic * (p.lead / quadratic.lead)
         assert elapsed < 0.1
 
+    def test_tiny_root_is_solved_directly(self):
+        # a divisor search of the lead would trial-divide up to 10^15
+        start = time.perf_counter()
+        roots, cof = rational_roots(RatPoly([-1, 10**30]))
+        elapsed = time.perf_counter() - start
+        assert roots == [(Fraction(1, 10**30), 1)]
+        assert cof == RatPoly([10**30])
+        assert elapsed < 0.1
+
     @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                               st.integers(min_value=1, max_value=6)), max_size=4),
            st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4),
@@ -219,6 +228,26 @@ class TestFactorCharpoly:
             monkeypatch.setattr(roots_module, "numeric_roots", nudge_numeric)
         with pytest.raises(RootFindingError):
             factor_charpoly(d)
+
+    def test_linear_factors_merge_with_rational_roots(self):
+        # (1 - 2z)^2 as two linear factors, and (1 - 2z)(1 - 2z - z^2) as one
+        # non-linear factor whose rational root 1/2 joins them
+        linear, quadratic = RatPoly([1, -2]), RatPoly([1, -2, -1])
+        factors = (linear, linear * quadratic, RatPoly([1, -3]), linear)
+        d = RatPoly.one()
+        for f in factors:
+            d = d * f
+        rs = factor_charpoly(d, factors=factors)
+        assert rs == factor_charpoly(d)
+        assert [(r.theta, r.multiplicity) for r in rs.roots if r.kind == "rational"] == [
+            (Fraction(1, 3), 1), (Fraction(1, 2), 3)]
+        assert [r.multiplicity for r in rs.roots if r.kind == "numeric"] == [1, 1]
+
+    def test_factors_must_multiply_to_d(self):
+        # a wrong linear factor is caught by the recombination against d
+        d = RatPoly([1, -2]) * RatPoly([1, -3])
+        with pytest.raises(RootFindingError):
+            factor_charpoly(d, factors=(RatPoly([1, -2]), RatPoly([1, -4])))
 
     def test_constant_pencil_has_no_roots(self):
         rs = factor_charpoly(RatPoly.one())

@@ -1,5 +1,6 @@
 """Zeta series, partial fractions, closed form, verification, singularities."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -95,7 +96,7 @@ class TestPartialFractions:
         assert pfd.remainder == RatPoly([3, -2])
         assert pfd.lead == 1
         assert pfd.terms == ((Fraction(-2), Fraction(1)),)
-        assert pfd.exact
+        assert pfd.rootset.arithmetic.exact
 
     def test_parallel_pair(self):
         pfd = self.analyze([[1, 2], [0, 1]]).pfd
@@ -117,7 +118,7 @@ class TestPartialFractions:
                      [[2, 1], [0, 2]]):
             analysis = self.analyze(rows)
             pfd = analysis.pfd
-            assert pfd.exact
+            assert pfd.rootset.arithmetic.exact
             roots = pfd.rootset.roots
             for x in (Fraction(2), Fraction(3), Fraction(5, 7)):
                 if any(r.theta == x for r in roots):
@@ -138,7 +139,7 @@ class TestPartialFractions:
         assert rs.arithmetic.exact == exact
         k = next(i for i, root in enumerate(rs.roots) if root.multiplicity >= 3)
         assert len(rs.roots) == n_roots
-        assert partial_fractions(bundle.m, bundle.d, rs).exact == exact
+        assert partial_fractions(bundle.m, bundle.d, rs).rootset.arithmetic.exact == exact
         real = zeta_module._hermite_terms
 
         def corrupt(*args):
@@ -420,6 +421,16 @@ class TestVerification:
             report = verify_matrix(a, order=15)
             assert report.passed, name
 
+    def test_huge_diagonal_verifies_fast(self):
+        # d = (1 - 10^30 z)^11: eleven 1 x 1 blocks, one root of tiny size
+        a = IntMatrix([[10**30 if i == j else 0 for j in range(11)] for i in range(11)])
+        start = time.perf_counter()
+        report = verify_matrix(a)
+        elapsed = time.perf_counter() - start
+        assert report.passed
+        assert report.path == "exact"
+        assert elapsed < 0.5
+
     def test_numeric_path_report(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["pell"], order=20)
         assert report.path == "numeric"
@@ -508,7 +519,7 @@ class TestSingularities:
                           lead=Fraction(1), precision=128, degree=2)
         pfd = PartialFractionDecomposition(
             q=RatPoly.zero(), remainder=RatPoly.one(), lead=Fraction(1),
-            rootset=rootset, terms=((Fraction(0), Fraction(1)),), exact=True)
+            rootset=rootset, terms=((Fraction(0), Fraction(1)),))
         cf = closed_form(pfd)
         (f,) = cf.factors
         assert f.beta0 == 0 and f.betas != ()

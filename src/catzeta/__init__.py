@@ -24,7 +24,6 @@ from .category import (
     check_structure,
     discrete,
     disjoint_union,
-    enumerate_chains,
     monoid_delooping,
     poset_category,
     product,
@@ -43,7 +42,7 @@ from .roots import (
     numeric_roots,
     rational_roots,
 )
-from .series import RatSeries, exp_trunc, inv_trunc, log_trunc, mul_trunc
+from .series import RatSeries, exp_trunc, inv_trunc, mul_trunc
 from .zeta import (
     ClosedFormZeta,
     PartialFractionDecomposition,

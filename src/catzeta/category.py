@@ -55,9 +55,6 @@ class FiniteCategory:
     def _by_name(self) -> dict[str, Morphism]:
         return {f.name: f for f in self.morphisms}
 
-    def hom_count(self, src: str, tgt: str) -> int:
-        return sum(1 for f in self.morphisms if f.src == src and f.tgt == tgt)
-
 
 @dataclass
 class ValidationReport:
@@ -111,16 +108,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def entry_sum(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
-    def permuted(self, perm: Sequence[int]) -> "IntMatrix":
-        """Simultaneous row/column permutation: entry (i, j) of the result
-        is the (perm[i], perm[j]) entry of self."""
-        return IntMatrix(
-            [[self.rows[perm[i]][perm[j]] for j in range(self.n)] for i in range(self.n)]
-        )
 
 
 # -- structure and axiom checking ------------------------------------------
@@ -251,32 +238,6 @@ def chain_counts(a: IntMatrix, length: int) -> list[int]:
 def chain_count(a: IntMatrix, m: int) -> int:
     """Number of composable chains of m morphisms: total entry sum of A**m."""
     return chain_counts(a, m)[m]
-
-
-def enumerate_chains(c: FiniteCategory, m: int, cap: int = 5) -> int:
-    """Brute-force chain count by nested iteration over matching morphisms.
-
-    Deliberately independent of chain_counts; serves as its oracle.
-    Refuses lengths above `cap` to bound the cost.
-    """
-    if m < 0:
-        raise ValueError("chain length must be nonnegative")
-    if m > cap:
-        raise ValueError(
-            f"brute-force enumeration capped at m={cap}; use chain_count for longer chains"
-        )
-    if m == 0:
-        return len(c.objects)
-    by_src: dict[str, list[Morphism]] = {x: [] for x in c.objects}
-    for f in c.morphisms:
-        by_src[f.src].append(f)
-
-    def count_from(obj: str, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        return sum(count_from(f.tgt, remaining - 1) for f in by_src[obj])
-
-    return sum(count_from(x, m) for x in c.objects)
 
 
 # -- builders --------------------------------------------------------------

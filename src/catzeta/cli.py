@@ -273,7 +273,7 @@ def _closed_form_json(analysis, sing, digits: int) -> dict:
         })
     return {
         "path": analysis.path,
-        "lead": str(analysis.pfd.lead),
+        "lead": str(analysis.rootset.lead),
         "q": _poly_json(analysis.pfd.q),
         "Q": _poly_json(cf.q_integral),
         "factors": factors,
@@ -385,19 +385,11 @@ def _generate_category(args) -> FiniteCategory:
     if kind in ("poset", "monoid"):
         if len(rest) != 1:
             raise CliError(2, f"generate {kind} needs exactly one file")
-        doc = _read_json(rest[0])
-        if not (isinstance(doc, list) and all(isinstance(r, list) for r in doc)):
-            raise CliError(2, f"{rest[0]}: expected an array of arrays")
-        for row in doc:
-            if len(row) != len(doc):
-                raise CliError(2, f"{rest[0]}: table must be square")
-            for x in row:
-                if not isinstance(x, int):
-                    raise CliError(2, f"{rest[0]}: entries must be integers")
+        table = _parse_matrix(_read_json(rest[0]), rest[0]).rows
         try:
             if kind == "poset":
-                return poset_category(doc)
-            return monoid_delooping(doc)
+                return poset_category(table)
+            return monoid_delooping(table)
         except ValueError as e:
             raise CliError(3, f"{rest[0]}: {e}")
     if kind in ("union", "product"):

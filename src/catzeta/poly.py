@@ -121,18 +121,6 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RatPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other) -> tuple["RatPoly", "RatPoly"]:
         other = _coerce(other)
         if other.is_zero():

@@ -17,8 +17,8 @@ its Arithmetic is exact (Fractions) when every root is rational and
 numeric (mpmath complex numbers at the precision plus GUARD_BITS)
 otherwise.  Every RootSet is checked by recombination in that
 arithmetic: multiplying the factors back together must reproduce d,
-exactly in the all-rational case and to a small relative coefficient
-error otherwise.
+exactly in the all-rational case and to a relative coefficient error of
+DEFAULT_TOLERANCE otherwise.
 """
 
 from __future__ import annotations
@@ -61,9 +61,13 @@ def to_mpc(x) -> "mp.mpc":
 
 @dataclass(frozen=True)
 class Root:
-    theta: object        # Fraction when kind == "rational", else mpc
+    theta: object        # Fraction for a rational root, else mpc
     multiplicity: int
-    kind: str            # "rational" or "numeric"
+
+    @property
+    def kind(self) -> str:
+        """Whether theta is a Fraction ("rational") or an mpc ("numeric")."""
+        return "rational" if isinstance(self.theta, Fraction) else "numeric"
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,6 @@ class RootSet:
     roots: tuple[Root, ...]
     lead: Fraction       # leading coefficient of d
     precision: int       # working binary precision in bits
-    degree: int          # deg d = sum of multiplicities
 
     @property
     def all_rational(self) -> bool:
@@ -113,14 +116,28 @@ class RootSet:
 
 
 def _divisors(n: int, limit: int) -> list[int]:
-    """The positive divisors of n that are at most limit."""
-    n = abs(n)
-    out = []
-    for i in range(1, min(limit, math.isqrt(n)) + 1):
-        if n % i == 0:
-            out.append(i)
-            if i != n // i and n // i <= limit:
-                out.append(n // i)
+    """The positive divisors of n that are at most limit, built from its
+    prime powers.  Trial division stops once p exceeds limit or p * p
+    exceeds the cofactor left, so a cofactor left at most limit is 1 or
+    a prime, and one above limit has no prime factor at most limit."""
+    n, primes, start = abs(n), [], 2
+    while True:
+        for p in range(start, min(limit, math.isqrt(n)) + 1):
+            if n % p == 0:
+                break
+        else:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        primes.append((p, e))
+        start = p + 1
+    if 1 < n <= limit:
+        primes.append((n, 1))
+    out = [1]
+    for p, e in primes:
+        out += [d * p ** k for d in out for k in range(1, e + 1) if d * p ** k <= limit]
     return out
 
 
@@ -300,7 +317,7 @@ def _sort_key(root: Root, precision_bits: int):
         return (abs(root.theta), mp.arg(root.theta))
 
 
-def _check_recombination(rs: RootSet, d: RatPoly, tol: float) -> None:
+def _check_recombination(rs: RootSet, d: RatPoly) -> None:
     """lead * prod (z - theta)^e must reproduce d."""
     arith = rs.arithmetic
     with arith.context():
@@ -310,7 +327,7 @@ def _check_recombination(rs: RootSet, d: RatPoly, tol: float) -> None:
         want = [arith.lift(c) for c in d.coeffs]
         err = max(abs(g - w) for g, w in zip(got, want))
         scale = max(abs(w) for w in want)
-        if len(got) != len(want) or not arith.within(err, tol, scale):
+        if len(got) != len(want) or not arith.within(err, DEFAULT_TOLERANCE, scale):
             raise RootFindingError(
                 f"recombination residual {mp.nstr(err / scale)} above tolerance; "
                 "raise the precision"
@@ -318,7 +335,6 @@ def _check_recombination(rs: RootSet, d: RatPoly, tol: float) -> None:
 
 
 def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
-                    tol: float = DEFAULT_TOLERANCE,
                     factors: Sequence[RatPoly] | None = None) -> RootSet:
     """Full factorization of d over the complex numbers as a RootSet.
 
@@ -351,13 +367,11 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
             rational[theta] = rational.get(theta, 0) + mult
         if cofactor.degree >= 1:
             for theta in numeric_roots(cofactor, precision_bits):
-                roots.append(Root(theta=theta, multiplicity=mult, kind="numeric"))
-    roots += [Root(theta=theta, multiplicity=mult, kind="rational")
-              for theta, mult in rational.items()]
-    roots.sort(key=lambda root: _sort_key(root, precision_bits))
-    rs = RootSet(roots=tuple(roots), lead=d.lead, precision=precision_bits,
-                 degree=max(d.degree, 0))
-    if sum(r.multiplicity for r in rs.roots) != rs.degree:
+                roots.append(Root(theta, mult))
+    roots += [Root(theta, mult) for theta, mult in rational.items()]
+    if sum(r.multiplicity for r in roots) != d.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
-    _check_recombination(rs, d, tol)
+    roots.sort(key=lambda root: _sort_key(root, precision_bits))
+    rs = RootSet(roots=tuple(roots), lead=d.lead, precision=precision_bits)
+    _check_recombination(rs, d)
     return rs

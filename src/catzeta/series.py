@@ -1,13 +1,12 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series: list kernels and an exact container.
 
-A series carries a fixed truncation order K and exactly K+1 coefficients
-(z**0 .. z**K).  Combining two series of different orders is an error by
-design: silent re-truncation would mask mistakes in the callers.
+The kernels (`mul_trunc`, `inv_trunc`, `exp_trunc`) work on plain
+coefficient lists of equal length and are coefficient-ring agnostic:
+they only use +, *, / and division by small integers, so the closed form
+runs them on Fractions and on mpmath complex numbers alike.
 
-The low-level kernels (`mul_trunc`, `inv_trunc`, `exp_trunc`, `log_trunc`)
-are coefficient-ring agnostic: they only use +, *, / and division by small
-integers, so the closed-form evaluator can reuse them with mpmath complex
-coefficients.
+RatSeries holds the exact zeta series: a fixed truncation order K and
+exactly K+1 rational coefficients (z**0 .. z**K).
 """
 
 from __future__ import annotations
@@ -67,21 +66,6 @@ def exp_trunc(s: Sequence) -> list:
     return out
 
 
-def log_trunc(s: Sequence) -> list:
-    """log of a coefficient list with constant term one (inverse of exp_trunc)."""
-    K = len(s) - 1
-    zero = s[0] * 0
-    out = [zero] * (K + 1)
-    for n in range(K):
-        acc = (n + 1) * s[n + 1]
-        for i in range(n):
-            c = s[n - i]
-            if c != 0:
-                acc = acc - (i + 1) * out[i + 1] * c
-        out[n + 1] = acc / (n + 1)
-    return out
-
-
 # -- exact rational wrapper ------------------------------------------------
 
 class RatSeries:
@@ -103,14 +87,6 @@ class RatSeries:
     def __setattr__(self, name, value):
         raise AttributeError("RatSeries is immutable")
 
-    @classmethod
-    def zero(cls, order: int) -> "RatSeries":
-        return cls(order, (0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "RatSeries":
-        return cls(order, (1,) + (0,) * order)
-
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i]
 
@@ -124,40 +100,3 @@ class RatSeries:
 
     def __repr__(self) -> str:
         return f"RatSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
-
-    def _check_order(self, other: "RatSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "RatSeries") -> "RatSeries":
-        self._check_order(other)
-        return RatSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "RatSeries") -> "RatSeries":
-        self._check_order(other)
-        return RatSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatSeries(self.order, [c * other for c in self.coeffs])
-        self._check_order(other)
-        return RatSeries(self.order, mul_trunc(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RatSeries":
-        if self.coeffs[0] == 0:
-            raise ValueError("series with zero constant term is not invertible")
-        return RatSeries(self.order, inv_trunc(self.coeffs))
-
-    def exp(self) -> "RatSeries":
-        if self.coeffs[0] != 0:
-            raise ValueError("series exp requires zero constant term")
-        return RatSeries(self.order, exp_trunc(self.coeffs))
-
-    def log(self) -> "RatSeries":
-        if self.coeffs[0] != 1:
-            raise ValueError("series log requires constant term one")
-        return RatSeries(self.order, log_trunc(self.coeffs))

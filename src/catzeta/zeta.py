@@ -23,14 +23,17 @@ every root of d is rational, complex numbers at the working precision
 otherwise (roots.Arithmetic).  Partial fractions, the closed form, its
 Taylor and log coefficients, identities 2 to 4 and the singularity report
 each run one code path over whichever scalars the root set carries; an
-identity holds with a zero residual in exact arithmetic and within the
-tolerance in numeric arithmetic.  The Taylor match is the one check that
-still forks.  Exact: closed_form_counts reads n [z^n] log zeta off the
-closed form term by term, and these must equal the swept chain counts
-#N_1..#N_K, which says the same as equal Taylor coefficients through z^K
-without expanding the closed form as a series.  Numeric: the Taylor
-coefficients from closed_form_taylor are compared with the series; this
-fork stays until C1 is exact for irrational spectra as well.
+identity holds with a zero residual in exact arithmetic and within a
+tolerance in numeric arithmetic: verify's own for the four identities,
+the fixed DEFAULT_TOLERANCE for the partial-fraction recombination and
+DEFAULT_VERIFY_TOL for the singularity report.  The Taylor match is the
+one check that still forks.  Exact: closed_form_counts reads n [z^n]
+log zeta off the closed form term by term, and these must equal the
+swept chain counts #N_1..#N_K, which says the same as equal Taylor
+coefficients through z^K without expanding the closed form as a series.
+Numeric: the Taylor coefficients from closed_form_taylor are compared
+with the series; this fork stays until C1 is exact for irrational
+spectra as well.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ def zeta_series(a: IntMatrix, order: int) -> RatSeries:
 
 @dataclass(frozen=True)
 class PartialFractionDecomposition:
-    """m(z)/d(z) = q(z) + (1/lead) sum_k sum_j A_{k,j} / (z - theta_k)^j.
+    """m(z)/d(z) = q(z) + (1/lead) sum_k sum_j A_{k,j} / (z - theta_k)^j,
+    with lead = rootset.lead.
 
     terms[k][j-1] holds A_{k,j} for the k-th root of the root set, in
     the root set's arithmetic.
@@ -109,7 +113,6 @@ class PartialFractionDecomposition:
 
     q: RatPoly
     remainder: RatPoly
-    lead: Fraction
     rootset: RootSet
     terms: tuple[tuple, ...]
 
@@ -146,8 +149,8 @@ def _hermite_terms(rem: RatPoly, thetas: list, mults: list[int], one) -> list[tu
     return terms
 
 
-def partial_fractions(m_poly: RatPoly, d: RatPoly, rootset: RootSet,
-                      tol: float = DEFAULT_TOLERANCE) -> PartialFractionDecomposition:
+def partial_fractions(m_poly: RatPoly, d: RatPoly,
+                      rootset: RootSet) -> PartialFractionDecomposition:
     """Split m/d into quotient plus partial fractions over the given roots.
 
     The quotient and remainder come from exact polynomial division.  The
@@ -180,13 +183,13 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly, rootset: RootSet,
         want = [arith.lift(rem.coeff(t)) for t in range(len(got))]
         err = max((abs(g - w) for g, w in zip(got, want)), default=0)
         scale = max(abs(w) for w in [one] + want)
-        if rem.degree >= len(got) or not arith.within(err, tol, scale):
+        if rem.degree >= len(got) or not arith.within(err, DEFAULT_TOLERANCE, scale):
             raise ArithmeticError(
                 "partial fraction recombination residual above tolerance; "
                 "raise the precision"
             )
-    return PartialFractionDecomposition(q=q, remainder=rem, lead=rootset.lead,
-                                        rootset=rootset, terms=tuple(terms))
+    return PartialFractionDecomposition(q=q, remainder=rem, rootset=rootset,
+                                        terms=tuple(terms))
 
 
 # -- closed form -----------------------------------------------------------
@@ -208,13 +211,7 @@ class ZetaFactor:
 class ClosedFormZeta:
     q_integral: RatPoly          # Q(z), antiderivative of q, zero constant term
     factors: tuple[ZetaFactor, ...]
-    exact: bool
-    precision: int
-
-    @property
-    def arithmetic(self) -> Arithmetic:
-        """The arithmetic of the root set the closed form was built over."""
-        return Arithmetic(self.exact, self.precision)
+    arithmetic: Arithmetic       # that of the root set it was built over
 
 
 def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
@@ -232,7 +229,7 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
     factors = []
     with arith.context():
         one = arith.one
-        lead_inv = one / arith.lift(pfd.lead)
+        lead_inv = one / arith.lift(pfd.rootset.lead)
         for root, terms in zip(pfd.rootset.roots, pfd.terms):
             theta, e = arith.lift(root.theta), root.multiplicity
             alpha = one / theta
@@ -247,7 +244,7 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
                                       multiplicity=e, kind=root.kind,
                                       beta0=-terms[0] * lead_inv, betas=tuple(betas)))
     return ClosedFormZeta(q_integral=pfd.q.antiderivative(), factors=tuple(factors),
-                          exact=arith.exact, precision=pfd.rootset.precision)
+                          arithmetic=arith)
 
 
 def _binomial_factor_coeffs(alpha, beta0, order: int, one) -> list:
@@ -343,30 +340,27 @@ class ZetaAnalysis:
 
     @property
     def path(self) -> str:
-        return "exact" if self.closed.exact else "numeric"
+        return "exact" if self.closed.arithmetic.exact else "numeric"
 
 
-def _analysis(a: IntMatrix, bundle: CharPolyBundle, precision_bits: int,
-              recombination_tol: float) -> ZetaAnalysis:
+def _analysis(a: IntMatrix, bundle: CharPolyBundle, precision_bits: int) -> ZetaAnalysis:
     euler = series_euler_char(bundle)
-    rootset = factor_charpoly(bundle.d, precision_bits, recombination_tol, bundle.factors)
-    pfd = partial_fractions(bundle.m, bundle.d, rootset, recombination_tol)
+    rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors)
+    pfd = partial_fractions(bundle.m, bundle.d, rootset)
     cf = closed_form(pfd)
     return ZetaAnalysis(matrix=a, bundle=bundle, euler=euler, rootset=rootset,
                         pfd=pfd, closed=cf)
 
 
 def analyze_matrix(a: IntMatrix,
-                   precision_bits: int = DEFAULT_PRECISION_BITS,
-                   recombination_tol: float = DEFAULT_TOLERANCE) -> ZetaAnalysis:
+                   precision_bits: int = DEFAULT_PRECISION_BITS) -> ZetaAnalysis:
     """Everything derived from one adjacency matrix, computed once."""
-    return _analysis(a, char_poly_bundle(a), precision_bits, recombination_tol)
+    return _analysis(a, char_poly_bundle(a), precision_bits)
 
 
 def analyze_category(c: FiniteCategory,
-                     precision_bits: int = DEFAULT_PRECISION_BITS,
-                     recombination_tol: float = DEFAULT_TOLERANCE) -> ZetaAnalysis:
-    return analyze_matrix(adjacency(c), precision_bits, recombination_tol)
+                     precision_bits: int = DEFAULT_PRECISION_BITS) -> ZetaAnalysis:
+    return analyze_matrix(adjacency(c), precision_bits)
 
 
 # -- verification of the four identities -----------------------------------
@@ -437,8 +431,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     coefficients are compared with the series to the tolerance.
     """
     chains = chain_counts(a, max(order, a.n + 1))
-    analysis = _analysis(a, bundle_from_sums(chains, block_traces(a)), precision_bits,
-                         DEFAULT_TOLERANCE)
+    analysis = _analysis(a, bundle_from_sums(chains, block_traces(a)), precision_bits)
     cf = analysis.closed
     euler = analysis.euler
     n = a.n
@@ -524,8 +517,7 @@ class SingularityReport:
         return not self.violations
 
 
-def singularity_report(cf: ClosedFormZeta, rootset: RootSet,
-                       tol: float = DEFAULT_VERIFY_TOL) -> SingularityReport:
+def singularity_report(cf: ClosedFormZeta, rootset: RootSet) -> SingularityReport:
     """Classify every root of d as a singular point or zero of zeta.
 
     A root with beta0 of positive real part is a pole-type singularity,
@@ -534,7 +526,7 @@ def singularity_report(cf: ClosedFormZeta, rootset: RootSet,
     would contradict the root/singularity correspondence, so it is
     flagged as a violation rather than silently accepted.
     """
-    arith = cf.arithmetic
+    arith, tol = cf.arithmetic, DEFAULT_VERIFY_TOL
     points = []
     violations = []
     with arith.context():

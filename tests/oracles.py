@@ -22,6 +22,12 @@ Everything here takes a different road, so that agreement means something:
 - Rational roots by the rational-root theorem with no root bounds at all:
   every divisor of both end coefficients, found by trial division up to
   the coefficient itself.
+- Chain counts by brute-force enumeration of composable morphisms, and
+  the series logarithm by its own recurrence, against the library's
+  matrix sweep and exponential.
+
+Also here: simultaneous row/column permutation of a matrix, which the
+tests use to scramble block-triangular inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from typing import Callable, Sequence
 from catzeta import (
     CharPolyBundle,
     EulerReport,
+    FiniteCategory,
     IntMatrix,
+    Morphism,
     RatPoly,
     char_poly_bundle,
     inv_trunc,
@@ -301,7 +309,7 @@ def log_derivative_check(a: IntMatrix, order: int) -> bool:
     quotient = mul_trunc(mc, inv_trunc(dc))
     power = a
     for t in range(order):
-        if quotient[t] != power.entry_sum():
+        if quotient[t] != sum(map(sum, power.rows)):
             return False
         power = power @ a
     return True
@@ -345,3 +353,52 @@ def rational_roots_oracle(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
         if mult:
             roots.append((cand, mult))
     return roots, cof
+
+
+# -- chains, series logarithm and permutations ------------------------------------
+
+def enumerate_chains(c: FiniteCategory, m: int, cap: int = 5) -> int:
+    """Brute-force chain count by nested iteration over matching morphisms.
+
+    Deliberately independent of chain_counts; serves as its oracle.
+    Refuses lengths above `cap` to bound the cost.
+    """
+    if m < 0:
+        raise ValueError("chain length must be nonnegative")
+    if m > cap:
+        raise ValueError(
+            f"brute-force enumeration capped at m={cap}; use chain_count for longer chains"
+        )
+    if m == 0:
+        return len(c.objects)
+    by_src: dict[str, list[Morphism]] = {x: [] for x in c.objects}
+    for f in c.morphisms:
+        by_src[f.src].append(f)
+
+    def count_from(obj: str, remaining: int) -> int:
+        if remaining == 0:
+            return 1
+        return sum(count_from(f.tgt, remaining - 1) for f in by_src[obj])
+
+    return sum(count_from(x, m) for x in c.objects)
+
+
+def log_trunc(s: Sequence) -> list:
+    """log of a coefficient list with constant term one (inverse of exp_trunc)."""
+    K = len(s) - 1
+    zero = s[0] * 0
+    out = [zero] * (K + 1)
+    for n in range(K):
+        acc = (n + 1) * s[n + 1]
+        for i in range(n):
+            c = s[n - i]
+            if c != 0:
+                acc = acc - (i + 1) * out[i + 1] * c
+        out[n + 1] = acc / (n + 1)
+    return out
+
+
+def permuted(a: IntMatrix, perm: Sequence[int]) -> IntMatrix:
+    """Simultaneous row/column permutation: entry (i, j) of the result is
+    the (perm[i], perm[j]) entry of a."""
+    return IntMatrix([[a.rows[perm[i]][perm[j]] for j in range(a.n)] for i in range(a.n)])

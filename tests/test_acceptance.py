@@ -26,8 +26,8 @@ from catzeta import (
     chain_count,
     closed_form_taylor,
     disjoint_union,
-    enumerate_chains,
     euler_char_of_matrix,
+    mul_trunc,
     series_euler_char,
     singularity_report,
     verify_matrix,
@@ -35,6 +35,7 @@ from catzeta import (
 )
 from conftest import FIXTURE_DIR
 from oracles import (
+    enumerate_chains,
     euler_char_oracle,
     log_derivative_check,
     mobius_euler_char,
@@ -207,8 +208,8 @@ def test_criterion_7_oracle_equivalences(corpus_categories, random_posets):
     pairs = list(zip(corpus_categories[:5], corpus_categories[5:10]))
     for (l1, c1), (l2, c2) in pairs:
         u = adjacency(disjoint_union(c1, c2))
-        assert zeta_series(u, 10) == \
-            zeta_series(adjacency(c1), 10) * zeta_series(adjacency(c2), 10), (l1, l2)
+        assert list(zeta_series(u, 10).coeffs) == mul_trunc(
+            zeta_series(adjacency(c1), 10).coeffs, zeta_series(adjacency(c2), 10).coeffs), (l1, l2)
     for c in random_posets:
         a = adjacency(c)
         assert euler_char_of_matrix(a).chi == mobius_euler_char(a), c.name

@@ -17,12 +17,12 @@ from catzeta import (
     check_structure,
     discrete,
     disjoint_union,
-    enumerate_chains,
     monoid_delooping,
     poset_category,
     product,
     validate,
 )
+from oracles import enumerate_chains, permuted
 
 small_matrices = st.integers(min_value=0, max_value=4).flatmap(
     lambda n: st.lists(
@@ -53,9 +53,10 @@ class TestFixtures:
         p2 = fixture_categories["p2"]
         f = p2.morphism("f")
         assert (f.src, f.tgt) == ("x", "y")
-        assert p2.hom_count("x", "y") == 1
-        assert p2.hom_count("y", "x") == 0
-        assert fixture_categories["s"].hom_count("x", "y") == 2
+        # hom counts are the adjacency entries, objects in the order x, y
+        hom = adjacency(p2)
+        assert (hom[0, 1], hom[1, 0]) == (1, 0)
+        assert adjacency(fixture_categories["s"])[0, 1] == 2
         with pytest.raises(KeyError):
             p2.morphism("nope")
 
@@ -69,7 +70,6 @@ class TestIntMatrix:
         e = IntMatrix.identity(3)
         assert e[0, 0] == 1 and e[0, 1] == 0
         assert e.trace() == 3
-        assert e.entry_sum() == 3
 
     @given(small_matrices)
     def test_identity_is_neutral(self, a):
@@ -84,10 +84,9 @@ class TestIntMatrix:
 
     def test_permuted_is_conjugation(self):
         a = IntMatrix([[1, 2], [3, 4]])
-        b = a.permuted([1, 0])
+        b = permuted(a, [1, 0])
         assert b == IntMatrix([[4, 3], [2, 1]])
         assert b.trace() == a.trace()
-        assert b.entry_sum() == a.entry_sum()
 
 
 class TestChainCounting:
@@ -114,7 +113,7 @@ class TestChainCounting:
         counts = chain_counts(a, 4)
         assert len(counts) == 5
         for m in range(5):
-            assert counts[m] == acc.entry_sum() == chain_count(a, m)
+            assert counts[m] == sum(map(sum, acc.rows)) == chain_count(a, m)
             acc = acc @ a
 
     def test_negative_length_rejected(self):

@@ -35,6 +35,7 @@ from oracles import (
     reversal_check,
     reversed_adjsum_poly,
     reversed_det_poly,
+    permuted,
     reversed_pencil_polys,
 )
 
@@ -256,7 +257,7 @@ def series_from_matrix_powers(a, order):
     power = IntMatrix.identity(a.n)
     for m in range(1, order + 1):
         power = power @ a
-        log_coeffs[m] = Fraction(power.entry_sum(), m)
+        log_coeffs[m] = Fraction(sum(map(sum, power.rows)), m)
     return exp_trunc(log_coeffs)
 
 
@@ -371,26 +372,28 @@ def scrambled_block_matrices(draw):
     diagonal = draw(st.lists(blocks, max_size=4))
     entry = st.integers(min_value=-3, max_value=3)
     a = block_matrix(diagonal, lambda i, j: draw(entry))
-    return a.permuted(draw(st.permutations(range(a.n))))
+    return permuted(a, draw(st.permutations(range(a.n))))
 
 
 # name -> (matrix, sorted (kind, multiplicity) of the roots of d)
 SCRAMBLED_CASES = {
     # two equal irrational blocks: the root pair is repeated in d
-    "pell_pell": (block_matrix([PELL, PELL], lambda i, j: (i + j) % 3 - 1)
-                  .permuted([3, 0, 2, 1]),
+    "pell_pell": (permuted(block_matrix([PELL, PELL], lambda i, j: (i + j) % 3 - 1),
+                           [3, 0, 2, 1]),
                   [("numeric", 2), ("numeric", 2)]),
     # a 2 x 2 block's rational eigenvalue 2 equals the 1 x 1 block's
-    "ones_beside_two": (block_matrix([[[1, 1], [1, 1]], [[2]]], lambda i, j: 1)
-                        .permuted([2, 0, 1]),
+    "ones_beside_two": (permuted(block_matrix([[[1, 1], [1, 1]], [[2]]], lambda i, j: 1),
+                                 [2, 0, 1]),
                         [("rational", 2)]),
     # a non-linear block factor (1 - 2z)(1 + z) whose rational root 1/2
     # merges with the 1 x 1 block's
-    "two_minus_one_beside_two": (block_matrix([[[1, 2], [1, 0]], [[2]]], lambda i, j: 1)
-                                 .permuted([1, 2, 0]),
+    "two_minus_one_beside_two": (permuted(block_matrix([[[1, 2], [1, 0]], [[2]]],
+                                                       lambda i, j: 1),
+                                          [1, 2, 0]),
                                  [("rational", 1), ("rational", 2)]),
-    "ones_pell_two": (block_matrix([[[1, 1], [1, 1]], PELL, [[2]], [[0]]],
-                                   lambda i, j: i - j + 2).permuted([5, 2, 0, 4, 1, 3]),
+    "ones_pell_two": (permuted(block_matrix([[[1, 1], [1, 1]], PELL, [[2]], [[0]]],
+                                            lambda i, j: i - j + 2),
+                               [5, 2, 0, 4, 1, 3]),
                       [("numeric", 1), ("numeric", 1), ("rational", 2)]),
 }
 
@@ -424,7 +427,7 @@ class TestStrongBlocks:
     def test_blocks_of_a_scrambled_matrix(self):
         a = block_matrix([PELL, [[3]], [[1, 1], [1, 1]]], lambda i, j: 1)
         perm = [4, 2, 0, 3, 1]
-        blocks = charpoly.strong_blocks(a.permuted(perm))
+        blocks = charpoly.strong_blocks(permuted(a, perm))
         assert sorted(sorted(perm[i] for i in block) for block in blocks) == [
             [0, 1], [2], [3, 4]]
         # reverse topological order: a block comes before every block that reaches it

@@ -310,6 +310,15 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "poset", str(rel))
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["poset", "monoid"])
+    def test_bool_table_entry_rejected(self, capsys, tmp_path, kind):
+        # JSON true is a Python bool, an int subclass: rejected as in --matrix
+        table = tmp_path / "table.json"
+        table.write_text("[[true]]")
+        code, _, err = run(capsys, "generate", kind, str(table))
+        assert code == 2
+        assert "entry (0, 0) is not an integer" in err
+
     def test_non_poset_relation_exit_3(self, capsys, tmp_path):
         rel = tmp_path / "rel.json"
         rel.write_text("[[1, 1], [1, 1]]")

@@ -10,12 +10,14 @@ from mpmath import mp
 from catzeta import (
     IntMatrix,
     RatPoly,
+    Root,
     char_poly_bundle,
     factor_charpoly,
     numeric_roots,
     rational_roots,
 )
 from catzeta import roots as roots_module
+from catzeta.poly import linear_power
 from catzeta.roots import RootFindingError, to_mpc, to_mpf
 from oracles import rational_roots_oracle
 
@@ -112,6 +114,17 @@ class TestRationalRoots:
         assert cof == RatPoly([10**30])
         assert elapsed < 0.1
 
+    def test_tiny_root_of_a_quadratic_is_fast(self):
+        # (1 - z)(1 - 10^14 z): the lead 2^14 5^14 factors after a few
+        # trial divisions; listing its divisors by trial division up to
+        # its square root would take 10^7 steps
+        start = time.perf_counter()
+        roots, cof = rational_roots(RatPoly([1, -(10**14 + 1), 10**14]))
+        elapsed = time.perf_counter() - start
+        assert roots == [(Fraction(1, 10**14), 1), (Fraction(1), 1)]
+        assert cof.degree == 0
+        assert elapsed < 0.1
+
     @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                               st.integers(min_value=1, max_value=6)), max_size=4),
            st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4),
@@ -179,7 +192,7 @@ class TestFactorCharpoly:
         assert rs.lead == -2
 
     def test_high_multiplicities_via_squarefree_split(self):
-        p = RatPoly([-1, 1]) ** 3 * RatPoly([Fraction(-1, 2), 1]) ** 2
+        p = RatPoly(linear_power(Fraction(1), 3)) * RatPoly(linear_power(Fraction(1, 2), 2))
         rs = factor_charpoly(p)
         assert {(r.theta, r.multiplicity) for r in rs.roots} == {
             (Fraction(1), 3), (Fraction(1, 2), 2)}
@@ -193,10 +206,14 @@ class TestFactorCharpoly:
         mags = [abs(to_mpc(r.theta)) for r in rs.roots]
         assert mags == sorted(mags)
 
+    def test_kind_follows_theta(self):
+        assert Root(Fraction(1), 2).kind == "rational"
+        assert Root(mp.mpc(1), 2).kind == "numeric"
+
     def test_multiplicities_sum_to_degree(self):
         d = RatPoly([1, -2, -1])  # irrational pair
         rs = factor_charpoly(d)
-        assert sum(r.multiplicity for r in rs.roots) == rs.degree == 2
+        assert sum(r.multiplicity for r in rs.roots) == d.degree == 2
 
     @given(small_nonneg_matrices)
     def test_charpoly_factorization_runs_on_random_matrices(self, a):
@@ -210,7 +227,7 @@ class TestFactorCharpoly:
         # a repeated root at 1 beside 1/2 (an exact root set) or beside the
         # irrational pair -1 +- sqrt 2 (a numeric one)
         other = RatPoly([1, -2]) if kind == "rational" else RatPoly([1, -2, -1])
-        d = RatPoly([1, -1]) ** 2 * other
+        d = RatPoly(linear_power(Fraction(1), 2)) * other
         assert factor_charpoly(d).arithmetic.exact == (kind == "rational")
         real_rational, real_numeric = roots_module.rational_roots, roots_module.numeric_roots
 

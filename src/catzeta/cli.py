@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 verification or numeric failure, 2 malformed
 input (message carries the location) or a flag out of range, 3 category
 axiom violation (message carries a violating pair or triple).
 
-Exact values print as integer or fraction strings, never floats;
-polynomials print lowest degree first; --json output is deterministic
-(sorted keys, fixed number formatting), so identical invocations give
-byte-identical bytes.
+Exact values print as integer or fraction strings, never floats, and
+without loading mpmath; polynomials print lowest degree first; --json
+output is deterministic (sorted keys, fixed number formatting), so
+identical invocations give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-from mpmath import mp
 
 from .category import (
     CategoryFormatError,
@@ -123,6 +121,7 @@ def _value_json(x, digits: int):
         return x
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
+    from mpmath import mp
     if isinstance(x, mp.mpf):
         return mp.nstr(x, digits)
     if isinstance(x, mp.mpc):
@@ -135,6 +134,7 @@ def _value_text(x, digits: int = 10) -> str:
         return "-"
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
+    from mpmath import mp
     return mp.nstr(x, digits)
 
 

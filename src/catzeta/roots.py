@@ -18,7 +18,7 @@ numeric (mpmath complex numbers at the precision plus GUARD_BITS)
 otherwise.  Every RootSet is checked by recombination in that
 arithmetic: multiplying the factors back together must reproduce d,
 exactly in the all-rational case and to a relative coefficient error of
-DEFAULT_TOLERANCE otherwise.
+DEFAULT_TOLERANCE otherwise.  Only a numeric root loads mpmath.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-from mpmath import mp
 
 from .poly import RatPoly, linear_power, mul_coeffs, squarefree_decompose
 
@@ -46,14 +44,16 @@ class RootFindingError(ArithmeticError):
         self.best = list(best) if best else []
 
 
-def to_mpf(x) -> "mp.mpf":
+def to_mpf(x):
     """Fraction or int to mpf at the current working precision."""
+    from mpmath import mp
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
 
 
-def to_mpc(x) -> "mp.mpc":
+def to_mpc(x):
+    from mpmath import mp
     if isinstance(x, Fraction):
         return mp.mpc(to_mpf(x))
     return mp.mpc(x)
@@ -74,9 +74,9 @@ class Root:
 class Arithmetic:
     """The scalars every stage after root finding computes in.
 
-    Exact: Fractions, and a check holds only with a zero residual.
-    Numeric: mpmath complex numbers at precision + GUARD_BITS, and a check
-    holds when its residual is within tolerance.
+    Exact: Fractions, never mpmath, and a check holds only with a zero
+    residual.  Numeric: mpmath complex numbers at precision + GUARD_BITS,
+    and a check holds when its residual is within tolerance.
     """
 
     exact: bool
@@ -84,7 +84,7 @@ class Arithmetic:
 
     @property
     def one(self):
-        return Fraction(1) if self.exact else mp.mpc(1)
+        return Fraction(1) if self.exact else to_mpc(1)
 
     def lift(self, x):
         """An exact number (int or Fraction) as a scalar of this arithmetic."""
@@ -92,7 +92,10 @@ class Arithmetic:
 
     def context(self):
         """The mpmath working precision the scalars need; nothing when exact."""
-        return nullcontext() if self.exact else mp.workprec(self.precision + GUARD_BITS)
+        if self.exact:
+            return nullcontext()
+        from mpmath import mp
+        return mp.workprec(self.precision + GUARD_BITS)
 
     def within(self, err, tol, scale=1) -> bool:
         """err == 0 when exact, err <= tol * scale otherwise."""
@@ -115,13 +118,28 @@ class RootSet:
         return Arithmetic(self.all_rational, self.precision)
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BASES_BOUND = 3317044064679887385961981  # Miller-Rabin on them is exact below
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _PRIME_BASES, exact for n < _PRIME_BASES_BOUND:
+    with n - 1 = 2**s d, d odd, each a has a**d = 1 or a**(2**r d) = -1, r < s."""
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
+    return all(pow(a, (n - 1) >> s, n) == 1
+               or any(pow(a, (n - 1) >> i, n) == n - 1 for i in range(1, s + 1))
+               for a in _PRIME_BASES)
+
+
 def _divisors(n: int, limit: int) -> list[int]:
     """The positive divisors of n that are at most limit, built from its
-    prime powers.  Trial division stops once p exceeds limit or p * p
-    exceeds the cofactor left, so a cofactor left at most limit is 1 or
-    a prime, and one above limit has no prime factor at most limit."""
+    prime powers.  Trial division stops once the cofactor left is prime,
+    p > limit or p * p > cofactor, so a cofactor left at most limit is 1
+    or a prime, and one above limit has no prime factor at most limit."""
     n, primes, start = abs(n), [], 2
-    while True:
+    while not (n < _PRIME_BASES_BOUND and _is_prime(n)):
         for p in range(start, min(limit, math.isqrt(n)) + 1):
             if n % p == 0:
                 break
@@ -230,6 +248,7 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
 
 
 def _horner(coeffs: list, x):
+    from mpmath import mp
     acc = mp.mpc(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -244,6 +263,7 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
     satisfies |p(theta)| <= 2^(-precision_bits/2) max|coeff| max(1,|theta|)^deg;
     failing that raises RootFindingError with the best iterates attached.
     """
+    from mpmath import mp
     deg = p.degree
     if deg < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -310,6 +330,9 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
 
 
 def _sort_key(root: Root, precision_bits: int):
+    """|theta|, then arg(theta) in (-pi, pi], as mpmath numbers (mpf and
+    Fraction do not compare): the order of a root set with a numeric root."""
+    from mpmath import mp
     with mp.workprec(precision_bits + GUARD_BITS):
         if root.kind == "rational":
             t = to_mpf(root.theta)
@@ -328,10 +351,11 @@ def _check_recombination(rs: RootSet, d: RatPoly) -> None:
         err = max(abs(g - w) for g, w in zip(got, want))
         scale = max(abs(w) for w in want)
         if len(got) != len(want) or not arith.within(err, DEFAULT_TOLERANCE, scale):
-            raise RootFindingError(
-                f"recombination residual {mp.nstr(err / scale)} above tolerance; "
-                "raise the precision"
-            )
+            if arith.exact:  # a wrong root, which no precision fixes
+                raise RootFindingError(f"exact recombination failed: residual {err / scale}")
+            from mpmath import mp
+            raise RootFindingError(f"recombination residual {mp.nstr(err / scale)} above "
+                                   "tolerance; raise the precision")
 
 
 def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -371,7 +395,10 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
     roots += [Root(theta, mult) for theta, mult in rational.items()]
     if sum(r.multiplicity for r in roots) != d.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
-    roots.sort(key=lambda root: _sort_key(root, precision_bits))
+    if all(root.kind == "rational" for root in roots):  # the same order, unrounded
+        roots.sort(key=lambda root: (abs(root.theta), root.theta < 0))
+    else:
+        roots.sort(key=lambda root: _sort_key(root, precision_bits))
     rs = RootSet(roots=tuple(roots), lead=d.lead, precision=precision_bits)
     _check_recombination(rs, d)
     return rs

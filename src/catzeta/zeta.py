@@ -184,6 +184,9 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly,
         err = max((abs(g - w) for g, w in zip(got, want)), default=0)
         scale = max(abs(w) for w in [one] + want)
         if rem.degree >= len(got) or not arith.within(err, DEFAULT_TOLERANCE, scale):
+            if arith.exact:  # a wrong Hermite term, which no precision fixes
+                raise ArithmeticError("exact recombination failed for the partial "
+                                      f"fractions: residual {err / scale}")
             raise ArithmeticError(
                 "partial fraction recombination residual above tolerance; "
                 "raise the precision"

@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from catzeta import (
-    IntMatrix,
     RatPoly,
     adjacency,
     analyze_matrix,

@@ -345,6 +345,59 @@ class TestPinnedOutput:
         assert out == (GOLDEN_DIR / f"{name}.{stem}.json").read_text(encoding="utf-8")
 
 
+class TestMpmathImport:
+    """An exact run never loads mpmath and a numeric one does.  Each case
+    runs in a fresh interpreter, because this one has loaded it already."""
+
+    EXACT_RUN = """
+import json, runpy, sys
+def clean(step):
+    assert "mpmath" not in sys.modules, step
+import catzeta, catzeta.cli
+clean("import")
+for path, matrix in {fixtures!r}:
+    with open(path) as fh:
+        doc = json.load(fh)
+    a = catzeta.IntMatrix(doc) if matrix else catzeta.adjacency(catzeta.category_from_dict(doc))
+    report = catzeta.verify_matrix(a)
+    assert report.path == "exact" and report.passed, path
+    clean(path)
+argv = ["verify", "--json", {k2!r}, "--order", "200"]
+assert catzeta.cli.cli_main(argv) == 0
+clean("cli_main")
+sys.argv = ["catzeta", *argv]
+try:
+    runpy.run_module("catzeta.cli", run_name="__main__")
+except SystemExit as e:
+    assert e.code == 0
+clean("python -m catzeta.cli")
+"""
+
+    NUMERIC_RUN = """
+import sys
+from catzeta.cli import cli_main
+code = cli_main(["verify", "--json", "--order", "200", "--matrix", {pell!r}])
+assert code == 0 and "mpmath" in sys.modules
+"""
+
+    def run_fresh(self, code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_exact_runs_leave_mpmath_unloaded(self):
+        fixtures = [(fixture(name), False) for name in ("terminal", "p2", "s", "z2", "k2")]
+        fixtures += [(matrix_fixture(name), True)
+                     for name in ("shift2", "block4", "nilpotent2", "jordan2")]
+        out = self.run_fresh(self.EXACT_RUN.format(fixtures=fixtures, k2=fixture("k2")))
+        first, second = out[:len(out) // 2], out[len(out) // 2:]
+        assert first == second and json.loads(first)["path"] == "exact"
+
+    def test_numeric_run_loads_mpmath_and_keeps_its_bytes(self):
+        out = self.run_fresh(self.NUMERIC_RUN.format(pell=matrix_fixture("pell")))
+        assert out == (GOLDEN_DIR / "pell.verify.200.json").read_text(encoding="utf-8")
+
+
 class TestDeterminism:
     """Byte-identical JSON across process restarts and hash seeds."""
 

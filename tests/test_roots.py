@@ -125,6 +125,17 @@ class TestRationalRoots:
         assert cof.degree == 0
         assert elapsed < 0.1
 
+    def test_prime_lead_of_a_quadratic_is_fast(self):
+        # (1 - z)(1 - p z) with p prime: Miller-Rabin stops the divisor
+        # search at once, where trial division would run up to sqrt(p)
+        p = 10**14 + 31
+        start = time.perf_counter()
+        roots, cof = rational_roots(RatPoly([1, -(p + 1), p]))
+        elapsed = time.perf_counter() - start
+        assert roots == [(Fraction(1, p), 1), (Fraction(1), 1)]
+        assert cof.degree == 0
+        assert elapsed < 0.1
+
     @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                               st.integers(min_value=1, max_value=6)), max_size=4),
            st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4),
@@ -245,6 +256,31 @@ class TestFactorCharpoly:
             monkeypatch.setattr(roots_module, "numeric_roots", nudge_numeric)
         with pytest.raises(RootFindingError):
             factor_charpoly(d)
+
+    def test_exact_recombination_failure_is_not_a_precision_problem(self, monkeypatch):
+        # (1 - z)(1 - 2z) with its roots nudged: the root set stays exact,
+        # so the message must not ask for more precision
+        real = roots_module.rational_roots
+
+        def nudge(p):
+            found, cof = real(p)
+            return [(theta + Fraction(1, 10 ** 6), e) for theta, e in found], cof
+
+        monkeypatch.setattr(roots_module, "rational_roots", nudge)
+        with pytest.raises(RootFindingError) as info:
+            factor_charpoly(RatPoly([1, -1]) * RatPoly([1, -2]))
+        assert "exact" in str(info.value)
+        assert "precision" not in str(info.value)
+
+    def test_rational_order_does_not_follow_the_factor_order(self):
+        # 1 and 1 + 2^-300 round to the same mpf at 192 bits; the exact
+        # key still puts the smaller first
+        near = 1 + Fraction(1, 2 ** 300)
+        factors = (RatPoly([1, -1]), RatPoly([1, -1 / near]))
+        d = factors[0] * factors[1]
+        for order in (factors, factors[::-1]):
+            rs = factor_charpoly(d, factors=order)
+            assert [r.theta for r in rs.roots] == [Fraction(1), near]
 
     def test_linear_factors_merge_with_rational_roots(self):
         # (1 - 2z)^2 as two linear factors, and (1 - 2z)(1 - 2z - z^2) as one

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
 
 from catzeta import (
     IntMatrix,

@@ -7,7 +7,7 @@ of a finite category, so the dense representation is deliberate.
 
 RatPoly is exact: no floats enter or leave.  The list kernels mul_coeffs
 and linear_power work in whatever scalar type they are given, so the
-root checks run them on Fractions and on mpmath complex numbers alike.
+root checks run them on ints and on mpmath complex numbers alike.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def mul_coeffs(a: Sequence, b: Sequence) -> list:
     """
     out = [a[0] * 0] * (len(a) + len(b) - 1)
     for j, cb in enumerate(b):
-        if cb == 0:
+        if not cb:
             continue
         unit = cb == 1
         for i, ca in enumerate(a, start=j):
@@ -231,13 +231,13 @@ def mul_coeffs(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def linear_power(root, e: int) -> list:
-    """Coefficients of (z - root)**e in root's scalar type, read off the
-    binomial theorem."""
+def linear_power(a, b: int, e: int) -> list:
+    """Coefficients of (b z - a)**e in a's scalar type, read off the
+    binomial theorem; b = 1 gives (z - a)**e."""
     if e < 0:
         raise ValueError("negative polynomial power")
-    neg = -root
-    return [binomial(e, t) * neg ** (e - t) for t in range(e + 1)]
+    neg = -a
+    return [binomial(e, t) * b ** t * neg ** (e - t) for t in range(e + 1)]
 
 
 def binomial(n: int, k: int) -> int:

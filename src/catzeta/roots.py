@@ -18,7 +18,8 @@ numeric (mpmath complex numbers at the precision plus GUARD_BITS)
 otherwise.  Every RootSet is checked by recombination in that
 arithmetic: multiplying the factors back together must reproduce d,
 exactly in the all-rational case and to a relative coefficient error of
-DEFAULT_TOLERANCE otherwise.  Only a numeric root loads mpmath.
+DEFAULT_TOLERANCE otherwise, the exact check on ints (Arithmetic.split).
+Only a numeric root loads mpmath.
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ class Arithmetic:
 
     Exact: Fractions, never mpmath, and a check holds only with a zero
     residual.  Numeric: mpmath complex numbers at precision + GUARD_BITS,
-    and a check holds when its residual is within tolerance.
+    and a check holds when its residual is within tolerance.  The exact
+    identities are checked denominator-free, on ints: split gives each
+    number as a / b, and a check scales both sides once.  An exact theta
+    is 1/lambda, lambda a rational root of the monic integer det(x E - A)
+    and so an integer: theta = +-1/b and alpha = +-b.
     """
 
     exact: bool
@@ -89,6 +94,10 @@ class Arithmetic:
     def lift(self, x):
         """An exact number (int or Fraction) as a scalar of this arithmetic."""
         return x if self.exact else to_mpc(x)
+
+    def split(self, x):
+        """x = a / b as (a, b): numerator and denominator when exact, else (lift(x), 1)."""
+        return (x.numerator, x.denominator) if self.exact else (to_mpc(x), 1)
 
     def context(self):
         """The mpmath working precision the scalars need; nothing when exact."""
@@ -120,6 +129,7 @@ class RootSet:
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BASES_BOUND = 3317044064679887385961981  # Miller-Rabin on them is exact below
+_TRIAL_BOUND = 1 << 10  # _divisors tries trial division up to it before rho
 
 
 def _is_prime(n: int) -> bool:
@@ -133,28 +143,42 @@ def _is_prime(n: int) -> bool:
                for a in _PRIME_BASES)
 
 
+def _rho(n: int, steps: int) -> int:
+    """A proper factor of n by Pollard's rho on y -> y^2 + 1 with Brent's
+    cycle detection, or 1 when none turned up within steps steps."""
+    x = y = r = 2
+    for i in range(2, steps + 2):
+        y = (y * y + 1) % n
+        g = math.gcd(x - y, n)
+        if g > 1:
+            return g if g < n else 1
+        if i == r:  # the tortoise jumps to the hare at each power of 2
+            x, r = y, 2 * r
+    return 1
+
+
 def _divisors(n: int, limit: int) -> list[int]:
     """The positive divisors of n that are at most limit, built from its
-    prime powers.  Trial division stops once the cofactor left is prime,
-    p > limit or p * p > cofactor, so a cofactor left at most limit is 1
-    or a prime, and one above limit has no prime factor at most limit."""
-    n, primes, start = abs(n), [], 2
-    while not (n < _PRIME_BASES_BOUND and _is_prime(n)):
-        for p in range(start, min(limit, math.isqrt(n)) + 1):
-            if n % p == 0:
-                break
-        else:
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        primes.append((p, e))
-        start = p + 1
-    if 1 < n <= limit:
-        primes.append((n, 1))
+    prime powers.  A cofactor that is not prime is split at its least
+    prime factor up to _TRIAL_BOUND, else by Pollard-Brent rho, else at
+    its least one up to min(limit, sqrt); one that stays whole is prime
+    or has no prime factor at most limit, and above limit adds no divisor."""
+    exps, stack = {}, [abs(n)]
+    while stack:
+        m = stack.pop()
+        sweep, f = min(limit, math.isqrt(m)), m
+        if m > 1 and not (m < _PRIME_BASES_BOUND and _is_prime(m)):
+            f = next((p for p in range(2, min(sweep, _TRIAL_BOUND) + 1) if m % p == 0), 1)
+            if f == 1 and sweep > _TRIAL_BOUND:
+                f = _rho(m, sweep // 32)  # about half the cost of the sweep
+            if f == 1:
+                f = next((p for p in range(_TRIAL_BOUND + 1, sweep + 1) if m % p == 0), m)
+        if f < m:
+            stack += [f, m // f]
+        elif m > 1:
+            exps[m] = exps.get(m, 0) + 1
     out = [1]
-    for p, e in primes:
+    for p, e in sorted(exps.items()):
         out += [d * p ** k for d in out for k in range(1, e + 1) if d * p ** k <= limit]
     return out
 
@@ -288,18 +312,16 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
                     x = roots[i]
                     pv = _horner(cs, x)
                     dv = _horner(dcs, x)
-                    if dv == 0:
+                    if not dv:
                         # stalled on a critical point; nudge and retry
                         roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
                         shift_max = max(shift_max, abs(roots[i] - x))
                         continue
                     newton = pv / dv
-                    repulse = mp.mpc(0)
-                    for j in range(deg):
-                        if j != i and roots[j] != x:
-                            repulse += 1 / (x - roots[j])
+                    diffs = [x - other for other in roots]  # 0 at x itself and at equal roots
+                    repulse = sum((1 / diff for diff in diffs if diff), mp.mpc(0))
                     denom = 1 - newton * repulse
-                    w = newton if denom == 0 else newton / denom
+                    w = newton / denom if denom else newton
                     roots[i] = x - w
                     shift_max = max(shift_max, abs(w))
                 if shift_max <= eps_stop:
@@ -314,7 +336,7 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
         for i in range(deg):
             for _ in range(3):
                 dv = _horner(dcs, roots[i])
-                if dv == 0:
+                if not dv:
                     break
                 roots[i] = roots[i] - _horner(cs, roots[i]) / dv
 
@@ -341,18 +363,25 @@ def _sort_key(root: Root, precision_bits: int):
 
 
 def _check_recombination(rs: RootSet, d: RatPoly) -> None:
-    """lead * prod (z - theta)^e must reproduce d."""
+    """lead * prod (z - theta)^e must reproduce d: with theta = a / b
+    (Arithmetic.split), lead * prod (b z - a)^e = d * prod b^e, times the
+    lcm D of the coefficients' denominators, all ints when exact."""
     arith = rs.arithmetic
     with arith.context():
-        got = [arith.lift(rs.lead)]
+        (lead, lead_den), *want = [arith.split(c) for c in (rs.lead,) + d.coeffs]
+        mult = math.lcm(lead_den, *(b for _, b in want))
+        got = [lead * (mult // lead_den)]
         for root in rs.roots:
-            got = mul_coeffs(got, linear_power(arith.lift(root.theta), root.multiplicity))
-        want = [arith.lift(c) for c in d.coeffs]
+            a, b = arith.split(root.theta)
+            got = mul_coeffs(got, linear_power(a, b, root.multiplicity))
+            mult *= b ** root.multiplicity  # D prod b^e
+        want = [a * (mult // b) for a, b in want]
         err = max(abs(g - w) for g, w in zip(got, want))
         scale = max(abs(w) for w in want)
         if len(got) != len(want) or not arith.within(err, DEFAULT_TOLERANCE, scale):
             if arith.exact:  # a wrong root, which no precision fixes
-                raise RootFindingError(f"exact recombination failed: residual {err / scale}")
+                raise RootFindingError("exact recombination failed: "
+                                       f"residual {Fraction(err, scale)}")
             from mpmath import mp
             raise RootFindingError(f"recombination residual {mp.nstr(err / scale)} above "
                                    "tolerance; raise the precision")

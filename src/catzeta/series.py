@@ -23,11 +23,11 @@ def mul_trunc(a: Sequence, b: Sequence) -> list:
     zero = a[0] * 0
     out = [zero] * (K + 1)
     for i, ca in enumerate(a):
-        if ca == 0:
+        if not ca:
             continue
         for j in range(K + 1 - i):
             cb = b[j]
-            if cb == 0:
+            if not cb:
                 continue
             out[i + j] = out[i + j] + ca * cb
     return out
@@ -41,7 +41,7 @@ def inv_trunc(a: Sequence) -> list:
     for n in range(1, K + 1):
         acc = a[0] * 0
         for i in range(1, n + 1):
-            if a[i] != 0:
+            if a[i]:
                 acc = acc + a[i] * out[n - i]
         out[n] = -inv0 * acc
     return out
@@ -60,7 +60,7 @@ def exp_trunc(s: Sequence) -> list:
         acc = zero
         for i in range(n + 1):
             c = s[i + 1]
-            if c != 0:
+            if c:
                 acc = acc + (i + 1) * c * out[n - i]
         out[n + 1] = acc / (n + 1)
     return out

@@ -26,18 +26,19 @@ each run one code path over whichever scalars the root set carries; an
 identity holds with a zero residual in exact arithmetic and within a
 tolerance in numeric arithmetic: verify's own for the four identities,
 the fixed DEFAULT_TOLERANCE for the partial-fraction recombination and
-DEFAULT_VERIFY_TOL for the singularity report.  The Taylor match is the
-one check that still forks.  Exact: closed_form_counts reads n [z^n]
-log zeta off the closed form term by term, and these must equal the
-swept chain counts #N_1..#N_K, which says the same as equal Taylor
-coefficients through z^K without expanding the closed form as a series.
-Numeric: the Taylor coefficients from closed_form_taylor are compared
-with the series; this fork stays until C1 is exact for irrational
-spectra as well.
+DEFAULT_VERIFY_TOL for the singularity report.  Both recombinations and
+closed_form_counts clear denominators once (Arithmetic.split), so on an
+exact root set, whose theta are +-1/b, they add and multiply ints.  The
+Taylor match is the one check that still forks.  Exact: the log
+coefficients n [z^n] log zeta from closed_form_counts must equal the
+swept chain counts #N_1..#N_K, as good as equal Taylor coefficients
+through z^K.  Numeric: closed_form_taylor against the series, until C1
+is exact for irrational spectra as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -155,8 +156,8 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly,
 
     The quotient and remainder come from exact polynomial division.  The
     A_{k,j} come from Taylor expansion of the deflated remainder at each
-    root, in the root set's arithmetic, and the decomposition is verified
-    by recombining over the common denominator.
+    root, in the root set's arithmetic; recombining them with denominators
+    cleared, on ints when exact, verifies the decomposition.
     """
     if d.is_zero():
         raise ValueError("denominator must be nonzero")
@@ -167,26 +168,34 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly,
         one = arith.one
         thetas = [arith.lift(root.theta) for root in rootset.roots]
         terms = _hermite_terms(rem, thetas, mults, one)
-        # rem = sum_k [sum_j A_{k,j} (z - theta_k)^(e_k - j), by Horner in
-        # z - theta_k] * prod_{l != k} (z - theta_l)^(e_l)
-        powers = [linear_power(theta, e) for theta, e in zip(thetas, mults)]
-        got = [one * 0] * sum(mults)
-        for k, theta_k in enumerate(thetas):
-            piece = [terms[k][0]]
-            for coeff in terms[k][1:]:
-                piece = mul_coeffs(piece, [-theta_k, one])
-                piece[0] = piece[0] + coeff
+        # With theta_k = a_k / b_k, B = prod_k b_k^(e_k) and D the lcm of
+        # the denominators of the A_{k,j} and of rem:
+        # D B rem = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e_k - j), by
+        # Horner in b_k z - a_k] * prod_{l != k} (b_l z - a_l)^(e_l)
+        pairs = [arith.split(root.theta) for root in rootset.roots]
+        split_terms = [[arith.split(c) for c in term] for term in terms]
+        want = [arith.split(rem.coeff(t)) for t in range(sum(mults))]
+        mult = math.lcm(*(b for _, b in want), *(b for t in split_terms for _, b in t))
+        powers = [linear_power(a, b, e) for (a, b), e in zip(pairs, mults)]
+        got = [0] * len(want)
+        for k, ((a, b), term) in enumerate(zip(pairs, split_terms)):
+            cs = [c * (mult // c_den * b ** j) for j, (c, c_den) in enumerate(term, start=1)]
+            piece = cs[:1]
+            for c in cs[1:]:
+                piece = mul_coeffs(piece, [-a, b])
+                piece[0] = piece[0] + c
             for l, power in enumerate(powers):
                 if l != k:
                     piece = mul_coeffs(piece, power)
             got = [g + c for g, c in zip(got, piece)]
-        want = [arith.lift(rem.coeff(t)) for t in range(len(got))]
+        mult *= math.prod(b ** e for (_, b), e in zip(pairs, mults))  # D B
+        want = [a * (mult // b) for a, b in want]
         err = max((abs(g - w) for g, w in zip(got, want)), default=0)
-        scale = max(abs(w) for w in [one] + want)
+        scale = max(abs(w) for w in [arith.lift(mult)] + want)
         if rem.degree >= len(got) or not arith.within(err, DEFAULT_TOLERANCE, scale):
             if arith.exact:  # a wrong Hermite term, which no precision fixes
                 raise ArithmeticError("exact recombination failed for the partial "
-                                      f"fractions: residual {err / scale}")
+                                      f"fractions: residual {Fraction(err, scale)}")
             raise ArithmeticError(
                 "partial fraction recombination residual above tolerance; "
                 "raise the precision"
@@ -236,12 +245,13 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
         for root, terms in zip(pfd.rootset.roots, pfd.terms):
             theta, e = arith.lift(root.theta), root.multiplicity
             alpha = one / theta
+            powers = [alpha ** k for k in range(2 * e - 1)]
             betas = []
             for j in range(1, e):
                 acc = one * 0
                 for i in range(j, e):
                     sign = 1 if i % 2 else -1  # (-1)^(i+1)
-                    acc = acc + sign * binomial(i - 1, j - 1) * alpha ** (i + j) * terms[i]
+                    acc = acc + sign * binomial(i - 1, j - 1) * powers[i + j] * terms[i]
                 betas.append(acc * lead_inv)
             factors.append(ZetaFactor(theta=theta, alpha=alpha,
                                       multiplicity=e, kind=root.kind,
@@ -274,7 +284,7 @@ def closed_form_taylor(cf: ClosedFormZeta, order: int) -> list:
         exponent = [one * 0 + cf.q_integral.coeff(i) for i in range(order + 1)]
         for factor in cf.factors:
             for j, beta in enumerate(factor.betas, start=1):
-                if beta == 0:
+                if not beta:
                     continue
                 apow = one
                 for n in range(j, order + 1):
@@ -295,10 +305,11 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 
         n [z^n] log zeta = q_{n-1} + sum_k sum_{j<e_k} beta_{k,j} C(n, j) alpha_k^(n-j)
 
-    with beta_{k,0} = beta0.  These are the chain counts #N_1..#N_order
-    exactly when the closed form's Taylor expansion is zeta through
-    z**order, since exp and log are inverse bijections modulo z**(order+1).
-    Exact Fractions on the exact path, mpc values otherwise.
+    with beta_{k,0} = beta0 and q_{n-1} = n Q_n.  These are the chain
+    counts #N_1..#N_order exactly when the closed form's Taylor expansion
+    is zeta through z**order, since exp and log are inverse bijections
+    modulo z**(order+1).  Exact Fractions on the exact path, summed as ints
+    over one common denominator; mpc values otherwise.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -307,27 +318,36 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
         one = arith.one
         zero = one * 0
         q = [zero + n * c for n, c in enumerate(cf.q_integral.coeffs[1:order + 1], start=1)]
-        out = q + [zero] * (order - len(q))  # q_{n-1} = n Q_n
+        q = [arith.split(c) for c in q] + [arith.split(zero)] * (order - len(q))
+        tables = []
         for factor in cf.factors:
             # beta_j C(n, j) alpha^(n-j) = alpha^n gamma_j C(n, j) with
             # gamma_j = beta_j alpha^(-j).  diffs[j] runs through
             # sum_{i>=j} gamma_i C(n, i-j), the forward difference table of
-            # sum_j gamma_j C(n, j), so stepping n costs additions only.
+            # sum_j gamma_j C(n, j), so stepping n costs additions only.  All
+            # of it goes over one denominator D R^order, R the lcm of the r
+            # in alpha = p / r: ints when exact, where alpha is an int, R = 1.
             diffs, scale = [], one
             for beta in (factor.beta0,) + factor.betas:
-                diffs.append(beta * scale)
+                diffs.append(arith.split(beta * scale))
                 scale = scale / factor.alpha
-            while diffs and diffs[-1] == 0:
+            while diffs and not diffs[-1][0]:
                 diffs.pop()
-            if not diffs:
-                continue
-            apow = one
+            if diffs:
+                tables.append((arith.split(factor.alpha), diffs))
+        den = math.lcm(*(b for _, b in q), *(b for _, diffs in tables for _, b in diffs))
+        rden = math.lcm(*(r for (_, r), _ in tables))
+        out = [a * (den // b * rden ** n) for n, (a, b) in enumerate(q, start=1)]
+        for (p, r), diffs in tables:
+            diffs = [a * (den // b) for a, b in diffs]
+            step, apow = p * (rden // r), 1  # alpha R
             for n in range(1, order + 1):
                 for j in range(len(diffs) - 1):
                     diffs[j] = diffs[j] + diffs[j + 1]
-                apow = apow * factor.alpha
+                apow = apow * step
                 out[n - 1] = out[n - 1] + apow * diffs[0]
-    return out
+        unit = one / (den * rden ** order)
+        return [unit * (x * rden ** (order - n)) for n, x in enumerate(out, start=1)]
 
 
 # -- one-stop analysis -----------------------------------------------------

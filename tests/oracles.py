@@ -25,6 +25,8 @@ Everything here takes a different road, so that agreement means something:
 - Chain counts by brute-force enumeration of composable morphisms, and
   the series logarithm by its own recurrence, against the library's
   matrix sweep and exponential.
+- n [z^n] log of a closed form summed term by term in Fractions, against
+  the library's integer difference tables.
 
 Also here: simultaneous row/column permutation of a matrix, which the
 tests use to scramble block-triangular inputs.
@@ -33,11 +35,12 @@ tests use to scramble block-triangular inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Sequence
 
 from catzeta import (
     CharPolyBundle,
+    ClosedFormZeta,
     EulerReport,
     FiniteCategory,
     IntMatrix,
@@ -402,3 +405,18 @@ def permuted(a: IntMatrix, perm: Sequence[int]) -> IntMatrix:
     """Simultaneous row/column permutation: entry (i, j) of the result is
     the (perm[i], perm[j]) entry of a."""
     return IntMatrix([[a.rows[perm[i]][perm[j]] for j in range(a.n)] for i in range(a.n)])
+
+
+def closed_form_counts_oracle(cf: ClosedFormZeta, order: int) -> list[Fraction]:
+    """n [z^n] log zeta = q_{n-1} + sum_k sum_j beta_{k,j} C(n, j) alpha_k^(n-j)
+    for n = 1..order, each term in Fractions: no difference table, no
+    common denominator."""
+    out = []
+    for n in range(1, order + 1):
+        acc = n * cf.q_integral.coeff(n)  # q_{n-1} = n Q_n
+        for f in cf.factors:
+            for j, beta in enumerate((f.beta0,) + f.betas):
+                if j <= n:
+                    acc += beta * comb(n, j) * Fraction(f.alpha) ** (n - j)
+        out.append(acc)
+    return out

@@ -136,6 +136,18 @@ class TestRationalRoots:
         assert cof.degree == 0
         assert elapsed < 0.1
 
+    def test_semiprime_lead_of_a_quadratic_is_fast(self):
+        # (1 - z)(1 - q z) with q a product of two primes near 10^7: the
+        # cofactor is composite, so Miller-Rabin does not stop the search;
+        # Pollard-Brent rho splits q where trial division would run to 10^7
+        q = (10**7 + 19) * (10**7 + 79)
+        start = time.perf_counter()
+        roots, cof = rational_roots(RatPoly([1, -(q + 1), q]))
+        elapsed = time.perf_counter() - start
+        assert roots == [(Fraction(1, q), 1), (Fraction(1), 1)]
+        assert cof.degree == 0
+        assert elapsed < 0.1
+
     @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                               st.integers(min_value=1, max_value=6)), max_size=4),
            st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4),
@@ -203,7 +215,7 @@ class TestFactorCharpoly:
         assert rs.lead == -2
 
     def test_high_multiplicities_via_squarefree_split(self):
-        p = RatPoly(linear_power(Fraction(1), 3)) * RatPoly(linear_power(Fraction(1, 2), 2))
+        p = RatPoly(linear_power(Fraction(1), 1, 3)) * RatPoly(linear_power(Fraction(1, 2), 1, 2))
         rs = factor_charpoly(p)
         assert {(r.theta, r.multiplicity) for r in rs.roots} == {
             (Fraction(1), 3), (Fraction(1, 2), 2)}
@@ -238,7 +250,7 @@ class TestFactorCharpoly:
         # a repeated root at 1 beside 1/2 (an exact root set) or beside the
         # irrational pair -1 +- sqrt 2 (a numeric one)
         other = RatPoly([1, -2]) if kind == "rational" else RatPoly([1, -2, -1])
-        d = RatPoly(linear_power(Fraction(1), 2)) * other
+        d = RatPoly(linear_power(Fraction(1), 1, 2)) * other
         assert factor_charpoly(d).arithmetic.exact == (kind == "rational")
         real_rational, real_numeric = roots_module.rational_roots, roots_module.numeric_roots
 
@@ -271,6 +283,19 @@ class TestFactorCharpoly:
             factor_charpoly(RatPoly([1, -1]) * RatPoly([1, -2]))
         assert "exact" in str(info.value)
         assert "precision" not in str(info.value)
+
+    def test_exact_recombination_failure_at_fractional_roots(self, monkeypatch):
+        # (1 - 2z)^2 (1 - 3z): roots 1/2 and 1/3, each with denominator
+        # b > 1, nudged; the integer check must still see the residual
+        real = roots_module.rational_roots
+
+        def nudge(p):
+            found, cof = real(p)
+            return [(theta + Fraction(1, 10 ** 6), e) for theta, e in found], cof
+
+        monkeypatch.setattr(roots_module, "rational_roots", nudge)
+        with pytest.raises(RootFindingError, match="exact recombination failed"):
+            factor_charpoly(RatPoly([1, -2]) * RatPoly([1, -2]) * RatPoly([1, -3]))
 
     def test_rational_order_does_not_follow_the_factor_order(self):
         # 1 and 1 + 2^-300 round to the same mpf at 192 bits; the exact

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catzeta import (
+    ClosedFormZeta,
     IntMatrix,
     PartialFractionDecomposition,
     RatPoly,
     RatSeries,
     Root,
     RootSet,
+    ZetaFactor,
     adjacency,
     analyze_category,
     analyze_matrix,
@@ -32,7 +34,8 @@ from catzeta import (
     zeta_series,
 )
 from catzeta import zeta as zeta_module
-from oracles import log_derivative_check, log_trunc
+from catzeta.roots import Arithmetic
+from oracles import closed_form_counts_oracle, log_derivative_check, log_trunc
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -160,6 +163,13 @@ class TestPartialFractions:
         self.assert_corrupt_term_caught(monkeypatch, a, True, 2, j)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_recombination_catches_a_corrupt_term_at_a_fractional_root(self, monkeypatch, j):
+        # three Z/2 monoids joined into a chain (root 1/2, e = 3, so b = 2)
+        # next to a point (root 1)
+        a = IntMatrix([[2, 1, 1, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+        self.assert_corrupt_term_caught(monkeypatch, a, True, 2, j)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
     def test_recombination_catches_a_corrupt_numeric_term(self, monkeypatch, j):
         # a 3-chain poset (root 1, e = 3) next to pell (roots -1 +- sqrt 2)
         a = IntMatrix([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0],
@@ -242,6 +252,23 @@ ARROW_AND_CHAIN = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
                              [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]])
 
 
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# alpha integral or not, of either sign; a root of multiplicity e carries
+# e - 1 inner betas, the last ones possibly zero; Q possibly nonzero
+_alphas = st.one_of(st.integers(min_value=-5, max_value=5).map(Fraction),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=5)).filter(bool)
+_hand_built_factors = st.builds(
+    lambda alpha, beta0, betas, zeros: ZetaFactor(
+        theta=1 / alpha, alpha=alpha, multiplicity=len(betas) + zeros + 1, kind="rational",
+        beta0=beta0, betas=tuple(betas) + (Fraction(0),) * zeros),
+    _alphas, _small_fractions, st.lists(_small_fractions, max_size=3),
+    st.integers(min_value=0, max_value=2))
+hand_built_closed_forms = st.builds(
+    lambda q, factors: ClosedFormZeta(q_integral=RatPoly([0] + q), factors=tuple(factors),
+                                      arithmetic=Arithmetic(True, 128)),
+    st.lists(_small_fractions, max_size=4), st.lists(_hand_built_factors, max_size=3))
+
+
 def _perturbed(cf, what):
     """The closed form with one ingredient off by 1/7."""
     delta = Fraction(1, 7)
@@ -284,6 +311,13 @@ class TestClosedFormCounts:
         assert len(exact) >= 7
         for a in exact:
             self.assert_both_routes_agree(a, 200)
+
+    @given(hand_built_closed_forms, st.integers(min_value=0, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_termwise_oracle(self, cf, order):
+        counts = closed_form_counts(cf, order)
+        assert counts == closed_form_counts_oracle(cf, order)
+        assert all(type(c) is Fraction for c in counts)
 
     def test_numeric_counts_approximate_chains(self, fixture_matrices):
         a = fixture_matrices["pell"]

@@ -57,7 +57,7 @@ def to_mpc(x):
     from mpmath import mp
     if isinstance(x, Fraction):
         return mp.mpc(to_mpf(x))
-    return mp.mpc(x)
+    return x if isinstance(x, mp.mpc) else mp.mpc(x)  # mpc(mpc) would only copy
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,12 @@ class Arithmetic:
     Exact: Fractions, never mpmath, and a check holds only with a zero
     residual.  Numeric: mpmath complex numbers at precision + GUARD_BITS,
     and a check holds when its residual is within tolerance.  The exact
-    identities are checked denominator-free, on ints: split gives each
-    number as a / b, and a check scales both sides once.  An exact theta
-    is 1/lambda, lambda a rational root of the monic integer det(x E - A)
-    and so an integer: theta = +-1/b and alpha = +-b.
+    stages run denominator-free, on ints: split gives each number as a / b,
+    a stage or a check scales its inputs once, and join builds each result
+    back from an int numerator and denominator.  On a numeric root set b is
+    1, so the same code does the mpmath operations plus exact products by
+    1.  An exact theta is 1/lambda, lambda a rational root of the monic
+    integer det(x E - A) and so an integer: theta = +-1/b and alpha = +-b.
     """
 
     exact: bool
@@ -98,6 +100,10 @@ class Arithmetic:
     def split(self, x):
         """x = a / b as (a, b): numerator and denominator when exact, else (lift(x), 1)."""
         return (x.numerator, x.denominator) if self.exact else (to_mpc(x), 1)
+
+    def join(self, a, b):
+        """The inverse of split: Fraction(a, b) when exact, else a / b (b = 1)."""
+        return Fraction(a, b) if self.exact else a / b
 
     def context(self):
         """The mpmath working precision the scalars need; nothing when exact."""

@@ -26,14 +26,15 @@ each run one code path over whichever scalars the root set carries; an
 identity holds with a zero residual in exact arithmetic and within a
 tolerance in numeric arithmetic: verify's own for the four identities,
 the fixed DEFAULT_TOLERANCE for the partial-fraction recombination and
-DEFAULT_VERIFY_TOL for the singularity report.  Both recombinations and
-closed_form_counts clear denominators once (Arithmetic.split), so on an
-exact root set, whose theta are +-1/b, they add and multiply ints.  The
-Taylor match is the one check that still forks.  Exact: the log
-coefficients n [z^n] log zeta from closed_form_counts must equal the
-swept chain counts #N_1..#N_K, as good as equal Taylor coefficients
-through z^K.  Numeric: closed_form_taylor against the series, until C1
-is exact for irrational spectra as well.
+DEFAULT_VERIFY_TOL for the singularity report.  The Hermite terms
+A_{k,j}, the beta's, both recombinations and closed_form_counts clear
+denominators once (Arithmetic.split) and build each result once
+(Arithmetic.join), so on an exact root set, whose theta are +-1/b, they
+add and multiply ints.  The Taylor match is the one check that still
+forks.  Exact: the log coefficients n [z^n] log zeta from
+closed_form_counts must equal the swept chain counts #N_1..#N_K, as good
+as equal Taylor coefficients through z^K.  Numeric: closed_form_taylor
+against the series, until C1 is exact for irrational spectra as well.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .roots import (
     RootSet,
     factor_charpoly,
 )
-from .series import RatSeries, exp_trunc, inv_trunc, mul_trunc
+from .series import RatSeries, exp_trunc, mul_trunc
 
 DEFAULT_ORDER = 30
 DEFAULT_VERIFY_TOL = 1e-9
@@ -118,36 +119,54 @@ class PartialFractionDecomposition:
     terms: tuple[tuple, ...]
 
 
-def _taylor_at(p: RatPoly, center, order: int, zero):
-    """Coefficients of p(center + w) in w, through w**order."""
-    powers = [center ** e for e in range(p.degree + 1)]
-    out = [zero] * (order + 1)
-    for i, ci in enumerate(p.coeffs):
-        if ci == 0:
-            continue
-        for t in range(min(i, order) + 1):
-            out[t] = out[t] + ci * binomial(i, t) * powers[i - t]
-    return out
+def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
+                   arith: Arithmetic) -> list[tuple]:
+    """A_{k,j} for every root as (numerators for j = 1..e_k, one denominator):
+    Taylor coefficients at theta_k of rem(z) / prod_{l != k} (z - theta_l)^{e_l},
+    read off in reverse, on ints when exact.  With theta = a / b (pairs, from
+    Arithmetic.split), D rem = sum_i R_i z^i (D the lcm of rem's
+    denominators, n = deg rem) and w = z - theta_k:
 
+        b^n D rem = sum_t w^t sum_i R_i C(i, t) a^(i-t) b^(n-i+t),
+        z - theta_l = (a b_l - a_l b + b b_l w) / (b b_l),
 
-def _hermite_terms(rem: RatPoly, thetas: list, mults: list[int], one) -> list[tuple]:
-    """A_{k,j} for every root: Taylor coefficients at theta_k of
-    rem(z) / prod_{l != k} (z - theta_l)^{e_l}, read off in reverse."""
-    zero = one * 0
-    terms = []
-    for k, (theta_k, e_k) in enumerate(zip(thetas, mults)):
-        numer = _taylor_at(rem, theta_k, e_k - 1, zero)
-        denom = [one] + [zero] * (e_k - 1)
-        for l, (theta_l, e_l) in enumerate(zip(thetas, mults)):
+    and the product Q(w) of the (a b_l - a_l b + b b_l w)^(e_l) has the
+    inverse sum_i W_i w^i / c^(i+1), where (u, c) = split(1 / Q_0), W_0 = u
+    and W_i = -u sum_{s>=1} Q_s c^(s-1) W_(i-s).
+    """
+    zero, _ = arith.split(0)
+    coeffs = [arith.split(c) for c in rem.coeffs]
+    mult = math.lcm(*[b for _, b in coeffs])
+    ints = [a * (mult // b) for a, b in coeffs]
+    n = max(len(ints) - 1, 0)
+    out = []
+    for k, ((a, b), e) in enumerate(zip(pairs, mults)):
+        apow, bpow = [a ** i for i in range(n + 1)], [b ** i for i in range(n + 1)]
+        numer = [zero] * e
+        for i, r in enumerate(ints):
+            if not r:
+                continue
+            for t in range(min(i, e - 1) + 1):
+                numer[t] = numer[t] + r * (binomial(i, t) * bpow[n - i + t]) * apow[i - t]
+        denom, scale = [1] + [0] * (e - 1), 1
+        for l, ((a_l, b_l), e_l) in enumerate(zip(pairs, mults)):
             if l == k:
                 continue
-            shift = theta_k - theta_l
-            # (w + shift)^(e_l) through w^(e_k - 1), with w = z - theta_k
-            factor = [binomial(e_l, t) * shift ** (e_l - t) for t in range(min(e_l + 1, e_k))]
-            denom = mul_trunc(denom, factor + [zero] * (e_k - len(factor)))
-        h = mul_trunc(numer, inv_trunc(denom))
-        terms.append(tuple(reversed(h)))
-    return terms
+            shift, bb = a * b_l - a_l * b, b * b_l  # (shift + bb w)^(e_l) through w^(e-1)
+            factor = [binomial(e_l, t) * bb ** t * shift ** (e_l - t)
+                      for t in range(min(e_l + 1, e))]
+            denom = mul_trunc(denom, factor + [0] * (e - len(factor)))
+            scale *= bb ** e_l
+        u, c = arith.split(arith.one / denom[0])
+        inv = [u]
+        for i in range(1, e):
+            inv.append(-u * sum(denom[s] * c ** (s - 1) * inv[i - s]
+                                for s in range(1, i + 1) if denom[s]))
+        # h_t = scale sum_s numer_s c^s inv_(t-s) / (D b^n c^(t+1))
+        h = mul_trunc([x * c ** t for t, x in enumerate(numer)], inv)
+        out.append(([h[t] * (scale * c ** (e - 1 - t)) for t in reversed(range(e))],
+                    mult * b ** n * c ** e))
+    return out
 
 
 def partial_fractions(m_poly: RatPoly, d: RatPoly,
@@ -156,8 +175,8 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly,
 
     The quotient and remainder come from exact polynomial division.  The
     A_{k,j} come from Taylor expansion of the deflated remainder at each
-    root, in the root set's arithmetic; recombining them with denominators
-    cleared, on ints when exact, verifies the decomposition.
+    root, on ints when exact; recombining the same numerators and
+    denominators with denominators cleared verifies the decomposition.
     """
     if d.is_zero():
         raise ValueError("denominator must be nonzero")
@@ -165,21 +184,19 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly,
     arith = rootset.arithmetic
     mults = [root.multiplicity for root in rootset.roots]
     with arith.context():
-        one = arith.one
-        thetas = [arith.lift(root.theta) for root in rootset.roots]
-        terms = _hermite_terms(rem, thetas, mults, one)
+        pairs = [arith.split(root.theta) for root in rootset.roots]
+        parts = _hermite_terms(rem, pairs, mults, arith)
+        terms = [tuple([arith.join(x, den) for x in nums]) for nums, den in parts]
         # With theta_k = a_k / b_k, B = prod_k b_k^(e_k) and D the lcm of
         # the denominators of the A_{k,j} and of rem:
         # D B rem = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e_k - j), by
         # Horner in b_k z - a_k] * prod_{l != k} (b_l z - a_l)^(e_l)
-        pairs = [arith.split(root.theta) for root in rootset.roots]
-        split_terms = [[arith.split(c) for c in term] for term in terms]
         want = [arith.split(rem.coeff(t)) for t in range(sum(mults))]
-        mult = math.lcm(*(b for _, b in want), *(b for t in split_terms for _, b in t))
+        mult = math.lcm(*[b for _, b in want], *[den for _, den in parts])
         powers = [linear_power(a, b, e) for (a, b), e in zip(pairs, mults)]
         got = [0] * len(want)
-        for k, ((a, b), term) in enumerate(zip(pairs, split_terms)):
-            cs = [c * (mult // c_den * b ** j) for j, (c, c_den) in enumerate(term, start=1)]
+        for k, ((a, b), (nums, den)) in enumerate(zip(pairs, parts)):
+            cs = [x * (mult // den * b ** j) for j, x in enumerate(nums, start=1)]
             piece = cs[:1]
             for c in cs[1:]:
                 piece = mul_coeffs(piece, [-a, b])
@@ -235,27 +252,34 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
                           alpha^{i+j} A_{k,i+1}
 
     so that the factor and exponential coefficients carry no stray
-    normalization; the sum of the beta0 is then exactly N.
+    normalization; the sum of the beta0 is then exactly N.  With alpha = p / r,
+    A_{k,i+1} = nums_i / den and 1/lead = lead_num / lead_den (Arithmetic.split),
+    each beta_j is one sum over lead_den den r^(2e-2), on ints when exact.
     """
     arith = pfd.rootset.arithmetic
     factors = []
     with arith.context():
         one = arith.one
-        lead_inv = one / arith.lift(pfd.rootset.lead)
+        lead_num, lead_den = arith.split(one / arith.lift(pfd.rootset.lead))
         for root, terms in zip(pfd.rootset.roots, pfd.terms):
             theta, e = arith.lift(root.theta), root.multiplicity
             alpha = one / theta
-            powers = [alpha ** k for k in range(2 * e - 1)]
+            (p, r), parts = arith.split(alpha), [arith.split(c) for c in terms]
+            den = math.lcm(*[b for _, b in parts])
+            nums = [a * (den // b) for a, b in parts]
+            ppow, rpow = ([x ** k for k in range(2 * e - 1)] for x in (p, r))
             betas = []
             for j in range(1, e):
-                acc = one * 0
+                acc = 0  # the i = j term makes it a scalar of the arithmetic
                 for i in range(j, e):
                     sign = 1 if i % 2 else -1  # (-1)^(i+1)
-                    acc = acc + sign * binomial(i - 1, j - 1) * powers[i + j] * terms[i]
-                betas.append(acc * lead_inv)
+                    acc = acc + (sign * binomial(i - 1, j - 1) * ppow[i + j]
+                                 * rpow[2 * e - 2 - i - j] * nums[i])
+                betas.append(arith.join(acc * lead_num, lead_den * den * rpow[-1]))
             factors.append(ZetaFactor(theta=theta, alpha=alpha,
                                       multiplicity=e, kind=root.kind,
-                                      beta0=-terms[0] * lead_inv, betas=tuple(betas)))
+                                      beta0=arith.join(-nums[0] * lead_num, lead_den * den),
+                                      betas=tuple(betas)))
     return ClosedFormZeta(q_integral=pfd.q.antiderivative(), factors=tuple(factors),
                           arithmetic=arith)
 
@@ -346,8 +370,8 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
                     diffs[j] = diffs[j] + diffs[j + 1]
                 apow = apow * step
                 out[n - 1] = out[n - 1] + apow * diffs[0]
-        unit = one / (den * rden ** order)
-        return [unit * (x * rden ** (order - n)) for n, x in enumerate(out, start=1)]
+        den *= rden ** order
+        return [arith.join(x * rden ** (order - n), den) for n, x in enumerate(out, start=1)]
 
 
 # -- one-stop analysis -----------------------------------------------------

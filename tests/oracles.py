@@ -27,6 +27,10 @@ Everything here takes a different road, so that agreement means something:
   matrix sweep and exponential.
 - n [z^n] log of a closed form summed term by term in Fractions, against
   the library's integer difference tables.
+- The Hermite terms A_{k,j} of m/d and the closed form's beta's in
+  Fractions: rem(theta_k + w) expanded term by term, the product of the
+  other roots' factors inverted by the series kernel, and each beta_j
+  summed from the A_{k,j}, against the library's integer kernels.
 
 Also here: simultaneous row/column permutation of a matrix, which the
 tests use to scramble block-triangular inputs.
@@ -419,4 +423,39 @@ def closed_form_counts_oracle(cf: ClosedFormZeta, order: int) -> list[Fraction]:
                 if j <= n:
                     acc += beta * comb(n, j) * Fraction(f.alpha) ** (n - j)
         out.append(acc)
+    return out
+
+
+def hermite_terms_oracle(rem: RatPoly, thetas: Sequence[Fraction],
+                         mults: Sequence[int]) -> list[tuple[Fraction, ...]]:
+    """A_{k,j} for j = 1..e_k: the Taylor coefficients at theta_k of
+    rem(z) / prod_{l != k} (z - theta_l)^{e_l}, read off in reverse, each
+    step in Fractions."""
+    terms = []
+    for k, (theta, e) in enumerate(zip(thetas, mults)):
+        numer = [Fraction(0)] * e  # rem(theta + w) through w^(e-1)
+        for i, c in enumerate(rem.coeffs):
+            for t in range(min(i, e - 1) + 1):
+                numer[t] += c * comb(i, t) * theta ** (i - t)
+        denom = [Fraction(1)] + [Fraction(0)] * (e - 1)
+        for l, (theta_l, e_l) in enumerate(zip(thetas, mults)):
+            if l != k:  # (w + theta - theta_l)^(e_l) through w^(e-1)
+                factor = [comb(e_l, t) * (theta - theta_l) ** (e_l - t) if t <= e_l
+                          else Fraction(0) for t in range(e)]
+                denom = mul_trunc(denom, factor)
+        terms.append(tuple(reversed(mul_trunc(numer, inv_trunc(denom)))))
+    return terms
+
+
+def closed_form_betas_oracle(pfd) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """(beta0, (beta_1..beta_(e-1))) per root, beta0 = -A_{k,1}/lead and
+    beta_j = (1/lead) sum_{i=j}^{e-1} C(i-1, j-1) (-1)^(i+1) alpha^(i+j) A_{k,i+1},
+    each term in Fractions."""
+    lead, out = Fraction(pfd.rootset.lead), []
+    for root, terms in zip(pfd.rootset.roots, pfd.terms):
+        alpha, e = 1 / Fraction(root.theta), root.multiplicity
+        betas = tuple(sum((Fraction((-1) ** (i + 1) * comb(i - 1, j - 1)) * alpha ** (i + j)
+                           * terms[i] for i in range(j, e)), Fraction(0)) / lead
+                      for j in range(1, e))
+        out.append((-terms[0] / lead, betas))
     return out

@@ -330,10 +330,11 @@ class TestGenerate:
 class TestPinnedOutput:
     """stdout byte for byte against files under tests/golden, written by
     `python -m catzeta.cli <argv> --matrix fixtures/matrices/<name>.json`.
-    pell pins the numeric path's 40-digit residuals, jordan2 the exact
-    path; rewrite a file only in a change meant to alter those bytes."""
+    pell pins the numeric path's 40-digit residuals, rot90 its complex
+    conjugate roots, jordan2 the exact path; rewrite a file only in a
+    change meant to alter those bytes."""
 
-    @pytest.mark.parametrize("name", ["pell", "jordan2"])
+    @pytest.mark.parametrize("name", ["pell", "jordan2", "rot90"])
     @pytest.mark.parametrize("argv,stem", [
         (("verify", "--json", "--order", "30"), "verify.30"),
         (("verify", "--json", "--order", "200"), "verify.200"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catzeta import (
     ClosedFormZeta,
@@ -35,7 +35,13 @@ from catzeta import (
 )
 from catzeta import zeta as zeta_module
 from catzeta.roots import Arithmetic
-from oracles import closed_form_counts_oracle, log_derivative_check, log_trunc
+from oracles import (
+    closed_form_betas_oracle,
+    closed_form_counts_oracle,
+    hermite_terms_oracle,
+    log_derivative_check,
+    log_trunc,
+)
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -87,6 +93,19 @@ class TestZetaSeries:
         u = disjoint_union(p2, z2)
         assert list(zeta_series(adjacency(u), 8).coeffs) == mul_trunc(
             zeta_series(adjacency(p2), 8).coeffs, zeta_series(adjacency(z2), 8).coeffs)
+
+
+# theta = a/b with b <= 7, mostly +-1/b as for a pencil (a = 2 or -3 gives a
+# non-integral alpha), multiplicities up to 8, a lead that is not +-1
+exact_root_sets = st.builds(
+    lambda thetas, mults, lead: RootSet(
+        roots=tuple(Root(t, e) for t, e in zip(thetas, mults)), lead=Fraction(lead),
+        precision=128),
+    st.lists(st.builds(Fraction, st.sampled_from([1, -1, 1, -1, 2, -3]), st.integers(1, 7)),
+             min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 8), min_size=3, max_size=3),
+    st.integers(2, 12).flatmap(lambda n: st.sampled_from([n, -n, Fraction(n, 13)])),
+)
 
 
 class TestPartialFractions:
@@ -145,11 +164,12 @@ class TestPartialFractions:
         assert partial_fractions(bundle.m, bundle.d, rs).rootset.arithmetic.exact == exact
         real = zeta_module._hermite_terms
 
-        def corrupt(*args):
-            terms = real(*args)
-            bad = list(terms[k])
-            bad[j - 1] += Fraction(1, 3)
-            return terms[:k] + [tuple(bad)] + terms[k + 1:]
+        def corrupt(*args):  # A_{k,j} + 1/3, over the root's denominator times 3
+            parts = real(*args)
+            nums, den = parts[k]
+            bad = [3 * x for x in nums]
+            bad[j - 1] += den
+            return parts[:k] + [(bad, 3 * den)] + parts[k + 1:]
 
         monkeypatch.setattr(zeta_module, "_hermite_terms", corrupt)
         with pytest.raises(ArithmeticError):
@@ -170,11 +190,48 @@ class TestPartialFractions:
         self.assert_corrupt_term_caught(monkeypatch, a, True, 2, j)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_recombination_catches_a_corrupt_term_with_a_non_unit_lead(self, monkeypatch, j):
+        # three Z/3 monoids joined into a chain (root 1/3, e = 3, so b = 3),
+        # then Z/2 (root 1/2) and a nilpotent tail: lead 54, and rem has
+        # denominators
+        a = IntMatrix([[3, 1, 1, 0, 0, 0], [0, 3, 1, 0, 0, 0], [0, 0, 3, 1, 0, 0],
+                       [0, 0, 0, 2, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]])
+        bundle = char_poly_bundle(a)
+        assert bundle.d.lead == 54
+        assert max(c.denominator for c in divmod(bundle.m, bundle.d)[1].coeffs) > 1
+        self.assert_corrupt_term_caught(monkeypatch, a, True, 2, j)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
     def test_recombination_catches_a_corrupt_numeric_term(self, monkeypatch, j):
         # a 3-chain poset (root 1, e = 3) next to pell (roots -1 +- sqrt 2)
         a = IntMatrix([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0],
                        [0, 0, 0, 1, 2], [0, 0, 0, 1, 1]])
         self.assert_corrupt_term_caught(monkeypatch, a, False, 3, j)
+
+    @given(exact_root_sets, st.one_of(st.lists(st.integers(-9, 9), max_size=30),
+                                      st.just("multiple")))
+    @example(RootSet(roots=(Root(Fraction(1, 3), 3), Root(Fraction(-1, 2), 1)),
+                     lead=Fraction(54), precision=128), list(range(1, 8)))  # D = 54
+    @settings(max_examples=300, deadline=None)
+    def test_integer_kernels_match_the_fraction_oracles(self, rootset, m_coeffs):
+        d = RatPoly([rootset.lead])
+        for root in rootset.roots:
+            for _ in range(root.multiplicity):
+                d = d * RatPoly([-root.theta, 1])
+        m = d * RatPoly([2, -1]) if m_coeffs == "multiple" else RatPoly(m_coeffs)
+        rem = divmod(m, d)[1]
+        thetas = [root.theta for root in rootset.roots]
+        mults = [root.multiplicity for root in rootset.roots]
+        want = hermite_terms_oracle(rem, thetas, mults)
+        arith = rootset.arithmetic
+        parts = zeta_module._hermite_terms(rem, [arith.split(t) for t in thetas], mults, arith)
+        assert all(type(x) is int for nums, den in parts for x in [den, *nums])
+        assert [tuple(Fraction(x, den) for x in nums) for nums, den in parts] == want
+        pfd = partial_fractions(m, d, rootset)
+        assert list(pfd.terms) == want
+        got = [(f.beta0, f.betas) for f in closed_form(pfd).factors]
+        assert got == closed_form_betas_oracle(pfd)
+        assert all(type(b) is Fraction for b0, betas in got for b in (b0, *betas))
 
     def test_standalone_call(self):
         bundle = char_poly_bundle(IntMatrix([[1, 1], [0, 1]]))

@@ -42,7 +42,7 @@ from .roots import (
     numeric_roots,
     rational_roots,
 )
-from .series import RatSeries, exp_trunc, inv_trunc, mul_trunc
+from .series import RatSeries, exp_trunc, mul_trunc
 from .zeta import (
     ClosedFormZeta,
     PartialFractionDecomposition,

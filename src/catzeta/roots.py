@@ -5,12 +5,12 @@ starting from its factors over the strongly connected blocks of A (see
 charpoly).  A linear factor gives its root directly, and equal ones are
 counted.  Only the product of the non-linear factors goes through exact
 square-free decomposition (Yun), so numeric clustering never decides a
-multiplicity.  Its rational roots are extracted exactly by the
-rational-root theorem and merged with the linear ones; whatever remains
-is handed, factor by factor, to an Aberth-Ehrlich simultaneous iteration
-polished by Newton steps.  An irrational root comes only from the
-non-linear factors, with its multiplicity in d, so the numeric part does
-not depend on how d was split.
+multiplicity.  The rational roots of each square-free factor are found
+exactly by p-adic (Hensel) lifting, with no integer factoring, and
+merged with the linear ones; whatever remains of the factor is handed to
+an Aberth-Ehrlich simultaneous iteration polished by Newton steps.  An
+irrational root comes only from the non-linear factors, with its
+multiplicity in d, so the numeric part does not depend on how d was split.
 
 The root set also chooses, once, the arithmetic of every later stage:
 its Arithmetic is exact (Fractions) when every root is rational and
@@ -133,84 +133,6 @@ class RootSet:
         return Arithmetic(self.all_rational, self.precision)
 
 
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BASES_BOUND = 3317044064679887385961981  # Miller-Rabin on them is exact below
-_TRIAL_BOUND = 1 << 10  # _divisors tries trial division up to it before rho
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _PRIME_BASES, exact for n < _PRIME_BASES_BOUND:
-    with n - 1 = 2**s d, d odd, each a has a**d = 1 or a**(2**r d) = -1, r < s."""
-    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
-        return n in _PRIME_BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
-    return all(pow(a, (n - 1) >> s, n) == 1
-               or any(pow(a, (n - 1) >> i, n) == n - 1 for i in range(1, s + 1))
-               for a in _PRIME_BASES)
-
-
-def _rho(n: int, steps: int) -> int:
-    """A proper factor of n by Pollard's rho on y -> y^2 + 1 with Brent's
-    cycle detection, or 1 when none turned up within steps steps."""
-    x = y = r = 2
-    for i in range(2, steps + 2):
-        y = (y * y + 1) % n
-        g = math.gcd(x - y, n)
-        if g > 1:
-            return g if g < n else 1
-        if i == r:  # the tortoise jumps to the hare at each power of 2
-            x, r = y, 2 * r
-    return 1
-
-
-def _divisors(n: int, limit: int) -> list[int]:
-    """The positive divisors of n that are at most limit, built from its
-    prime powers.  A cofactor that is not prime is split at its least
-    prime factor up to _TRIAL_BOUND, else by Pollard-Brent rho, else at
-    its least one up to min(limit, sqrt); one that stays whole is prime
-    or has no prime factor at most limit, and above limit adds no divisor."""
-    exps, stack = {}, [abs(n)]
-    while stack:
-        m = stack.pop()
-        sweep, f = min(limit, math.isqrt(m)), m
-        if m > 1 and not (m < _PRIME_BASES_BOUND and _is_prime(m)):
-            f = next((p for p in range(2, min(sweep, _TRIAL_BOUND) + 1) if m % p == 0), 1)
-            if f == 1 and sweep > _TRIAL_BOUND:
-                f = _rho(m, sweep // 32)  # about half the cost of the sweep
-            if f == 1:
-                f = next((p for p in range(_TRIAL_BOUND + 1, sweep + 1) if m % p == 0), m)
-        if f < m:
-            stack += [f, m // f]
-        elif m > 1:
-            exps[m] = exps.get(m, 0) + 1
-    out = [1]
-    for p, e in sorted(exps.items()):
-        out += [d * p ** k for d in out for k in range(1, e + 1) if d * p ** k <= limit]
-    return out
-
-
-def _iroot_ceil(t: int, k: int) -> int:
-    """The least integer r >= 0 with r**k >= t, for t >= 0."""
-    if t <= 1:
-        return t
-    r = 1 << -(-t.bit_length() // k)  # r**k >= 2**bit_length > t
-    while True:  # Newton's method from above settles on floor(t**(1/k))
-        s = ((k - 1) * r + t // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r ** k >= t else r + 1
-
-
-def _root_bound(ints: list[int]) -> int:
-    """An integer bound on |z| over the roots of sum ints[i] z^i (Fujiwara):
-    2 max(|c_{m-i}/c_m|^(1/i) for i < m, |c_0/(2 c_m)|^(1/m))."""
-    m, lead = len(ints) - 1, abs(ints[-1])
-    terms = [_iroot_ceil(-(-abs(ints[m - i]) // lead), i) for i in range(1, m)]
-    terms.append(_iroot_ceil(-(-abs(ints[0]) // (2 * lead)), m))
-    return 2 * max(terms)
-
-
 def _primitive_int_coeffs(p: RatPoly) -> list[int]:
     denom = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * denom) for c in p.coeffs]
@@ -218,63 +140,71 @@ def _primitive_int_coeffs(p: RatPoly) -> list[int]:
     return [c // g for c in ints]
 
 
-def _scaled_value(ints: list[int], num: int, den: int) -> int:
-    """den**m f(num/den) for f = sum ints[i] z^i of degree m, in integers."""
-    acc, den_pow = ints[-1], 1
-    for c in reversed(ints[:-1]):
-        den_pow *= den
-        acc = acc * num + c * den_pow
+def _int_value(cs: Sequence[int], x: int, m: int = 0) -> int:
+    """sum cs[i] x^i by Horner's rule, reduced mod m at each step when m > 0."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+        if m:
+            acc %= m
     return acc
+
+
+def _simple_rational_roots(f: RatPoly) -> list[Fraction]:
+    """The rational roots of a square-free f with f(0) != 0, by p-adic lifting.
+
+    With c the lead of f's primitive integer form and n its degree, a
+    rational root of f is x / c for an integer root x of the monic
+    g(x) = c^(n-1) f(x / c), and x divides g(0).  q is the least prime at
+    which every root of g mod q is simple; one exists because g is
+    square-free (any prime not dividing its discriminant will do).  Newton's
+    step lifts each root mod q to one mod q^(2^i), and once the modulus m
+    passes 2 |g(0)|, x can only be the residue in (-m/2, m/2]; those that
+    are exact roots of g are kept.  Nothing is factored.
+    """
+    ints = _primitive_int_coeffs(f)
+    n, c = len(ints) - 1, ints[-1]
+    g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    dg = [i * a for i, a in enumerate(g)][1:]
+    q = 1
+    while True:
+        q += 1
+        if any(q % p == 0 for p in range(2, math.isqrt(q) + 1)):
+            continue
+        start = [r for r in range(q) if _int_value(g, r, q) == 0]
+        if all(_int_value(dg, r, q) for r in start):
+            break
+    roots = []
+    for r in start:
+        m = q
+        while m <= 2 * abs(g[0]):  # Newton's step, g'(r) inverted mod m: a root mod m^2
+            r = (r - _int_value(g, r, m * m) * pow(_int_value(dg, r, m), -1, m)) % (m * m)
+            m *= m
+        x = r if 2 * r <= m else r - m
+        if _int_value(g, x) == 0:
+            roots.append(Fraction(x, c))
+    return roots
 
 
 def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """All rational roots of p with multiplicities, plus the deflated cofactor.
 
-    Candidates come from the rational-root theorem applied to the primitive
-    integer form, within integer root bounds of it and of its reversal, and
-    are screened by an integer evaluation; each root is divided out to full
-    multiplicity, so the cofactor has no rational roots at all.
+    A root at zero comes first, the others in increasing order.  The rest
+    of p goes through Yun's square-free decomposition; each factor's roots
+    come from _simple_rational_roots and have that factor's multiplicity.
+    Each root is divided out to full multiplicity, so the cofactor has no
+    rational roots at all.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every number as a root")
-    roots: list[tuple[Fraction, int]] = []
-    cof = p
-
-    # z = 0 first, so the constant coefficient below is nonzero.
-    mult = 0
-    while cof.degree >= 1 and cof.coeff(0) == 0:
-        cof = cof // RatPoly.monomial(1)
-        mult += 1
-    if mult:
-        roots.append((Fraction(0), mult))
-
-    if cof.degree == 1:
-        roots.append((-cof.coeff(0) / cof.coeff(1), 1))
-        cof = RatPoly.constant(cof.coeff(1))
-    elif cof.degree >= 1:
-        # A root num/den in lowest terms has |num/den| <= bound and
-        # den/|num| <= bound_rev, a bound for the reversed polynomial,
-        # whose roots are the reciprocals; that caps both divisor searches.
-        ints = _primitive_int_coeffs(cof)
-        bound, bound_rev = _root_bound(ints), _root_bound(ints[::-1])
-        nums = _divisors(ints[0], abs(ints[-1]) * bound)
-        dens = _divisors(ints[-1], abs(ints[0]) * bound_rev)
-        candidates = sorted(
-            {Fraction(sign * num, den)
-             for num in nums for den in dens
-             if num <= den * bound and den <= num * bound_rev
-             for sign in (1, -1)}
-        )
-        for cand in candidates:
-            if _scaled_value(ints, cand.numerator, cand.denominator):
-                continue
-            mult = 0
-            while cof.degree >= 1 and cof(cand) == 0:
-                cof = cof // RatPoly((-cand, 1))
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-    return roots, cof
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    cof = RatPoly(p.coeffs[zeros:])
+    found = sorted((theta, mult) for factor, mult in squarefree_decompose(cof)
+                   for theta in _simple_rational_roots(factor))
+    for theta, mult in found:
+        for _ in range(mult):
+            cof = cof // RatPoly((-theta, 1))
+    return ([(Fraction(0), zeros)] if zeros else []) + found, cof
 
 
 def _horner(coeffs: list, x):
@@ -401,9 +331,10 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
     factors); d alone is one factor.  Linear factors give their roots
     directly.  The multiplicities of the other roots are read off the
     square-free decomposition of the product of the non-linear factors;
-    each square-free factor is split into exact rational roots, merged
-    with the linear ones, and numeric ones.  d(0) must be nonzero (it is
-    1 for determinant pencils), so zero is never a root.
+    each square-free factor gives its rational roots by p-adic lifting
+    (_simple_rational_roots), merged with the linear ones, and the
+    numeric roots of what is left once they are divided out.  d(0) must
+    be nonzero (it is 1 for determinant pencils), so zero is never a root.
     """
     if d.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -419,11 +350,10 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
             nonlinear = nonlinear * factor
     roots: list[Root] = []
     for factor, mult in squarefree_decompose(nonlinear):
-        found, cofactor = rational_roots(factor)
-        for theta, inner in found:
-            if inner != 1:
-                raise ArithmeticError("square-free factor with a repeated root")
+        cofactor = factor
+        for theta in _simple_rational_roots(factor):
             rational[theta] = rational.get(theta, 0) + mult
+            cofactor = cofactor // RatPoly((-theta, 1))
         if cofactor.degree >= 1:
             for theta in numeric_roots(cofactor, precision_bits):
                 roots.append(Root(theta, mult))

@@ -1,6 +1,6 @@
 """Truncated formal power series: list kernels and an exact container.
 
-The kernels (`mul_trunc`, `inv_trunc`, `exp_trunc`) work on plain
+The kernels (`mul_trunc`, `exp_trunc`) work on plain
 coefficient lists of equal length and are coefficient-ring agnostic:
 they only use +, *, / and division by small integers, so the closed form
 runs them on Fractions and on mpmath complex numbers alike.
@@ -30,20 +30,6 @@ def mul_trunc(a: Sequence, b: Sequence) -> list:
             if not cb:
                 continue
             out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def inv_trunc(a: Sequence) -> list:
-    """Multiplicative inverse of a coefficient list; a[0] must be invertible."""
-    K = len(a) - 1
-    inv0 = 1 / a[0]
-    out = [inv0] + [a[0] * 0] * K
-    for n in range(1, K + 1):
-        acc = a[0] * 0
-        for i in range(1, n + 1):
-            if a[i]:
-                acc = acc + a[i] * out[n - i]
-        out[n] = -inv0 * acc
     return out
 
 

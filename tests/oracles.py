@@ -19,12 +19,12 @@ Everything here takes a different road, so that agreement means something:
 - The sum of the entries of A^{-1}, the classical Euler characteristic of
   a poset by Moebius inversion.
 - The Taylor expansion of m/d against chain counts from matrix powers.
-- Rational roots by the rational-root theorem with no root bounds at all:
-  every divisor of both end coefficients, found by trial division up to
-  the coefficient itself.
+- Rational roots by the rational-root theorem, where the library lifts
+  p-adically: every divisor of both end coefficients, found by trial
+  division up to the coefficient itself.
 - Chain counts by brute-force enumeration of composable morphisms, and
-  the series logarithm by its own recurrence, against the library's
-  matrix sweep and exponential.
+  the series inverse and logarithm by their own recurrences, against the
+  library's matrix sweep and exponential.
 - n [z^n] log of a closed form summed term by term in Fractions, against
   the library's integer difference tables.
 - The Hermite terms A_{k,j} of m/d and the closed form's beta's in
@@ -51,7 +51,6 @@ from catzeta import (
     Morphism,
     RatPoly,
     char_poly_bundle,
-    inv_trunc,
     mul_trunc,
 )
 
@@ -362,7 +361,7 @@ def rational_roots_oracle(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     return roots, cof
 
 
-# -- chains, series logarithm and permutations ------------------------------------
+# -- chains, series inverse and logarithm, permutations ------------------------
 
 def enumerate_chains(c: FiniteCategory, m: int, cap: int = 5) -> int:
     """Brute-force chain count by nested iteration over matching morphisms.
@@ -388,6 +387,20 @@ def enumerate_chains(c: FiniteCategory, m: int, cap: int = 5) -> int:
         return sum(count_from(f.tgt, remaining - 1) for f in by_src[obj])
 
     return sum(count_from(x, m) for x in c.objects)
+
+
+def inv_trunc(a: Sequence) -> list:
+    """Multiplicative inverse of a coefficient list; a[0] must be invertible."""
+    K = len(a) - 1
+    inv0 = 1 / a[0]
+    out = [inv0] + [a[0] * 0] * K
+    for n in range(1, K + 1):
+        acc = a[0] * 0
+        for i in range(1, n + 1):
+            if a[i]:
+                acc = acc + a[i] * out[n - i]
+        out[n] = -inv0 * acc
+    return out
 
 
 def log_trunc(s: Sequence) -> list:

@@ -254,6 +254,15 @@ class TestVerify:
         assert doc["chi"] == "1"
         assert doc["path"] == "exact"
 
+    def test_semiprime_eigenvalue_matrix(self, capsys, tmp_path):
+        # eigenvalues 1 and q = p1 p2, two 12-digit primes
+        q = 900000000013 * 900012345697
+        path = tmp_path / "semiprime.json"
+        path.write_text(json.dumps([[q - 1, 1], [q - 2, 2]]))
+        code, out, _ = run(capsys, "verify", "--json", "--matrix", str(path))
+        assert code == 0
+        assert json.loads(out)["path"] == "exact"
+
 
 class TestGenerate:
     def test_discrete(self, capsys):

@@ -89,7 +89,8 @@ class TestRationalRoots:
     def test_large_lead_is_fast(self):
         # (1 - 101 z) ... (1 - 137 z) (2 - 3 z) (4 z - 5) (1 - z - z^2):
         # a lead about 4 * 10^17, whose divisors an unbounded search would
-        # trial-divide up to its square root, about 6 * 10^8
+        # trial-divide up to its square root, about 6 * 10^8; lifting
+        # needs none of them, only a small prime where the roots stay apart
         primes = (101, 103, 107, 109, 113, 127, 131, 137)
         quadratic = RatPoly([1, -1, -1])
         p = RatPoly([2, -3]) * RatPoly([-5, 4]) * quadratic
@@ -106,7 +107,8 @@ class TestRationalRoots:
         assert elapsed < 0.1
 
     def test_tiny_root_is_solved_directly(self):
-        # a divisor search of the lead would trial-divide up to 10^15
+        # a divisor search of the lead would trial-divide up to 10^15; the
+        # one root of a linear factor lifts from a root mod 2
         start = time.perf_counter()
         roots, cof = rational_roots(RatPoly([-1, 10**30]))
         elapsed = time.perf_counter() - start
@@ -115,9 +117,9 @@ class TestRationalRoots:
         assert elapsed < 0.1
 
     def test_tiny_root_of_a_quadratic_is_fast(self):
-        # (1 - z)(1 - 10^14 z): the lead 2^14 5^14 factors after a few
-        # trial divisions; listing its divisors by trial division up to
-        # its square root would take 10^7 steps
+        # (1 - z)(1 - 10^14 z): listing the divisors of the lead 2^14 5^14
+        # by trial division up to its square root would take 10^7 steps;
+        # lifting only squares a small prime power until it passes 10^14
         start = time.perf_counter()
         roots, cof = rational_roots(RatPoly([1, -(10**14 + 1), 10**14]))
         elapsed = time.perf_counter() - start
@@ -126,8 +128,8 @@ class TestRationalRoots:
         assert elapsed < 0.1
 
     def test_prime_lead_of_a_quadratic_is_fast(self):
-        # (1 - z)(1 - p z) with p prime: Miller-Rabin stops the divisor
-        # search at once, where trial division would run up to sqrt(p)
+        # (1 - z)(1 - p z) with p prime: trial division would run up to
+        # sqrt(p), but lifting never asks whether p is prime
         p = 10**14 + 31
         start = time.perf_counter()
         roots, cof = rational_roots(RatPoly([1, -(p + 1), p]))
@@ -137,9 +139,8 @@ class TestRationalRoots:
         assert elapsed < 0.1
 
     def test_semiprime_lead_of_a_quadratic_is_fast(self):
-        # (1 - z)(1 - q z) with q a product of two primes near 10^7: the
-        # cofactor is composite, so Miller-Rabin does not stop the search;
-        # Pollard-Brent rho splits q where trial division would run to 10^7
+        # (1 - z)(1 - q z) with q a product of two primes near 10^7: trial
+        # division would run to 10^7; lifting never splits q
         q = (10**7 + 19) * (10**7 + 79)
         start = time.perf_counter()
         roots, cof = rational_roots(RatPoly([1, -(q + 1), q]))
@@ -147,6 +148,47 @@ class TestRationalRoots:
         assert roots == [(Fraction(1, q), 1), (Fraction(1), 1)]
         assert cof.degree == 0
         assert elapsed < 0.1
+
+    @pytest.mark.parametrize("p1, p2", [
+        (900000000013, 900012345697),
+        (10**19 + 51, 2 * 10**19 + 153),
+        (10**39 + 3, 2 * 10**39 + 11),
+    ], ids=["12-digit", "20-digit", "40-digit"])
+    def test_semiprime_lead_with_large_prime_factors_is_fast(self, p1, p2):
+        # (1 - z)(1 - q z) with q = p1 p2, both prime: a search for q's
+        # divisors costs about sqrt(p1) steps at best, seconds at 12 digits;
+        # lifting costs a few squarings up to q
+        q = p1 * p2
+        start = time.perf_counter()
+        roots, cof = rational_roots(RatPoly([1, -(q + 1), q]))
+        elapsed = time.perf_counter() - start
+        assert roots == [(Fraction(1, q), 1), (Fraction(1), 1)]
+        assert cof.degree == 0
+        assert elapsed < 0.1
+
+    @given(st.lists(st.tuples(st.integers(min_value=-10**40, max_value=10**40).filter(bool),
+                              st.integers(min_value=1, max_value=10**40),
+                              st.integers(min_value=1, max_value=3)), max_size=4),
+           st.integers(min_value=-4, max_value=4),
+           st.sampled_from([1, -1, 2, -2]))
+    @settings(max_examples=60, deadline=None)
+    def test_large_leads_give_back_their_roots(self, linears, k, c0):
+        """Products of (b z - a)^e with b up to 10^40 and a quartic
+        z^4 + k z^3 + c0 without rational roots: exactly the built roots
+        and multiplicities come back, and the cofactor times the linear
+        factors is p.  A rational root of the quartic is an integer that
+        divides c0, so trying +-1 and +-2 rules them out."""
+        quartic = RatPoly([c0, 0, 0, k, 1])
+        assume(all(quartic(r) for r in (1, -1, 2, -2)))
+        p, expected = quartic, {}
+        for a, b, e in linears:
+            p = p * RatPoly(linear_power(a, b, e))
+            expected[Fraction(a, b)] = expected.get(Fraction(a, b), 0) + e
+        roots, cof = rational_roots(p)
+        assert roots == sorted(expected.items())
+        for theta, e in roots:
+            cof = cof * RatPoly(linear_power(theta, 1, e))
+        assert cof == p
 
     @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                               st.integers(min_value=1, max_value=6)), max_size=4),
@@ -252,18 +294,18 @@ class TestFactorCharpoly:
         other = RatPoly([1, -2]) if kind == "rational" else RatPoly([1, -2, -1])
         d = RatPoly(linear_power(Fraction(1), 1, 2)) * other
         assert factor_charpoly(d).arithmetic.exact == (kind == "rational")
-        real_rational, real_numeric = roots_module.rational_roots, roots_module.numeric_roots
+        real_rational = roots_module._simple_rational_roots
+        real_numeric = roots_module.numeric_roots
 
-        def nudge_rational(p):
-            found, cof = real_rational(p)
-            return [(theta + Fraction(1, 10 ** 6), e) for theta, e in found], cof
+        def nudge_rational(f):
+            return [theta + Fraction(1, 10 ** 6) for theta in real_rational(f)]
 
         def nudge_numeric(p, bits):
             first, *rest = real_numeric(p, bits)
             return [first + mp.mpf(10) ** -6] + rest
 
         if kind == "rational":
-            monkeypatch.setattr(roots_module, "rational_roots", nudge_rational)
+            monkeypatch.setattr(roots_module, "_simple_rational_roots", nudge_rational)
         else:
             monkeypatch.setattr(roots_module, "numeric_roots", nudge_numeric)
         with pytest.raises(RootFindingError):
@@ -272,13 +314,12 @@ class TestFactorCharpoly:
     def test_exact_recombination_failure_is_not_a_precision_problem(self, monkeypatch):
         # (1 - z)(1 - 2z) with its roots nudged: the root set stays exact,
         # so the message must not ask for more precision
-        real = roots_module.rational_roots
+        real = roots_module._simple_rational_roots
 
-        def nudge(p):
-            found, cof = real(p)
-            return [(theta + Fraction(1, 10 ** 6), e) for theta, e in found], cof
+        def nudge(f):
+            return [theta + Fraction(1, 10 ** 6) for theta in real(f)]
 
-        monkeypatch.setattr(roots_module, "rational_roots", nudge)
+        monkeypatch.setattr(roots_module, "_simple_rational_roots", nudge)
         with pytest.raises(RootFindingError) as info:
             factor_charpoly(RatPoly([1, -1]) * RatPoly([1, -2]))
         assert "exact" in str(info.value)
@@ -287,13 +328,12 @@ class TestFactorCharpoly:
     def test_exact_recombination_failure_at_fractional_roots(self, monkeypatch):
         # (1 - 2z)^2 (1 - 3z): roots 1/2 and 1/3, each with denominator
         # b > 1, nudged; the integer check must still see the residual
-        real = roots_module.rational_roots
+        real = roots_module._simple_rational_roots
 
-        def nudge(p):
-            found, cof = real(p)
-            return [(theta + Fraction(1, 10 ** 6), e) for theta, e in found], cof
+        def nudge(f):
+            return [theta + Fraction(1, 10 ** 6) for theta in real(f)]
 
-        monkeypatch.setattr(roots_module, "rational_roots", nudge)
+        monkeypatch.setattr(roots_module, "_simple_rational_roots", nudge)
         with pytest.raises(RootFindingError, match="exact recombination failed"):
             factor_charpoly(RatPoly([1, -2]) * RatPoly([1, -2]) * RatPoly([1, -3]))
 

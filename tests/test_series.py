@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from catzeta import RatSeries, exp_trunc, inv_trunc, mul_trunc
-from oracles import log_trunc
+from catzeta import RatSeries, exp_trunc, mul_trunc
+from oracles import inv_trunc, log_trunc
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 

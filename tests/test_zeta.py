@@ -533,6 +533,19 @@ class TestVerification:
         assert report.path == "exact"
         assert elapsed < 0.5
 
+    def test_semiprime_eigenvalue_verifies_fast(self):
+        # [[q - 1, 1], [q - 2, 2]] is one strongly connected block with
+        # eigenvalues 1 and q = p1 p2, two 12-digit primes, so its root
+        # 1/q must be found without splitting q
+        q = 900000000013 * 900012345697
+        a = IntMatrix([[q - 1, 1], [q - 2, 2]])
+        start = time.perf_counter()
+        report = verify_matrix(a)
+        elapsed = time.perf_counter() - start
+        assert report.passed
+        assert report.path == "exact"
+        assert elapsed < 0.5
+
     def test_numeric_path_report(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["pell"], order=20)
         assert report.path == "numeric"

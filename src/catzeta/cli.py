@@ -10,10 +10,16 @@ Exit codes: 0 success, 1 verification or numeric failure, 2 malformed
 input (message carries the location) or a flag out of range, 3 category
 axiom violation (message carries a violating pair or triple).
 
-Exact values print as integer or fraction strings, never floats, and
-without loading mpmath; polynomials print lowest degree first; --json
-output is deterministic (sorted keys, fixed number formatting), so
-identical invocations give byte-identical bytes.
+--json prints each command's library records as they are, by one value
+rule: None, bools, ints, floats, strings, lists, tuples and dicts are
+JSON already; _json gives the rest.  A Fraction prints as its string,
+never a float, and without loading mpmath; a polynomial as its
+coefficient strings, lowest degree first ("0" alone for zero); an mpf as
+a decimal string and an mpc as a [re, im] pair of them.  verify's cN_*
+fields nest under "cN", every other report field sits at the top level,
+so a new record field changes the --json bytes.  Output is deterministic
+(sorted keys, fixed number formatting): identical invocations give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -82,12 +89,15 @@ def _parse_matrix(doc, path: str) -> IntMatrix:
     return IntMatrix(doc)
 
 
-def _load_category(path: str) -> FiniteCategory:
-    doc = _read_json(path)
+def _parse_category(path: str) -> FiniteCategory:
     try:
-        cat = category_from_dict(doc)
+        return category_from_dict(_read_json(path))
     except CategoryFormatError as e:
         raise CliError(2, f"{path}: {e}")
+
+
+def _load_category(path: str) -> FiniteCategory:
+    cat = _parse_category(path)
     report = validate(cat)
     if not report.ok:
         raise CliError(3, f"{path}: " + "; ".join(report.violations))
@@ -102,25 +112,13 @@ def _load_adjacency(args) -> IntMatrix:
 
 # -- output formatting -----------------------------------------------------
 
-def _digits(bits: int) -> int:
-    return max(17, int(bits * 0.30103) + 2)
-
-
-def _poly_json(p: RatPoly) -> list[str]:
-    if p.is_zero():
-        return ["0"]
-    return [str(p.coeff(i)) for i in range(p.degree + 1)]
-
-
-def _value_json(x, digits: int):
-    """Exact values as fraction strings; mpf as a decimal string; mpc as
-    a [re, im] pair of decimal strings."""
-    if x is None:
-        return None
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
+def _json(x, digits: int):
+    """The JSON form of a value that json cannot print by itself, by the
+    rule in the module docstring; mpf parts carry `digits` digits."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, RatPoly):
+        return [str(c) for c in x.coeffs] or ["0"]
     from mpmath import mp
     if isinstance(x, mp.mpf):
         return mp.nstr(x, digits)
@@ -159,25 +157,23 @@ def _poly_text(p: RatPoly, var: str = "z") -> str:
     return " ".join(parts)
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+def _emit_json(doc, precision_bits: int) -> None:
+    digits = max(17, int(precision_bits * 0.30103) + 2)
+    print(json.dumps(doc, sort_keys=True, indent=2, default=lambda x: _json(x, digits)))
 
 
 # -- subcommands -----------------------------------------------------------
 
 def cmd_validate(args) -> int:
     if args.matrix:
-        a = _parse_matrix(_read_json(args.file), args.file)
+        a = _load_adjacency(args)
         if args.json:
-            _emit_json({"command": "validate", "matrix": True, "n": a.n, "ok": True})
+            _emit_json({"command": "validate", "matrix": True, "n": a.n, "ok": True},
+                       args.precision)
         else:
             print(f"ok: square integer matrix, n = {a.n}")
         return 0
-    doc = _read_json(args.file)
-    try:
-        cat = category_from_dict(doc)
-    except CategoryFormatError as e:
-        raise CliError(2, f"{args.file}: {e}")
+    cat = _parse_category(args.file)
     report = validate(cat)
     if args.json:
         _emit_json({
@@ -188,7 +184,7 @@ def cmd_validate(args) -> int:
             "morphisms": len(cat.morphisms),
             "ok": report.ok,
             "violations": report.violations,
-        })
+        }, args.precision)
     else:
         label = cat.name or args.file
         if report.ok:
@@ -206,7 +202,7 @@ def cmd_chains(args) -> int:
     counts = chain_counts(a, args.max)[1:]
     if args.json:
         _emit_json({"command": "chains", "max": args.max,
-                    "counts": [str(c) for c in counts]})
+                    "counts": [str(c) for c in counts]}, args.precision)
     else:
         for m, c in enumerate(counts, start=1):
             print(f"#N_{m} = {c}")
@@ -217,16 +213,10 @@ def cmd_charpoly(args) -> int:
     a = _load_adjacency(args)
     bundle = char_poly_bundle(a)
     if args.json:
-        _emit_json({
-            "command": "charpoly",
-            "n": bundle.n,
-            "d": _poly_json(bundle.d),
-            "k": _poly_json(bundle.k),
-            "m": _poly_json(bundle.m),
-            "r": bundle.r,
-            "s": bundle.s,
-            "lead_d": str(bundle.lead_d),
-        })
+        # every field but the block factors
+        _emit_json({"command": "charpoly", "n": bundle.n, "d": bundle.d, "k": bundle.k,
+                    "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.lead_d},
+                   args.precision)
     else:
         print(f"N = {bundle.n}")
         print(f"d(z) = {_poly_text(bundle.d)}")
@@ -240,14 +230,7 @@ def cmd_euler(args) -> int:
     a = _load_adjacency(args)
     report = series_euler_char(char_poly_bundle(a))
     if args.json:
-        _emit_json({
-            "command": "euler",
-            "exists": report.exists,
-            "chi": None if report.chi is None else str(report.chi),
-            "r": report.r,
-            "s": report.s,
-            "branch": report.branch,
-        })
+        _emit_json({"command": "euler", **vars(report)}, args.precision)
     else:
         if report.exists:
             print(f"chi = {report.chi}")
@@ -256,58 +239,37 @@ def cmd_euler(args) -> int:
     return 0
 
 
-def _closed_form_json(analysis, sing, digits: int) -> dict:
-    cf = analysis.closed
-    factors = []
-    for factor, point in zip(cf.factors, sing.points):
-        factors.append({
-            "theta": _value_json(factor.theta, digits),
-            "multiplicity": factor.multiplicity,
-            "kind": factor.kind,
-            "alpha": _value_json(factor.alpha, digits),
-            "beta0": _value_json(factor.beta0, digits),
-            "betas": [_value_json(b, digits) for b in factor.betas],
-            "classification": point.classification,
-            "pole_order": point.pole_order,
-            "essential": point.essential,
-        })
-    return {
-        "path": analysis.path,
-        "lead": str(analysis.rootset.lead),
-        "q": _poly_json(analysis.pfd.q),
-        "Q": _poly_json(cf.q_integral),
-        "factors": factors,
-        "corollary_violations": list(sing.violations),
-    }
-
-
 def cmd_zeta(args) -> int:
     a = _load_adjacency(args)
-    series = zeta_series(a, args.order)
-    coeffs = [series.coeff(i) for i in range(args.order + 1)]
-    digits = _digits(args.precision)
-    doc = {
-        "command": "zeta",
-        "order": args.order,
-        "series": [str(c) for c in coeffs],
-    }
-    closed = None
+    series = zeta_series(a, args.order).coeffs
+    analysis = None
     if args.closed:
         analysis = analyze_matrix(a, args.precision)
-        sing = singularity_report(analysis.closed, analysis.rootset)
-        closed = _closed_form_json(analysis, sing, digits)
-        doc["closed_form"] = closed
+        cf = analysis.closed
+        sing = singularity_report(cf, analysis.rootset)
     if args.json:
-        _emit_json(doc)
+        doc = {"command": "zeta", "order": args.order, "series": series}
+        if analysis is not None:
+            doc["closed_form"] = {
+                "path": analysis.path,
+                "lead": analysis.rootset.lead,
+                "q": analysis.pfd.q,
+                "Q": cf.q_integral,
+                # the factor's theta, multiplicity, kind and beta0 win
+                "factors": [{**vars(point), **vars(factor)}
+                            for factor, point in zip(cf.factors, sing.points)],
+                "corollary_violations": sing.violations,
+            }
+        _emit_json(doc, args.precision)
         return 0
-    print("series: " + ", ".join(str(c) for c in coeffs))
-    if closed is not None:
-        print(f"path: {closed['path']}")
-        print(f"Q(z) = {_poly_text(analysis.closed.q_integral)}")
-        print(f"lead = {closed['lead']}")
-        if not analysis.closed.factors:
+    print("series: " + ", ".join(str(c) for c in series))
+    if analysis is not None:
+        print(f"path: {analysis.path}")
+        print(f"Q(z) = {_poly_text(cf.q_integral)}")
+        print(f"lead = {analysis.rootset.lead}")
+        if not cf.factors:
             print("no roots: zeta = exp(Q)")
-        for factor, point in zip(analysis.closed.factors, sing.points):
+        for factor, point in zip(cf.factors, sing.points):
             desc = point.classification
             if point.pole_order is not None:
                 desc = f"pole of order {point.pole_order}"
@@ -326,34 +288,15 @@ def cmd_verify(args) -> int:
     a = _load_adjacency(args)
     report = verify_matrix(a, order=args.order, tolerance=args.tol,
                            precision_bits=args.precision)
-    digits = _digits(args.precision)
     if args.json:
-        _emit_json({
-            "command": "verify",
-            "n": report.n,
-            "order": report.order,
-            "tolerance": report.tolerance,
-            "precision": report.precision,
-            "path": report.path,
-            "chi_exists": report.chi_exists,
-            "chi": None if report.chi is None else str(report.chi),
-            "c1": {"max_rel_err": _value_json(report.c1_max_rel_err, digits),
-                   "pass": report.c1_pass},
-            "c2": {"applicable": report.c2_applicable,
-                   "sum": _value_json(report.c2_sum, digits),
-                   "residual": _value_json(report.c2_residual, digits),
-                   "pass": report.c2_pass},
-            "c3": {"residuals": [_value_json(x, digits) for x in report.c3_residuals],
-                   "scales": [_value_json(x, digits) for x in report.c3_scales],
-                   "pass": report.c3_pass},
-            "c4": {"applicable": report.c4_applicable,
-                   "value": _value_json(report.c4_value, digits),
-                   "target": None if report.c4_target is None else str(report.c4_target),
-                   "residual": _value_json(report.c4_residual, digits),
-                   "imag": _value_json(report.c4_imag, digits),
-                   "pass": report.c4_pass},
-            "passed": report.passed,
-        })
+        doc = {"command": "verify", "passed": report.passed}
+        for name, value in vars(report).items():
+            check = re.fullmatch(r"(c\d)_(\w+)", name)
+            if check:
+                doc.setdefault(check[1], {})[check[2]] = value
+            else:
+                doc[name] = value
+        _emit_json(doc, args.precision)
     else:
         def flag(x):
             return "PASS" if x else "n/a" if x is None else "FAIL"
@@ -379,7 +322,7 @@ def _generate_category(args) -> FiniteCategory:
     kind = args.kind
     rest = args.args
     if kind == "discrete":
-        if len(rest) != 1 or not rest[0].isdigit():
+        if len(rest) != 1 or not rest[0].isdecimal():
             raise CliError(2, "generate discrete needs a nonnegative object count")
         return discrete(int(rest[0]))
     if kind in ("poset", "monoid"):
@@ -403,7 +346,7 @@ def _generate_category(args) -> FiniteCategory:
 
 def cmd_generate(args) -> int:
     cat = _generate_category(args)
-    _emit_json(category_to_dict(cat))
+    _emit_json(category_to_dict(cat), args.precision)
     return 0
 
 

@@ -523,7 +523,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
 
     return VerificationReport(
         n=n, order=order, tolerance=tolerance, precision=precision_bits,
-        path="exact" if arith.exact else "numeric",
+        path=analysis.path,
         chi_exists=euler.exists, chi=euler.chi,
         c1_max_rel_err=c1_err, c1_pass=c1_pass,
         c2_applicable=applicable, c2_sum=c2_sum, c2_residual=c2_residual,

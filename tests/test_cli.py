@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from catzeta.cli import cli_main
+import cli_sweep
+from catzeta.cli import _json, cli_main
 from conftest import FIXTURE_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -271,6 +272,17 @@ class TestGenerate:
         assert code == 0
         assert len(doc["objects"]) == 3
 
+    def test_discrete_rejects_a_superscript_digit(self, capsys):
+        # "²".isdigit() holds but int("²") raises: the count must be decimal
+        code, out, err = run(capsys, "generate", "discrete", "²")
+        assert (code, out) == (2, "")
+        assert "nonnegative object count" in err
+
+    def test_discrete_accepts_any_decimal_digit(self, capsys):
+        code, out, _ = run(capsys, "generate", "discrete", "٣")  # int("٣") == 3
+        assert code == 0
+        assert len(json.loads(out)["objects"]) == 3
+
     def test_poset_roundtrip(self, capsys, tmp_path):
         rel = tmp_path / "rel.json"
         rel.write_text("[[1, 1, 1], [0, 1, 1], [0, 0, 1]]")
@@ -336,12 +348,39 @@ class TestGenerate:
         assert "antisymmetric" in err
 
 
+class TestJsonValues:
+    """--json prints an int as a JSON number, so every exact scalar in a
+    report has to stay a Fraction to print as a string."""
+
+    def test_exact_verify_values_are_strings(self, capsys, tmp_path, corpus_matrices):
+        exact = 0
+        for label, a in corpus_matrices:
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps(a.rows))
+            code, out, _ = run(capsys, "verify", "--json", "--matrix", str(path))
+            doc = json.loads(out)
+            if doc["path"] != "exact":
+                continue
+            exact += 1
+            values = [doc["chi"]] + [v for c in ("c1", "c2", "c3", "c4") for v in doc[c].values()]
+            for v in values:
+                assert (v is None or isinstance(v, (str, bool))
+                        or isinstance(v, list) and all(isinstance(x, str) for x in v)), (label, v)
+        assert exact == len(corpus_matrices) - 2  # all but pell and rot90
+
+    @pytest.mark.parametrize("value", [object(), 1j, {1, 2}])
+    def test_unknown_type_raises(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _json(value, 17)
+
+
 class TestPinnedOutput:
     """stdout byte for byte against files under tests/golden, written by
     `python -m catzeta.cli <argv> --matrix fixtures/matrices/<name>.json`.
     pell pins the numeric path's 40-digit residuals, rot90 its complex
-    conjugate roots, jordan2 the exact path; rewrite a file only in a
-    change meant to alter those bytes."""
+    conjugate roots, jordan2 the exact path.  The sweep pins every
+    subcommand, text and --json, on each fixture, edge matrix and error
+    path.  Rewrite a file only in a change meant to alter those bytes."""
 
     @pytest.mark.parametrize("name", ["pell", "jordan2", "rot90"])
     @pytest.mark.parametrize("argv,stem", [
@@ -353,6 +392,16 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *argv, "--matrix", matrix_fixture(name))
         assert code == 0
         assert out == (GOLDEN_DIR / f"{name}.{stem}.json").read_text(encoding="utf-8")
+
+    def test_every_command_matches_the_sweep(self, tmp_path, monkeypatch):
+        # tests/golden/cli_sweep.json, written by `python tests/cli_sweep.py`:
+        # stdout and stderr hashes and the exit code of each command line
+        manifest = json.loads(cli_sweep.MANIFEST.read_text(encoding="utf-8"))
+        cli_sweep.prepare(tmp_path, manifest["inputs"])
+        monkeypatch.chdir(tmp_path)
+        changed = [line for line, want in manifest["runs"].items()
+                   if cli_sweep.replay(line.split(" ")) != want]
+        assert changed == []
 
 
 class TestMpmathImport:

@@ -26,17 +26,17 @@ CASES = [
 
 for label, rows in CASES:
     analysis = analyze_matrix(IntMatrix(rows))
-    rep = singularity_report(analysis.closed, analysis.rootset)
+    rep = singularity_report(analysis.closed)
     print(f"== {label} ==")
     if not rep.points:
         print("  d is constant; zeta is entire")
-    for pt in rep.points:
+    for root, pt in zip(analysis.rootset.roots, rep.points):
         desc = pt.classification
         if pt.pole_order is not None:
             desc += f" of order {pt.pole_order}"
         if pt.essential and pt.classification == "pole":
             desc += " with essential part"
-        print(f"  theta = {pt.theta} ({pt.kind}, mult {pt.multiplicity}): {desc}")
+        print(f"  theta = {root.theta} ({root.kind}, mult {root.multiplicity}): {desc}")
     if not rep.ok:
         print("  -> violation flagged: some root carries no singularity")
     print()

@@ -29,9 +29,10 @@ from .category import (
     product,
     validate,
 )
-from .charpoly import CharPolyBundle, char_poly_bundle, degree_defects, monic_charpoly
-from .euler import EulerReport, euler_char_of_matrix, series_euler_char
-from .poly import RatPoly, binomial, poly_gcd, squarefree_decompose
+from .charpoly import (CharPolyBundle, EulerReport, char_poly_bundle, degree_defects,
+                       euler_char_of_matrix, monic_charpoly, series_euler_char)
+from .poly import (RatPoly, RatSeries, binomial, exp_trunc, mul_trunc, poly_gcd,
+                   squarefree_decompose)
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -42,7 +43,6 @@ from .roots import (
     numeric_roots,
     rational_roots,
 )
-from .series import RatSeries, exp_trunc, mul_trunc
 from .zeta import (
     ClosedFormZeta,
     PartialFractionDecomposition,

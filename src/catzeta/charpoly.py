@@ -28,6 +28,16 @@ By Cayley-Hamilton the z^N coefficient of both products vanishes.  That
 is checked on every call, the blockwise d against the whole-matrix chain
 counts, and it also pins z m(z) = k(z) - N d(z) down to the top
 coefficient.
+
+The degree defects r = N - deg d and s = N - 1 - deg k decide the
+series Euler characteristic:
+
+    s < r : not defined
+    s > r : defined, equal to 0
+    s = r : defined, equal to -k_{N-1-s} / d_{N-r}
+
+The empty category has d = 1 and k = 0, so r = s = 0; its
+characteristic is 0.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .category import IntMatrix, chain_counts
-from .poly import RatPoly, mul_coeffs
+from .poly import RatPoly, mul_coeffs, mul_trunc
 
 
 def strong_blocks(a: IntMatrix) -> list[list[int]]:
@@ -112,11 +122,6 @@ def block_traces(a: IntMatrix) -> list[list[int]]:
     return out
 
 
-def _times_d(d: list[int], counts: Sequence[int]) -> list[int]:
-    """Coefficients z^0 .. z^N of d(z) * sum_j counts[j] z^j."""
-    return [sum(d[i] * counts[t - i] for i in range(t + 1)) for t in range(len(d))]
-
-
 def _newton(traces: Sequence[int]) -> list[int]:
     """det(E - B z) from tr B^1 .. tr B^n, by Newton's identities."""
     d = [1]
@@ -129,13 +134,8 @@ def _newton(traces: Sequence[int]) -> list[int]:
 
 
 def degree_defects(d: RatPoly, k: RatPoly, n: int) -> tuple[int, int]:
-    """(r, s) with r = N - deg d and s = N - 1 - deg k.
-
-    For N = 0 both polynomials degenerate (d = 1, k = 0) and the defects
-    are (0, 0) by convention.
-    """
-    if n == 0:
-        return 0, 0
+    """(r, s) with r = N - deg d and s = N - 1 - deg k; (0, 0) for N = 0,
+    where d = 1 and k = 0."""
     return n - d.degree, n - 1 - k.degree
 
 
@@ -178,8 +178,8 @@ def bundle_from_sums(chains: Sequence[int],
         factor = _newton(traces)
         d = mul_coeffs(d, factor)
         factors.append(RatPoly(factor))
-    k = _times_d(d, chains)
-    m = _times_d(d, chains[1:])
+    k = mul_trunc(d, chains[:n + 1])  # z^0 .. z^N of d times the chain-count series
+    m = mul_trunc(d, chains[1:n + 2])
     if k[n] or m[n]:
         raise ArithmeticError("Cayley-Hamilton fails: traces and chain counts disagree")
     d_poly, k_poly = RatPoly(d), RatPoly(k[:n])
@@ -200,3 +200,29 @@ def monic_charpoly(d: RatPoly, n: int) -> RatPoly:
     coefficient of t^j is d_{N-j}.
     """
     return RatPoly([d.coeff(n - j) for j in range(n + 1)])
+
+
+@dataclass(frozen=True)
+class EulerReport:
+    exists: bool
+    chi: Fraction | None
+    r: int
+    s: int
+    branch: str  # "empty", "vanishes", "ratio" or "undefined"
+
+
+def series_euler_char(bundle: CharPolyBundle) -> EulerReport:
+    """Euler characteristic from the degree defects of d and k."""
+    n, r, s = bundle.n, bundle.r, bundle.s
+    if n == 0:
+        return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="empty")
+    if s < r:
+        return EulerReport(exists=False, chi=None, r=r, s=s, branch="undefined")
+    if s > r:
+        return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
+    chi = -bundle.k.coeff(n - 1 - s) / bundle.d.coeff(n - r)
+    return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
+
+
+def euler_char_of_matrix(a: IntMatrix) -> EulerReport:
+    return series_euler_char(char_poly_bundle(a))

@@ -46,12 +46,12 @@ from .category import (
     product,
     validate,
 )
-from .charpoly import char_poly_bundle
-from .euler import series_euler_char
+from .charpoly import char_poly_bundle, euler_char_of_matrix
 from .poly import RatPoly
 from .roots import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, RootFindingError
 from .zeta import (
     analyze_matrix,
+    series_from_counts,
     singularity_report,
     verify_matrix,
     zeta_series,
@@ -228,7 +228,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_euler(args) -> int:
     a = _load_adjacency(args)
-    report = series_euler_char(char_poly_bundle(a))
+    report = euler_char_of_matrix(a)
     if args.json:
         _emit_json({"command": "euler", **vars(report)}, args.precision)
     else:
@@ -241,12 +241,14 @@ def cmd_euler(args) -> int:
 
 def cmd_zeta(args) -> int:
     a = _load_adjacency(args)
-    series = zeta_series(a, args.order).coeffs
     analysis = None
-    if args.closed:
-        analysis = analyze_matrix(a, args.precision)
+    if args.closed:  # one sweep of chain counts feeds the series and the pencil
+        analysis = analyze_matrix(a, args.precision, args.order)
+        series = series_from_counts(analysis.chains, args.order).coeffs
         cf = analysis.closed
-        sing = singularity_report(cf, analysis.rootset)
+        sing = singularity_report(cf)
+    else:
+        series = zeta_series(a, args.order).coeffs
     if args.json:
         doc = {"command": "zeta", "order": args.order, "series": series}
         if analysis is not None:
@@ -255,7 +257,7 @@ def cmd_zeta(args) -> int:
                 "lead": analysis.rootset.lead,
                 "q": analysis.pfd.q,
                 "Q": cf.q_integral,
-                # the factor's theta, multiplicity, kind and beta0 win
+                # each root's facts and its classification, in one record
                 "factors": [{**vars(point), **vars(factor)}
                             for factor, point in zip(cf.factors, sing.points)],
                 "corollary_violations": sing.violations,

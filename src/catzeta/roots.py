@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import RatPoly, linear_power, mul_coeffs, squarefree_decompose
+from .poly import RatPoly, horner, linear_power, mul_coeffs, squarefree_decompose
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-12
@@ -140,16 +140,6 @@ def _primitive_int_coeffs(p: RatPoly) -> list[int]:
     return [c // g for c in ints]
 
 
-def _int_value(cs: Sequence[int], x: int, m: int = 0) -> int:
-    """sum cs[i] x^i by Horner's rule, reduced mod m at each step when m > 0."""
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-        if m:
-            acc %= m
-    return acc
-
-
 def _simple_rational_roots(f: RatPoly) -> list[Fraction]:
     """The rational roots of a square-free f with f(0) != 0, by p-adic lifting.
 
@@ -171,17 +161,17 @@ def _simple_rational_roots(f: RatPoly) -> list[Fraction]:
         q += 1
         if any(q % p == 0 for p in range(2, math.isqrt(q) + 1)):
             continue
-        start = [r for r in range(q) if _int_value(g, r, q) == 0]
-        if all(_int_value(dg, r, q) for r in start):
+        start = [r for r in range(q) if horner(g, r) % q == 0]
+        if all(horner(dg, r) % q for r in start):
             break
     roots = []
     for r in start:
         m = q
         while m <= 2 * abs(g[0]):  # Newton's step, g'(r) inverted mod m: a root mod m^2
-            r = (r - _int_value(g, r, m * m) * pow(_int_value(dg, r, m), -1, m)) % (m * m)
+            r = (r - horner(g, r) * pow(horner(dg, r), -1, m)) % (m * m)
             m *= m
         x = r if 2 * r <= m else r - m
-        if _int_value(g, x) == 0:
+        if horner(g, x) == 0:
             roots.append(Fraction(x, c))
     return roots
 
@@ -205,14 +195,6 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
         for _ in range(mult):
             cof = cof // RatPoly((-theta, 1))
     return ([(Fraction(0), zeros)] if zeros else []) + found, cof
-
-
-def _horner(coeffs: list, x):
-    from mpmath import mp
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> list:
@@ -246,8 +228,8 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
                 shift_max = mp.mpf(0)
                 for i in range(deg):
                     x = roots[i]
-                    pv = _horner(cs, x)
-                    dv = _horner(dcs, x)
+                    pv = horner(cs, x)
+                    dv = horner(dcs, x)
                     if not dv:
                         # stalled on a critical point; nudge and retry
                         roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
@@ -271,15 +253,15 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
 
         for i in range(deg):
             for _ in range(3):
-                dv = _horner(dcs, roots[i])
+                dv = horner(dcs, roots[i])
                 if not dv:
                     break
-                roots[i] = roots[i] - _horner(cs, roots[i]) / dv
+                roots[i] = roots[i] - horner(cs, roots[i]) / dv
 
         max_coeff = max(abs(c) for c in cs)
         allowed = mp.mpf(2) ** (-(precision_bits // 2)) * max_coeff
         for x in roots:
-            if abs(_horner(cs, x)) > allowed * max(mp.mpf(1), abs(x)) ** deg:
+            if abs(horner(cs, x)) > allowed * max(mp.mpf(1), abs(x)) ** deg:
                 raise RootFindingError(
                     "root residual above certification bound; raise the precision",
                     best=roots,

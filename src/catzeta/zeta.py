@@ -30,11 +30,13 @@ DEFAULT_VERIFY_TOL for the singularity report.  The Hermite terms
 A_{k,j}, the beta's, both recombinations and closed_form_counts clear
 denominators once (Arithmetic.split) and build each result once
 (Arithmetic.join), so on an exact root set, whose theta are +-1/b, they
-add and multiply ints.  The Taylor match is the one check that still
-forks.  Exact: the log coefficients n [z^n] log zeta from
+add and multiply ints.  Two checks still branch.  The Taylor match forks
+on the arithmetic.  Exact: the log coefficients n [z^n] log zeta from
 closed_form_counts must equal the swept chain counts #N_1..#N_K, as good
 as equal Taylor coefficients through z^K.  Numeric: closed_form_taylor
 against the series, until C1 is exact for irrational spectra as well.
+The eigenvalue check C3 branches on each root's kind: a rational root is
+checked exactly on both paths, a numeric one within the tolerance.
 """
 
 from __future__ import annotations
@@ -47,13 +49,13 @@ from typing import Sequence
 from .category import FiniteCategory, IntMatrix, adjacency, chain_counts
 from .charpoly import (
     CharPolyBundle,
+    EulerReport,
     block_traces,
     bundle_from_sums,
-    char_poly_bundle,
     monic_charpoly,
+    series_euler_char,
 )
-from .euler import EulerReport, series_euler_char
-from .poly import RatPoly, binomial, linear_power, mul_coeffs
+from .poly import RatPoly, RatSeries, binomial, exp_trunc, linear_power, mul_coeffs, mul_trunc
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -61,7 +63,6 @@ from .roots import (
     RootSet,
     factor_charpoly,
 )
-from .series import RatSeries, exp_trunc, mul_trunc
 
 DEFAULT_ORDER = 30
 DEFAULT_VERIFY_TOL = 1e-9
@@ -153,8 +154,7 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
             if l == k:
                 continue
             shift, bb = a * b_l - a_l * b, b * b_l  # (shift + bb w)^(e_l) through w^(e-1)
-            factor = [binomial(e_l, t) * bb ** t * shift ** (e_l - t)
-                      for t in range(min(e_l + 1, e))]
+            factor = linear_power(-shift, bb, e_l)[:e]
             denom = mul_trunc(denom, factor + [0] * (e - len(factor)))
             scale *= bb ** e_l
         u, c = arith.split(arith.one / denom[0])
@@ -379,6 +379,7 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 @dataclass(frozen=True)
 class ZetaAnalysis:
     matrix: IntMatrix
+    chains: tuple[int, ...]  # #N_0 .. #N_max(order, N+1), from one sweep
     bundle: CharPolyBundle
     euler: EulerReport
     rootset: RootSet
@@ -390,19 +391,20 @@ class ZetaAnalysis:
         return "exact" if self.closed.arithmetic.exact else "numeric"
 
 
-def _analysis(a: IntMatrix, bundle: CharPolyBundle, precision_bits: int) -> ZetaAnalysis:
+def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
+                   order: int = 0) -> ZetaAnalysis:
+    """Everything derived from one adjacency matrix, computed once.
+
+    One sweep of chain counts, through #N_max(order, N+1), feeds the
+    pencil here and, kept on the analysis, the series through z**order.
+    """
+    chains = tuple(chain_counts(a, max(order, a.n + 1)))
+    bundle = bundle_from_sums(chains, block_traces(a))
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors)
     pfd = partial_fractions(bundle.m, bundle.d, rootset)
-    cf = closed_form(pfd)
-    return ZetaAnalysis(matrix=a, bundle=bundle, euler=euler, rootset=rootset,
-                        pfd=pfd, closed=cf)
-
-
-def analyze_matrix(a: IntMatrix,
-                   precision_bits: int = DEFAULT_PRECISION_BITS) -> ZetaAnalysis:
-    """Everything derived from one adjacency matrix, computed once."""
-    return _analysis(a, char_poly_bundle(a), precision_bits)
+    return ZetaAnalysis(matrix=a, chains=chains, bundle=bundle, euler=euler,
+                        rootset=rootset, pfd=pfd, closed=closed_form(pfd))
 
 
 def analyze_category(c: FiniteCategory,
@@ -477,9 +479,8 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     hold with equality; on the numeric path the closed form's Taylor
     coefficients are compared with the series to the tolerance.
     """
-    chains = chain_counts(a, max(order, a.n + 1))
-    analysis = _analysis(a, bundle_from_sums(chains, block_traces(a)), precision_bits)
-    cf = analysis.closed
+    analysis = analyze_matrix(a, precision_bits, order)
+    chains, cf = analysis.chains, analysis.closed
     euler = analysis.euler
     n = a.n
     applicable = euler.exists
@@ -545,10 +546,9 @@ def verify_conjecture(c: FiniteCategory, order: int = DEFAULT_ORDER,
 
 @dataclass(frozen=True)
 class SingularPoint:
-    theta: object
-    multiplicity: int
-    kind: str             # root kind: "rational" or "numeric"
-    beta0: object
+    """The classification of the closed-form factor with the same index;
+    that factor holds the root's theta, multiplicity, kind and beta0."""
+
     classification: str   # "pole", "zero", "essential" or "violation"
     essential: bool       # nonzero inner exponential coefficients present
     pole_order: int | None
@@ -564,7 +564,7 @@ class SingularityReport:
         return not self.violations
 
 
-def singularity_report(cf: ClosedFormZeta, rootset: RootSet) -> SingularityReport:
+def singularity_report(cf: ClosedFormZeta) -> SingularityReport:
     """Classify every root of d as a singular point or zero of zeta.
 
     A root with beta0 of positive real part is a pole-type singularity,
@@ -577,7 +577,7 @@ def singularity_report(cf: ClosedFormZeta, rootset: RootSet) -> SingularityRepor
     points = []
     violations = []
     with arith.context():
-        for idx, (root, factor) in enumerate(zip(rootset.roots, cf.factors)):
+        for idx, factor in enumerate(cf.factors):
             beta0 = factor.beta0
             re = beta0.real
             essential = not all(arith.within(abs(b), tol) for b in factor.betas)
@@ -595,8 +595,6 @@ def singularity_report(cf: ClosedFormZeta, rootset: RootSet) -> SingularityRepor
                 pole_order = round(re)
             if classification == "violation":
                 violations.append(idx)
-            points.append(SingularPoint(theta=root.theta, multiplicity=root.multiplicity,
-                                        kind=root.kind, beta0=beta0,
-                                        classification=classification,
+            points.append(SingularPoint(classification=classification,
                                         essential=essential, pole_order=pole_order))
     return SingularityReport(points=tuple(points), violations=tuple(violations))

@@ -220,7 +220,7 @@ def test_criterion_8_singularity_classification(corpus_matrices):
     total_points = 0
     for label, a in corpus_matrices:
         analysis = analyze_matrix(a)
-        rep = singularity_report(analysis.closed, analysis.rootset)
+        rep = singularity_report(analysis.closed)
         assert rep.ok, label
         assert len(rep.points) == len(analysis.rootset.roots), label
         for pt in rep.points:

@@ -229,6 +229,26 @@ class TestZeta:
             pytest.approx([0.41421356, 0.0], abs=1e-6)
         assert float(f2["theta"][0]) == pytest.approx(-2.41421356, rel=1e-6)
 
+    def test_closed_form_sweeps_chain_counts_once(self, capsys, monkeypatch):
+        # the series through z^10 and the pencil share one sweep, to #N_10
+        import catzeta.charpoly
+        import catzeta.cli
+        import catzeta.zeta
+        from catzeta.category import chain_counts
+
+        sweeps = []
+
+        def counted(a, length):
+            sweeps.append(length)
+            return chain_counts(a, length)
+
+        for module in (catzeta.cli, catzeta.charpoly, catzeta.zeta):
+            monkeypatch.setattr(module, "chain_counts", counted)
+        code, out, _ = run(capsys, "zeta", "--closed", "--json", "--matrix",
+                           matrix_fixture("pell"), "--order", "10")
+        assert code == 0 and len(json.loads(out)["series"]) == 11
+        assert sweeps == [10]
+
 
 class TestVerify:
     def test_pass(self, capsys):

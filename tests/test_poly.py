@@ -11,6 +11,7 @@ from catzeta import (
     poly_gcd,
     squarefree_decompose,
 )
+from catzeta.poly import horner
 from oracles import lagrange_interpolate
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -125,6 +126,34 @@ class TestCalculusAndEvaluation:
         from mpmath import mp
         p = RatPoly([1, 0, 1])  # 1 + z^2
         assert p(mp.mpc(0, 1)) == 0
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mpc"])
+    def test_horner_is_the_stepwise_loop(self, kind):
+        from mpmath import mp
+        cs = [3, -7, 0, 2, 5, -1]
+        with mp.workprec(192):
+            if kind == "int":
+                x, acc = 11, 0
+            elif kind == "fraction":
+                cs = [Fraction(c, i + 2) for i, c in enumerate(cs)]
+                x, acc = Fraction(-7, 5), Fraction(0)
+            else:
+                cs = [mp.mpc(c, 1) / 3 for c in cs]
+                x, acc = mp.mpc(mp.sqrt(2), -mp.pi / 3), mp.mpc(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+            got = horner(cs, x)
+        assert type(got) is type(acc)
+        if kind == "mpc":  # bit for bit
+            assert got._mpc_ == acc._mpc_
+        else:
+            assert got == acc == sum(c * x ** i for i, c in enumerate(cs))
+        if kind == "int":  # reducing once equals reducing at every step
+            for q in (2, 3, 7, 97, 2 ** 61 - 1):
+                reduced = 0
+                for c in reversed(cs):
+                    reduced = (reduced * x + c) % q
+                assert got % q == reduced
 
     @given(nonzero_polys)
     def test_monic(self, p):

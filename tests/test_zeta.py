@@ -576,8 +576,7 @@ class TestVerification:
 
 class TestSingularities:
     def report_for(self, rows):
-        analysis = analyze_matrix(IntMatrix(rows))
-        return singularity_report(analysis.closed, analysis.rootset)
+        return singularity_report(analyze_matrix(IntMatrix(rows)).closed)
 
     def test_pole_with_essential_part(self):
         rep = self.report_for([[1, 1], [0, 1]])
@@ -594,10 +593,11 @@ class TestSingularities:
         assert (pt.classification, pt.pole_order, pt.essential) == ("pole", 2, False)
 
     def test_numeric_conjugate_poles(self):
-        rep = self.report_for([[0, 1], [-1, 0]])
+        cf = analyze_matrix(IntMatrix([[0, 1], [-1, 0]])).closed
+        rep = singularity_report(cf)
         assert len(rep.points) == 2
-        for pt in rep.points:
-            assert pt.kind == "numeric"
+        for factor, pt in zip(cf.factors, rep.points):
+            assert factor.kind == "numeric"
             assert pt.classification == "pole"
             assert pt.pole_order == 1
         assert rep.ok
@@ -611,21 +611,23 @@ class TestSingularities:
         # idempotent with a negative column: zeta = 1 - z exactly
         a = IntMatrix([[1, 0], [-2, 0]])
         assert list(zeta_series(a, 3).coeffs) == [1, -1, 0, 0]
-        rep = self.report_for([[1, 0], [-2, 0]])
-        (pt,) = rep.points
+        cf = analyze_matrix(a).closed
+        rep = singularity_report(cf)
+        (pt,), (factor,) = rep.points, cf.factors
         assert pt.classification == "zero"
-        assert pt.beta0 == -1
+        assert factor.beta0 == -1
         assert pt.pole_order is None
         assert rep.ok
 
     def test_cancelling_root_flagged_as_violation(self):
         # zeta = (1 - z)^(-2) but d = 1 - z^2: the root at -1 carries no
         # exponent at all, which the report must flag rather than hide.
-        rep = self.report_for([[1, 2], [0, -1]])
+        cf = analyze_matrix(IntMatrix([[1, 2], [0, -1]])).closed
+        rep = singularity_report(cf)
         assert not rep.ok
         flagged = [rep.points[i] for i in rep.violations]
         assert [pt.classification for pt in flagged] == ["violation"]
-        assert flagged[0].theta == -1
+        assert [cf.factors[i].theta for i in rep.violations] == [-1]
 
     def test_essential_only_point(self):
         # hand-built term with vanishing residue but a live inner
@@ -637,7 +639,7 @@ class TestSingularities:
         cf = closed_form(pfd)
         (f,) = cf.factors
         assert f.beta0 == 0 and f.betas != ()
-        rep = singularity_report(cf, rootset)
+        rep = singularity_report(cf)
         (pt,) = rep.points
         assert pt.classification == "essential"
         assert pt.essential and pt.pole_order is None

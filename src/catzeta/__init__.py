@@ -19,7 +19,6 @@ from .category import (
     adjacency,
     category_from_dict,
     category_to_dict,
-    chain_count,
     chain_counts,
     check_structure,
     discrete,
@@ -31,8 +30,7 @@ from .category import (
 )
 from .charpoly import (CharPolyBundle, EulerReport, char_poly_bundle, degree_defects,
                        euler_char_of_matrix, monic_charpoly, series_euler_char)
-from .poly import (RatPoly, RatSeries, binomial, exp_trunc, mul_trunc, poly_gcd,
-                   squarefree_decompose)
+from .poly import RatPoly, RatSeries, exp_trunc, mul_coeffs, poly_gcd, squarefree_decompose
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -41,7 +39,6 @@ from .roots import (
     RootSet,
     factor_charpoly,
     numeric_roots,
-    rational_roots,
 )
 from .zeta import (
     ClosedFormZeta,
@@ -58,7 +55,6 @@ from .zeta import (
     closed_form_taylor,
     partial_fractions,
     singularity_report,
-    verify_conjecture,
     verify_matrix,
     zeta_series,
 )

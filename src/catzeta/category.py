@@ -235,19 +235,14 @@ def chain_counts(a: IntMatrix, length: int) -> list[int]:
     return counts
 
 
-def chain_count(a: IntMatrix, m: int) -> int:
-    """Number of composable chains of m morphisms: total entry sum of A**m."""
-    return chain_counts(a, m)[m]
-
-
 # -- builders --------------------------------------------------------------
 
 def _identity_pairs(morphisms: Sequence[Morphism], identity: Mapping[str, str]) -> dict:
     """Composition entries forced by the identity laws."""
     table = {}
     for f in morphisms:
-        table[(f.name, identity[f.src])] = f.name
-        table[(identity[f.tgt], f.name)] = f.name
+        table.setdefault((f.name, identity[f.src]), f.name)
+        table.setdefault((identity[f.tgt], f.name), f.name)
     return table
 
 
@@ -480,9 +475,7 @@ def category_from_dict(doc: dict) -> FiniteCategory:
         table[(g, f)] = h
 
     # Fill pairs implied by the identity laws unless the file overrides them.
-    for f in morphisms:
-        e_src, e_tgt = identity[f.src], identity[f.tgt]
-        table.setdefault((f.name, e_src), f.name)
-        table.setdefault((e_tgt, f.name), f.name)
+    for pair, h in _identity_pairs(morphisms, identity).items():
+        table.setdefault(pair, h)
 
     return FiniteCategory(tuple(objects), tuple(morphisms), dict(identity), table, name=name)

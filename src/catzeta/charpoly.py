@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .category import IntMatrix, chain_counts
-from .poly import RatPoly, mul_coeffs, mul_trunc
+from .poly import RatPoly, mul_coeffs
 
 
 def strong_blocks(a: IntMatrix) -> list[list[int]]:
@@ -155,11 +155,6 @@ class CharPolyBundle:
     s: int
     factors: tuple[RatPoly, ...]
 
-    @property
-    def lead_d(self) -> Fraction:
-        """Leading coefficient of d; equals d_{N-r}."""
-        return self.d.lead
-
 
 def bundle_from_sums(chains: Sequence[int],
                      traces_by_block: Sequence[Sequence[int]]) -> CharPolyBundle:
@@ -178,8 +173,8 @@ def bundle_from_sums(chains: Sequence[int],
         factor = _newton(traces)
         d = mul_coeffs(d, factor)
         factors.append(RatPoly(factor))
-    k = mul_trunc(d, chains[:n + 1])  # z^0 .. z^N of d times the chain-count series
-    m = mul_trunc(d, chains[1:n + 2])
+    k = mul_coeffs(chains, d, n + 1)  # z^0 .. z^N of d times the chain-count series
+    m = mul_coeffs(chains[1:], d, n + 1)
     if k[n] or m[n]:
         raise ArithmeticError("Cayley-Hamilton fails: traces and chain counts disagree")
     d_poly, k_poly = RatPoly(d), RatPoly(k[:n])

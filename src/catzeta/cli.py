@@ -58,6 +58,9 @@ from .zeta import (
 )
 
 
+MAX_DISCRETE_OBJECTS = 10_000
+
+
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         self.code = code
@@ -215,14 +218,14 @@ def cmd_charpoly(args) -> int:
     if args.json:
         # every field but the block factors
         _emit_json({"command": "charpoly", "n": bundle.n, "d": bundle.d, "k": bundle.k,
-                    "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.lead_d},
+                    "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.d.lead},
                    args.precision)
     else:
         print(f"N = {bundle.n}")
         print(f"d(z) = {_poly_text(bundle.d)}")
         print(f"k(z) = {_poly_text(bundle.k)}")
         print(f"m(z) = {_poly_text(bundle.m)}")
-        print(f"r = {bundle.r}, s = {bundle.s}, lead d = {bundle.lead_d}")
+        print(f"r = {bundle.r}, s = {bundle.s}, lead d = {bundle.d.lead}")
     return 0
 
 
@@ -326,7 +329,13 @@ def _generate_category(args) -> FiniteCategory:
     if kind == "discrete":
         if len(rest) != 1 or not rest[0].isdecimal():
             raise CliError(2, "generate discrete needs a nonnegative object count")
-        return discrete(int(rest[0]))
+        try:
+            count = int(rest[0])
+        except ValueError:  # more digits than int() reads from a string
+            count = math.inf
+        if count > MAX_DISCRETE_OBJECTS:
+            raise CliError(2, f"generate discrete takes at most {MAX_DISCRETE_OBJECTS} objects")
+        return discrete(count)
     if kind in ("poset", "monoid"):
         if len(rest) != 1:
             raise CliError(2, f"generate {kind} needs exactly one file")

@@ -8,10 +8,10 @@ of a finite category, so the dense representation is deliberate.
 RatPoly is exact: no floats enter or leave.  The list kernels work in
 whatever scalar type they are given, using only +, *, / and division by
 small integers, so the pipeline runs them on ints, Fractions and mpmath
-complex numbers alike: horner evaluates, mul_coeffs multiplies,
-linear_power expands (b z - a)**e, and on truncated power series, plain
-coefficient lists of equal length, mul_trunc multiplies and exp_trunc
-exponentiates.
+complex numbers alike: horner evaluates, mul_coeffs multiplies, whole or
+cut to the first n coefficients as for truncated power series,
+linear_power expands (b z - a)**e, and exp_trunc exponentiates a
+truncated power series, a plain coefficient list.
 
 RatSeries holds the exact zeta series: a fixed truncation order K and
 exactly K+1 rational coefficients (z**0 .. z**K).
@@ -51,10 +51,6 @@ class RatPoly:
     @classmethod
     def constant(cls, c) -> "RatPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "RatPoly":
-        return cls((0,) * degree + (c,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -113,9 +109,6 @@ class RatPoly:
 
     def __sub__(self, other) -> "RatPoly":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "RatPoly":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -219,18 +212,20 @@ def squarefree_decompose(p: RatPoly) -> list[tuple[RatPoly, int]]:
     return out
 
 
-def mul_coeffs(a: Sequence, b: Sequence) -> list:
-    """Product of two nonempty coefficient lists, in their scalar type.
+def mul_coeffs(a: Sequence, b: Sequence, n: int | None = None) -> list:
+    """Product of two nonempty coefficient lists, its zeros in a's scalar type;
+    with n, only its first n coefficients (a truncated power series product).
 
     b is walked in the outer loop: its zero terms are skipped and its
     unit terms (the leads of monic factors) cost no multiplication.
     """
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for j, cb in enumerate(b):
+    size = len(a) + len(b) - 1 if n is None else n
+    out = [a[0] * 0] * size
+    for j, cb in enumerate(b[:size]):
         if not cb:
             continue
         unit = cb == 1
-        for i, ca in enumerate(a, start=j):
+        for i, ca in enumerate(a[:size - j], start=j):
             out[i] = out[i] + (ca if unit else ca * cb)
     return out
 
@@ -241,14 +236,7 @@ def linear_power(a, b: int, e: int) -> list:
     if e < 0:
         raise ValueError("negative polynomial power")
     neg = -a
-    return [binomial(e, t) * b ** t * neg ** (e - t) for t in range(e + 1)]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero outside the triangle; C(0, 0) = 1."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return [math.comb(e, t) * b ** t * neg ** (e - t) for t in range(e + 1)]
 
 
 def horner(cs: Sequence, x):
@@ -260,22 +248,6 @@ def horner(cs: Sequence, x):
 
 
 # -- truncated power series --------------------------------------------------
-
-def mul_trunc(a: Sequence, b: Sequence) -> list:
-    """Product of two coefficient lists of equal length, truncated."""
-    K = len(a) - 1
-    zero = a[0] * 0
-    out = [zero] * (K + 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j in range(K + 1 - i):
-            cb = b[j]
-            if not cb:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
 
 def exp_trunc(s: Sequence) -> list:
     """exp of a coefficient list with zero constant term.

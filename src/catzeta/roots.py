@@ -6,9 +6,10 @@ charpoly).  A linear factor gives its root directly, and equal ones are
 counted.  Only the product of the non-linear factors goes through exact
 square-free decomposition (Yun), so numeric clustering never decides a
 multiplicity.  The rational roots of each square-free factor are found
-exactly by p-adic (Hensel) lifting, with no integer factoring, and
-merged with the linear ones; whatever remains of the factor is handed to
-an Aberth-Ehrlich simultaneous iteration polished by Newton steps.  An
+exactly by p-adic (Hensel) lifting, with no integer factoring
+(_simple_rational_roots, which factor_charpoly alone calls), and merged
+with the linear ones; whatever remains of the factor is handed to an
+Aberth-Ehrlich simultaneous iteration polished by Newton steps.  An
 irrational root comes only from the non-linear factors, with its
 multiplicity in d, so the numeric part does not depend on how d was split.
 
@@ -174,27 +175,6 @@ def _simple_rational_roots(f: RatPoly) -> list[Fraction]:
         if horner(g, x) == 0:
             roots.append(Fraction(x, c))
     return roots
-
-
-def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
-    """All rational roots of p with multiplicities, plus the deflated cofactor.
-
-    A root at zero comes first, the others in increasing order.  The rest
-    of p goes through Yun's square-free decomposition; each factor's roots
-    come from _simple_rational_roots and have that factor's multiplicity.
-    Each root is divided out to full multiplicity, so the cofactor has no
-    rational roots at all.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has every number as a root")
-    zeros = next(i for i, c in enumerate(p.coeffs) if c)
-    cof = RatPoly(p.coeffs[zeros:])
-    found = sorted((theta, mult) for factor, mult in squarefree_decompose(cof)
-                   for theta in _simple_rational_roots(factor))
-    for theta, mult in found:
-        for _ in range(mult):
-            cof = cof // RatPoly((-theta, 1))
-    return ([(Fraction(0), zeros)] if zeros else []) + found, cof
 
 
 def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> list:

@@ -36,7 +36,7 @@ closed_form_counts must equal the swept chain counts #N_1..#N_K, as good
 as equal Taylor coefficients through z^K.  Numeric: closed_form_taylor
 against the series, until C1 is exact for irrational spectra as well.
 The eigenvalue check C3 branches on each root's kind: a rational root is
-checked exactly on both paths, a numeric one within the tolerance.
+checked exactly on both paths, on ints, a numeric one within the tolerance.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .charpoly import (
     monic_charpoly,
     series_euler_char,
 )
-from .poly import RatPoly, RatSeries, binomial, exp_trunc, linear_power, mul_coeffs, mul_trunc
+from .poly import RatPoly, RatSeries, exp_trunc, horner, linear_power, mul_coeffs
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -148,14 +148,13 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
             if not r:
                 continue
             for t in range(min(i, e - 1) + 1):
-                numer[t] = numer[t] + r * (binomial(i, t) * bpow[n - i + t]) * apow[i - t]
+                numer[t] = numer[t] + r * (math.comb(i, t) * bpow[n - i + t]) * apow[i - t]
         denom, scale = [1] + [0] * (e - 1), 1
         for l, ((a_l, b_l), e_l) in enumerate(zip(pairs, mults)):
             if l == k:
                 continue
             shift, bb = a * b_l - a_l * b, b * b_l  # (shift + bb w)^(e_l) through w^(e-1)
-            factor = linear_power(-shift, bb, e_l)[:e]
-            denom = mul_trunc(denom, factor + [0] * (e - len(factor)))
+            denom = mul_coeffs(linear_power(-shift, bb, e_l), denom, e)
             scale *= bb ** e_l
         u, c = arith.split(arith.one / denom[0])
         inv = [u]
@@ -163,7 +162,7 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
             inv.append(-u * sum(denom[s] * c ** (s - 1) * inv[i - s]
                                 for s in range(1, i + 1) if denom[s]))
         # h_t = scale sum_s numer_s c^s inv_(t-s) / (D b^n c^(t+1))
-        h = mul_trunc([x * c ** t for t, x in enumerate(numer)], inv)
+        h = mul_coeffs(inv, [x * c ** t for t, x in enumerate(numer)], e)
         out.append(([h[t] * (scale * c ** (e - 1 - t)) for t in reversed(range(e))],
                     mult * b ** n * c ** e))
     return out
@@ -273,7 +272,7 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
                 acc = 0  # the i = j term makes it a scalar of the arithmetic
                 for i in range(j, e):
                     sign = 1 if i % 2 else -1  # (-1)^(i+1)
-                    acc = acc + (sign * binomial(i - 1, j - 1) * ppow[i + j]
+                    acc = acc + (sign * math.comb(i - 1, j - 1) * ppow[i + j]
                                  * rpow[2 * e - 2 - i - j] * nums[i])
                 betas.append(arith.join(acc * lead_num, lead_den * den * rpow[-1]))
             factors.append(ZetaFactor(theta=theta, alpha=alpha,
@@ -312,12 +311,12 @@ def closed_form_taylor(cf: ClosedFormZeta, order: int) -> list:
                     continue
                 apow = one
                 for n in range(j, order + 1):
-                    exponent[n] = exponent[n] + beta * binomial(n - 1, j - 1) * apow / j
+                    exponent[n] = exponent[n] + beta * math.comb(n - 1, j - 1) * apow / j
                     apow = apow * factor.alpha
         out = exp_trunc(exponent)
         for factor in cf.factors:
-            out = mul_trunc(out, _binomial_factor_coeffs(factor.alpha, factor.beta0,
-                                                         order, one))
+            out = mul_coeffs(_binomial_factor_coeffs(factor.alpha, factor.beta0, order, one),
+                             out, order + 1)
     return out
 
 
@@ -506,9 +505,13 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
         for f, root in zip(cf.factors, analysis.rootset.roots):
             scale = coeff_sum * max(abs(one), abs(f.alpha)) ** cp.degree
             if root.kind == "rational":
-                # rational roots are checked exactly on both paths
-                exact_res = abs(cp(1 / root.theta))
-                res, ok = abs(arith.lift(exact_res)), exact_res == 0
+                # rational roots are checked exactly on both paths, on ints:
+                # r^N cp(p / r) for alpha = p / r, cp having integer coefficients
+                p, r = (1 / root.theta).as_integer_ratio()
+                value = horner([c.numerator * r ** (cp.degree - i)
+                                for i, c in enumerate(cp.coeffs)], p)
+                exact_res = abs(Fraction(value, r ** cp.degree))
+                res, ok = abs(arith.lift(exact_res)), value == 0
             else:
                 res = abs(cp(f.alpha))
                 ok = arith.within(res, tolerance, scale)
@@ -533,13 +536,6 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
         c4_applicable=applicable, c4_value=c4_value, c4_target=c4_target,
         c4_residual=c4_residual, c4_imag=c4_imag, c4_pass=c4_pass,
     )
-
-
-def verify_conjecture(c: FiniteCategory, order: int = DEFAULT_ORDER,
-                      tolerance: float = DEFAULT_VERIFY_TOL,
-                      precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
-    """Run all four identity checks on a finite category."""
-    return verify_matrix(adjacency(c), order, tolerance, precision_bits)
 
 
 # -- singularity classification --------------------------------------------

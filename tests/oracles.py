@@ -51,7 +51,7 @@ from catzeta import (
     Morphism,
     RatPoly,
     char_poly_bundle,
-    mul_trunc,
+    mul_coeffs,
 )
 
 
@@ -173,7 +173,7 @@ def adjsum_times_a_poly(a: IntMatrix, k: RatPoly | None = None,
     if d is None:
         d = det_poly(a)
     shifted = k - d * n
-    quot, rem = divmod(shifted, RatPoly.monomial(1))
+    quot, rem = divmod(shifted, RatPoly([0, 1]))
     if not rem.is_zero():
         raise ArithmeticError("k(z) - N d(z) has a nonzero constant term")
     if quot != direct:
@@ -312,7 +312,7 @@ def log_derivative_check(a: IntMatrix, order: int) -> bool:
     d, _, m = oracle_pencil(a)
     dc = [d.coeff(i) for i in range(order)]
     mc = [m.coeff(i) for i in range(order)]
-    quotient = mul_trunc(mc, inv_trunc(dc))
+    quotient = mul_coeffs(inv_trunc(dc), mc, order)
     power = a
     for t in range(order):
         if quotient[t] != sum(map(sum, power.rows)):
@@ -333,7 +333,7 @@ def rational_roots_oracle(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     cof = p
     mult = 0
     while cof.degree >= 1 and cof.coeff(0) == 0:
-        cof = cof // RatPoly.monomial(1)
+        cof = cof // RatPoly([0, 1])
         mult += 1
     if mult:
         roots.append((Fraction(0), mult))
@@ -373,7 +373,7 @@ def enumerate_chains(c: FiniteCategory, m: int, cap: int = 5) -> int:
         raise ValueError("chain length must be nonnegative")
     if m > cap:
         raise ValueError(
-            f"brute-force enumeration capped at m={cap}; use chain_count for longer chains"
+            f"brute-force enumeration capped at m={cap}; use chain_counts for longer chains"
         )
     if m == 0:
         return len(c.objects)
@@ -455,8 +455,8 @@ def hermite_terms_oracle(rem: RatPoly, thetas: Sequence[Fraction],
             if l != k:  # (w + theta - theta_l)^(e_l) through w^(e-1)
                 factor = [comb(e_l, t) * (theta - theta_l) ** (e_l - t) if t <= e_l
                           else Fraction(0) for t in range(e)]
-                denom = mul_trunc(denom, factor)
-        terms.append(tuple(reversed(mul_trunc(numer, inv_trunc(denom)))))
+                denom = mul_coeffs(factor, denom, e)
+        terms.append(tuple(reversed(mul_coeffs(inv_trunc(denom), numer, e))))
     return terms
 
 

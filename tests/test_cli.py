@@ -303,6 +303,18 @@ class TestGenerate:
         assert code == 0
         assert len(json.loads(out)["objects"]) == 3
 
+    def test_discrete_at_the_object_cap(self, capsys):
+        code, out, _ = run(capsys, "generate", "discrete", "10000")
+        assert code == 0
+        assert len(json.loads(out)["objects"]) == 10000
+
+    @pytest.mark.parametrize("count", ["10001", "9" * 5000], ids=["10001", "5000-digits"])
+    def test_discrete_above_the_object_cap_is_a_usage_error(self, capsys, count):
+        # nothing is built or printed; 5000 digits are more than int() reads
+        code, out, err = run(capsys, "generate", "discrete", count)
+        assert (code, out) == (2, "")
+        assert err == "error: generate discrete takes at most 10000 objects\n"
+
     def test_poset_roundtrip(self, capsys, tmp_path):
         rel = tmp_path / "rel.json"
         rel.write_text("[[1, 1, 1], [0, 1, 1], [0, 0, 1]]")

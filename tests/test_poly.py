@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from catzeta import (
     RatPoly,
-    binomial,
+    mul_coeffs,
     poly_gcd,
     squarefree_decompose,
 )
-from catzeta.poly import horner
+from catzeta.poly import horner, linear_power
 from oracles import lagrange_interpolate
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -34,8 +34,6 @@ class TestBasics:
     def test_constructors(self):
         assert RatPoly.one() == RatPoly([1])
         assert RatPoly.constant(Fraction(3, 2)) == RatPoly([Fraction(3, 2)])
-        assert RatPoly.monomial(3) == RatPoly([0, 0, 0, 1])
-        assert RatPoly.monomial(2, -5) == RatPoly([0, 0, -5])
 
     def test_coeff_access(self):
         p = RatPoly([1, 0, 7])
@@ -230,13 +228,30 @@ class TestInterpolation:
                                   (Fraction(1), Fraction(2))])
 
 
+class TestProduct:
+    @given(st.lists(fractions, min_size=1, max_size=6), st.lists(fractions, min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=12))
+    def test_truncated_product_is_a_prefix_of_the_product(self, a, b, n):
+        full = mul_coeffs(a, b)
+        assert len(full) == len(a) + len(b) - 1
+        assert RatPoly(full) == RatPoly(a) * RatPoly(b)
+        assert mul_coeffs(a, b, n) == (full + [Fraction(0)] * n)[:n]
+
+    def test_zeros_take_the_type_of_the_first_argument(self):
+        assert [type(c) for c in mul_coeffs([Fraction(1)], [2], 3)] == [Fraction] * 3
+        assert [type(c) for c in mul_coeffs([1], [Fraction(2)], 3)] == [Fraction, int, int]
+
+
 class TestBinomial:
+    """linear_power reads (b z - a)^e off the binomial theorem, with math.comb."""
+
     def test_matches_math_comb(self):
         import math
         for n in range(8):
-            for k in range(n + 1):
-                assert binomial(n, k) == math.comb(n, k)
+            assert linear_power(-1, 1, n) == [math.comb(n, k) for k in range(n + 1)]
+            assert linear_power(Fraction(2, 3), 5, n) == [
+                math.comb(n, k) * 5 ** k * Fraction(-2, 3) ** (n - k) for k in range(n + 1)]
 
     def test_outside_range(self):
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
+        with pytest.raises(ValueError):
+            linear_power(1, 1, -1)

@@ -1,4 +1,4 @@
-"""Root extraction: rational-root deflation, Aberth iteration, certification."""
+"""Root extraction: rational roots by p-adic lifting, Aberth iteration, certification."""
 
 import time
 from fractions import Fraction
@@ -14,7 +14,6 @@ from catzeta import (
     char_poly_bundle,
     factor_charpoly,
     numeric_roots,
-    rational_roots,
 )
 from catzeta import roots as roots_module
 from catzeta.poly import linear_power
@@ -42,49 +41,47 @@ class TestConversions:
         assert z.real == mp.mpf("-1.25") and z.imag == 0
 
 
+def rational_part(p):
+    """factor_charpoly's rational roots of p, with multiplicities, in
+    increasing order; a root at zero is divided out first."""
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    rs = factor_charpoly(RatPoly(p.coeffs[zeros:]))
+    return sorted((r.theta, r.multiplicity) for r in rs.roots if r.kind == "rational")
+
+
+def lifted(f):
+    """_simple_rational_roots(f), timed: (sorted roots, seconds)."""
+    start = time.perf_counter()
+    roots = roots_module._simple_rational_roots(f)
+    return sorted(roots), time.perf_counter() - start
+
+
 class TestRationalRoots:
     def test_distinct_roots(self):
-        roots, cof = rational_roots(RatPoly([1, -3, 2]))  # (1-z)(1-2z)
-        assert roots == [(Fraction(1, 2), 1), (Fraction(1), 1)]
-        assert cof.degree == 0
+        assert rational_part(RatPoly([1, -3, 2])) == [(Fraction(1, 2), 1), (Fraction(1), 1)]
 
     def test_multiplicity(self):
-        roots, cof = rational_roots(RatPoly([1, -2, 1]))  # (1-z)^2
-        assert roots == [(Fraction(1), 2)]
-        assert cof.degree == 0
+        assert rational_part(RatPoly([1, -2, 1])) == [(Fraction(1), 2)]  # (1-z)^2
 
     def test_no_rational_roots(self):
-        p = RatPoly([-2, 0, 1])  # z^2 - 2
-        roots, cof = rational_roots(p)
-        assert roots == []
-        assert cof == p
-
-    def test_zero_root_stripped_first(self):
-        p = RatPoly([0, 0, 1, -1])  # z^2 (1 - z)
-        roots, cof = rational_roots(p)
-        assert roots == [(Fraction(0), 2), (Fraction(1), 1)]
-        assert cof.degree == 0
+        assert roots_module._simple_rational_roots(RatPoly([-2, 0, 1])) == []  # z^2 - 2
 
     def test_fractional_candidates(self):
         p = RatPoly([Fraction(1), Fraction(-5, 6), Fraction(1, 6)])  # (1-z/2)(1-z/3)
-        roots, _ = rational_roots(p)
-        assert [r for r, _ in roots] == [Fraction(2), Fraction(3)]
+        assert [r for r, _ in rational_part(p)] == [Fraction(2), Fraction(3)]
 
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            rational_roots(RatPoly.zero())
-
-    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
                     min_size=1, max_size=4))
     def test_found_roots_are_roots_and_cofactor_has_none(self, root_list):
+        # every root is rational, so no numeric root is left over
         p = RatPoly.one()
         for r in root_list:
             p = p * RatPoly((-r, 1))
-        roots, cof = rational_roots(p)
-        assert sum(m for _, m in roots) == len(root_list)
-        for r, _ in roots:
-            assert p(r) == 0
-        assert cof.degree == 0
+        rs = factor_charpoly(p)
+        assert rs.all_rational
+        assert sum(r.multiplicity for r in rs.roots) == len(root_list)
+        for r in rs.roots:
+            assert p(r.theta) == 0
 
     def test_large_lead_is_fast(self):
         # (1 - 101 z) ... (1 - 137 z) (2 - 3 z) (4 z - 5) (1 - z - z^2):
@@ -92,61 +89,44 @@ class TestRationalRoots:
         # trial-divide up to its square root, about 6 * 10^8; lifting
         # needs none of them, only a small prime where the roots stay apart
         primes = (101, 103, 107, 109, 113, 127, 131, 137)
-        quadratic = RatPoly([1, -1, -1])
-        p = RatPoly([2, -3]) * RatPoly([-5, 4]) * quadratic
+        p = RatPoly([2, -3]) * RatPoly([-5, 4]) * RatPoly([1, -1, -1])
         for lam in primes:
             p = p * RatPoly([1, -lam])
         assert abs(p.lead) > 10**17
-        start = time.perf_counter()
-        roots, cof = rational_roots(p)
-        elapsed = time.perf_counter() - start
-        expected = sorted([Fraction(1, lam) for lam in primes]
-                          + [Fraction(2, 3), Fraction(5, 4)])
-        assert roots == [(r, 1) for r in expected]
-        assert cof == quadratic * (p.lead / quadratic.lead)
+        roots, elapsed = lifted(p)
+        assert roots == sorted([Fraction(1, lam) for lam in primes]
+                               + [Fraction(2, 3), Fraction(5, 4)])
         assert elapsed < 0.1
 
     def test_tiny_root_is_solved_directly(self):
         # a divisor search of the lead would trial-divide up to 10^15; the
         # one root of a linear factor lifts from a root mod 2
-        start = time.perf_counter()
-        roots, cof = rational_roots(RatPoly([-1, 10**30]))
-        elapsed = time.perf_counter() - start
-        assert roots == [(Fraction(1, 10**30), 1)]
-        assert cof == RatPoly([10**30])
+        roots, elapsed = lifted(RatPoly([-1, 10**30]))
+        assert roots == [Fraction(1, 10**30)]
         assert elapsed < 0.1
 
     def test_tiny_root_of_a_quadratic_is_fast(self):
         # (1 - z)(1 - 10^14 z): listing the divisors of the lead 2^14 5^14
         # by trial division up to its square root would take 10^7 steps;
         # lifting only squares a small prime power until it passes 10^14
-        start = time.perf_counter()
-        roots, cof = rational_roots(RatPoly([1, -(10**14 + 1), 10**14]))
-        elapsed = time.perf_counter() - start
-        assert roots == [(Fraction(1, 10**14), 1), (Fraction(1), 1)]
-        assert cof.degree == 0
+        roots, elapsed = lifted(RatPoly([1, -(10**14 + 1), 10**14]))
+        assert roots == [Fraction(1, 10**14), Fraction(1)]
         assert elapsed < 0.1
 
     def test_prime_lead_of_a_quadratic_is_fast(self):
         # (1 - z)(1 - p z) with p prime: trial division would run up to
         # sqrt(p), but lifting never asks whether p is prime
         p = 10**14 + 31
-        start = time.perf_counter()
-        roots, cof = rational_roots(RatPoly([1, -(p + 1), p]))
-        elapsed = time.perf_counter() - start
-        assert roots == [(Fraction(1, p), 1), (Fraction(1), 1)]
-        assert cof.degree == 0
+        roots, elapsed = lifted(RatPoly([1, -(p + 1), p]))
+        assert roots == [Fraction(1, p), Fraction(1)]
         assert elapsed < 0.1
 
     def test_semiprime_lead_of_a_quadratic_is_fast(self):
         # (1 - z)(1 - q z) with q a product of two primes near 10^7: trial
         # division would run to 10^7; lifting never splits q
         q = (10**7 + 19) * (10**7 + 79)
-        start = time.perf_counter()
-        roots, cof = rational_roots(RatPoly([1, -(q + 1), q]))
-        elapsed = time.perf_counter() - start
-        assert roots == [(Fraction(1, q), 1), (Fraction(1), 1)]
-        assert cof.degree == 0
+        roots, elapsed = lifted(RatPoly([1, -(q + 1), q]))
+        assert roots == [Fraction(1, q), Fraction(1)]
         assert elapsed < 0.1
 
     @pytest.mark.parametrize("p1, p2", [
@@ -159,11 +139,8 @@ class TestRationalRoots:
         # divisors costs about sqrt(p1) steps at best, seconds at 12 digits;
         # lifting costs a few squarings up to q
         q = p1 * p2
-        start = time.perf_counter()
-        roots, cof = rational_roots(RatPoly([1, -(q + 1), q]))
-        elapsed = time.perf_counter() - start
-        assert roots == [(Fraction(1, q), 1), (Fraction(1), 1)]
-        assert cof.degree == 0
+        roots, elapsed = lifted(RatPoly([1, -(q + 1), q]))
+        assert roots == [Fraction(1, q), Fraction(1)]
         assert elapsed < 0.1
 
     @given(st.lists(st.tuples(st.integers(min_value=-10**40, max_value=10**40).filter(bool),
@@ -175,8 +152,8 @@ class TestRationalRoots:
     def test_large_leads_give_back_their_roots(self, linears, k, c0):
         """Products of (b z - a)^e with b up to 10^40 and a quartic
         z^4 + k z^3 + c0 without rational roots: exactly the built roots
-        and multiplicities come back, and the cofactor times the linear
-        factors is p.  A rational root of the quartic is an integer that
+        and multiplicities come back, and the quartic's four roots are
+        numeric.  A rational root of the quartic is an integer that
         divides c0, so trying +-1 and +-2 rules them out."""
         quartic = RatPoly([c0, 0, 0, k, 1])
         assume(all(quartic(r) for r in (1, -1, 2, -2)))
@@ -184,11 +161,10 @@ class TestRationalRoots:
         for a, b, e in linears:
             p = p * RatPoly(linear_power(a, b, e))
             expected[Fraction(a, b)] = expected.get(Fraction(a, b), 0) + e
-        roots, cof = rational_roots(p)
-        assert roots == sorted(expected.items())
-        for theta, e in roots:
-            cof = cof * RatPoly(linear_power(theta, 1, e))
-        assert cof == p
+        rs = factor_charpoly(p)
+        assert sorted((r.theta, r.multiplicity) for r in rs.roots
+                      if r.kind == "rational") == sorted(expected.items())
+        assert sum(r.multiplicity for r in rs.roots if r.kind == "numeric") == 4
 
     @given(st.lists(st.tuples(st.integers(min_value=-6, max_value=6),
                               st.integers(min_value=1, max_value=6)), max_size=4),
@@ -196,14 +172,15 @@ class TestRationalRoots:
            st.integers(min_value=0, max_value=2))
     @settings(max_examples=150, deadline=None)
     def test_matches_unbounded_enumeration(self, linears, extra, zeros):
-        """Roots, their order and the cofactor agree with the oracle that
+        """The nonzero roots and their order agree with the oracle that
         tries every divisor, on products of (q z - p) factors with an
         arbitrary small polynomial."""
-        p = RatPoly(extra) * RatPoly.monomial(zeros)
+        p = RatPoly(extra) * RatPoly([0] * zeros + [1])
         for num, den in linears:
             p = p * RatPoly([-num, den])
         assume(not p.is_zero())
-        assert rational_roots(p) == rational_roots_oracle(p)
+        expected, _ = rational_roots_oracle(p)
+        assert rational_part(p) == [(r, e) for r, e in expected if r]
 
 
 class TestNumericRoots:
@@ -239,6 +216,15 @@ class TestNumericRoots:
             hi = min(abs(t - mp.sqrt(2)) for t in numeric_roots(p, precision_bits=256))
             assert hi < mp.mpf(2) ** -250
             assert lo < mp.mpf(2) ** -60
+
+
+    def test_non_convergence_carries_the_best_iterates(self):
+        # roots 1 and 10^30: at 8 bits the absolute stop 2^-40 on the
+        # Aberth step is out of reach next to the large root
+        with pytest.raises(RootFindingError, match="did not converge") as info:
+            numeric_roots(RatPoly([10**30, -(10**30 + 1), 1]), 8)
+        assert len(info.value.best) == 2
+        assert all(isinstance(x, mp.mpc) for x in info.value.best)
 
 
 class TestFactorCharpoly:

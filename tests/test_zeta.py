@@ -26,10 +26,9 @@ from catzeta import (
     closed_form_taylor,
     disjoint_union,
     factor_charpoly,
-    mul_trunc,
+    mul_coeffs,
     partial_fractions,
     singularity_report,
-    verify_conjecture,
     verify_matrix,
     zeta_series,
 )
@@ -70,11 +69,10 @@ class TestZetaSeries:
             assert zeta_series(a, 3).coeff(0) == 1
 
     def test_log_recovers_chain_counts(self, fixture_categories):
-        from catzeta import chain_count
         a = adjacency(fixture_categories["k2"])
         logz = log_trunc(zeta_series(a, 6).coeffs)
-        for m in range(1, 7):
-            assert logz[m] == Fraction(chain_count(a, m), m)
+        for m, count in enumerate(chain_counts(a, 6)[1:], start=1):
+            assert logz[m] == Fraction(count, m)
 
     def test_nilpotent_gives_polynomial_exp(self):
         # one nonidentity arrow: log zeta = z, zeta = e^z
@@ -91,8 +89,8 @@ class TestZetaSeries:
     def test_union_is_product(self, fixture_categories):
         p2, z2 = fixture_categories["p2"], fixture_categories["z2"]
         u = disjoint_union(p2, z2)
-        assert list(zeta_series(adjacency(u), 8).coeffs) == mul_trunc(
-            zeta_series(adjacency(p2), 8).coeffs, zeta_series(adjacency(z2), 8).coeffs)
+        assert list(zeta_series(adjacency(u), 8).coeffs) == mul_coeffs(
+            zeta_series(adjacency(z2), 8).coeffs, zeta_series(adjacency(p2), 8).coeffs, 9)
 
 
 # theta = a/b with b <= 7, mostly +-1/b as for a pencil (a = 2 or -3 gives a
@@ -330,7 +328,7 @@ def _perturbed(cf, what):
     """The closed form with one ingredient off by 1/7."""
     delta = Fraction(1, 7)
     if what == "Q":
-        return replace(cf, q_integral=cf.q_integral + RatPoly.monomial(1, delta))
+        return replace(cf, q_integral=cf.q_integral + RatPoly([0, delta]))
     factor = cf.factors[0]
     if what == "beta0":
         factor = replace(factor, beta0=factor.beta0 + delta)
@@ -442,16 +440,16 @@ class TestExactVerifyRoute:
         def refuse(*args):
             raise AssertionError("series route used on the exact path")
 
-        def short_products_only(a, b):
-            # the Hermite expansions multiply lists of length e <= N
-            if len(a) > order // 2:
+        def short_products_only(a, b, n=None):
+            # the Hermite expansions and recombinations multiply lists of length <= N + 1
+            if max(len(a), len(b)) > order // 2:
                 raise AssertionError("series-length product on the exact path")
-            return real_mul(a, b)
+            return real_mul(a, b, n)
 
-        real_mul = zeta_module.mul_trunc
+        real_mul = zeta_module.mul_coeffs
         for name in ("closed_form_taylor", "series_from_counts", "exp_trunc"):
             monkeypatch.setattr(zeta_module, name, refuse)
-        monkeypatch.setattr(zeta_module, "mul_trunc", short_products_only)
+        monkeypatch.setattr(zeta_module, "mul_coeffs", short_products_only)
         mats = [adjacency(c) for c in fixture_categories.values()]
         mats += list(fixture_matrices.values())
         exact = 0
@@ -493,7 +491,7 @@ class TestAnalysis:
 
 class TestVerification:
     def test_exact_report_fields(self, fixture_categories):
-        report = verify_conjecture(fixture_categories["p2"], order=12)
+        report = verify_matrix(adjacency(fixture_categories["p2"]), order=12)
         assert report.passed
         assert report.path == "exact"
         assert report.chi == 1
@@ -505,7 +503,7 @@ class TestVerification:
 
     def test_all_fixture_categories_verify(self, fixture_categories):
         for name, c in fixture_categories.items():
-            assert verify_conjecture(c, order=15).passed, name
+            assert verify_matrix(adjacency(c), order=15).passed, name
 
     def test_synthetic_matrices_verify(self, fixture_matrices):
         for name, a in fixture_matrices.items():
@@ -545,6 +543,22 @@ class TestVerification:
         assert report.passed
         assert report.path == "exact"
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("rows, path", [
+        ([[2, 0], [0, -3]], "exact"),
+        ([[1, 0, 0], [0, 1, 2], [0, 1, 1]], "numeric"),
+    ])
+    def test_c3_residual_is_the_value_of_the_charpoly(self, monkeypatch, rows, path):
+        # checked against cp + t^2 + 1, every rational alpha leaves the
+        # residual |cp(alpha) + alpha^2 + 1| = alpha^2 + 1, exactly
+        real = zeta_module.monic_charpoly
+        monkeypatch.setattr(zeta_module, "monic_charpoly", lambda d, n: real(d, n) + RatPoly([1, 0, 1]))
+        report = verify_matrix(IntMatrix(rows), order=6)
+        assert report.path == path and not report.c3_pass
+        cf = analyze_matrix(IntMatrix(rows)).closed
+        got = [res for res, f in zip(report.c3_residuals, cf.factors) if f.kind == "rational"]
+        want = [1 / f.theta ** 2 + 1 for f in cf.factors if f.kind == "rational"]
+        assert got == want if path == "exact" else [float(x) for x in got] == want
 
     def test_numeric_path_report(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["pell"], order=20)
@@ -643,4 +657,17 @@ class TestSingularities:
         (pt,) = rep.points
         assert pt.classification == "essential"
         assert pt.essential and pt.pole_order is None
+        assert rep.ok
+
+    def test_purely_imaginary_residue_is_essential(self):
+        # hand-built numeric factor with beta0 = i: neither a pole nor a zero
+        from mpmath import mp
+        arith = Arithmetic(False, 128)
+        with arith.context():
+            factor = ZetaFactor(theta=mp.mpc(2), alpha=mp.mpc(0.5), multiplicity=1,
+                                kind="numeric", beta0=mp.mpc(0, 1), betas=())
+        cf = ClosedFormZeta(q_integral=RatPoly.zero(), factors=(factor,), arithmetic=arith)
+        rep = singularity_report(cf)
+        (pt,) = rep.points
+        assert (pt.classification, pt.essential, pt.pole_order) == ("essential", False, None)
         assert rep.ok

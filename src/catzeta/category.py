@@ -15,8 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class CategoryFormatError(ValueError):
@@ -222,17 +223,22 @@ def adjacency(c: FiniteCategory) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def chain_vectors(a: IntMatrix) -> Iterator[list[int]]:
+    """v_0, v_1, ... with v_m = A^m 1, the one sweep of v <- A v from the
+    all-ones vector; entry i of v_m counts the chains of m morphisms out of
+    object i.  Each step runs only when the next vector is asked for."""
+    v = [1] * a.n
+    while True:
+        yield v
+        v = [sum(map(mul, row, v)) for row in a.rows]
+
+
 def chain_counts(a: IntMatrix, length: int) -> list[int]:
-    """#N_0 .. #N_length, where #N_m = 1^T A^m 1 counts the composable
-    chains of m morphisms; one pass of v <- A v from the all-ones vector."""
+    """#N_0 .. #N_length, where #N_m = 1^T A^m 1 = sum(v_m) counts the
+    composable chains of m morphisms; length steps of chain_vectors."""
     if length < 0:
         raise ValueError("chain length must be nonnegative")
-    v = [1] * a.n
-    counts = [a.n]
-    for _ in range(length):
-        v = [sum(map(mul, row, v)) for row in a.rows]
-        counts.append(sum(v))
-    return counts
+    return [sum(v) for v in islice(chain_vectors(a), length + 1)]
 
 
 # -- builders --------------------------------------------------------------

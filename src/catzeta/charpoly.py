@@ -27,7 +27,10 @@ adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
 By Cayley-Hamilton the z^N coefficient of both products vanishes.  That
 is checked on every call, the blockwise d against the whole-matrix chain
 counts, and it also pins z m(z) = k(z) - N d(z) down to the top
-coefficient.
+coefficient.  With P(t) = det(t E - A) = sum_i p_i t^i (monic_charpoly),
+those coefficients are 1^T P(A) 1 and 1^T A P(A) 1: the scalar n = 0, 1
+cases of the vector certificate P(A) 1 = 0 that zeta.verify_matrix
+checks on the sweep's vectors.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:

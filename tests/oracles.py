@@ -27,6 +27,9 @@ Everything here takes a different road, so that agreement means something:
   library's matrix sweep and exponential.
 - n [z^n] log of a closed form summed term by term in Fractions, against
   the library's integer difference tables.
+- C1 over every n = 1..K (c1_k_term_oracle): the closed form's log
+  coefficients against a chain-count sweep to K, against verify's window
+  of min(K, N) orders under the certificate P(A) 1 = 0.
 - The Hermite terms A_{k,j} of m/d and the closed form's beta's in
   Fractions: rem(theta_k + w) expanded term by term, the product of the
   other roots' factors inverted by the series kernel, and each beta_j
@@ -50,7 +53,9 @@ from catzeta import (
     IntMatrix,
     Morphism,
     RatPoly,
+    chain_counts,
     char_poly_bundle,
+    closed_form_counts,
     mul_coeffs,
 )
 
@@ -472,3 +477,12 @@ def closed_form_betas_oracle(pfd) -> list[tuple[Fraction, tuple[Fraction, ...]]]
                       for j in range(1, e))
         out.append((-terms[0] / lead, betas))
     return out
+
+
+def c1_k_term_oracle(cf: ClosedFormZeta, a: IntMatrix, order: int) -> Fraction:
+    """C1 as compared before the window: max |got - want| / max(1, |want|)
+    over n = 1..order of closed_form_counts(cf, order) against
+    chain_counts(a, order), and 0 when every pair is equal."""
+    pairs = zip(closed_form_counts(cf, order), chain_counts(a, order)[1:])
+    return max((abs(got - want) / max(1, abs(want)) for got, want in pairs if got != want),
+               default=Fraction(0))

@@ -230,20 +230,22 @@ class TestZeta:
         assert float(f2["theta"][0]) == pytest.approx(-2.41421356, rel=1e-6)
 
     def test_closed_form_sweeps_chain_counts_once(self, capsys, monkeypatch):
-        # the series through z^10 and the pencil share one sweep, to #N_10
-        import catzeta.charpoly
-        import catzeta.cli
+        # the series through z^10 and the pencil share one sweep, to #N_10;
+        # chain_counts runs its sweep through category.chain_vectors too
+        import catzeta.category
         import catzeta.zeta
-        from catzeta.category import chain_counts
+        from catzeta.category import chain_vectors
 
-        sweeps = []
+        sweeps = []  # the steps v <- A v taken, one entry per sweep
 
-        def counted(a, length):
-            sweeps.append(length)
-            return chain_counts(a, length)
+        def counted(a):
+            sweeps.append(-1)
+            for v in chain_vectors(a):
+                sweeps[-1] += 1
+                yield v
 
-        for module in (catzeta.cli, catzeta.charpoly, catzeta.zeta):
-            monkeypatch.setattr(module, "chain_counts", counted)
+        for module in (catzeta.category, catzeta.zeta):
+            monkeypatch.setattr(module, "chain_vectors", counted)
         code, out, _ = run(capsys, "zeta", "--closed", "--json", "--matrix",
                            matrix_fixture("pell"), "--order", "10")
         assert code == 0 and len(json.loads(out)["series"]) == 11

@@ -1,8 +1,11 @@
 """Zeta series, partial fractions, closed form, verification, singularities."""
 
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,17 +29,26 @@ from catzeta import (
     closed_form_taylor,
     disjoint_union,
     factor_charpoly,
+    monic_charpoly,
+    monoid_delooping,
     mul_coeffs,
     partial_fractions,
+    poset_category,
+    product,
     singularity_report,
     verify_matrix,
     zeta_series,
 )
+from catzeta import category as category_module
 from catzeta import zeta as zeta_module
+from catzeta.category import chain_vectors
 from catzeta.roots import Arithmetic
+from conftest import monoids_up_to_3, random_poset_relation
 from oracles import (
+    c1_k_term_oracle,
     closed_form_betas_oracle,
     closed_form_counts_oracle,
+    det_poly,
     hermite_terms_oracle,
     log_derivative_check,
     log_trunc,
@@ -427,6 +439,8 @@ class TestClosedFormCounts:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             closed_form_counts(analyze_matrix(ARROW_AND_CHAIN).closed, -1)
+        with pytest.raises(ValueError):
+            verify_matrix(ARROW_AND_CHAIN, order=-1)
 
 
 class TestExactVerifyRoute:
@@ -469,9 +483,224 @@ class TestExactVerifyRoute:
             return real(cf, order)
 
         monkeypatch.setattr(zeta_module, "closed_form_taylor", counting)
+        sweeps = counted_sweeps(monkeypatch)
         report = verify_matrix(fixture_matrices["pell"], order=20)
         assert report.path == "numeric" and report.passed
         assert calls == [20]
+        assert sweeps == [3, 20]  # the pencil's N + 1 steps, then the series' K
+
+
+integer_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+).map(IntMatrix)
+
+
+@st.composite
+def triangular_matrices(draw):
+    """Upper triangular, with the diagonal (the eigenvalues) drawn from four
+    values so that they repeat; 0 adds a nilpotent part."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    diag = draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n, max_size=n))
+    upper = st.integers(min_value=-2, max_value=2)
+    return IntMatrix([[diag[i] if i == j else draw(upper) if i < j else 0
+                       for j in range(n)] for i in range(n)])
+
+
+_posets = st.randoms(use_true_random=False).map(
+    lambda rng: poset_category(random_poset_relation(rng)))
+exact_inputs = st.one_of(
+    _posets.map(adjacency),
+    st.tuples(_posets, st.sampled_from(monoids_up_to_3())).map(
+        lambda pm: adjacency(product(pm[0], monoid_delooping(pm[1])))),
+    triangular_matrices(),
+)
+
+
+def krylov(a):
+    """A^0 1 .. A^N 1, the first N + 1 vectors of the chain-count sweep."""
+    return list(islice(chain_vectors(a), a.n + 1))
+
+
+def recording(calls, real):
+    """real(cf, order), recording each order it is asked for."""
+    def wrapped(cf, order):
+        calls.append(order)
+        return real(cf, order)
+    return wrapped
+
+
+def counted_sweeps(monkeypatch):
+    """Patch chain_vectors where it is looked up, and return the list of
+    steps v <- A v taken by each sweep, chain_counts' included."""
+    sweeps = []
+
+    def sweep(a):
+        sweeps.append(-1)
+        for v in chain_vectors(a):
+            sweeps[-1] += 1
+            yield v
+
+    for module in (category_module, zeta_module):
+        monkeypatch.setattr(module, "chain_vectors", sweep)
+    return sweeps
+
+
+def exact_ladder_item(n):
+    """poset(N - 4) + poset(2) x monoid + monoid + monoid, N objects and
+    every eigenvalue an integer, as on the benchmark's exact ladder."""
+    rng = random.Random(n)
+    m = n - 4
+    rel = [[int(i == j or (i < j and rng.random() < 0.2)) for j in range(m)] for i in range(m)]
+    for k in range(m):  # transitive closure, row by row
+        for i in range(m):
+            if rel[i][k]:
+                rel[i] = [x | y for x, y in zip(rel[i], rel[k])]
+    monoids = monoids_up_to_3()
+    pair = product(poset_category([[1, 1], [0, 1]]), monoid_delooping(monoids[3]))
+    loops = disjoint_union(monoid_delooping(monoids[5]), monoid_delooping(monoids[-1]))
+    return adjacency(disjoint_union(disjoint_union(poset_category(rel), pair), loops))
+
+
+def _q_term_at(cf, degree):
+    """The closed form with z^degree / degree added to Q: c_degree goes up by 1."""
+    return replace(cf, q_integral=cf.q_integral + RatPoly([0] * degree + [Fraction(1, degree)]))
+
+
+def _beta_at(cf, j):
+    """The closed form with beta_j = 1/7 on its first factor, past the root's
+    multiplicity: c_n goes up by C(n, j) alpha^(n-j) / 7 from n = j on."""
+    factor = cf.factors[0]
+    betas = factor.betas + (Fraction(0),) * (j - 1 - len(factor.betas)) + (Fraction(1, 7),)
+    return replace(cf, factors=(replace(factor, betas=betas),) + cf.factors[1:])
+
+
+class TestC1Window:
+    """On the exact path C1 compares n = 1..min(K, N) and proves every
+    other order from facts (a)-(c); the report stays that of the K-term
+    comparison, c1_k_term_oracle."""
+
+    @given(integer_matrices)
+    @example(IntMatrix([]))
+    @example(IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))  # nilpotent
+    @example(IntMatrix([[1, 1], [1, 1]]))  # singular
+    @example(IntMatrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # one eigenvalue, a Jordan block
+    @example(IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))  # one eigenvalue, diagonal
+    @example(IntMatrix([[0, -1], [1, 0]]))  # irrational spectrum
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_holds_for_the_true_charpoly(self, a):
+        cp = monic_charpoly(det_poly(a), a.n)  # from the Bareiss oracle's d
+        assert cp.degree == a.n and cp.lead == 1
+        assert zeta_module._annihilates(cp, krylov(a))
+
+    def test_perturbed_charpoly_is_refused(self):
+        a = IntMatrix([[1, 1, 0], [0, 3, 1], [1, 0, 2]])  # v_0, v_1, v_2 independent
+        cp, vectors = monic_charpoly(char_poly_bundle(a).d, a.n), krylov(a)
+        assert zeta_module._annihilates(cp, vectors)
+        for i in range(a.n + 1):  # p_i + 1 adds v_i
+            assert not zeta_module._annihilates(cp + RatPoly([0] * i + [1]), vectors), i
+        assert not zeta_module._annihilates(cp + Fraction(1, 2), vectors)
+        assert not zeta_module._annihilates(RatPoly(cp.coeffs[1:]), vectors)
+
+    def test_refused_certificate_takes_the_k_term_route(self, monkeypatch):
+        order, calls = 3 * ARROW_AND_CHAIN.n, []
+        monkeypatch.setattr(zeta_module, "_annihilates", lambda cp, vectors: False)
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(ARROW_AND_CHAIN, order=order)
+        assert report.passed and report.c1_max_rel_err == 0
+        assert calls == [order]
+
+    @pytest.mark.parametrize("fact", ["c", "b"])
+    def test_a_failed_fact_takes_the_k_term_route(self, monkeypatch, fact):
+        """(c) deg Q > N - deg d, or (b) a beta_j with j >= e.  Either way
+        the first mismatch is at n = N + 1, past the window, and only the
+        K-term comparison sees it."""
+        a = ARROW_AND_CHAIN
+        n, order = a.n, 3 * a.n
+        real = zeta_module.closed_form
+        if fact == "c":
+            def spoil(cf):
+                return _q_term_at(cf, n + 1)
+        else:
+            def spoil(cf):
+                return _beta_at(cf, n + 1)
+        analysis = analyze_matrix(a)
+        bad = spoil(analysis.closed)
+        assert closed_form_counts(bad, n) == chain_counts(a, n)[1:]
+        assert closed_form_counts(bad, n + 1)[-1] != chain_counts(a, n + 1)[-1]
+        assert not zeta_module._c1_certified(replace(analysis, closed=bad),
+                                             monic_charpoly(analysis.bundle.d, n))
+        monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
+        report = verify_matrix(a, order=order)
+        assert report.path == "exact" and not report.c1_pass
+        assert report.c1_max_rel_err == c1_k_term_oracle(bad, a, order) > 0
+
+    @pytest.mark.parametrize("case", ["monoid", "nilpotent"])
+    def test_first_mismatch_at_n_equal_to_N(self, monkeypatch, case):
+        """A closed form off first at n = N, with facts (a)-(c) intact.  A
+        shift of one beta_j first shows at n = max(j, 1) <= e - 1 < N once
+        N >= 2, so for beta0 that takes N = 1 (a monoid delooping); the
+        nilpotent case moves Q's top coefficient instead (deg Q = N)."""
+        if case == "monoid":
+            a = IntMatrix([[3]])
+
+            def spoil(cf):
+                return _perturbed(cf, "beta0")
+        else:
+            a = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+            def spoil(cf):
+                return _q_term_at(cf, 3)
+        n, order = a.n, 4 * a.n
+        analysis = analyze_matrix(a)
+        bad = spoil(analysis.closed)
+        # a window of N - 1 orders would miss it
+        assert closed_form_counts(bad, n - 1) == chain_counts(a, n - 1)[1:]
+        assert closed_form_counts(bad, n)[-1] != chain_counts(a, n)[-1]
+        assert zeta_module._c1_certified(replace(analysis, closed=bad),
+                                         monic_charpoly(analysis.bundle.d, n))
+        calls, real = [], zeta_module.closed_form
+        monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(a, order=order)
+        assert report.path == "exact" and not report.c1_pass and not report.passed
+        assert report.c1_max_rel_err == c1_k_term_oracle(bad, a, order) > 0
+        assert calls == [n, order]  # the window finds it, the report covers n = 1..K
+
+    @given(exact_inputs, st.data(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_window_report_equals_the_k_term_report(self, a, data, perturb):
+        order = data.draw(st.integers(min_value=0, max_value=3 * a.n), label="order")
+        real = zeta_module.closed_form
+
+        def closed(pfd):
+            cf = real(pfd)
+            return _perturbed(cf, "beta0") if perturb and cf.factors else cf
+
+        with mock.patch.object(zeta_module, "closed_form", closed):
+            report = verify_matrix(a, order=order)
+            with mock.patch.object(zeta_module, "_c1_certified", lambda *args: False):
+                k_term = verify_matrix(a, order=order)
+            cf = analyze_matrix(a).closed
+        assert report.path == "exact"
+        assert report == k_term
+        assert report.c1_max_rel_err == c1_k_term_oracle(cf, a, order)
+        assert report.c1_pass == (report.c1_max_rel_err == 0)
+
+    def test_exact_verify_sweeps_n_plus_one_steps_whatever_k(self, monkeypatch):
+        """Counted, not timed: at K = 3000 the exact path sweeps A for
+        N + 1 steps and asks closed_form_counts for N orders."""
+        a, calls = exact_ladder_item(36), []
+        sweeps = counted_sweeps(monkeypatch)
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(a, order=3000)
+        assert report.path == "exact" and report.passed
+        assert sweeps == [a.n + 1] and calls == [a.n]
 
 
 class TestAnalysis:

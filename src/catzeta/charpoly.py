@@ -17,20 +17,19 @@ identities,
 
 For a category, a block is a set of objects with morphisms both ways, so
 acyclic and EI categories have tiny blocks and no dense power sweep.
-k and m come from the chain counts #N_j = 1^T A^j 1 of the whole matrix
-(by v <- A v, see category.chain_counts): since
+k and m come from the chain counts #N_j = 1^T A^j 1 of the whole matrix,
+the entry sums of v_j = A^j 1 (by v <- A v, category.chain_vectors): since
 adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
 
     k(z) = d(z) sum_j #N_j z^j        mod z^N
     m(z) = d(z) sum_j #N_{j+1} z^j    mod z^N.
 
-By Cayley-Hamilton the z^N coefficient of both products vanishes.  That
-is checked on every call, the blockwise d against the whole-matrix chain
-counts, and it also pins z m(z) = k(z) - N d(z) down to the top
-coefficient.  With P(t) = det(t E - A) = sum_i p_i t^i (monic_charpoly),
-those coefficients are 1^T P(A) 1 and 1^T A P(A) 1: the scalar n = 0, 1
-cases of the vector certificate P(A) 1 = 0 that zeta.verify_matrix
-checks on the sweep's vectors.
+Both need d to be det(E - A z), and v_0 .. v_N certify that on every
+call, the blockwise d against the whole matrix: with P(t) = det(t E - A)
+= sum_i p_i t^i, the reversal of d (monic_charpoly), Cayley-Hamilton gives
+the integer vector sum_i p_i v_i = P(A) 1 = 0.  The z^N coefficients of
+the two products, 1^T P(A) 1 and 1^T A P(A) 1, vanish with it, which pins
+z m(z) = k(z) - N d(z) down to the top coefficient.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:
@@ -47,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .category import IntMatrix, chain_counts
+from .category import IntMatrix, chain_vectors
 from .poly import RatPoly, mul_coeffs
 
 
@@ -159,36 +158,46 @@ class CharPolyBundle:
     factors: tuple[RatPoly, ...]
 
 
-def bundle_from_sums(chains: Sequence[int],
-                     traces_by_block: Sequence[Sequence[int]]) -> CharPolyBundle:
-    """d, k, m and the degree defects from #N_0 .. #N_{N+1} and, for each
-    strongly connected block B, tr A_BB^1 .. tr A_BB^|B|.
+def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[Sequence[int]]
+                      ) -> tuple[CharPolyBundle, list[int]]:
+    """d, k, m and the degree defects, with the chain counts #N_0 .. #N_N.
 
-    Raises ArithmeticError if a Newton division leaves a remainder or the
-    z^N coefficient of d * (chain-count series) does not vanish: either
-    means the sums do not come from one integer matrix.
+    d comes from tr A_BB^1 .. tr A_BB^|B| for each strongly connected
+    block B alone, k and m from the counts, the entry sums of the first
+    N + 1 vectors v_i = A^i 1 of sweep (category.chain_vectors).  That is
+    N steps of it; the caller may continue it for later counts.
+
+    Raises ArithmeticError if a Newton division leaves a remainder or
+    P(A) 1 = sum_i p_i v_i is not zero: either way d is not det(E - A z)
+    of the matrix swept.
     """
     n = sum(len(traces) for traces in traces_by_block)
-    if len(chains) < n + 2:
-        raise ValueError(f"need the chain counts #N_0 .. #N_{n + 1}")
     d, factors = [1], []
     for traces in traces_by_block:
         factor = _newton(traces)
         d = mul_coeffs(d, factor)
         factors.append(RatPoly(factor))
-    k = mul_coeffs(chains, d, n + 1)  # z^0 .. z^N of d times the chain-count series
-    m = mul_coeffs(chains[1:], d, n + 1)
-    if k[n] or m[n]:
-        raise ArithmeticError("Cayley-Hamilton fails: traces and chain counts disagree")
-    d_poly, k_poly = RatPoly(d), RatPoly(k[:n])
+    d_poly = RatPoly(d)
+    residue, chains = [0] * n, []
+    # zip asks for p_i before v_i, so v_N is the last vector pulled
+    for p, v in zip(monic_charpoly(d_poly, n).coeffs, sweep):
+        chains.append(sum(v))
+        if p:
+            p = p.numerator
+            residue = [r + p * x for r, x in zip(residue, v)]
+    bad = next((i for i, x in enumerate(residue) if x), None)
+    if bad is not None:
+        raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
+                              f"{residue[bad]}, not 0")
+    k_poly = RatPoly(mul_coeffs(d, chains, n))  # z^0 .. z^(N-1) of d times the counts' series
     r, s = degree_defects(d_poly, k_poly, n)
-    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(m[:n]), r=r, s=s,
-                          factors=tuple(f for f in factors if f.degree >= 1))
+    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(mul_coeffs(d, chains[1:], n)),
+                          r=r, s=s, factors=tuple(f for f in factors if f.degree >= 1)), chains
 
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
     """Compute d, k, m and the degree defects for one adjacency matrix."""
-    return bundle_from_sums(chain_counts(a, a.n + 1), block_traces(a))
+    return bundle_from_sweep(chain_vectors(a), block_traces(a))[0]
 
 
 def monic_charpoly(d: RatPoly, n: int) -> RatPoly:

@@ -40,8 +40,7 @@ delta_n = c_n - #N_n obeys cp's monic recurrence of order N for every
 n >= 1, so delta_1 = .. = delta_N = 0 gives delta_n = 0 for all n, once
 three facts hold, each checked:
 
-  (a) the certificate: the sweep's own vectors v_i = A^i 1 give
-      sum_i p_i v_i = 0 as an integer vector, i.e. P(A) 1 = 0, so
+  (a) the certificate: P(A) 1 = 0, so
       sum_i p_i #N_(n+i) = 1^T A^n P(A) 1 = 0 for every n >= 0;
   (b) the roots: each closed-form factor's alpha_k is 1/theta_k of the
       root set, whose exact recombination (factor_charpoly) proved
@@ -51,10 +50,12 @@ three facts hold, each checked:
   (c) the polynomial part: deg Q <= N - deg d, the multiplicity of t = 0
       in cp, so the q_(n-1) = n Q_n left over vanish for n > N - deg d.
 
-(a) cannot be dropped: the pencil's m is built so that c_n = #N_n for
-n <= N whatever d is, so the window alone would pass a wrong d.  Where
-K <= N, a fact fails or the window finds a mismatch, C1 compares
-n = 1..K as it stands, so a failure reports the same maximum.  Numeric:
+(a) holds for every bundle: charpoly checks it on the sweep's own vectors
+as it builds d, k and m, and raises ArithmeticError where it fails.  The
+window alone would pass a wrong d, since m makes c_n = #N_n for n <= N
+whatever d is.  Where K <= N, (b) or (c) fails or the window finds a
+mismatch, C1 compares n = 1..K as it stands, so a failure reports the
+same maximum.  Numeric:
 closed_form_taylor against the series through z^K, until C1 is exact
 for irrational spectra as well.  The eigenvalue check C3 branches on
 each root's kind: a rational root is checked exactly on both paths, on
@@ -67,7 +68,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import mul
 from typing import Sequence
 
 from .category import FiniteCategory, IntMatrix, adjacency, chain_counts, chain_vectors
@@ -75,7 +75,7 @@ from .charpoly import (
     CharPolyBundle,
     EulerReport,
     block_traces,
-    bundle_from_sums,
+    bundle_from_sweep,
     monic_charpoly,
     series_euler_char,
 )
@@ -402,8 +402,7 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 @dataclass(frozen=True)
 class ZetaAnalysis:
     matrix: IntMatrix
-    chains: tuple[int, ...]  # #N_0 .. #N_max(order, N+1), from one sweep
-    krylov: tuple[list[int], ...]  # A^0 1 .. A^N 1, that sweep's first N + 1 vectors
+    chains: tuple[int, ...]  # #N_0 .. #N_max(order, N), one sweep of max(order, N) steps
     bundle: CharPolyBundle
     euler: EulerReport
     rootset: RootSet
@@ -419,20 +418,19 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
                    order: int = 0) -> ZetaAnalysis:
     """Everything derived from one adjacency matrix, computed once.
 
-    One sweep of chain_vectors, max(order, N + 1) steps, gives the chain
-    counts #N_0 .. #N_max(order, N+1).  They feed the pencil here and,
-    kept on the analysis, the series through z**order.  The sweep's first
-    N + 1 vectors are kept too, for verify's certificate P(A) 1 = 0;
-    verify passes no order, so its sweep stops at #N_(N+1).
+    One sweep of chain_vectors gives the chain counts.  The pencil takes
+    its first N steps, certifies d on those vectors (P(A) 1 = 0) and
+    reads #N_0 .. #N_N off them; the same sweep then runs on to #N_order.
+    The counts, kept on the analysis, feed the series through z**order;
+    verify passes no order, so its sweep stops at #N_N.
     """
     sweep = chain_vectors(a)
-    krylov = tuple(islice(sweep, a.n + 1))
-    chains = tuple(map(sum, krylov)) + tuple(map(sum, islice(sweep, max(order, a.n + 1) - a.n)))
-    bundle = bundle_from_sums(chains, block_traces(a))
+    bundle, chains = bundle_from_sweep(sweep, block_traces(a))
+    chains = tuple(chains) + tuple(map(sum, islice(sweep, max(order - a.n, 0))))
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors)
     pfd = partial_fractions(bundle.m, bundle.d, rootset)
-    return ZetaAnalysis(matrix=a, chains=chains, krylov=krylov, bundle=bundle, euler=euler,
+    return ZetaAnalysis(matrix=a, chains=chains, bundle=bundle, euler=euler,
                         rootset=rootset, pfd=pfd, closed=closed_form(pfd))
 
 
@@ -452,8 +450,8 @@ class VerificationReport:
     the closed form and want = #N_n, zero exactly when C1 holds; on the
     numeric path an mpf over the Taylor coefficients of z^0..z^order
     against the exact series.  An exact zero is proved for every n: from
-    n = 1..min(order, N) when facts (a)-(c) of the module docstring hold,
-    else from n = 1..order.  A nonzero one is always the maximum over
+    n = 1..min(order, N) when facts (b) and (c) of the module docstring
+    hold, else from n = 1..order.  A nonzero one is always the maximum over
     n = 1..order.
 
     Flags are None where an identity does not apply (the exponent-sum and
@@ -500,23 +498,14 @@ def _c4_sum(factors, one):
     return acc
 
 
-def _annihilates(cp: RatPoly, krylov: Sequence[Sequence[int]]) -> bool:
-    """Fact (a): sum_i p_i v_i = 0 as an integer vector, for the integer
-    coefficients p_0..p_N of cp and v_i = A^i 1 (i = 0..N), i.e. P(A) 1 = 0."""
-    p = [c.numerator for c in cp.coeffs if c.denominator == 1]
-    return len(p) == len(krylov) and not any(sum(map(mul, p, column))
-                                             for column in zip(*krylov))
-
-
-def _c1_certified(analysis: ZetaAnalysis, cp: RatPoly) -> bool:
-    """Facts (a)-(c) of the module docstring, under which C1 at
-    n = 1..N proves it at every n."""
+def _c1_certified(analysis: ZetaAnalysis) -> bool:
+    """Facts (b) and (c) of the module docstring, under which C1 at
+    n = 1..N proves it at every n; the pencil has proved (a)."""
     n, cf, roots = analysis.matrix.n, analysis.closed, analysis.rootset.roots
     return (cf.q_integral.degree <= n - analysis.bundle.d.degree  # (c)
             and len(cf.factors) == len(roots)  # (b)
             and all(f.alpha * root.theta == 1 and len(f.betas) < root.multiplicity
-                    for f, root in zip(cf.factors, roots))
-            and _annihilates(cp, analysis.krylov))  # (a)
+                    for f, root in zip(cf.factors, roots)))
 
 
 def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
@@ -524,15 +513,16 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Run all four identity checks on one adjacency matrix.
 
-    The analysis sweeps A for N + 1 steps, as far as the pencil needs.
-    On the exact path C1 compares closed_form_counts with the swept
-    #N_1..#N_min(order, N) and must hold with equality; facts (a)-(c) of
-    the module docstring then prove it for every n.  Where one of them
+    The analysis sweeps A for N steps, as far as the pencil needs, and
+    raises ArithmeticError where the sweep refuses d (fact (a)).  On the
+    exact path C1 compares closed_form_counts with the swept
+    #N_1..#N_min(order, N) and must hold with equality; facts (b) and (c)
+    of the module docstring then prove it for every n.  Where one of them
     fails, or the window finds a mismatch, the comparison runs over
     n = 1..order, so a failure reports the same maximum either way.  On
     the numeric path the closed form's Taylor coefficients through
     z**order are compared with the series to the tolerance.  The sweep
-    is run again to order when a comparison needs counts past #N_(N+1).
+    is run again to order when a comparison needs counts past #N_N.
     """
     analysis = analyze_matrix(a, precision_bits)
     chains, cf = analysis.chains, analysis.closed
@@ -545,7 +535,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     with arith.context():
         one = arith.one
         if arith.exact:  # the one fork: log coefficients against the chain counts
-            window = n if order > n and _c1_certified(analysis, cp) else order
+            window = n if order > n and _c1_certified(analysis) else order
             got = closed_form_counts(cf, window)
             if window < order and got != list(chains[1:window + 1]):
                 got = closed_form_counts(cf, order)  # a failure is reported over n = 1..K

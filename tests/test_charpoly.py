@@ -7,6 +7,7 @@ library reads them off one power sweep; the oracles in oracles.py take
 the Bareiss + Lagrange road, and the two must agree exactly.
 """
 
+import json
 import sys
 from fractions import Fraction
 
@@ -24,8 +25,10 @@ from catzeta import (
     monic_charpoly,
     zeta_series,
 )
-from catzeta import charpoly
-from catzeta.charpoly import bundle_from_sums
+from catzeta import charpoly, verify_matrix, zeta
+from catzeta.category import chain_vectors
+from catzeta.charpoly import bundle_from_sweep
+from catzeta.cli import cli_main
 from oracles import (
     adjsum_poly,
     adjsum_times_a_poly,
@@ -295,44 +298,58 @@ class TestSweepAgainstOracle:
 
     @pytest.mark.parametrize("name", ["power_traces", "chain_counts"])
     def test_cayley_hamilton_guard(self, monkeypatch, name):
-        """One wrong power sum and the z^N coefficient no longer vanishes.
-        The bump is even so that Newton's divisions stay exact and the
-        guard itself has to catch it.  The matrix has a 2 x 2 block, the
-        only kind whose traces come from power_traces."""
-        good = getattr(charpoly, name)
-        monkeypatch.setattr(charpoly, name, lambda *args: good(*args)[:-1] + [good(*args)[-1] + 2])
+        """One wrong power sum, the last trace of the 2 x 2 block (the
+        only kind whose traces come from power_traces) or the last swept
+        vector v_N, and P(A) 1 is no longer zero.  The bump is even so
+        that Newton's divisions stay exact and the certificate itself has
+        to catch it."""
+        if name == "power_traces":
+            good = charpoly.power_traces
+            monkeypatch.setattr(charpoly, name, lambda a: good(a)[:-1] + [good(a)[-1] + 2])
+        else:
+            def sweep(a):
+                for i, v in enumerate(chain_vectors(a)):
+                    yield v if i < a.n else [v[0] + 2] + v[1:]
+            monkeypatch.setattr(charpoly, "chain_vectors", sweep)
         with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
             char_poly_bundle(IntMatrix(GUARD_MATRIX))
 
-    def test_cayley_hamilton_guard_on_a_unit_block(self, monkeypatch):
-        """A wrong 1 x 1 block factor makes the blockwise d wrong, and the
-        whole-matrix chain counts catch it."""
+    def test_cayley_hamilton_guard_on_a_unit_block(self, monkeypatch, capsys, tmp_path):
+        """A wrong factor of the first block, 1 x 1 in all but the last
+        matrix, makes the blockwise d wrong, and the whole-matrix sweep
+        catches it: the bundle, verify and the CLI all refuse the matrix."""
         good = charpoly.block_traces
 
         def corrupt(a):
-            blocks = good(a)
-            i = next(i for i, traces in enumerate(blocks) if len(traces) == 1)
-            return blocks[:i] + [[blocks[i][0] + 2]] + blocks[i + 1:]
+            first, *rest = good(a)
+            return [first[:-1] + [first[-1] + 2]] + rest
 
-        monkeypatch.setattr(charpoly, "block_traces", corrupt)
-        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
-            char_poly_bundle(IntMatrix(GUARD_MATRIX))
+        for module in (charpoly, zeta):
+            monkeypatch.setattr(module, "block_traces", corrupt)
+        # the second one's true d is (1 - 2z)(1 + z), the corrupt one (1 - 2z)^2 (1 + z);
+        # the last one has no 1 x 1 block and an irrational spectrum
+        for rows in (GUARD_MATRIX, [[0, 0, 0], [2, 1, 2], [0, 1, 0]],
+                     [[0, 1, 0, 0], [1, 0, 0, 0], [1, 1, 2, 1], [0, 0, 2, 2]]):
+            with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+                char_poly_bundle(IntMatrix(rows))
+            with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+                verify_matrix(IntMatrix(rows))
+            path = tmp_path / "a.json"
+            path.write_text(json.dumps(rows))
+            assert cli_main(["verify", "--matrix", str(path)]) == 1, rows
+            assert "internal consistency check failed" in capsys.readouterr().err
 
     def test_newton_division_must_be_exact(self):
         # traces (1, 0) would need d_2 = 1/2, which no integer matrix has
         with pytest.raises(ArithmeticError, match="Newton"):
-            bundle_from_sums([2, 1, 1, 1], [[1, 0]])
-
-    def test_needs_counts_through_n_plus_one(self):
-        with pytest.raises(ValueError):
-            bundle_from_sums([2, 3], [[2, 2]])
+            bundle_from_sweep(chain_vectors(IntMatrix([[1, 0], [0, 0]])), [[1, 0]])
 
 
-# the Fibonacci block {0, 1} coupled into the 1 x 1 block {2}.  The guard
-# checks one coefficient of d times the chain-count series, so it catches
-# a wrong factor only where that series sees the factor's root: beside
-# [[1, 1], [1, 1]] instead, the counts are 3 / (1 - 2z), blind to the 1 x 1
-# block, and a corrupt factor there would pass.
+# the Fibonacci block {0, 1} coupled into the 1 x 1 block {2}.  The
+# certificate compares the whole vector P(A) 1 with 0, so a wrong factor
+# passes only where the sweep v_i = A^i 1 spans less than the space and
+# misses that factor's roots: [[1, 1], [1, 1]] sweeps along its eigenvector
+# 1, sees the eigenvalue 2 alone, and accepts traces (3, 5) for (2, 4).
 GUARD_MATRIX = [[1, 1, 1], [1, 0, 0], [0, 0, 1]]
 
 PELL = [[2, 1], [1, 0]]

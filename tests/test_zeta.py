@@ -2,9 +2,9 @@
 
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 from unittest import mock
 
 import pytest
@@ -40,8 +40,10 @@ from catzeta import (
     zeta_series,
 )
 from catzeta import category as category_module
+from catzeta import charpoly as charpoly_module
 from catzeta import zeta as zeta_module
 from catzeta.category import chain_vectors
+from catzeta.charpoly import block_traces, bundle_from_sweep
 from catzeta.roots import Arithmetic
 from conftest import monoids_up_to_3, random_poset_relation
 from oracles import (
@@ -487,7 +489,7 @@ class TestExactVerifyRoute:
         report = verify_matrix(fixture_matrices["pell"], order=20)
         assert report.path == "numeric" and report.passed
         assert calls == [20]
-        assert sweeps == [3, 20]  # the pencil's N + 1 steps, then the series' K
+        assert sweeps == [2, 20]  # the pencil's N steps, then the series' K
 
 
 integer_matrices = st.integers(min_value=0, max_value=5).flatmap(
@@ -517,11 +519,6 @@ exact_inputs = st.one_of(
         lambda pm: adjacency(product(pm[0], monoid_delooping(pm[1])))),
     triangular_matrices(),
 )
-
-
-def krylov(a):
-    """A^0 1 .. A^N 1, the first N + 1 vectors of the chain-count sweep."""
-    return list(islice(chain_vectors(a), a.n + 1))
 
 
 def recording(calls, real):
@@ -579,8 +576,9 @@ def _beta_at(cf, j):
 
 class TestC1Window:
     """On the exact path C1 compares n = 1..min(K, N) and proves every
-    other order from facts (a)-(c); the report stays that of the K-term
-    comparison, c1_k_term_oracle."""
+    other order from facts (a)-(c), (a) by the pencil's certificate
+    P(A) 1 = 0; the report stays that of the K-term comparison,
+    c1_k_term_oracle."""
 
     @given(integer_matrices)
     @example(IntMatrix([]))
@@ -591,27 +589,36 @@ class TestC1Window:
     @example(IntMatrix([[0, -1], [1, 0]]))  # irrational spectrum
     @settings(max_examples=150, deadline=None)
     def test_certificate_holds_for_the_true_charpoly(self, a):
-        cp = monic_charpoly(det_poly(a), a.n)  # from the Bareiss oracle's d
+        bundle, chains = bundle_from_sweep(chain_vectors(a), block_traces(a))
+        assert bundle.d == det_poly(a)  # the Bareiss oracle's
+        assert chains == chain_counts(a, a.n)
+        cp = monic_charpoly(bundle.d, a.n)
         assert cp.degree == a.n and cp.lead == 1
-        assert zeta_module._annihilates(cp, krylov(a))
 
-    def test_perturbed_charpoly_is_refused(self):
+    def test_perturbed_charpoly_is_refused(self, monkeypatch):
         a = IntMatrix([[1, 1, 0], [0, 3, 1], [1, 0, 2]])  # v_0, v_1, v_2 independent
-        cp, vectors = monic_charpoly(char_poly_bundle(a).d, a.n), krylov(a)
-        assert zeta_module._annihilates(cp, vectors)
+        real = charpoly_module.monic_charpoly
+        bundle_from_sweep(chain_vectors(a), block_traces(a))  # accepted as it stands
         for i in range(a.n + 1):  # p_i + 1 adds v_i
-            assert not zeta_module._annihilates(cp + RatPoly([0] * i + [1]), vectors), i
-        assert not zeta_module._annihilates(cp + Fraction(1, 2), vectors)
-        assert not zeta_module._annihilates(RatPoly(cp.coeffs[1:]), vectors)
+            monkeypatch.setattr(charpoly_module, "monic_charpoly",
+                                lambda d, n: real(d, n) + RatPoly([0] * i + [1]))
+            with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+                bundle_from_sweep(chain_vectors(a), block_traces(a))
+        monkeypatch.setattr(charpoly_module, "monic_charpoly",
+                            lambda d, n: RatPoly(real(d, n).coeffs[1:]))
+        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+            bundle_from_sweep(chain_vectors(a), block_traces(a))
 
-    def test_refused_certificate_takes_the_k_term_route(self, monkeypatch):
-        order, calls = 3 * ARROW_AND_CHAIN.n, []
-        monkeypatch.setattr(zeta_module, "_annihilates", lambda cp, vectors: False)
+    def test_refused_certificate_raises(self, monkeypatch):
+        """No K-term route: a d that the sweep refuses ends verify."""
+        calls, real = [], charpoly_module.monic_charpoly
+        monkeypatch.setattr(charpoly_module, "monic_charpoly",
+                            lambda d, n: real(d, n) + 1)
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
-        report = verify_matrix(ARROW_AND_CHAIN, order=order)
-        assert report.passed and report.c1_max_rel_err == 0
-        assert calls == [order]
+        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+            verify_matrix(ARROW_AND_CHAIN, order=3 * ARROW_AND_CHAIN.n)
+        assert calls == []
 
     @pytest.mark.parametrize("fact", ["c", "b"])
     def test_a_failed_fact_takes_the_k_term_route(self, monkeypatch, fact):
@@ -631,8 +638,7 @@ class TestC1Window:
         bad = spoil(analysis.closed)
         assert closed_form_counts(bad, n) == chain_counts(a, n)[1:]
         assert closed_form_counts(bad, n + 1)[-1] != chain_counts(a, n + 1)[-1]
-        assert not zeta_module._c1_certified(replace(analysis, closed=bad),
-                                             monic_charpoly(analysis.bundle.d, n))
+        assert not zeta_module._c1_certified(replace(analysis, closed=bad))
         monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
         report = verify_matrix(a, order=order)
         assert report.path == "exact" and not report.c1_pass
@@ -660,8 +666,7 @@ class TestC1Window:
         # a window of N - 1 orders would miss it
         assert closed_form_counts(bad, n - 1) == chain_counts(a, n - 1)[1:]
         assert closed_form_counts(bad, n)[-1] != chain_counts(a, n)[-1]
-        assert zeta_module._c1_certified(replace(analysis, closed=bad),
-                                         monic_charpoly(analysis.bundle.d, n))
+        assert zeta_module._c1_certified(replace(analysis, closed=bad))
         calls, real = [], zeta_module.closed_form
         monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
         monkeypatch.setattr(zeta_module, "closed_form_counts",
@@ -691,16 +696,29 @@ class TestC1Window:
         assert report.c1_max_rel_err == c1_k_term_oracle(cf, a, order)
         assert report.c1_pass == (report.c1_max_rel_err == 0)
 
-    def test_exact_verify_sweeps_n_plus_one_steps_whatever_k(self, monkeypatch):
+    def test_exact_verify_sweeps_n_steps_whatever_k(self, monkeypatch):
         """Counted, not timed: at K = 3000 the exact path sweeps A for
-        N + 1 steps and asks closed_form_counts for N orders."""
+        N steps and asks closed_form_counts for N orders."""
         a, calls = exact_ladder_item(36), []
         sweeps = counted_sweeps(monkeypatch)
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
         report = verify_matrix(a, order=3000)
         assert report.path == "exact" and report.passed
-        assert sweeps == [a.n + 1] and calls == [a.n]
+        assert sweeps == [a.n] and calls == [a.n]
+
+    def test_exact_verify_keeps_no_sweep_vectors(self):
+        """The certificate adds each vector into one running sum, so the
+        peak allocation of one verify call at N = 36 stays small."""
+        a = exact_ladder_item(36)
+        verify_matrix(a, order=30)  # warm caches and imports up
+        tracemalloc.start()
+        try:
+            verify_matrix(a, order=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 1024
 
 
 class TestAnalysis:

@@ -10,7 +10,7 @@ Euler characteristic, and the zeta function both ways.
 
 from catzeta import (
     adjacency,
-    analyze_category,
+    analyze_matrix,
     category_from_dict,
     closed_form_taylor,
     zeta_series,
@@ -25,7 +25,7 @@ for name in ("terminal", "p2", "s", "z2", "k2"):
     with open(FIXTURES / f"{name}.json") as fh:
         cat = category_from_dict(json.load(fh))
     a = adjacency(cat)
-    analysis = analyze_category(cat)
+    analysis = analyze_matrix(a)
 
     print(f"== {name} ==")
     print("objects:", ", ".join(cat.objects))

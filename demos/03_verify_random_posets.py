@@ -37,7 +37,7 @@ for i in range(COUNT):
     c = poset_category(random_relation(rng.randint(2, 6)), name=f"poset{i}")
     report = verify_matrix(adjacency(c), order=25)
     assert report.passed and report.path == "exact", c.name
-    assert report.c1_max_rel_err == 0
+    assert report.c1["max_rel_err"] == 0
     checked += 1
     chis[report.chi] = chis.get(report.chi, 0) + 1
 

@@ -25,8 +25,8 @@ for bits in (64, 128, 256):
     assert report.passed
     with mp.workprec(bits + 64):
         print(f"precision {bits:3d} bits: "
-              f"series mismatch {nstr(report.c1_max_rel_err, 3)}, "
-              f"exponent-sum residual {nstr(abs(report.c2_residual), 3)}")
+              f"series mismatch {nstr(report.c1['max_rel_err'], 3)}, "
+              f"exponent-sum residual {nstr(abs(report.c2['residual']), 3)}")
 
 # chi itself never floats: the degree-defect formula stays rational
 print("chi =", report.chi)

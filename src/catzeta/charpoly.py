@@ -135,12 +135,6 @@ def _newton(traces: Sequence[int]) -> list[int]:
     return d
 
 
-def degree_defects(d: RatPoly, k: RatPoly, n: int) -> tuple[int, int]:
-    """(r, s) with r = N - deg d and s = N - 1 - deg k; (0, 0) for N = 0,
-    where d = 1 and k = 0."""
-    return n - d.degree, n - 1 - k.degree
-
-
 @dataclass(frozen=True)
 class CharPolyBundle:
     """The three pencil polynomials of one matrix, with degree bookkeeping.
@@ -190,9 +184,9 @@ def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[
         raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
                               f"{residue[bad]}, not 0")
     k_poly = RatPoly(mul_coeffs(d, chains, n))  # z^0 .. z^(N-1) of d times the counts' series
-    r, s = degree_defects(d_poly, k_poly, n)
     return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(mul_coeffs(d, chains[1:], n)),
-                          r=r, s=s, factors=tuple(f for f in factors if f.degree >= 1)), chains
+                          r=n - d_poly.degree, s=n - 1 - k_poly.degree,
+                          factors=tuple(f for f in factors if f.degree >= 1)), chains
 
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:

@@ -15,11 +15,11 @@ rule: None, bools, ints, floats, strings, lists, tuples and dicts are
 JSON already; _json gives the rest.  A Fraction prints as its string,
 never a float, and without loading mpmath; a polynomial as its
 coefficient strings, lowest degree first ("0" alone for zero); an mpf as
-a decimal string and an mpc as a [re, im] pair of them.  verify's cN_*
-fields nest under "cN", every other report field sits at the top level,
-so a new record field changes the --json bytes.  Output is deterministic
-(sorted keys, fixed number formatting): identical invocations give
-identical bytes.
+a decimal string and an mpc as a [re, im] pair of them.  verify's and
+euler's reports print as they are, each of verify's identity dicts as
+one object, so a new record field changes the --json bytes.  Output is
+deterministic (sorted keys, fixed number formatting): identical
+invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -160,7 +159,7 @@ def _poly_text(p: RatPoly, var: str = "z") -> str:
     return " ".join(parts)
 
 
-def _emit_json(doc, precision_bits: int) -> None:
+def _emit_json(doc, precision_bits: int = DEFAULT_PRECISION_BITS) -> None:
     digits = max(17, int(precision_bits * 0.30103) + 2)
     print(json.dumps(doc, sort_keys=True, indent=2, default=lambda x: _json(x, digits)))
 
@@ -171,8 +170,7 @@ def cmd_validate(args) -> int:
     if args.matrix:
         a = _load_adjacency(args)
         if args.json:
-            _emit_json({"command": "validate", "matrix": True, "n": a.n, "ok": True},
-                       args.precision)
+            _emit_json({"command": "validate", "matrix": True, "n": a.n, "ok": True})
         else:
             print(f"ok: square integer matrix, n = {a.n}")
         return 0
@@ -187,7 +185,7 @@ def cmd_validate(args) -> int:
             "morphisms": len(cat.morphisms),
             "ok": report.ok,
             "violations": report.violations,
-        }, args.precision)
+        })
     else:
         label = cat.name or args.file
         if report.ok:
@@ -205,7 +203,7 @@ def cmd_chains(args) -> int:
     counts = chain_counts(a, args.max)[1:]
     if args.json:
         _emit_json({"command": "chains", "max": args.max,
-                    "counts": [str(c) for c in counts]}, args.precision)
+                    "counts": [str(c) for c in counts]})
     else:
         for m, c in enumerate(counts, start=1):
             print(f"#N_{m} = {c}")
@@ -218,8 +216,7 @@ def cmd_charpoly(args) -> int:
     if args.json:
         # every field but the block factors
         _emit_json({"command": "charpoly", "n": bundle.n, "d": bundle.d, "k": bundle.k,
-                    "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.d.lead},
-                   args.precision)
+                    "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.d.lead})
     else:
         print(f"N = {bundle.n}")
         print(f"d(z) = {_poly_text(bundle.d)}")
@@ -233,7 +230,7 @@ def cmd_euler(args) -> int:
     a = _load_adjacency(args)
     report = euler_char_of_matrix(a)
     if args.json:
-        _emit_json({"command": "euler", **vars(report)}, args.precision)
+        _emit_json({"command": "euler", **vars(report)})
     else:
         if report.exists:
             print(f"chi = {report.chi}")
@@ -294,14 +291,8 @@ def cmd_verify(args) -> int:
     report = verify_matrix(a, order=args.order, tolerance=args.tol,
                            precision_bits=args.precision)
     if args.json:
-        doc = {"command": "verify", "passed": report.passed}
-        for name, value in vars(report).items():
-            check = re.fullmatch(r"(c\d)_(\w+)", name)
-            if check:
-                doc.setdefault(check[1], {})[check[2]] = value
-            else:
-                doc[name] = value
-        _emit_json(doc, args.precision)
+        _emit_json({"command": "verify", "passed": report.passed, **vars(report)},
+                   args.precision)
     else:
         def flag(x):
             return "PASS" if x else "n/a" if x is None else "FAIL"
@@ -310,15 +301,16 @@ def cmd_verify(args) -> int:
               f"tol = {report.tolerance}")
         chi = report.chi if report.chi_exists else "does not exist"
         print(f"chi = {chi}")
-        print(f"C1 taylor match   max rel err = {_value_text(report.c1_max_rel_err)}"
-              f"  [{flag(report.c1_pass)}]")
-        print(f"C2 exponent sum   sum = {_value_text(report.c2_sum)}, "
-              f"residual = {_value_text(report.c2_residual)}  [{flag(report.c2_pass)}]")
-        res = ", ".join(_value_text(x) for x in report.c3_residuals) or "-"
-        print(f"C3 eigenvalues    residuals = {res}  [{flag(report.c3_pass)}]")
-        print(f"C4 alternating    value = {_value_text(report.c4_value)}, "
-              f"target = {_value_text(report.c4_target)}, "
-              f"imag = {_value_text(report.c4_imag)}  [{flag(report.c4_pass)}]")
+        c1, c2, c3, c4 = report.c1, report.c2, report.c3, report.c4
+        print(f"C1 taylor match   max rel err = {_value_text(c1['max_rel_err'])}"
+              f"  [{flag(c1['pass'])}]")
+        print(f"C2 exponent sum   sum = {_value_text(c2['sum'])}, "
+              f"residual = {_value_text(c2['residual'])}  [{flag(c2['pass'])}]")
+        res = ", ".join(_value_text(x) for x in c3["residuals"]) or "-"
+        print(f"C3 eigenvalues    residuals = {res}  [{flag(c3['pass'])}]")
+        print(f"C4 alternating    value = {_value_text(c4['value'])}, "
+              f"target = {_value_text(c4['target'])}, "
+              f"imag = {_value_text(c4['imag'])}  [{flag(c4['pass'])}]")
         print(f"overall: {flag(report.passed)}")
     return 0 if report.passed else 1
 
@@ -357,22 +349,22 @@ def _generate_category(args) -> FiniteCategory:
 
 def cmd_generate(args) -> int:
     cat = _generate_category(args)
-    _emit_json(category_to_dict(cat), args.precision)
+    _emit_json(category_to_dict(cat))
     return 0
 
 
 # -- wiring ----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
-                        metavar="BITS", help="working binary precision")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                        metavar="T", help="verification tolerance")
-    common.add_argument("--json", action="store_true",
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("file")
+    inputs.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--matrix", action="store_true",
+    inputs.add_argument("--matrix", action="store_true",
                         help="treat FILE as a raw square integer matrix")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
+                           metavar="BITS", help="working binary precision")
 
     parser = argparse.ArgumentParser(
         prog="catzeta",
@@ -380,46 +372,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[inputs],
                        help="check the category axioms")
-    p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("chains", parents=[common],
+    p = sub.add_parser("chains", parents=[inputs],
                        help="count composable chains of morphisms")
-    p.add_argument("file")
     p.add_argument("--max", type=int, default=8, metavar="M",
                    help="longest chain length")
     p.set_defaults(func=cmd_chains)
 
-    p = sub.add_parser("charpoly", parents=[common],
+    p = sub.add_parser("charpoly", parents=[inputs],
                        help="the pencil polynomials d, k, m and degree defects")
-    p.add_argument("file")
     p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("euler", parents=[common],
+    p = sub.add_parser("euler", parents=[inputs],
                        help="series Euler characteristic")
-    p.add_argument("file")
     p.set_defaults(func=cmd_euler)
 
-    p = sub.add_parser("zeta", parents=[common],
+    p = sub.add_parser("zeta", parents=[inputs, precision],
                        help="zeta series and optional closed form")
-    p.add_argument("file")
     p.add_argument("--order", type=int, default=10, metavar="K",
                    help="series truncation order")
     p.add_argument("--closed", action="store_true",
                    help="include the closed-form description")
     p.set_defaults(func=cmd_zeta)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[inputs, precision],
                        help="check the four closed-form identities")
-    p.add_argument("file")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                   metavar="T", help="verification tolerance")
     p.add_argument("--order", type=int, default=30, metavar="K",
                    help="series comparison order")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="emit a category file on standard output")
+    p = sub.add_parser("generate", help="emit a category file on standard output")
     p.add_argument("kind",
                    choices=["discrete", "poset", "monoid", "union", "product"])
     p.add_argument("args", nargs="*")
@@ -437,10 +424,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     if getattr(args, "max", 1) < 1:
         print("error: --max must be at least 1", file=sys.stderr)
         return 2
-    if args.precision < 1:
+    if getattr(args, "precision", 1) < 1:
         print("error: --precision must be at least 1", file=sys.stderr)
         return 2
-    if not 0 <= args.tol < math.inf:
+    if not 0 <= getattr(args, "tol", 0) < math.inf:
         print("error: --tol must be a finite nonnegative number", file=sys.stderr)
         return 2
     try:

@@ -101,11 +101,11 @@ def test_criterion_2_series_agreement(sweep, corpus_categories):
     reports, elapsed = sweep
     assert len(reports) >= 205 + 6
     for label, _, rep in reports:
-        assert rep.c1_pass, label
+        assert rep.c1["pass"], label
         if rep.path == "exact":
-            assert rep.c1_max_rel_err == 0, label
+            assert rep.c1["max_rel_err"] == 0, label
         else:
-            assert float(rep.c1_max_rel_err) <= SWEEP_TOL, label
+            assert float(rep.c1["max_rel_err"]) <= SWEEP_TOL, label
     # categories (posets, monoids, fixtures) all have rational spectra here,
     # so the exact path must actually be the one exercised for them
     category_count = len(corpus_categories)
@@ -120,14 +120,14 @@ def test_criterion_3_exponent_sum(sweep):
     reports, _ = sweep
     applicable = 0
     for label, a, rep in reports:
-        assert rep.c2_pass is not False, label
-        if not rep.c2_applicable:
+        assert rep.c2["pass"] is not False, label
+        if not rep.c2["applicable"]:
             continue
         applicable += 1
         if rep.path == "exact":
-            assert rep.c2_sum == a.n, label
+            assert rep.c2["sum"] == a.n, label
         else:
-            assert float(abs(rep.c2_residual)) <= SWEEP_TOL, label
+            assert float(abs(rep.c2["residual"])) <= SWEEP_TOL, label
     assert applicable >= 200
 
 
@@ -137,12 +137,12 @@ def test_criterion_4_reciprocal_roots_are_eigenvalues(sweep):
     reports, _ = sweep
     seen_roots = 0
     for label, _, rep in reports:
-        assert rep.c3_pass, label
-        for res, scale in zip(rep.c3_residuals, rep.c3_scales):
+        assert rep.c3["pass"], label
+        for res, scale in zip(rep.c3["residuals"], rep.c3["scales"]):
             seen_roots += 1
             assert float(abs(res)) <= SWEEP_TOL * float(scale), label
         if rep.path == "exact":
-            assert all(res == 0 for res in rep.c3_residuals), label
+            assert all(res == 0 for res in rep.c3["residuals"]), label
     assert seen_roots >= 200
 
 
@@ -153,13 +153,13 @@ def test_criterion_5_alternating_sum_is_chi(sweep):
     reports, _ = sweep
     applicable = 0
     for label, a, rep in reports:
-        assert rep.c4_pass is not False, label
-        if not rep.c4_applicable:
+        assert rep.c4["pass"] is not False, label
+        if not rep.c4["applicable"]:
             continue
         applicable += 1
-        assert rep.c4_target == euler_char_of_matrix(a).chi, label
-        assert float(abs(rep.c4_residual)) <= SWEEP_TOL, label
-        assert float(abs(rep.c4_imag)) <= SWEEP_TOL, label
+        assert rep.c4["target"] == euler_char_of_matrix(a).chi, label
+        assert float(abs(rep.c4["residual"])) <= SWEEP_TOL, label
+        assert float(abs(rep.c4["imag"])) <= SWEEP_TOL, label
     assert applicable >= 200
 
 

@@ -19,7 +19,6 @@ from catzeta import (
     RatPoly,
     adjacency,
     char_poly_bundle,
-    degree_defects,
     exp_trunc,
     factor_charpoly,
     monic_charpoly,
@@ -152,10 +151,6 @@ class TestDegreeDefects:
     def test_nilpotent_shift(self):
         bundle = char_poly_bundle(IntMatrix([[0, 1], [0, 0]]))
         assert (bundle.r, bundle.s) == (2, 0)
-
-    def test_degree_defects_function(self):
-        assert degree_defects(RatPoly([1, -2, 1]), RatPoly([2, -1]), 2) == (0, 0)
-        assert degree_defects(RatPoly.one(), RatPoly.zero(), 0) == (0, 0)
 
 
 class TestReversal:

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cli_sweep
+from catzeta import adjacency, verify_matrix
 from catzeta.cli import _json, cli_main
 from conftest import FIXTURE_DIR
 
@@ -123,14 +125,16 @@ class TestErrorHandling:
         assert code == 0
         assert "overall: PASS" in out
 
-    def test_tolerance_leaves_the_closed_form_alone(self, capsys):
-        # --tol is the verification tolerance; the closed form recombines at
-        # the library default, so even 1e-300 changes no byte of it
-        argv = ("zeta", "--closed", "--matrix", matrix_fixture("pell"))
-        _, plain, _ = run(capsys, *argv)
-        code, tight, _ = run(capsys, *argv, "--tol", "1e-300")
-        assert code == 0
-        assert tight == plain
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--closed", "--matrix", matrix_fixture("pell"), "--tol", "1e-300"],
+        ["chains", fixture("z2"), "--tol", "1"],
+        ["generate", "discrete", "3", "--json"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bool_matrix_entry_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bools.json"
@@ -276,6 +280,30 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["chi"] == "1"
         assert doc["path"] == "exact"
+
+    @pytest.mark.parametrize("name, path", [("k2", "exact"), ("pell", "numeric")])
+    def test_json_is_the_report_as_it_is(self, capsys, fixture_categories,
+                                         fixture_matrices, name, path):
+        if name in fixture_categories:
+            a, argv = adjacency(fixture_categories[name]), [fixture(name)]
+        else:
+            a, argv = fixture_matrices[name], [matrix_fixture(name), "--matrix"]
+        report = verify_matrix(a)
+        names = {f.name for f in fields(report)}
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0 and report.path == path
+        assert set(doc) == {"command", "passed"} | names
+        checks = [getattr(report, c) for c in ("c1", "c2", "c3", "c4")]
+        for c, check in zip(("c1", "c2", "c3", "c4"), checks):
+            assert set(doc[c]) == set(check), c
+        # what bench/run.py reads of a report: fields(report), the four flags,
+        # passed, path, order and chi
+        flags = [report.c1_pass, report.c2_pass, report.c3_pass, report.c4_pass]
+        assert flags == [check["pass"] for check in checks]
+        assert report.passed is doc["passed"] is True
+        assert (doc["path"], doc["order"], doc["chi"]) == (report.path, report.order,
+                                                           str(report.chi))
 
     def test_semiprime_eigenvalue_matrix(self, capsys, tmp_path):
         # eigenvalues 1 and q = p1 p2, two 12-digit primes

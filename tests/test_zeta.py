@@ -20,7 +20,6 @@ from catzeta import (
     RootSet,
     ZetaFactor,
     adjacency,
-    analyze_category,
     analyze_matrix,
     chain_counts,
     char_poly_bundle,
@@ -408,35 +407,35 @@ class TestClosedFormCounts:
         monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: _perturbed(real(pfd), what))
         report = verify_matrix(ARROW_AND_CHAIN, order=12)
         assert report.path == "exact"
-        assert not report.c1_pass and not report.passed
-        assert report.c1_max_rel_err > 0
+        assert not report.c1["pass"] and not report.passed
+        assert report.c1["max_rel_err"] > 0
 
     def test_empty_matrix(self):
         a = IntMatrix([])
         cf = analyze_matrix(a).closed
         assert closed_form_counts(cf, 5) == [0] * 5
         report = verify_matrix(a, order=5)
-        assert report.passed and report.c1_max_rel_err == 0
+        assert report.passed and report.c1["max_rel_err"] == 0
 
     def test_nilpotent_is_q_only(self):
         a = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         cf = analyze_matrix(a).closed
         assert cf.factors == ()
         assert closed_form_counts(cf, 6) == [2, 1, 0, 0, 0, 0]
-        assert verify_matrix(a, order=6).c1_max_rel_err == 0
+        assert verify_matrix(a, order=6).c1["max_rel_err"] == 0
 
     def test_order_zero(self):
         cf = analyze_matrix(ARROW_AND_CHAIN).closed
         assert closed_form_counts(cf, 0) == []
         report = verify_matrix(ARROW_AND_CHAIN, order=0)
-        assert report.passed and report.c1_max_rel_err == 0
+        assert report.passed and report.c1["max_rel_err"] == 0
 
     def test_order_below_size(self):
         a = IntMatrix([[1 if i <= j else 0 for j in range(6)] for i in range(6)])
         cf = analyze_matrix(a).closed
         assert closed_form_counts(cf, 2) == chain_counts(a, 2)[1:]
         report = verify_matrix(a, order=2)
-        assert report.passed and report.c1_max_rel_err == 0
+        assert report.passed and report.c1["max_rel_err"] == 0
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -641,8 +640,8 @@ class TestC1Window:
         assert not zeta_module._c1_certified(replace(analysis, closed=bad))
         monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
         report = verify_matrix(a, order=order)
-        assert report.path == "exact" and not report.c1_pass
-        assert report.c1_max_rel_err == c1_k_term_oracle(bad, a, order) > 0
+        assert report.path == "exact" and not report.c1["pass"]
+        assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
 
     @pytest.mark.parametrize("case", ["monoid", "nilpotent"])
     def test_first_mismatch_at_n_equal_to_N(self, monkeypatch, case):
@@ -672,8 +671,8 @@ class TestC1Window:
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
         report = verify_matrix(a, order=order)
-        assert report.path == "exact" and not report.c1_pass and not report.passed
-        assert report.c1_max_rel_err == c1_k_term_oracle(bad, a, order) > 0
+        assert report.path == "exact" and not report.c1["pass"] and not report.passed
+        assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
         assert calls == [n, order]  # the window finds it, the report covers n = 1..K
 
     @given(exact_inputs, st.data(), st.booleans())
@@ -693,8 +692,8 @@ class TestC1Window:
             cf = analyze_matrix(a).closed
         assert report.path == "exact"
         assert report == k_term
-        assert report.c1_max_rel_err == c1_k_term_oracle(cf, a, order)
-        assert report.c1_pass == (report.c1_max_rel_err == 0)
+        assert report.c1["max_rel_err"] == c1_k_term_oracle(cf, a, order)
+        assert report.c1["pass"] == (report.c1["max_rel_err"] == 0)
 
     def test_exact_verify_sweeps_n_steps_whatever_k(self, monkeypatch):
         """Counted, not timed: at K = 3000 the exact path sweeps A for
@@ -724,16 +723,12 @@ class TestC1Window:
 class TestAnalysis:
     def test_exact_path_for_posets(self, fixture_categories):
         for name in ("terminal", "p2", "s"):
-            assert analyze_category(fixture_categories[name]).path == "exact"
+            assert analyze_matrix(adjacency(fixture_categories[name])).path == "exact"
 
     def test_numeric_path_for_irrational_spectrum(self, fixture_matrices):
         analysis = analyze_matrix(fixture_matrices["pell"])
         assert analysis.path == "numeric"
         assert analysis.closed.arithmetic.precision == 128
-
-    def test_category_wrapper_matches_matrix(self, fixture_categories):
-        c = fixture_categories["p2"]
-        assert analyze_category(c).bundle.d == analyze_matrix(adjacency(c)).bundle.d
 
 
 class TestVerification:
@@ -742,11 +737,11 @@ class TestVerification:
         assert report.passed
         assert report.path == "exact"
         assert report.chi == 1
-        assert report.c1_max_rel_err == 0
-        assert report.c2_sum == 2
-        assert (report.c2_applicable, report.c4_applicable) == (True, True)
-        assert report.c4_value == report.c4_target == 1
-        assert all(r == 0 for r in report.c3_residuals)
+        assert report.c1["max_rel_err"] == 0
+        assert report.c2["sum"] == 2
+        assert (report.c2["applicable"], report.c4["applicable"]) == (True, True)
+        assert report.c4["value"] == report.c4["target"] == 1
+        assert all(r == 0 for r in report.c3["residuals"])
 
     def test_all_fixture_categories_verify(self, fixture_categories):
         for name, c in fixture_categories.items():
@@ -801,9 +796,9 @@ class TestVerification:
         real = zeta_module.monic_charpoly
         monkeypatch.setattr(zeta_module, "monic_charpoly", lambda d, n: real(d, n) + RatPoly([1, 0, 1]))
         report = verify_matrix(IntMatrix(rows), order=6)
-        assert report.path == path and not report.c3_pass
+        assert report.path == path and not report.c3["pass"]
         cf = analyze_matrix(IntMatrix(rows)).closed
-        got = [res for res, f in zip(report.c3_residuals, cf.factors) if f.kind == "rational"]
+        got = [res for res, f in zip(report.c3["residuals"], cf.factors) if f.kind == "rational"]
         want = [1 / f.theta ** 2 + 1 for f in cf.factors if f.kind == "rational"]
         assert got == want if path == "exact" else [float(x) for x in got] == want
 
@@ -812,8 +807,8 @@ class TestVerification:
         assert report.path == "numeric"
         assert report.passed
         assert report.chi == 1
-        assert float(report.c1_max_rel_err) < 1e-20
-        assert float(report.c2_residual) < 1e-20
+        assert float(report.c1["max_rel_err"]) < 1e-20
+        assert float(report.c2["residual"]) < 1e-20
 
     def test_higher_precision_accepted(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["pell"], order=10,
@@ -824,14 +819,14 @@ class TestVerification:
     def test_inapplicable_identities_reported_as_none(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["shift2"], order=10)
         assert not report.chi_exists
-        assert report.c2_pass is None and report.c4_pass is None
+        assert report.c2["pass"] is None and report.c4["pass"] is None
         assert report.passed  # only the applicable identities count
 
     def test_vanishing_chi_exercises_alternating_sum(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["rot90"], order=12)
         assert report.path == "numeric"
-        assert report.c4_applicable
-        assert report.c4_target == 0
+        assert report.c4["applicable"]
+        assert report.c4["target"] == 0
         assert report.passed
 
 

@@ -3,8 +3,9 @@ Anatomy of the closed form
 ==========================
 
 Walk one matrix through the whole pipeline by hand: pencil polynomials,
-root extraction, Hermite partial fractions, beta coefficients, and the
-final product-of-factors-times-exponential shape.
+root extraction, the division of m by d that the closed form starts
+from, beta coefficients, and the final product-of-factors-times-exponential
+shape.
 """
 
 from fractions import Fraction
@@ -15,7 +16,6 @@ from catzeta import (
     closed_form,
     closed_form_taylor,
     factor_charpoly,
-    partial_fractions,
     zeta_series,
 )
 
@@ -30,10 +30,10 @@ rootset = factor_charpoly(bundle.d)
 for root in rootset.roots:
     print(f"root theta = {root.theta} with multiplicity {root.multiplicity}")
 
-pfd = partial_fractions(bundle.m, bundle.d, rootset)
-print("partial fraction numerators A_kj:", pfd.terms)
+q, rem = divmod(bundle.m, bundle.d)
+print("m/d = q + rem/d with q =", list(q.coeffs), "and rem =", list(rem.coeffs))
 
-cf = closed_form(pfd)
+cf = closed_form(bundle.m, bundle.d, rootset)
 (factor,) = cf.factors
 print(f"zeta = (1 - {factor.alpha} z)^(-{factor.beta0}) "
       f"* exp({factor.betas[0]} z / (1 - {factor.alpha} z))")

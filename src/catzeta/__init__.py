@@ -42,7 +42,6 @@ from .roots import (
 )
 from .zeta import (
     ClosedFormZeta,
-    PartialFractionDecomposition,
     SingularityReport,
     SingularPoint,
     VerificationReport,
@@ -52,7 +51,6 @@ from .zeta import (
     closed_form,
     closed_form_counts,
     closed_form_taylor,
-    partial_fractions,
     singularity_report,
     verify_matrix,
     zeta_series,

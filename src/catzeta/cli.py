@@ -255,7 +255,7 @@ def cmd_zeta(args) -> int:
             doc["closed_form"] = {
                 "path": analysis.path,
                 "lead": analysis.rootset.lead,
-                "q": analysis.pfd.q,
+                "q": cf.q_integral.derivative(),
                 "Q": cf.q_integral,
                 # each root's facts and its classification, in one record
                 "factors": [{**vars(point), **vars(factor)}

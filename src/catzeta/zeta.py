@@ -20,20 +20,23 @@ report classifies each root as a pole, zero or essential singularity.
 
 The arithmetic is chosen once, by the root set: exact Fractions when
 every root of d is rational, complex numbers at the working precision
-otherwise (roots.Arithmetic).  Partial fractions, the closed form, its
-Taylor and log coefficients, identities 2 to 4 and the singularity report
-each run one code path over whichever scalars the root set carries; an
-identity holds with a zero residual in exact arithmetic and within a
-tolerance in numeric arithmetic: verify's own for the four identities,
-the fixed DEFAULT_TOLERANCE for the partial-fraction recombination and
-DEFAULT_VERIFY_TOL for the singularity report.  The Hermite terms
-A_{k,j}, the beta's, both recombinations and closed_form_counts clear
-denominators once (Arithmetic.split) and build each result once
-(Arithmetic.join), so on an exact root set, whose theta are +-1/b, they
-add and multiply ints.  Two checks still branch.  The Taylor match forks
-on the arithmetic.  Exact: the log coefficients c_n = n [z^n] log zeta
-from closed_form_counts must equal the swept chain counts #N_n, as good
-as equal Taylor coefficients, and this is proved for every order n from
+otherwise (roots.Arithmetic).  The closed form, its Taylor and log
+coefficients, identities 2 to 4 and the singularity report each run one
+code path over whichever scalars the root set carries; an identity holds
+with a zero residual in exact arithmetic and within a tolerance in
+numeric arithmetic: verify's own for the four identities, the fixed
+DEFAULT_TOLERANCE for the partial-fraction recombination and
+DEFAULT_VERIFY_TOL for the singularity report.  closed_form is one stage
+from m, d and the roots: it divides m by d, takes the Hermite terms
+A_{k,j} of the remainder as numerators over one denominator per
+root, checks them by recombination and sums the beta's from the same
+numerators.  It and closed_form_counts clear denominators once
+(Arithmetic.split) and build each result once (Arithmetic.join), so on
+an exact root set, whose theta are +-1/b, they add and multiply ints.
+Two checks still branch.  The Taylor match forks on the arithmetic.
+Exact: the log coefficients c_n = n [z^n] log zeta from
+closed_form_counts must equal the swept chain counts #N_n, as good as
+equal Taylor coefficients, and this is proved for every order n from
 n = 1..min(K, N) alone.  Let cp = det(t E - A) = sum_i p_i t^i, the
 reversal of d (charpoly.monic_charpoly), monic with integer p_i.  Then
 delta_n = c_n - #N_n obeys cp's monic recurrence of order N for every
@@ -130,22 +133,7 @@ def zeta_series(a: IntMatrix, order: int) -> RatSeries:
     return series_from_counts(chain_counts(a, order), order)
 
 
-# -- partial fractions -----------------------------------------------------
-
-@dataclass(frozen=True)
-class PartialFractionDecomposition:
-    """m(z)/d(z) = q(z) + (1/lead) sum_k sum_j A_{k,j} / (z - theta_k)^j,
-    with lead = rootset.lead.
-
-    terms[k][j-1] holds A_{k,j} for the k-th root of the root set, in
-    the root set's arithmetic.
-    """
-
-    q: RatPoly
-    remainder: RatPoly
-    rootset: RootSet
-    terms: tuple[tuple, ...]
-
+# -- closed form -----------------------------------------------------------
 
 def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
                    arith: Arithmetic) -> list[tuple]:
@@ -195,24 +183,56 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
     return out
 
 
-def partial_fractions(m_poly: RatPoly, d: RatPoly,
-                      rootset: RootSet) -> PartialFractionDecomposition:
-    """Split m/d into quotient plus partial fractions over the given roots.
+@dataclass(frozen=True)
+class ZetaFactor:
+    """One root's contribution: (1 - alpha z)^(-beta0) and, for repeated
+    roots, inner exponential coefficients beta_j for j = 1..e-1."""
 
-    The quotient and remainder come from exact polynomial division.  The
-    A_{k,j} come from Taylor expansion of the deflated remainder at each
-    root, on ints when exact; recombining the same numerators and
-    denominators with denominators cleared verifies the decomposition.
+    theta: object
+    alpha: object
+    multiplicity: int
+    kind: str
+    beta0: object
+    betas: tuple
+
+
+@dataclass(frozen=True)
+class ClosedFormZeta:
+    q_integral: RatPoly          # Q(z), antiderivative of q, zero constant term
+    factors: tuple[ZetaFactor, ...]
+    arithmetic: Arithmetic       # that of the root set it was built over
+
+
+def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta:
+    """The closed form of zeta from its log derivative m/d and the roots of d.
+
+    Exact division gives m/d = q(z) + rem(z)/d(z), and Q is q's
+    antiderivative.  Over the roots theta_k of d, with lead = rootset.lead,
+
+        rem/d = (1/lead) sum_k sum_{j=1..e_k} A_{k,j} / (z - theta_k)^j,
+
+    whose A_{k,j} _hermite_terms gives as numerators over one denominator
+    per root, ints when exact; recombining those numerators with
+    denominators cleared checks them against rem.  Then beta0 =
+    -A_{k,1}/lead, and for j >= 1
+
+        beta_j = (1/lead) sum_{i=j}^{e-1} C(i-1, j-1) (-1)^{i+1}
+                          alpha^{i+j} A_{k,i+1}
+
+    so that the factor and exponential coefficients carry no stray
+    normalization; the sum of the beta0 is then exactly N.  With alpha = p / r,
+    A_{k,i+1} = nums_i / den and 1/lead = lead_num / lead_den (Arithmetic.split),
+    each beta_j is one sum over lead_den den r^(2e-2), on ints when exact.
     """
     if d.is_zero():
         raise ValueError("denominator must be nonzero")
     q, rem = divmod(m_poly, d)
     arith = rootset.arithmetic
     mults = [root.multiplicity for root in rootset.roots]
+    factors = []
     with arith.context():
         pairs = [arith.split(root.theta) for root in rootset.roots]
         parts = _hermite_terms(rem, pairs, mults, arith)
-        terms = [tuple([arith.join(x, den) for x in nums]) for nums, den in parts]
         # With theta_k = a_k / b_k, B = prod_k b_k^(e_k) and D the lcm of
         # the denominators of the A_{k,j} and of rem:
         # D B rem = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e_k - j), by
@@ -243,56 +263,12 @@ def partial_fractions(m_poly: RatPoly, d: RatPoly,
                 "partial fraction recombination residual above tolerance; "
                 "raise the precision"
             )
-    return PartialFractionDecomposition(q=q, remainder=rem, rootset=rootset,
-                                        terms=tuple(terms))
-
-
-# -- closed form -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZetaFactor:
-    """One root's contribution: (1 - alpha z)^(-beta0) and, for repeated
-    roots, inner exponential coefficients beta_j for j = 1..e-1."""
-
-    theta: object
-    alpha: object
-    multiplicity: int
-    kind: str
-    beta0: object
-    betas: tuple
-
-
-@dataclass(frozen=True)
-class ClosedFormZeta:
-    q_integral: RatPoly          # Q(z), antiderivative of q, zero constant term
-    factors: tuple[ZetaFactor, ...]
-    arithmetic: Arithmetic       # that of the root set it was built over
-
-
-def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
-    """Assemble the closed form from a partial fraction decomposition.
-
-    beta0 = -A_{k,1}/lead, and for j >= 1
-
-        beta_j = (1/lead) sum_{i=j}^{e-1} C(i-1, j-1) (-1)^{i+1}
-                          alpha^{i+j} A_{k,i+1}
-
-    so that the factor and exponential coefficients carry no stray
-    normalization; the sum of the beta0 is then exactly N.  With alpha = p / r,
-    A_{k,i+1} = nums_i / den and 1/lead = lead_num / lead_den (Arithmetic.split),
-    each beta_j is one sum over lead_den den r^(2e-2), on ints when exact.
-    """
-    arith = pfd.rootset.arithmetic
-    factors = []
-    with arith.context():
         one = arith.one
-        lead_num, lead_den = arith.split(one / arith.lift(pfd.rootset.lead))
-        for root, terms in zip(pfd.rootset.roots, pfd.terms):
+        lead_num, lead_den = arith.split(one / arith.lift(rootset.lead))
+        for root, (nums, den) in zip(rootset.roots, parts):
             theta, e = arith.lift(root.theta), root.multiplicity
             alpha = one / theta
-            (p, r), parts = arith.split(alpha), [arith.split(c) for c in terms]
-            den = math.lcm(*[b for _, b in parts])
-            nums = [a * (den // b) for a, b in parts]
+            p, r = arith.split(alpha)
             ppow, rpow = ([x ** k for k in range(2 * e - 1)] for x in (p, r))
             betas = []
             for j in range(1, e):
@@ -306,7 +282,7 @@ def closed_form(pfd: PartialFractionDecomposition) -> ClosedFormZeta:
                                       multiplicity=e, kind=root.kind,
                                       beta0=arith.join(-nums[0] * lead_num, lead_den * den),
                                       betas=tuple(betas)))
-    return ClosedFormZeta(q_integral=pfd.q.antiderivative(), factors=tuple(factors),
+    return ClosedFormZeta(q_integral=q.antiderivative(), factors=tuple(factors),
                           arithmetic=arith)
 
 
@@ -404,12 +380,10 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 
 @dataclass(frozen=True)
 class ZetaAnalysis:
-    matrix: IntMatrix
     chains: tuple[int, ...]  # #N_0 .. #N_max(order, N), one sweep of max(order, N) steps
     bundle: CharPolyBundle
     euler: EulerReport
     rootset: RootSet
-    pfd: PartialFractionDecomposition
     closed: ClosedFormZeta
 
     @property
@@ -432,9 +406,8 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
     chains = tuple(chains) + tuple(map(sum, islice(sweep, max(order - a.n, 0))))
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors)
-    pfd = partial_fractions(bundle.m, bundle.d, rootset)
-    return ZetaAnalysis(matrix=a, chains=chains, bundle=bundle, euler=euler,
-                        rootset=rootset, pfd=pfd, closed=closed_form(pfd))
+    return ZetaAnalysis(chains=chains, bundle=bundle, euler=euler, rootset=rootset,
+                        closed=closed_form(bundle.m, bundle.d, rootset))
 
 
 # -- verification of the four identities -----------------------------------
@@ -501,7 +474,7 @@ def _c4_sum(factors, one):
 def _c1_certified(analysis: ZetaAnalysis) -> bool:
     """Facts (b) and (c) of the module docstring, under which C1 at
     n = 1..N proves it at every n; the pencil has proved (a)."""
-    n, cf, roots = analysis.matrix.n, analysis.closed, analysis.rootset.roots
+    n, cf, roots = analysis.bundle.n, analysis.closed, analysis.rootset.roots
     return (cf.q_integral.degree <= n - analysis.bundle.d.degree  # (c)
             and len(cf.factors) == len(roots)  # (b)
             and all(f.alpha * root.theta == 1 and len(f.betas) < root.multiplicity

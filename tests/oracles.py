@@ -465,12 +465,14 @@ def hermite_terms_oracle(rem: RatPoly, thetas: Sequence[Fraction],
     return terms
 
 
-def closed_form_betas_oracle(pfd) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """(beta0, (beta_1..beta_(e-1))) per root, beta0 = -A_{k,1}/lead and
+def closed_form_betas_oracle(rootset, terms_by_root
+                             ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """(beta0, (beta_1..beta_(e-1))) per root of rootset, from its A_{k,j}
+    (terms_by_root[k][j-1]): beta0 = -A_{k,1}/lead and
     beta_j = (1/lead) sum_{i=j}^{e-1} C(i-1, j-1) (-1)^(i+1) alpha^(i+j) A_{k,i+1},
     each term in Fractions."""
-    lead, out = Fraction(pfd.rootset.lead), []
-    for root, terms in zip(pfd.rootset.roots, pfd.terms):
+    lead, out = Fraction(rootset.lead), []
+    for root, terms in zip(rootset.roots, terms_by_root):
         alpha, e = 1 / Fraction(root.theta), root.multiplicity
         betas = tuple(sum((Fraction((-1) ** (i + 1) * comb(i - 1, j - 1)) * alpha ** (i + j)
                            * terms[i] for i in range(j, e)), Fraction(0)) / lead

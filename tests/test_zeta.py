@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from catzeta import (
     ClosedFormZeta,
     IntMatrix,
-    PartialFractionDecomposition,
     RatPoly,
     RatSeries,
     Root,
@@ -31,7 +30,6 @@ from catzeta import (
     monic_charpoly,
     monoid_delooping,
     mul_coeffs,
-    partial_fractions,
     poset_category,
     product,
     singularity_report,
@@ -120,46 +118,59 @@ exact_root_sets = st.builds(
 
 
 class TestPartialFractions:
+    """The A_{k,j} that closed_form reads off _hermite_terms, as Fractions."""
+
+    @staticmethod
+    def terms(bundle, rootset):
+        """q, rem and the A_{k,j} of bundle.m / bundle.d over rootset."""
+        arith = rootset.arithmetic
+        q, rem = divmod(bundle.m, bundle.d)
+        pairs = [arith.split(root.theta) for root in rootset.roots]
+        parts = zeta_module._hermite_terms(
+            rem, pairs, [root.multiplicity for root in rootset.roots], arith)
+        return q, rem, tuple(tuple(Fraction(x, den) for x in nums) for nums, den in parts)
+
     def analyze(self, rows):
-        return analyze_matrix(IntMatrix(rows))
+        analysis = analyze_matrix(IntMatrix(rows))
+        return (analysis, *self.terms(analysis.bundle, analysis.rootset))
 
     def test_arrow_category(self):
-        pfd = self.analyze([[1, 1], [0, 1]]).pfd
-        assert pfd.q == RatPoly.zero()
-        assert pfd.remainder == RatPoly([3, -2])
-        assert pfd.rootset.lead == 1
-        assert pfd.terms == ((Fraction(-2), Fraction(1)),)
-        assert pfd.rootset.arithmetic.exact
+        analysis, q, rem, terms = self.analyze([[1, 1], [0, 1]])
+        assert q == RatPoly.zero() == analysis.closed.q_integral.derivative()
+        assert rem == RatPoly([3, -2])
+        assert analysis.rootset.lead == 1
+        assert terms == ((Fraction(-2), Fraction(1)),)
+        assert analysis.rootset.arithmetic.exact
 
     def test_parallel_pair(self):
-        pfd = self.analyze([[1, 2], [0, 1]]).pfd
-        assert pfd.terms == ((Fraction(-2), Fraction(2)),)
+        _, _, _, terms = self.analyze([[1, 2], [0, 1]])
+        assert terms == ((Fraction(-2), Fraction(2)),)
 
     def test_codiscrete_pair(self):
-        pfd = self.analyze([[1, 1], [1, 1]]).pfd
-        assert pfd.rootset.lead == -2
-        assert pfd.terms == ((Fraction(4),),)
+        analysis, _, _, terms = self.analyze([[1, 1], [1, 1]])
+        assert analysis.rootset.lead == -2
+        assert terms == ((Fraction(4),),)
 
     def test_polynomial_part(self):
-        pfd = self.analyze([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
-                            [0, 0, 0, 1]]).pfd
-        assert pfd.q == RatPoly([2, 1])
+        analysis, q, _, _ = self.analyze([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                                          [0, 0, 0, 1]])
+        assert q == RatPoly([2, 1]) == analysis.closed.q_integral.derivative()
 
     def test_evaluates_to_rational_function(self):
         """Independent check: sum the terms at sample points away from roots."""
         for rows in ([[1, 1], [0, 1]], [[1, 2], [0, 1]], [[1, 1], [1, 1]],
                      [[2, 1], [0, 2]]):
-            analysis = self.analyze(rows)
-            pfd = analysis.pfd
-            assert pfd.rootset.arithmetic.exact
-            roots = pfd.rootset.roots
+            analysis, _, rem, terms = self.analyze(rows)
+            rootset = analysis.rootset
+            assert rootset.arithmetic.exact
+            roots = rootset.roots
             for x in (Fraction(2), Fraction(3), Fraction(5, 7)):
                 if any(r.theta == x for r in roots):
                     continue
-                direct = pfd.remainder(x) / analysis.bundle.d(x)
+                direct = rem(x) / analysis.bundle.d(x)
                 summed = sum(
-                    (coeff / (pfd.rootset.lead * (x - r.theta) ** j)
-                     for r, term in zip(roots, pfd.terms)
+                    (coeff / (rootset.lead * (x - r.theta) ** j)
+                     for r, term in zip(roots, terms)
                      for j, coeff in enumerate(term, start=1)),
                     Fraction(0),
                 )
@@ -172,7 +183,7 @@ class TestPartialFractions:
         assert rs.arithmetic.exact == exact
         k = next(i for i, root in enumerate(rs.roots) if root.multiplicity >= 3)
         assert len(rs.roots) == n_roots
-        assert partial_fractions(bundle.m, bundle.d, rs).rootset.arithmetic.exact == exact
+        assert closed_form(bundle.m, bundle.d, rs).arithmetic.exact == exact
         real = zeta_module._hermite_terms
 
         def corrupt(*args):  # A_{k,j} + 1/3, over the root's denominator times 3
@@ -184,7 +195,7 @@ class TestPartialFractions:
 
         monkeypatch.setattr(zeta_module, "_hermite_terms", corrupt)
         with pytest.raises(ArithmeticError):
-            partial_fractions(bundle.m, bundle.d, rs)
+            closed_form(bundle.m, bundle.d, rs)
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_recombination_catches_a_corrupt_term(self, monkeypatch, j):
@@ -238,17 +249,16 @@ class TestPartialFractions:
         parts = zeta_module._hermite_terms(rem, [arith.split(t) for t in thetas], mults, arith)
         assert all(type(x) is int for nums, den in parts for x in [den, *nums])
         assert [tuple(Fraction(x, den) for x in nums) for nums, den in parts] == want
-        pfd = partial_fractions(m, d, rootset)
-        assert list(pfd.terms) == want
-        got = [(f.beta0, f.betas) for f in closed_form(pfd).factors]
-        assert got == closed_form_betas_oracle(pfd)
+        got = [(f.beta0, f.betas) for f in closed_form(m, d, rootset).factors]
+        assert got == closed_form_betas_oracle(rootset, want)
         assert all(type(b) is Fraction for b0, betas in got for b in (b0, *betas))
 
     def test_standalone_call(self):
         bundle = char_poly_bundle(IntMatrix([[1, 1], [0, 1]]))
         rs = factor_charpoly(bundle.d)
-        pfd = partial_fractions(bundle.m, bundle.d, rs)
-        assert pfd.terms == ((Fraction(-2), Fraction(1)),)
+        assert self.terms(bundle, rs)[2] == ((Fraction(-2), Fraction(1)),)
+        cf = closed_form(bundle.m, bundle.d, rs)
+        assert [(f.beta0, f.betas) for f in cf.factors] == [(2, (1,))]
 
 
 class TestClosedForm:
@@ -404,7 +414,7 @@ class TestClosedFormCounts:
         assert closed_form_taylor(bad, 12) != list(series.coeffs)
         assert closed_form_counts(bad, 12) != chain_counts(ARROW_AND_CHAIN, 12)[1:]
         real = zeta_module.closed_form
-        monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: _perturbed(real(pfd), what))
+        monkeypatch.setattr(zeta_module, "closed_form", lambda *args: _perturbed(real(*args), what))
         report = verify_matrix(ARROW_AND_CHAIN, order=12)
         assert report.path == "exact"
         assert not report.c1["pass"] and not report.passed
@@ -638,7 +648,7 @@ class TestC1Window:
         assert closed_form_counts(bad, n) == chain_counts(a, n)[1:]
         assert closed_form_counts(bad, n + 1)[-1] != chain_counts(a, n + 1)[-1]
         assert not zeta_module._c1_certified(replace(analysis, closed=bad))
-        monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
+        monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
         report = verify_matrix(a, order=order)
         assert report.path == "exact" and not report.c1["pass"]
         assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
@@ -667,7 +677,7 @@ class TestC1Window:
         assert closed_form_counts(bad, n)[-1] != chain_counts(a, n)[-1]
         assert zeta_module._c1_certified(replace(analysis, closed=bad))
         calls, real = [], zeta_module.closed_form
-        monkeypatch.setattr(zeta_module, "closed_form", lambda pfd: spoil(real(pfd)))
+        monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
         report = verify_matrix(a, order=order)
@@ -681,8 +691,8 @@ class TestC1Window:
         order = data.draw(st.integers(min_value=0, max_value=3 * a.n), label="order")
         real = zeta_module.closed_form
 
-        def closed(pfd):
-            cf = real(pfd)
+        def closed(*args):
+            cf = real(*args)
             return _perturbed(cf, "beta0") if perturb and cf.factors else cf
 
         with mock.patch.object(zeta_module, "closed_form", closed):
@@ -886,15 +896,12 @@ class TestSingularities:
         assert [cf.factors[i].theta for i in rep.violations] == [-1]
 
     def test_essential_only_point(self):
-        # hand-built term with vanishing residue but a live inner
-        # coefficient: beta0 = 0, beta1 = 1
+        # m/d = 1 / (z - 1)^2, a term with vanishing residue but a live
+        # inner coefficient: beta0 = 0, beta1 = 1
         rootset = RootSet(roots=(Root(Fraction(1), 2),), lead=Fraction(1), precision=128)
-        pfd = PartialFractionDecomposition(
-            q=RatPoly.zero(), remainder=RatPoly.one(),
-            rootset=rootset, terms=((Fraction(0), Fraction(1)),))
-        cf = closed_form(pfd)
+        cf = closed_form(RatPoly([1]), RatPoly([1, -2, 1]), rootset)
         (f,) = cf.factors
-        assert f.beta0 == 0 and f.betas != ()
+        assert f.beta0 == 0 and f.betas == (1,)
         rep = singularity_report(cf)
         (pt,) = rep.points
         assert pt.classification == "essential"

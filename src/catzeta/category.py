@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -226,11 +226,26 @@ def adjacency(c: FiniteCategory) -> IntMatrix:
 def chain_vectors(a: IntMatrix) -> Iterator[list[int]]:
     """v_0, v_1, ... with v_m = A^m 1, the one sweep of v <- A v from the
     all-ones vector; entry i of v_m counts the chains of m morphisms out of
-    object i.  Each step runs only when the next vector is asked for."""
+    object i.  Each step runs only when the next vector is asked for.
+
+    Each row's nonzero columns are listed once per call: its unit entries
+    are added up with no multiplication, and only the rows with other
+    nonzero entries multiply, so a step costs A's nonzeros, not N^2."""
+    cols = range(a.n)
+    units, others = [], []
+    for i, row in enumerate(a.rows):
+        units.append(list(compress(cols, map((1).__eq__, row))))
+        if len(units[i]) + row.count(0) < a.n:
+            js = [j for j in cols if row[j] not in (0, 1)]
+            others.append((i, js, [row[j] for j in js]))
     v = [1] * a.n
     while True:
         yield v
-        v = [sum(map(mul, row, v)) for row in a.rows]
+        get = v.__getitem__
+        w = [sum(map(get, js)) for js in units]
+        for i, js, xs in others:
+            w[i] += sum(map(mul, xs, map(get, js)))
+        v = w
 
 
 def chain_counts(a: IntMatrix, length: int) -> list[int]:

@@ -183,18 +183,57 @@ def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
     return a.monic()
 
 
+def primitive_ints(p: RatPoly) -> list[int]:
+    """The coefficients of a nonzero p scaled to coprime ints."""
+    denom = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+# Primes for the square-free test mod q; a lead that all of them divide has over 400 bits.
+_SQUAREFREE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def _coprime_mod(f: list[int], g: list[int], q: int) -> bool:
+    """Whether f and g (int coefficients, lowest degree first; q, a prime,
+    does not divide f's lead) are coprime modulo q: Euclid's algorithm over
+    the integers mod q ends on a nonzero constant."""
+    a, b = [c % q for c in f], [c % q for c in g]
+    while b:
+        if not b[-1]:
+            b.pop()
+            continue
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):  # a <- a mod b, one top term at a time
+            c = a.pop() * inv % q
+            for i, x in enumerate(b[:-1], start=len(a) + 1 - len(b)):
+                a[i] = (a[i] - c * x) % q
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_decompose(p: RatPoly) -> list[tuple[RatPoly, int]]:
     """Yun's square-free decomposition.
 
     Returns [(f1, m1), (f2, m2), ...] with monic, square-free, pairwise
     coprime factors and strictly increasing multiplicities, such that
     p = lead(p) * product(fi ** mi).  Factors of degree zero are dropped.
+
+    A square-free p mostly skips Yun's gcds in Fractions: with c the lead
+    of p's primitive integer form and q the first of _SQUAREFREE_PRIMES not
+    dividing c, p and p' coprime mod q make the discriminant of p nonzero
+    mod q, so nonzero, and the answer is [(monic p, 1)], as Yun's.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     p = p.monic()
     if p.degree == 0:
         return []
+    ints = primitive_ints(p)
+    q = next((q for q in _SQUAREFREE_PRIMES if ints[-1] % q), None)
+    if q is not None and _coprime_mod(ints, [i * c for i, c in enumerate(ints)][1:], q):
+        return [(p, 1)]
     dp = p.derivative()
     a = poly_gcd(p, dp)
     b = p // a

@@ -2,11 +2,12 @@
 
 d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n},
 starting from its factors over the strongly connected blocks of A (see
-charpoly).  A linear factor gives its root directly, and equal ones are
-counted.  Only the product of the non-linear factors goes through exact
-square-free decomposition (Yun), so numeric clustering never decides a
-multiplicity.  The rational roots of each square-free factor are found
-exactly by p-adic (Hensel) lifting, with no integer factoring
+charpoly).  A linear factor gives its root directly, as a pair of ints in
+lowest terms, and equal ones are counted under that key.  Only the
+product of the non-linear factors goes through exact square-free
+decomposition (Yun), so numeric clustering never decides a multiplicity.
+The rational roots of each square-free factor are found exactly by
+p-adic (Hensel) lifting, with no integer factoring
 (_simple_rational_roots, which factor_charpoly alone calls), and merged
 with the linear ones; whatever remains of the factor is handed to an
 Aberth-Ehrlich simultaneous iteration polished by Newton steps.  An
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import RatPoly, horner, linear_power, mul_coeffs, squarefree_decompose
+from .poly import (RatPoly, horner, linear_power, mul_coeffs, primitive_ints,
+                   squarefree_decompose)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-12
@@ -81,7 +83,8 @@ class Arithmetic:
     and a check holds when its residual is within tolerance.  The exact
     stages run denominator-free, on ints: split gives each number as a / b,
     a stage or a check scales its inputs once, and join builds each result
-    back from an int numerator and denominator.  On a numeric root set b is
+    back from an int numerator and denominator, or quotient_sum a sum of
+    such pairs over their common denominator.  On a numeric root set b is
     1, so the same code does the mpmath operations plus exact products by
     1.  An exact theta is 1/lambda, lambda a rational root of the monic
     integer det(x E - A) and so an integer: theta = +-1/b and alpha = +-b.
@@ -105,6 +108,16 @@ class Arithmetic:
     def join(self, a, b):
         """The inverse of split: Fraction(a, b) when exact, else a / b (b = 1)."""
         return Fraction(a, b) if self.exact else a / b
+
+    def quotient_sum(self, pairs):
+        """sum a / b over the pairs (a, b) from split: over one int
+        denominator, with one Fraction built at the end, when exact; else
+        term by term from 0, each b being 1."""
+        if not self.exact:
+            return sum(a / b for a, b in pairs)
+        pairs = list(pairs)
+        den = math.lcm(*(b for _, b in pairs))
+        return Fraction(sum(a * (den // b) for a, b in pairs), den)
 
     def context(self):
         """The mpmath working precision the scalars need; nothing when exact."""
@@ -134,13 +147,6 @@ class RootSet:
         return Arithmetic(self.all_rational, self.precision)
 
 
-def _primitive_int_coeffs(p: RatPoly) -> list[int]:
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
 def _simple_rational_roots(f: RatPoly) -> list[Fraction]:
     """The rational roots of a square-free f with f(0) != 0, by p-adic lifting.
 
@@ -153,7 +159,7 @@ def _simple_rational_roots(f: RatPoly) -> list[Fraction]:
     passes 2 |g(0)|, x can only be the residue in (-m/2, m/2]; those that
     are exact roots of g are kept.  Nothing is factored.
     """
-    ints = _primitive_int_coeffs(f)
+    ints = primitive_ints(f)
     n, c = len(ints) - 1, ints[-1]
     g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
     dg = [i * a for i, a in enumerate(g)][1:]
@@ -302,24 +308,28 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise ValueError("cannot factor the zero polynomial")
     if d.coeff(0) == 0:
         raise ValueError("z = 0 must not be a root")
-    rational: dict[Fraction, int] = {}
+    rational: dict[tuple[int, int], int] = {}  # theta as (a, b) in lowest terms, b > 0
     nonlinear = RatPoly.one()
     for factor in (d,) if factors is None else factors:
-        if factor.degree == 1:
-            theta = -factor.coeff(0) / factor.coeff(1)
-            rational[theta] = rational.get(theta, 0) + 1
+        if factor.degree == 1:  # c0 + c1 z: theta = -c0 / c1
+            (a0, b0), (a1, b1) = (c.as_integer_ratio() for c in factor.coeffs)
+            num, den = -a0 * b1, a1 * b0
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            key = (num // g, den // g)
+            rational[key] = rational.get(key, 0) + 1
         else:
             nonlinear = nonlinear * factor
     roots: list[Root] = []
     for factor, mult in squarefree_decompose(nonlinear):
         cofactor = factor
         for theta in _simple_rational_roots(factor):
-            rational[theta] = rational.get(theta, 0) + mult
+            key = theta.as_integer_ratio()
+            rational[key] = rational.get(key, 0) + mult
             cofactor = cofactor // RatPoly((-theta, 1))
         if cofactor.degree >= 1:
             for theta in numeric_roots(cofactor, precision_bits):
                 roots.append(Root(theta, mult))
-    roots += [Root(theta, mult) for theta, mult in rational.items()]
+    roots += [Root(Fraction(*key), mult) for key, mult in rational.items()]
     if sum(r.multiplicity for r in roots) != d.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
     if all(root.kind == "rational" for root in roots):  # the same order, unrounded

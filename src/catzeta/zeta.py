@@ -33,6 +33,9 @@ root, checks them by recombination and sums the beta's from the same
 numerators.  It and closed_form_counts clear denominators once
 (Arithmetic.split) and build each result once (Arithmetic.join), so on
 an exact root set, whose theta are +-1/b, they add and multiply ints.
+So do the exact checks: C2's sum of the beta0, C3's coefficient sum and
+C4's alternating sum run on ints over one denominator
+(Arithmetic.quotient_sum), each built into one Fraction at the end.
 Two checks still branch.  The Taylor match forks on the arithmetic.
 Exact: the log coefficients c_n = n [z^n] log zeta from
 closed_form_counts must equal the swept chain counts #N_n, as good as
@@ -172,14 +175,15 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
             denom = mul_coeffs(linear_power(-shift, bb, e_l), denom, e)
             scale *= bb ** e_l
         u, c = arith.split(arith.one / denom[0])
+        cpow = [c ** s for s in range(e + 1)]
         inv = [u]
         for i in range(1, e):
-            inv.append(-u * sum(denom[s] * c ** (s - 1) * inv[i - s]
+            inv.append(-u * sum(denom[s] * cpow[s - 1] * inv[i - s]
                                 for s in range(1, i + 1) if denom[s]))
         # h_t = scale sum_s numer_s c^s inv_(t-s) / (D b^n c^(t+1))
-        h = mul_coeffs(inv, [x * c ** t for t, x in enumerate(numer)], e)
-        out.append(([h[t] * (scale * c ** (e - 1 - t)) for t in reversed(range(e))],
-                    mult * b ** n * c ** e))
+        h = mul_coeffs(inv, [x * cpow[t] for t, x in enumerate(numer)], e)
+        out.append(([h[t] * (scale * cpow[e - 1 - t]) for t in reversed(range(e))],
+                    mult * b ** n * cpow[e]))
     return out
 
 
@@ -353,14 +357,19 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
             # sum_j gamma_j C(n, j), so stepping n costs additions only.  All
             # of it goes over one denominator D R^order, R the lcm of the r
             # in alpha = p / r: ints when exact, where alpha is an int, R = 1.
-            diffs, scale = [], one
+            # gamma_j = a sn / (b sd) for beta_j = a / b and alpha^(-j) =
+            # sn / sd, whose every step divides by alpha = p / r once: a
+            # quotient of ints when exact, one mpc division otherwise.
+            p, r = arith.split(factor.alpha)
+            diffs, (sn, sd) = [], arith.split(one)
             for beta in (factor.beta0,) + factor.betas:
-                diffs.append(arith.split(beta * scale))
-                scale = scale / factor.alpha
+                a, b = arith.split(beta)
+                diffs.append((a * sn, b * sd))
+                sn, sd = arith.split(arith.join(sn * r, sd * p))
             while diffs and not diffs[-1][0]:
                 diffs.pop()
             if diffs:
-                tables.append((arith.split(factor.alpha), diffs))
+                tables.append(((p, r), diffs))
         den = math.lcm(*(b for _, b in q), *(b for _, diffs in tables for _, b in diffs))
         rden = math.lcm(*(r for (_, r), _ in tables))
         out = [a * (den // b * rden ** n) for n, (a, b) in enumerate(q, start=1)]
@@ -461,14 +470,14 @@ class VerificationReport:
     c4_pass = property(lambda self: self.c4["pass"])
 
 
-def _c4_sum(factors, one):
-    acc = one * 0
+def _c4_terms(factors, arith: Arithmetic):
+    """C4's terms (-1)^j beta_j / alpha^(j+1), each as a split pair: with
+    beta_j = a / b and alpha = p / r, (+-a r^(j+1), b p^(j+1))."""
     for f in factors:
-        betas = (f.beta0,) + f.betas
-        for j, beta in enumerate(betas):
-            sign = -1 if j % 2 else 1
-            acc = acc + sign * beta / f.alpha ** (j + 1)
-    return acc
+        p, r = arith.split(f.alpha)
+        for j, beta in enumerate((f.beta0,) + f.betas):
+            a, b = arith.split(beta)
+            yield (-a if j % 2 else a) * r ** (j + 1), b * p ** (j + 1)
 
 
 def _c1_certified(analysis: ZetaAnalysis) -> bool:
@@ -523,21 +532,21 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
         c1_err = max((abs(got - want) / max(abs(one), abs(want))
                       for got, want in pairs if got != want), default=abs(one) * 0)
         c1 = {"max_rel_err": c1_err, "pass": arith.within(c1_err, tolerance)}
-        c2_sum = sum((f.beta0 for f in cf.factors), one * 0)
+        c2_sum = arith.quotient_sum(arith.split(f.beta0) for f in cf.factors)
         c2_residual = abs(c2_sum - n)
         c2 = {"applicable": applicable, "sum": c2_sum, "residual": c2_residual,
               "pass": arith.within(c2_residual, tolerance) if applicable else None}
         residuals, scales = [], []
         roots_ok = True
-        coeff_sum = sum(abs(arith.lift(c)) for c in cp.coeffs)
+        coeff_sum = arith.quotient_sum((abs(a), b) for a, b in map(arith.split, cp.coeffs))
+        ints = [c.numerator for c in cp.coeffs]  # cp has integer coefficients
         for f, root in zip(cf.factors, analysis.rootset.roots):
             scale = coeff_sum * max(abs(one), abs(f.alpha)) ** cp.degree
             if root.kind == "rational":
                 # rational roots are checked exactly on both paths, on ints:
-                # r^N cp(p / r) for alpha = p / r, cp having integer coefficients
-                p, r = (1 / root.theta).as_integer_ratio()
-                value = horner([c.numerator * r ** (cp.degree - i)
-                                for i, c in enumerate(cp.coeffs)], p)
+                # r^N cp(p / r) for alpha = 1 / theta = p / r
+                r, p = root.theta.as_integer_ratio()
+                value = horner([c * r ** (cp.degree - i) for i, c in enumerate(ints)], p)
                 exact_res = abs(Fraction(value, r ** cp.degree))
                 res, ok = abs(arith.lift(exact_res)), value == 0
             else:
@@ -547,7 +556,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
             scales.append(scale)
             roots_ok = roots_ok and ok
         c3 = {"residuals": tuple(residuals), "scales": tuple(scales), "pass": roots_ok}
-        c4_value = _c4_sum(cf.factors, one)
+        c4_value = arith.quotient_sum(_c4_terms(cf.factors, arith))
         c4_residual = abs(c4_value - arith.lift(euler.chi)) if applicable else None
         c4_imag = abs(c4_value - c4_value.real)  # |Im|, in the scalar type
         c4 = {"applicable": applicable, "value": c4_value, "target": euler.chi,

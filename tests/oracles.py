@@ -34,6 +34,9 @@ Everything here takes a different road, so that agreement means something:
   Fractions: rem(theta_k + w) expanded term by term, the product of the
   other roots' factors inverted by the series kernel, and each beta_j
   summed from the A_{k,j}, against the library's integer kernels.
+- C2's sum of the beta0 and C4's alternating sum of the beta's, added
+  term by term in Fractions, against verify's sums over one int
+  denominator.
 
 Also here: simultaneous row/column permutation of a matrix, which the
 tests use to scramble block-triangular inputs.
@@ -479,6 +482,21 @@ def closed_form_betas_oracle(rootset, terms_by_root
                       for j in range(1, e))
         out.append((-terms[0] / lead, betas))
     return out
+
+
+def c2_sum_oracle(cf: ClosedFormZeta) -> Fraction:
+    """C2's sum of the exponents beta_{k,0}, added in Fractions."""
+    return sum((f.beta0 for f in cf.factors), Fraction(0))
+
+
+def c4_sum_oracle(cf: ClosedFormZeta) -> Fraction:
+    """C4's sum_k sum_j (-1)^j beta_{k,j} / alpha_k^(j+1), term by term in
+    Fractions."""
+    acc = Fraction(0)
+    for f in cf.factors:
+        for j, beta in enumerate((f.beta0,) + f.betas):
+            acc += (-1) ** j * beta / Fraction(f.alpha) ** (j + 1)
+    return acc
 
 
 def c1_k_term_oracle(cf: ClosedFormZeta, a: IntMatrix, order: int) -> Fraction:

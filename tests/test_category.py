@@ -29,6 +29,16 @@ small_matrices = st.integers(min_value=0, max_value=4).flatmap(
         min_size=n, max_size=n,
     )
 ).map(IntMatrix)
+# For the sweep, which adds unit entries and multiplies the other nonzeros:
+# N up to 8, with zeros, +-1 and large entries of either sign.
+sweep_matrices = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.sampled_from([0, 0, 1, -1]),
+                           st.integers(min_value=-10**12, max_value=10**12)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+).map(IntMatrix)
 
 
 class TestFixtures:
@@ -106,7 +116,7 @@ class TestChainCounting:
         a = adjacency(fixture_categories["k2"])
         assert chain_counts(a, 4)[1:] == [4, 8, 16, 32]
 
-    @given(small_matrices)
+    @given(st.one_of(small_matrices, sweep_matrices))
     def test_chain_counts_match_matrix_powers(self, a):
         acc = IntMatrix.identity(a.n)
         counts = chain_counts(a, 4)

@@ -11,6 +11,7 @@ from catzeta import (
     poly_gcd,
     squarefree_decompose,
 )
+from catzeta import poly as poly_module
 from catzeta.poly import horner, linear_power
 from oracles import lagrange_interpolate
 
@@ -213,6 +214,63 @@ class TestSquarefree:
         for i, (f, _) in enumerate(factors):
             for g, _ in factors[i + 1:]:
                 assert poly_gcd(f, g) == RatPoly.one()
+
+
+class TestSquarefreeModPrime:
+    """The square-free test mod q returns exactly what Yun's gcds return."""
+
+    FIRST_PRIMES = poly_module._SQUAREFREE_PRIMES
+
+    @staticmethod
+    def assert_as_yun(p, shortcut):
+        """squarefree_decompose(p) against Yun's gcds alone (no prime to
+        test with); shortcut says whether the mod-q test must skip them."""
+        gcds = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly_module, "poly_gcd", lambda *a: gcds.append(a) or poly_gcd(*a))
+            fast = squarefree_decompose(p)
+            assert (not gcds) == shortcut
+            mp.setattr(poly_module, "_SQUAREFREE_PRIMES", ())
+            assert fast == squarefree_decompose(p)
+
+    @given(st.lists(fractions, min_size=1, max_size=5, unique=True),
+           st.integers(-5, 5).filter(bool))
+    def test_squarefree_products_of_distinct_linear_factors(self, roots, lead):
+        p = RatPoly([lead])
+        for r in roots:
+            p = p * RatPoly([-r, 1])
+        self.assert_as_yun(p, shortcut=True)
+
+    @pytest.mark.parametrize("coeffs", [
+        [-2, 0, 1],                   # z^2 - 2
+        [1, 1, 1],                    # z^2 + z + 1
+        [-2, 0, 0, 0, 0, 0, 0, 1],    # z^7 - 2
+        [Fraction(1, 3), 5, 0, 7],    # rational coefficients
+        [1, -3, 1],                   # 1 - 3z + z^2, a pencil factor
+    ])
+    def test_squarefree_irreducibles(self, coeffs):
+        self.assert_as_yun(RatPoly(coeffs), shortcut=True)
+
+    @given(nonzero_polys, nonzero_polys, st.integers(2, 4))
+    def test_repeated_factors(self, f, g, e):
+        f = f * RatPoly([1, 1])  # of degree >= 1, so f^e g is not square-free
+        prod = g
+        for _ in range(e):
+            prod = prod * f
+        self.assert_as_yun(prod, shortcut=False)
+
+    @pytest.mark.parametrize("k", [1, 2, len(FIRST_PRIMES)])
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_lead_divisible_by_the_first_primes(self, k, repeated):
+        """q skips each prime that divides the lead; with none left, Yun runs."""
+        lead = 1
+        for q in self.FIRST_PRIMES[:k]:
+            lead *= q
+        p = RatPoly([-2, 3, lead])  # lead z^2 + 3z - 2, square-free
+        if repeated:
+            p = p * RatPoly([1, lead])
+            p = p * RatPoly([1, lead])
+        self.assert_as_yun(p, shortcut=not repeated and k < len(self.FIRST_PRIMES))
 
 
 class TestInterpolation:

@@ -45,6 +45,8 @@ from catzeta.roots import Arithmetic
 from conftest import monoids_up_to_3, random_poset_relation
 from oracles import (
     c1_k_term_oracle,
+    c2_sum_oracle,
+    c4_sum_oracle,
     closed_form_betas_oracle,
     closed_form_counts_oracle,
     det_poly,
@@ -838,6 +840,44 @@ class TestVerification:
         assert report.c4["applicable"]
         assert report.c4["target"] == 0
         assert report.passed
+
+
+class TestChecksOnInts:
+    """C2's beta0 sum and C4's alternating sum, which verify adds as ints
+    over one denominator, against their Fraction forms in oracles."""
+
+    @staticmethod
+    def assert_as_fractions(a):
+        report = verify_matrix(a, order=12)
+        cf = analyze_matrix(a).closed
+        assert report.path == "exact"
+        assert report.c2["sum"] == c2_sum_oracle(cf)
+        assert report.c4["value"] == c4_sum_oracle(cf)
+        assert type(report.c2["sum"]) is type(report.c4["value"]) is Fraction
+
+    def test_exact_corpus(self, corpus_matrices):
+        exact = 0
+        for _, a in corpus_matrices:
+            if analyze_matrix(a).path == "exact":
+                self.assert_as_fractions(a)
+                exact += 1
+        assert exact >= 200
+
+    def test_repeated_roots(self, fixture_matrices):
+        a = fixture_matrices["jordan2"]
+        assert max(f.multiplicity for f in analyze_matrix(a).closed.factors) == 2
+        self.assert_as_fractions(a)
+
+    @pytest.mark.parametrize("rows", [[[-2, 1], [0, -2]], [[-1, 1, 0], [0, -1, 1], [0, 0, 3]]])
+    def test_negative_repeated_roots(self, rows):
+        """A negative alpha gives C4's odd terms negative denominators."""
+        self.assert_as_fractions(IntMatrix(rows))
+
+    @pytest.mark.parametrize("n", [12, 20, 28, 36])
+    def test_exact_ladder_multiplicity_up_to_32(self, n):
+        a = exact_ladder_item(n)
+        assert max(f.multiplicity for f in analyze_matrix(a).closed.factors) >= n - 4
+        self.assert_as_fractions(a)
 
 
 class TestSingularities:

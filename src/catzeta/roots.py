@@ -30,6 +30,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .poly import (RatPoly, horner, linear_power, mul_coeffs, primitive_ints,
@@ -116,7 +117,9 @@ class Arithmetic:
         if not self.exact:
             return sum(a / b for a, b in pairs)
         pairs = list(pairs)
-        den = math.lcm(*(b for _, b in pairs))
+        # reduce, not lcm(*...): freed argument tuples of every length below
+        # 20 stay on CPython's free lists, which peak RSS then counts
+        den = reduce(math.lcm, (b for _, b in pairs), 1)
         return Fraction(sum(a * (den // b) for a, b in pairs), den)
 
     def context(self):

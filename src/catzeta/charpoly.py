@@ -8,10 +8,12 @@ For an N x N integer matrix A, three polynomials drive everything else:
 
 d is a product over the strongly connected blocks of A's support (i -> j
 when a_ij != 0): ordered by Tarjan's algorithm, A is block upper
-triangular, so d = prod_B det(E - A_BB z).  A 1 x 1 block contributes
-1 - a_ii z as it stands; a larger block's factor comes from its own
-traces tr A_BB^1 .. tr A_BB^|B| (by P <- P A_BB) through Newton's
-identities,
+triangular, so d = prod_B det(E - A_BB z).  The 1 x 1 blocks are counted
+by their entry lambda = a_ii, and each distinct lambda != 0 enters d once,
+as (1 - lambda z)^e for the e blocks that carry it (the diagonal counts,
+which root finding reads its roots off as well).  A larger block's factor
+comes from its own traces tr A_BB^1 .. tr A_BB^|B| (by P <- P A_BB)
+through Newton's identities,
 
     j d_j = -sum_{i=1..j} tr(A_BB^i) d_{j-i}.
 
@@ -24,11 +26,13 @@ adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
     k(z) = d(z) sum_j #N_j z^j        mod z^N
     m(z) = d(z) sum_j #N_{j+1} z^j    mod z^N.
 
-Both need d to be det(E - A z), and v_0 .. v_N certify that on every
-call, the blockwise d against the whole matrix: with P(t) = det(t E - A)
-= sum_i p_i t^i, the reversal of d (monic_charpoly), Cayley-Hamilton gives
-the integer vector sum_i p_i v_i = P(A) 1 = 0.  The z^N coefficients of
-the two products, 1^T P(A) 1 and 1^T A P(A) 1, vanish with it, which pins
+Only m is multiplied out: the first sum is N + z times the second, so
+k = N d + z m mod z^N.  Both need d to be det(E - A z), and v_0 .. v_N
+certify that on every call, the blockwise d against the whole matrix:
+with P(t) = det(t E - A) = sum_i p_i t^i, the reversal of d
+(monic_charpoly), Cayley-Hamilton gives the integer vector
+sum_i p_i v_i = P(A) 1 = 0.  The z^N coefficients of the two products,
+1^T P(A) 1 and 1^T A P(A) 1, vanish with it, which pins
 z m(z) = k(z) - N d(z) down to the top coefficient.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
@@ -49,7 +53,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .category import IntMatrix, chain_vectors
-from .poly import RatPoly, mul_coeffs
+from .poly import RatPoly, linear_power, mul_coeffs
 
 
 def strong_blocks(a: IntMatrix) -> list[list[int]]:
@@ -139,8 +143,11 @@ def _newton(traces: Sequence[int]) -> list[int]:
 class CharPolyBundle:
     """The three pencil polynomials of one matrix, with degree bookkeeping.
 
-    factors holds det(E - A_BB z) for each strongly connected block B
-    whose factor is not constant; their product is d.
+    diagonal holds (lambda, e) for each distinct entry lambda != 0 of A's
+    1 x 1 strongly connected blocks, e the number of such blocks, in the
+    order first met; factors holds det(E - A_BB z) for each larger block B
+    whose factor is not constant.  d is their product with the
+    (1 - lambda z)^e.
     """
 
     n: int
@@ -150,6 +157,7 @@ class CharPolyBundle:
     r: int
     s: int
     factors: tuple[RatPoly, ...]
+    diagonal: tuple[tuple[int, int], ...]
 
 
 def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[Sequence[int]]
@@ -157,20 +165,27 @@ def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[
     """d, k, m and the degree defects, with the chain counts #N_0 .. #N_N.
 
     d comes from tr A_BB^1 .. tr A_BB^|B| for each strongly connected
-    block B alone, k and m from the counts, the entry sums of the first
-    N + 1 vectors v_i = A^i 1 of sweep (category.chain_vectors).  That is
-    N steps of it; the caller may continue it for later counts.
+    block B alone (a 1 x 1 block's one trace is its entry, counted), m from
+    the counts, the entry sums of the first N + 1 vectors v_i = A^i 1 of
+    sweep (category.chain_vectors), and k = N d + z m.  That is N steps of
+    the sweep; the caller may continue it for later counts.
 
     Raises ArithmeticError if a Newton division leaves a remainder or
     P(A) 1 = sum_i p_i v_i is not zero: either way d is not det(E - A z)
     of the matrix swept.
     """
     n = sum(len(traces) for traces in traces_by_block)
-    d, factors = [1], []
+    d, factors, counts = [1], [], {}
     for traces in traces_by_block:
-        factor = _newton(traces)
-        d = mul_coeffs(d, factor)
-        factors.append(RatPoly(factor))
+        if len(traces) == 1:
+            counts[traces[0]] = counts.get(traces[0], 0) + 1
+        else:
+            factor = _newton(traces)
+            d = mul_coeffs(d, factor)
+            factors.append(RatPoly(factor))
+    counts.pop(0, None)
+    for lam, e in counts.items():
+        d = mul_coeffs(d, linear_power(-1, -lam, e))  # (1 - lambda z)^e
     d_poly = RatPoly(d)
     residue, chains = [0] * n, []
     # zip asks for p_i before v_i, so v_N is the last vector pulled
@@ -183,10 +198,13 @@ def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[
     if bad is not None:
         raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
                               f"{residue[bad]}, not 0")
-    k_poly = RatPoly(mul_coeffs(d, chains, n))  # z^0 .. z^(N-1) of d times the counts' series
-    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(mul_coeffs(d, chains[1:], n)),
+    m = mul_coeffs(d, chains[1:], n)  # z^0 .. z^(N-1) of d times the counts' series
+    # k_i = N d_i + m_(i-1): N d + z m below z^N
+    k_poly = RatPoly([n * x + y for x, y in zip(d[:n] + [0] * (n - len(d)), [0] + m)])
+    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(m),
                           r=n - d_poly.degree, s=n - 1 - k_poly.degree,
-                          factors=tuple(f for f in factors if f.degree >= 1)), chains
+                          factors=tuple(f for f in factors if f.degree >= 1),
+                          diagonal=tuple(counts.items())), chains
 
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:

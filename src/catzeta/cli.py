@@ -214,7 +214,7 @@ def cmd_charpoly(args) -> int:
     a = _load_adjacency(args)
     bundle = char_poly_bundle(a)
     if args.json:
-        # every field but the block factors
+        # every field but the block factors and the diagonal counts
         _emit_json({"command": "charpoly", "n": bundle.n, "d": bundle.d, "k": bundle.k,
                     "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.d.lead})
     else:

@@ -2,9 +2,11 @@
 
 d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n},
 starting from its factors over the strongly connected blocks of A (see
-charpoly).  A linear factor gives its root directly, as a pair of ints in
-lowest terms, and equal ones are counted under that key.  Only the
-product of the non-linear factors goes through exact square-free
+charpoly).  The 1 x 1 blocks arrive as diagonal counts, (lambda, e) for
+(1 - lambda z)^e, and give the root 1/lambda with multiplicity e; a
+linear factor gives its root directly, as a pair of ints in lowest terms,
+and equal ones are counted under that key.  Only the product of the
+non-linear factors, if there are any, goes through exact square-free
 decomposition (Yun), so numeric clustering never decides a multiplicity.
 The rational roots of each square-free factor are found exactly by
 p-adic (Hensel) lifting, with no integer factoring
@@ -31,6 +33,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 from typing import Sequence
 
 from .poly import (RatPoly, horner, linear_power, mul_coeffs, primitive_ints,
@@ -295,24 +298,28 @@ def _check_recombination(rs: RootSet, d: RatPoly) -> None:
 
 
 def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
-                    factors: Sequence[RatPoly] | None = None) -> RootSet:
+                    factors: Sequence[RatPoly] | None = None,
+                    diagonal: Sequence[tuple[int, int]] = ()) -> RootSet:
     """Full factorization of d over the complex numbers as a RootSet.
 
-    factors, when given, multiply to d (a CharPolyBundle's block
-    factors); d alone is one factor.  Linear factors give their roots
-    directly.  The multiplicities of the other roots are read off the
-    square-free decomposition of the product of the non-linear factors;
-    each square-free factor gives its rational roots by p-adic lifting
-    (_simple_rational_roots), merged with the linear ones, and the
-    numeric roots of what is left once they are divided out.  d(0) must
-    be nonzero (it is 1 for determinant pencils), so zero is never a root.
+    factors and diagonal, when given, are a CharPolyBundle's: d is the
+    product of the factors and of (1 - lambda z)^e for each (lambda, e) of
+    diagonal; d alone is one factor.  The roots 1/lambda and linear
+    factors give their roots directly.  The multiplicities of the other
+    roots are read off the square-free decomposition of the product of the
+    non-linear factors, if there are any; each square-free factor gives
+    its rational roots by p-adic lifting (_simple_rational_roots), merged
+    with the linear ones, and the numeric roots of what is left once they
+    are divided out.  d(0) must be nonzero (it is 1 for determinant
+    pencils), so zero is never a root.
     """
     if d.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if d.coeff(0) == 0:
         raise ValueError("z = 0 must not be a root")
-    rational: dict[tuple[int, int], int] = {}  # theta as (a, b) in lowest terms, b > 0
-    nonlinear = RatPoly.one()
+    # theta as (a, b) in lowest terms, b > 0: 1/lambda is (+-1, |lambda|)
+    rational = {(1 if lam > 0 else -1, abs(lam)): e for lam, e in diagonal}
+    nonlinear = []
     for factor in (d,) if factors is None else factors:
         if factor.degree == 1:  # c0 + c1 z: theta = -c0 / c1
             (a0, b0), (a1, b1) = (c.as_integer_ratio() for c in factor.coeffs)
@@ -320,10 +327,10 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
             g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
             key = (num // g, den // g)
             rational[key] = rational.get(key, 0) + 1
-        else:
-            nonlinear = nonlinear * factor
+        elif factor.degree > 1:
+            nonlinear.append(factor)
     roots: list[Root] = []
-    for factor, mult in squarefree_decompose(nonlinear):
+    for factor, mult in squarefree_decompose(reduce(mul, nonlinear)) if nonlinear else ():
         cofactor = factor
         for theta in _simple_rational_roots(factor):
             key = theta.as_integer_ratio()

@@ -27,10 +27,11 @@ with a zero residual in exact arithmetic and within a tolerance in
 numeric arithmetic: verify's own for the four identities, the fixed
 DEFAULT_TOLERANCE for the partial-fraction recombination and
 DEFAULT_VERIFY_TOL for the singularity report.  closed_form is one stage
-from m, d and the roots: it divides m by d, takes the Hermite terms
-A_{k,j} of the remainder as numerators over one denominator per
-root, checks them by recombination and sums the beta's from the same
-numerators.  It and closed_form_counts clear denominators once
+from m, d and the roots: it divides m by d, cancels rem/d to lowest
+terms at the rational roots by exact synthetic division, takes the
+Hermite terms A_{k,j} of the reduced fraction as numerators over one
+denominator per root, checks them by recombination and sums the beta's
+from the same numerators.  It and closed_form_counts clear denominators once
 (Arithmetic.split) and build each result once (Arithmetic.join), so on
 an exact root set, whose theta are +-1/b, they add and multiply ints.
 So do the exact checks: C2's sum of the beta0, C3's coefficient sum and
@@ -40,35 +41,44 @@ Two checks still branch.  The Taylor match forks on the arithmetic.
 Exact: the log coefficients c_n = n [z^n] log zeta from
 closed_form_counts must equal the swept chain counts #N_n, as good as
 equal Taylor coefficients, and this is proved for every order n from
-n = 1..min(K, N) alone.  Let cp = det(t E - A) = sum_i p_i t^i, the
-reversal of d (charpoly.monic_charpoly), monic with integer p_i.  Then
-delta_n = c_n - #N_n obeys cp's monic recurrence of order N for every
-n >= 1, so delta_1 = .. = delta_N = 0 gives delta_n = 0 for all n, once
-three facts hold, each checked:
+n = 1..min(K, W) alone.  closed_form cancels m/d to lowest terms,
+m/d = q + rem'/d' with d' = lead prod (z - theta_k)^(e'_k), e'_k <= e_k;
+the window W = (N - deg d) + sum_k e'_k is the degree of the monic
+mu(t) = t^(N - deg d) prod_k (t - alpha_k)^(e'_k).  delta_n = c_n - #N_n
+obeys mu's recurrence for every n >= 1, so delta_1 = .. = delta_W = 0
+gives delta_n = 0 for all n, once three facts hold, each checked:
 
-  (a) the certificate: P(A) 1 = 0, so
-      sum_i p_i #N_(n+i) = 1^T A^n P(A) 1 = 0 for every n >= 0;
+  (a) the certificate: P(A) 1 = 0 for P = cp = det(t E - A) =
+      sum_i p_i t^i, the reversal of d (charpoly.monic_charpoly), so
+      sum_i p_i #N_(n+i) = 1^T A^n P(A) 1 = 0 for every n >= 0 and
+      sum_j #N_(j+1) z^j is m/d as a power series, which puts #N_n on
+      mu's recurrence through m/d = q + rem'/d';
   (b) the roots: each closed-form factor's alpha_k is 1/theta_k of the
       root set, whose exact recombination (factor_charpoly) proved
-      d = lead prod (z - theta_k)^(e_k), and it carries fewer than e_k
-      beta's, so (t - alpha_k)^(e_k), a factor of cp, kills its terms
-      beta_j C(n, j) alpha_k^(n-j);
+      d = lead prod (z - theta_k)^(e_k), and its last nonzero beta has
+      index below e'_k, so (t - alpha_k)^(e'_k), a factor of mu, kills
+      its terms beta_j C(n, j) alpha_k^(n-j);
   (c) the polynomial part: deg Q <= N - deg d, the multiplicity of t = 0
-      in cp, so the q_(n-1) = n Q_n left over vanish for n > N - deg d.
+      in mu, so the q_(n-1) = n Q_n left over vanish for n > N - deg d.
 
 (a) holds for every bundle: charpoly checks it on the sweep's own vectors
 as it builds d, k and m, and raises ArithmeticError where it fails.  The
 window alone would pass a wrong d, since m makes c_n = #N_n for n <= N
-whatever d is.  Where K <= N, (b) or (c) fails or the window finds a
+whatever d is.  Where K <= W, (b) or (c) fails or the window finds a
 mismatch, C1 compares n = 1..K as it stands, so a failure reports the
 same maximum.  Numeric:
 closed_form_taylor against the series through z^K, until C1 is exact
 for irrational spectra as well.  The eigenvalue check C3 branches on
 each root's kind: a rational root is checked exactly on both paths, on
-ints, a numeric one within the tolerance.  It checks each alpha against
-cp, the reversal of the pencil's own d, and (a) ties cp to A only on the
-span of the vectors A^i 1: a wrong d whose extra roots that span never
-reaches passes C3 as well.
+ints, a numeric one within the tolerance.  Its residual is |cp(alpha)|,
+cp the reversal of the pencil's own d, and (a) ties cp to A only on the
+span of the vectors A^i 1.  So a rational alpha must also be an
+eigenvalue of A itself.  Where e' > 0 the sweep shows it: under (a),
+m/d = 1^T A (E - A z)^(-1) 1, whose poles are reciprocal eigenvalues.  A
+root that cancels (e' = 0) must be the entry of a 1 x 1 block, found in
+the pencil's diagonal counts, or make A_BB - alpha E singular for a
+larger strongly connected block B.  A numeric alpha is checked against
+cp alone, so a wrong d with extra irrational roots can still pass C3.
 """
 
 from __future__ import annotations
@@ -87,6 +97,7 @@ from .charpoly import (
     bundle_from_sweep,
     monic_charpoly,
     series_euler_char,
+    strong_blocks,
 )
 from .poly import RatPoly, RatSeries, exp_trunc, horner, linear_power, mul_coeffs
 from .roots import (
@@ -140,7 +151,8 @@ def zeta_series(a: IntMatrix, order: int) -> RatSeries:
 
 def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
                    arith: Arithmetic) -> list[tuple]:
-    """A_{k,j} for every root as (numerators for j = 1..e_k, one denominator):
+    """A_{k,j} for every root as (numerators for j = 1..e_k, one denominator;
+    none for e_k = 0):
     Taylor coefficients at theta_k of rem(z) / prod_{l != k} (z - theta_l)^{e_l},
     read off in reverse, on ints when exact.  With theta = a / b (pairs, from
     Arithmetic.split), D rem = sum_i R_i z^i (D the lcm of rem's
@@ -160,6 +172,9 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
     n = max(len(ints) - 1, 0)
     out = []
     for k, ((a, b), e) in enumerate(zip(pairs, mults)):
+        if not e:
+            out.append(([], 1))
+            continue
         apow, bpow = [a ** i for i in range(n + 1)], [b ** i for i in range(n + 1)]
         numer = [zero] * e
         for i, r in enumerate(ints):
@@ -205,47 +220,100 @@ class ClosedFormZeta:
     q_integral: RatPoly          # Q(z), antiderivative of q, zero constant term
     factors: tuple[ZetaFactor, ...]
     arithmetic: Arithmetic       # that of the root set it was built over
+    reduced: tuple[int, ...]     # e' per factor, proved by closed_form's divisions
+
+
+def _divide_linear(ints: list[int], a: int, b: int) -> list[int] | None:
+    """P / (b z - a) for P's int coefficients (lowest degree first), or None
+    where the division leaves a remainder.  a / b is in lowest terms, so an
+    exact quotient has int coefficients (Gauss's lemma), found from the top:
+    q_(i-1) = (p_i + a q_i) / b, and p_0 + a q_0 must vanish."""
+    quot, carry = [], 0  # carry = a q_i
+    for p in reversed(ints[1:]):
+        q, r = divmod(p + carry, b)
+        if r:
+            return None
+        quot.append(q)
+        carry = a * q
+    if ints and ints[0] + carry:
+        return None
+    return quot[::-1]
+
+
+def _reduced(rem: RatPoly, roots) -> tuple[RatPoly, list[int]]:
+    """The remainder and the multiplicities e' of m/d in lowest terms.
+
+    Each rational theta = a / b is divided out of rem's ints by synthetic
+    division by b z - a, at most e times; each division that leaves no
+    remainder proves one more factor, so rem = prod (b z - a)^(e - e') R'
+    and, with d = lead prod (z - theta)^e,
+
+        rem / d = R' prod b^(e - e') / (lead prod (z - theta)^(e')).
+
+    Returns the new numerator R' prod b^(e - e') as a RatPoly (rem itself
+    when nothing divides) and the e'.  Irrational roots keep e.
+    """
+    den = math.lcm(*(c.denominator for c in rem.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in rem.coeffs]
+    kept, scale = [], 1
+    for root in roots:
+        e = root.multiplicity
+        if root.kind == "rational":
+            a, b = root.theta.as_integer_ratio()
+            while e and (quot := _divide_linear(ints, a, b)) is not None:
+                ints, e, scale = quot, e - 1, scale * b
+        kept.append(e)
+    if all(e == root.multiplicity for e, root in zip(kept, roots)):
+        return rem, kept
+    return RatPoly([Fraction(x * scale, den) for x in ints]), kept
 
 
 def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta:
     """The closed form of zeta from its log derivative m/d and the roots of d.
 
     Exact division gives m/d = q(z) + rem(z)/d(z), and Q is q's
-    antiderivative.  Over the roots theta_k of d, with lead = rootset.lead,
+    antiderivative.  _reduced cancels m/d to lowest terms at the rational
+    roots, rem/d = rem'/d' with d' = lead prod_k (z - theta_k)^(e'_k), and
+    everything after runs at the multiplicities e'_k <= e_k.  Over the
+    roots theta_k of d, with lead = rootset.lead,
 
-        rem/d = (1/lead) sum_k sum_{j=1..e_k} A_{k,j} / (z - theta_k)^j,
+        rem'/d' = (1/lead) sum_k sum_{j=1..e'_k} A_{k,j} / (z - theta_k)^j,
 
     whose A_{k,j} _hermite_terms gives as numerators over one denominator
     per root, ints when exact; recombining those numerators with
-    denominators cleared checks them against rem.  Then beta0 =
+    denominators cleared checks them against rem'.  Then beta0 =
     -A_{k,1}/lead, and for j >= 1
 
-        beta_j = (1/lead) sum_{i=j}^{e-1} C(i-1, j-1) (-1)^{i+1}
+        beta_j = (1/lead) sum_{i=j}^{e'-1} C(i-1, j-1) (-1)^{i+1}
                           alpha^{i+j} A_{k,i+1}
 
     so that the factor and exponential coefficients carry no stray
     normalization; the sum of the beta0 is then exactly N.  With alpha = p / r,
     A_{k,i+1} = nums_i / den and 1/lead = lead_num / lead_den (Arithmetic.split),
-    each beta_j is one sum over lead_den den r^(2e-2), on ints when exact.
+    each beta_j is one sum over lead_den den r^(2e'-2), on ints when exact.
+    Partial fractions are unique, so the A_{k,j} past e'_k are zero: beta_j
+    for e'_k <= j < e_k is an exact zero, and so is beta0 where e'_k = 0.
     """
     if d.is_zero():
         raise ValueError("denominator must be nonzero")
     q, rem = divmod(m_poly, d)
     arith = rootset.arithmetic
-    mults = [root.multiplicity for root in rootset.roots]
+    rem, mults = _reduced(rem, rootset.roots)
     factors = []
     with arith.context():
         pairs = [arith.split(root.theta) for root in rootset.roots]
         parts = _hermite_terms(rem, pairs, mults, arith)
-        # With theta_k = a_k / b_k, B = prod_k b_k^(e_k) and D the lcm of
-        # the denominators of the A_{k,j} and of rem:
-        # D B rem = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e_k - j), by
-        # Horner in b_k z - a_k] * prod_{l != k} (b_l z - a_l)^(e_l)
+        # With theta_k = a_k / b_k, B = prod_k b_k^(e'_k) and D the lcm of
+        # the denominators of the A_{k,j} and of rem':
+        # D B rem' = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e'_k - j), by
+        # Horner in b_k z - a_k] * prod_{l != k} (b_l z - a_l)^(e'_l)
         want = [arith.split(rem.coeff(t)) for t in range(sum(mults))]
         mult = math.lcm(*[b for _, b in want], *[den for _, den in parts])
         powers = [linear_power(a, b, e) for (a, b), e in zip(pairs, mults)]
         got = [0] * len(want)
         for k, ((a, b), (nums, den)) in enumerate(zip(pairs, parts)):
+            if not nums:
+                continue
             cs = [x * (mult // den * b ** j) for j, x in enumerate(nums, start=1)]
             piece = cs[:1]
             for c in cs[1:]:
@@ -268,9 +336,10 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
                 "raise the precision"
             )
         one = arith.one
+        zero = one * 0
         lead_num, lead_den = arith.split(one / arith.lift(rootset.lead))
-        for root, (nums, den) in zip(rootset.roots, parts):
-            theta, e = arith.lift(root.theta), root.multiplicity
+        for root, (nums, den), e in zip(rootset.roots, parts, mults):
+            theta = arith.lift(root.theta)
             alpha = one / theta
             p, r = arith.split(alpha)
             ppow, rpow = ([x ** k for k in range(2 * e - 1)] for x in (p, r))
@@ -282,12 +351,14 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
                     acc = acc + (sign * math.comb(i - 1, j - 1) * ppow[i + j]
                                  * rpow[2 * e - 2 - i - j] * nums[i])
                 betas.append(arith.join(acc * lead_num, lead_den * den * rpow[-1]))
+            betas += [zero] * (root.multiplicity - 1 - len(betas))
             factors.append(ZetaFactor(theta=theta, alpha=alpha,
-                                      multiplicity=e, kind=root.kind,
-                                      beta0=arith.join(-nums[0] * lead_num, lead_den * den),
+                                      multiplicity=root.multiplicity, kind=root.kind,
+                                      beta0=(arith.join(-nums[0] * lead_num, lead_den * den)
+                                             if e else zero),
                                       betas=tuple(betas)))
     return ClosedFormZeta(q_integral=q.antiderivative(), factors=tuple(factors),
-                          arithmetic=arith)
+                          arithmetic=arith, reduced=tuple(mults))
 
 
 def _binomial_factor_coeffs(alpha, beta0, order: int, one) -> list:
@@ -360,14 +431,18 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
             # gamma_j = a sn / (b sd) for beta_j = a / b and alpha^(-j) =
             # sn / sd, whose every step divides by alpha = p / r once: a
             # quotient of ints when exact, one mpc division otherwise.
+            # A zero beta_j adds (0, 1), so only the others enter D.
             p, r = arith.split(factor.alpha)
+            betas = (factor.beta0,) + factor.betas
+            last = max((j for j, beta in enumerate(betas) if beta), default=-1)
             diffs, (sn, sd) = [], arith.split(one)
-            for beta in (factor.beta0,) + factor.betas:
-                a, b = arith.split(beta)
-                diffs.append((a * sn, b * sd))
+            for beta in betas[:last + 1]:
+                if beta:
+                    a, b = arith.split(beta)
+                    diffs.append((a * sn, b * sd))
+                else:
+                    diffs.append((0 * sn, 1))
                 sn, sd = arith.split(arith.join(sn * r, sd * p))
-            while diffs and not diffs[-1][0]:
-                diffs.pop()
             if diffs:
                 tables.append(((p, r), diffs))
         den = math.lcm(*(b for _, b in q), *(b for _, diffs in tables for _, b in diffs))
@@ -414,7 +489,7 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
     bundle, chains = bundle_from_sweep(sweep, block_traces(a))
     chains = tuple(chains) + tuple(map(sum, islice(sweep, max(order - a.n, 0))))
     euler = series_euler_char(bundle)
-    rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors)
+    rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors, bundle.diagonal)
     return ZetaAnalysis(chains=chains, bundle=bundle, euler=euler, rootset=rootset,
                         closed=closed_form(bundle.m, bundle.d, rootset))
 
@@ -435,12 +510,13 @@ class VerificationReport:
     the closed form and want = #N_n, zero exactly when C1 holds; on the
     numeric path an mpf over the Taylor coefficients of z^0..z^order
     against the exact series.  An exact zero is proved for every n: from
-    n = 1..min(order, N) when facts (b) and (c) of the module docstring
-    hold, else from n = 1..order.  A nonzero one is always the maximum over
-    n = 1..order.
+    n = 1..min(order, W), W the window (N - deg d) + sum e', when facts
+    (b) and (c) of the module docstring hold, else from n = 1..order.  A
+    nonzero one is always the maximum over n = 1..order.
 
-    C3 checks each alpha against cp, the reversal of the pencil's own d,
-    not against A itself (see the module docstring).
+    C3's residuals are |cp(alpha)|, cp the reversal of the pencil's own
+    d; a rational alpha must also be an eigenvalue of A itself (see the
+    module docstring).
 
     Flags are None where an identity does not apply (the exponent-sum and
     alternating-sum identities need the Euler characteristic to exist).
@@ -471,23 +547,57 @@ class VerificationReport:
 
 
 def _c4_terms(factors, arith: Arithmetic):
-    """C4's terms (-1)^j beta_j / alpha^(j+1), each as a split pair: with
-    beta_j = a / b and alpha = p / r, (+-a r^(j+1), b p^(j+1))."""
+    """C4's nonzero terms (-1)^j beta_j / alpha^(j+1), each as a split pair:
+    with beta_j = a / b and alpha = p / r, (+-a r^(j+1), b p^(j+1))."""
     for f in factors:
         p, r = arith.split(f.alpha)
         for j, beta in enumerate((f.beta0,) + f.betas):
+            if not beta:
+                continue
             a, b = arith.split(beta)
             yield (-a if j % 2 else a) * r ** (j + 1), b * p ** (j + 1)
 
 
 def _c1_certified(analysis: ZetaAnalysis) -> bool:
     """Facts (b) and (c) of the module docstring, under which C1 at
-    n = 1..N proves it at every n; the pencil has proved (a)."""
+    n = 1..(N - deg d) + sum e' proves it at every n; the pencil has
+    proved (a)."""
     n, cf, roots = analysis.bundle.n, analysis.closed, analysis.rootset.roots
     return (cf.q_integral.degree <= n - analysis.bundle.d.degree  # (c)
-            and len(cf.factors) == len(roots)  # (b)
+            and len(cf.factors) == len(roots) == len(cf.reduced)  # (b)
             and all(f.alpha * root.theta == 1 and len(f.betas) < root.multiplicity
-                    for f, root in zip(cf.factors, roots)))
+                    and not any(((f.beta0,) + f.betas)[e:])
+                    for f, root, e in zip(cf.factors, roots, cf.reduced)))
+
+
+def _eigenvalue_of_a_block(a: IntMatrix, diagonal, theta: Fraction) -> bool:
+    """Whether alpha = 1/theta is an eigenvalue of a strongly connected
+    block of A: the entry of a 1 x 1 one, looked up in the bundle's
+    diagonal counts, or a value at which A_BB - alpha E is singular for a
+    larger block B, tested on ints as num A_BB - den E for alpha = den / num."""
+    num, den = theta.as_integer_ratio()
+    if num in (1, -1) and any(lam == num * den for lam, _ in diagonal):
+        return True
+    return any(_singular([[num * a.rows[i][j] - (den if i == j else 0) for j in block]
+                          for i in block])
+               for block in strong_blocks(a) if len(block) > 1)
+
+
+def _singular(rows: list[list[int]]) -> bool:
+    """Whether a square int matrix is singular, by fraction-free (Bareiss)
+    elimination: every division is exact, and a column with no pivot left
+    means det = 0."""
+    m, prev = [list(row) for row in rows], 1
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return True
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        for i in range(col + 1, len(m)):
+            m[i] = [(x * top[col] - m[i][col] * y) // prev for x, y in zip(m[i], top)]
+        prev = top[col]
+    return False
 
 
 def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
@@ -498,13 +608,15 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     The analysis sweeps A for N steps, as far as the pencil needs, and
     raises ArithmeticError where the sweep refuses d (fact (a)).  On the
     exact path C1 compares closed_form_counts with the swept
-    #N_1..#N_min(order, N) and must hold with equality; facts (b) and (c)
-    of the module docstring then prove it for every n.  Where one of them
-    fails, or the window finds a mismatch, the comparison runs over
-    n = 1..order, so a failure reports the same maximum either way.  On
-    the numeric path the closed form's Taylor coefficients through
-    z**order are compared with the series to the tolerance.  The sweep
-    is run again to order when a comparison needs counts past #N_N.
+    #N_1..#N_min(order, W), W = (N - deg d) + sum e' the window, and must
+    hold with equality; facts (b) and (c) of the module docstring then
+    prove it for every n.  Where one of them fails, or the window finds a
+    mismatch, the comparison runs over n = 1..order, so a failure reports
+    the same maximum either way.  On the numeric path the closed form's
+    Taylor coefficients through z**order are compared with the series to
+    the tolerance.  The sweep is run again to order when a comparison
+    needs counts past #N_N.  C3 also requires each rational alpha to be an
+    eigenvalue of A.
     """
     analysis = analyze_matrix(a, precision_bits)
     chains, cf = analysis.chains, analysis.closed
@@ -517,7 +629,9 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     with arith.context():
         one = arith.one
         if arith.exact:  # the one fork: log coefficients against the chain counts
-            window = n if order > n and _c1_certified(analysis) else order
+            window = n - analysis.bundle.d.degree + sum(cf.reduced)
+            if order <= window or not _c1_certified(analysis):
+                window = order
             got = closed_form_counts(cf, window)
             if window < order and got != list(chains[1:window + 1]):
                 got = closed_form_counts(cf, order)  # a failure is reported over n = 1..K
@@ -540,7 +654,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
         roots_ok = True
         coeff_sum = arith.quotient_sum((abs(a), b) for a, b in map(arith.split, cp.coeffs))
         ints = [c.numerator for c in cp.coeffs]  # cp has integer coefficients
-        for f, root in zip(cf.factors, analysis.rootset.roots):
+        for f, root, kept in zip(cf.factors, analysis.rootset.roots, cf.reduced):
             scale = coeff_sum * max(abs(one), abs(f.alpha)) ** cp.degree
             if root.kind == "rational":
                 # rational roots are checked exactly on both paths, on ints:
@@ -548,7 +662,9 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                 r, p = root.theta.as_integer_ratio()
                 value = horner([c * r ** (cp.degree - i) for i, c in enumerate(ints)], p)
                 exact_res = abs(Fraction(value, r ** cp.degree))
-                res, ok = abs(arith.lift(exact_res)), value == 0
+                res = abs(arith.lift(exact_res))
+                ok = value == 0 and (kept > 0 or _eigenvalue_of_a_block(
+                    a, analysis.bundle.diagonal, root.theta))
             else:
                 res = abs(cp(f.alpha))
                 ok = arith.within(res, tolerance, scale)

@@ -9,6 +9,7 @@ the Bareiss + Lagrange road, and the two must agree exactly.
 
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -421,8 +422,16 @@ class TestStrongBlocks:
         for f in b.factors:
             assert f.degree >= 1 and f.coeff(0) == 1
             product = product * f
+        units = [block for block in charpoly.strong_blocks(a) if len(block) == 1]
+        diagonal = Counter(a.rows[i][i] for (i,) in units)
+        del diagonal[0]
+        assert dict(b.diagonal) == diagonal
+        for lam, e in b.diagonal:
+            for _ in range(e):
+                product = product * RatPoly([1, -lam])
         assert product == b.d
-        assert factor_charpoly(b.d, factors=b.factors) == factor_charpoly(b.d)
+        assert factor_charpoly(b.d, factors=b.factors, diagonal=b.diagonal) == \
+            factor_charpoly(b.d)
 
     @given(scrambled_block_matrices())
     def test_scrambled_block_matrices(self, a):
@@ -433,8 +442,25 @@ class TestStrongBlocks:
         a, roots = SCRAMBLED_CASES[name]
         self.check(a)
         b = char_poly_bundle(a)
-        rs = factor_charpoly(b.d, factors=b.factors)
+        rs = factor_charpoly(b.d, factors=b.factors, diagonal=b.diagonal)
         assert sorted((root.kind, root.multiplicity) for root in rs.roots) == roots
+
+    def test_unit_blocks_enter_d_by_their_counts(self, monkeypatch):
+        """Only the 2 x 2 block goes through Newton's identities; the 1 x 1
+        blocks are counted by their entry, zero dropped, and k needs no
+        product of its own (d by each distinct power and m, three in all)."""
+        newton, products = [], []
+        real_newton, real_mul = charpoly._newton, charpoly.mul_coeffs
+        monkeypatch.setattr(charpoly, "_newton", lambda t: newton.append(t) or real_newton(t))
+        monkeypatch.setattr(charpoly, "mul_coeffs",
+                            lambda *args: products.append(len(args)) or real_mul(*args))
+        a = block_matrix([[[2]], [[1, 1], [1, 1]], [[2]], [[0]], [[-1]], [[2]]],
+                         lambda i, j: 1)
+        b = char_poly_bundle(a)
+        assert newton == [[2, 4]]
+        assert b.factors == (RatPoly([1, -2]),) and dict(b.diagonal) == {2: 3, -1: 1}
+        assert len(products) == 4  # the block factor, two powers, m
+        assert (b.d, b.k, b.m) == oracle_pencil(a)
 
     def test_blocks_of_a_scrambled_matrix(self):
         a = block_matrix([PELL, [[3]], [[1, 1], [1, 1]]], lambda i, j: 1)

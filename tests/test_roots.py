@@ -347,6 +347,27 @@ class TestFactorCharpoly:
             (Fraction(1, 3), 1), (Fraction(1, 2), 3)]
         assert [r.multiplicity for r in rs.roots if r.kind == "numeric"] == [1, 1]
 
+    def test_diagonal_counts_give_their_roots_without_yun(self, monkeypatch):
+        """(1 - 2z)^3 (1 + z) (1 - z)^2 as diagonal counts, beside the
+        linear factor 1 - 3z: no non-linear factor, so no Yun; a
+        non-linear one still goes through it."""
+        diagonal, linear = ((2, 3), (-1, 1), (1, 2)), RatPoly([1, -3])
+        d = linear
+        for lam, e in diagonal:
+            d = d * RatPoly(linear_power(-1, -lam, e))
+        want = factor_charpoly(d)
+        quadratic = RatPoly([1, -2, -1])
+        want_mixed = factor_charpoly(d * quadratic)
+        calls, real = [], roots_module.squarefree_decompose
+        monkeypatch.setattr(roots_module, "squarefree_decompose",
+                            lambda p: calls.append(p) or real(p))
+        assert factor_charpoly(d, factors=(linear,), diagonal=diagonal) == want
+        assert calls == []
+        assert [(r.theta, r.multiplicity) for r in want.roots] == [
+            (Fraction(1, 3), 1), (Fraction(1, 2), 3), (Fraction(1), 2), (Fraction(-1), 1)]
+        mixed = factor_charpoly(d * quadratic, factors=(quadratic, linear), diagonal=diagonal)
+        assert mixed == want_mixed and calls == [quadratic]
+
     def test_factors_must_multiply_to_d(self):
         # a wrong linear factor is caught by the recombination against d
         d = RatPoly([1, -2]) * RatPoly([1, -3])

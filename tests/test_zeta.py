@@ -44,6 +44,7 @@ from catzeta.charpoly import block_traces, bundle_from_sweep
 from catzeta.roots import Arithmetic
 from conftest import monoids_up_to_3, random_poset_relation
 from oracles import (
+    bareiss_det,
     c1_k_term_oracle,
     c2_sum_oracle,
     c4_sum_oracle,
@@ -124,13 +125,17 @@ class TestPartialFractions:
 
     @staticmethod
     def terms(bundle, rootset):
-        """q, rem and the A_{k,j} of bundle.m / bundle.d over rootset."""
+        """q, rem and the A_{k,j} of bundle.m / bundle.d over rootset, for
+        j = 1..e_k: those of the reduced fraction, as closed_form takes
+        them, then zeros."""
         arith = rootset.arithmetic
         q, rem = divmod(bundle.m, bundle.d)
         pairs = [arith.split(root.theta) for root in rootset.roots]
-        parts = zeta_module._hermite_terms(
-            rem, pairs, [root.multiplicity for root in rootset.roots], arith)
-        return q, rem, tuple(tuple(Fraction(x, den) for x in nums) for nums, den in parts)
+        reduced, mults = zeta_module._reduced(rem, rootset.roots)
+        parts = zeta_module._hermite_terms(reduced, pairs, mults, arith)
+        return q, rem, tuple(tuple(Fraction(x, den) for x in nums)
+                             + (Fraction(0),) * (root.multiplicity - len(nums))
+                             for root, (nums, den) in zip(rootset.roots, parts))
 
     def analyze(self, rows):
         analysis = analyze_matrix(IntMatrix(rows))
@@ -185,7 +190,9 @@ class TestPartialFractions:
         assert rs.arithmetic.exact == exact
         k = next(i for i, root in enumerate(rs.roots) if root.multiplicity >= 3)
         assert len(rs.roots) == n_roots
-        assert closed_form(bundle.m, bundle.d, rs).arithmetic.exact == exact
+        cf = closed_form(bundle.m, bundle.d, rs)
+        assert cf.arithmetic.exact == exact
+        assert cf.reduced[k] == rs.roots[k].multiplicity  # e' = e: A_{k,j} is computed
         real = zeta_module._hermite_terms
 
         def corrupt(*args):  # A_{k,j} + 1/3, over the root's denominator times 3
@@ -263,6 +270,95 @@ class TestPartialFractions:
         assert [(f.beta0, f.betas) for f in cf.factors] == [(2, (1,))]
 
 
+def _cut(rem, theta, e):
+    """min(e, ord_theta(rem)), in Fractions: e - e' for the root theta."""
+    t = 0
+    while t < e and (rem.is_zero() or rem(theta) == 0):
+        rem, t = rem // RatPoly([-theta, 1]), t + 1
+    return t
+
+
+@st.composite
+def reducible_log_derivatives(draw):
+    """(m, d, rootset) with rem = prod (z - theta)^(t_k) R for drawn
+    t_k <= e_k: m/d cancels to e'_k <= e_k - t_k, down to e' = 0."""
+    rootset = draw(exact_root_sets)
+    d, rem, free = RatPoly([rootset.lead]), RatPoly.one(), 0
+    for root in rootset.roots:
+        t = draw(st.integers(0, root.multiplicity))
+        for i in range(root.multiplicity):
+            d = d * RatPoly([-root.theta, 1])
+            if i < t:
+                rem = rem * RatPoly([-root.theta, 1])
+        free += root.multiplicity - t
+    rem = rem * RatPoly(draw(st.lists(st.integers(-9, 9), max_size=free)))
+    return d * RatPoly(draw(st.lists(st.integers(-3, 3), max_size=3))) + rem, d, rootset
+
+
+class TestReducedClosedForm:
+    """closed_form on m/d in lowest terms: each rational root's
+    multiplicity e' in the reduced denominator, and beta's equal to those
+    of the full-multiplicity Hermite terms, zero from index e' on."""
+
+    @staticmethod
+    def assert_full_betas(m, d, rootset):
+        rem = divmod(m, d)[1]
+        thetas = [root.theta for root in rootset.roots]
+        mults = [root.multiplicity for root in rootset.roots]
+        cf = closed_form(m, d, rootset)
+        assert cf.reduced == tuple(e - _cut(rem, theta, e) for theta, e in zip(thetas, mults))
+        got = [(f.beta0, f.betas) for f in cf.factors]
+        assert got == closed_form_betas_oracle(rootset, hermite_terms_oracle(rem, thetas, mults))
+        assert all(type(b) is Fraction for b0, betas in got for b in (b0, *betas))
+        assert all(len(f.betas) == f.multiplicity - 1 and not any(((f.beta0,) + f.betas)[e:])
+                   for f, e in zip(cf.factors, cf.reduced))
+        return cf
+
+    @given(reducible_log_derivatives())
+    @settings(max_examples=300, deadline=None)
+    def test_betas_match_the_full_multiplicity_oracle(self, case):
+        self.assert_full_betas(*case)
+
+    @pytest.mark.parametrize("rows, reduced", [
+        ([[3, -1], [-1, 3]], (0, 1)),  # theta = 1/4 cancels: beta0 = 0
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], (2,)),  # e = 4
+        ([[1, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 0],
+          [0, 0, 0, 0, 2]], (1, 4)),  # a chain: e' = e
+    ])
+    def test_matrices(self, rows, reduced):
+        analysis = analyze_matrix(IntMatrix(rows))
+        cf = self.assert_full_betas(analysis.bundle.m, analysis.bundle.d, analysis.rootset)
+        assert cf == analysis.closed and cf.reduced == reduced
+        if rows == [[3, -1], [-1, 3]]:
+            assert (cf.factors[0].theta, cf.factors[0].beta0) == (Fraction(1, 4), 0)
+
+    @pytest.mark.parametrize("n", [12, 20, 36])
+    def test_exact_ladder(self, n):
+        analysis = analyze_matrix(exact_ladder_item(n))
+        cf = self.assert_full_betas(analysis.bundle.m, analysis.bundle.d, analysis.rootset)
+        assert sum(cf.reduced) <= sum(f.multiplicity for f in cf.factors) // 2
+
+    def test_division_proves_each_factor(self):
+        # (2z - 1)^2 (z + 3) divides by 2z - 1 twice, then leaves a remainder
+        ints = mul_coeffs(mul_coeffs([-1, 2], [-1, 2]), [3, 1])
+        once = zeta_module._divide_linear(ints, 1, 2)
+        assert once == mul_coeffs([-1, 2], [3, 1])
+        assert zeta_module._divide_linear(once, 1, 2) == [3, 1]
+        assert zeta_module._divide_linear([3, 1], 1, 2) is None
+        assert zeta_module._divide_linear([3, 1], -3, 1) == [1]
+        assert zeta_module._divide_linear([], 1, 2) == []
+
+    def test_numeric_root_set_keeps_irrational_multiplicities(self):
+        # [[3, -1], [-1, 3]] (theta = 1/4 cancels) beside pell's irrational pair
+        a = IntMatrix([[3, -1, 0, 0], [-1, 3, 0, 0], [0, 0, 2, 1], [0, 0, 1, 0]])
+        analysis = analyze_matrix(a)
+        assert analysis.path == "numeric"
+        kinds = [(f.kind, e) for f, e in zip(analysis.closed.factors, analysis.closed.reduced)]
+        assert sorted(kinds) == [("numeric", 1), ("numeric", 1), ("rational", 0),
+                                 ("rational", 1)]
+        assert verify_matrix(a, order=12).passed
+
+
 class TestClosedForm:
     def factors_of(self, rows):
         return analyze_matrix(IntMatrix(rows)).closed
@@ -330,6 +426,8 @@ class TestClosedForm:
 # an arrow (root 1, e = 2, beta_1 = 1) next to a nilpotent chain (Q != 0)
 ARROW_AND_CHAIN = IntMatrix([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
                              [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]])
+# an arrow beside two points: root 1 with e = 4 in d, e' = 2 in the reduced m/d
+ARROW_AND_TWO_POINTS = IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 _small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -345,7 +443,8 @@ _hand_built_factors = st.builds(
     st.integers(min_value=0, max_value=2))
 hand_built_closed_forms = st.builds(
     lambda q, factors: ClosedFormZeta(q_integral=RatPoly([0] + q), factors=tuple(factors),
-                                      arithmetic=Arithmetic(True, 128)),
+                                      arithmetic=Arithmetic(True, 128),
+                                      reduced=tuple(f.multiplicity for f in factors)),
     st.lists(_small_fractions, max_size=4), st.lists(_hand_built_factors, max_size=3))
 
 
@@ -687,6 +786,65 @@ class TestC1Window:
         assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
         assert calls == [n, order]  # the window finds it, the report covers n = 1..K
 
+    def test_first_mismatch_at_the_window_edge(self, monkeypatch):
+        """The window is (N - deg d) + sum e' = 2 orders for an arrow beside
+        two points (root 1, e = 4, e' = 2).  beta0 - 1/7 and beta_1 + 1/7
+        shift c_n by (n - 1)/7: off first at n = 2, with every fact intact."""
+        a = ARROW_AND_TWO_POINTS
+        n, order = a.n, 3 * a.n
+        analysis = analyze_matrix(a)
+        window = n - analysis.bundle.d.degree + sum(analysis.closed.reduced)
+        assert analysis.closed.reduced == (2,) and window == 2 < n
+
+        def spoil(cf):
+            (f,) = cf.factors
+            delta = Fraction(1, 7)
+            return replace(cf, factors=(replace(f, beta0=f.beta0 - delta,
+                                                betas=(f.betas[0] + delta,) + f.betas[1:]),))
+
+        bad = spoil(analysis.closed)
+        assert closed_form_counts(bad, window - 1) == chain_counts(a, window - 1)[1:]
+        assert closed_form_counts(bad, window)[-1] != chain_counts(a, window)[-1]
+        assert zeta_module._c1_certified(replace(analysis, closed=bad))
+        calls, real = [], zeta_module.closed_form
+        monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(a, order=order)
+        assert report.path == "exact" and not report.c1["pass"] and not report.passed
+        assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
+        assert calls == [window, order]
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_a_beta_past_the_reduced_multiplicity_takes_the_k_term_route(self, monkeypatch, j):
+        """beta_j with e' <= j < e is an exact zero of the reduced fraction.
+        Made nonzero, it breaks fact (b) and first shows at n = j >= the
+        window (j = 3: past it), so only the K-term comparison runs."""
+        a = ARROW_AND_TWO_POINTS
+        order = 3 * a.n
+        analysis = analyze_matrix(a)
+        (f,) = analysis.closed.factors
+        assert analysis.closed.reduced == (2,) and f.multiplicity == 4 and f.betas[j - 1] == 0
+
+        def spoil(cf):
+            (f,) = cf.factors
+            betas = list(f.betas)
+            betas[j - 1] = Fraction(1, 7)
+            return replace(cf, factors=(replace(f, betas=tuple(betas)),))
+
+        bad = spoil(analysis.closed)
+        assert closed_form_counts(bad, j - 1) == chain_counts(a, j - 1)[1:]
+        assert closed_form_counts(bad, j)[-1] != chain_counts(a, j)[-1]
+        assert not zeta_module._c1_certified(replace(analysis, closed=bad))
+        calls, real = [], zeta_module.closed_form
+        monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(a, order=order)
+        assert report.path == "exact" and not report.c1["pass"]
+        assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
+        assert calls == [order]
+
     @given(exact_inputs, st.data(), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_window_report_equals_the_k_term_report(self, a, data, perturb):
@@ -709,14 +867,18 @@ class TestC1Window:
 
     def test_exact_verify_sweeps_n_steps_whatever_k(self, monkeypatch):
         """Counted, not timed: at K = 3000 the exact path sweeps A for
-        N steps and asks closed_form_counts for N orders."""
+        N steps and asks closed_form_counts for (N - deg d) + sum e'
+        orders, the window, well below N here."""
         a, calls = exact_ladder_item(36), []
+        analysis = analyze_matrix(a)
+        window = a.n - analysis.bundle.d.degree + sum(analysis.closed.reduced)
+        assert window < a.n // 2
         sweeps = counted_sweeps(monkeypatch)
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
         report = verify_matrix(a, order=3000)
         assert report.path == "exact" and report.passed
-        assert sweeps == [a.n] and calls == [a.n]
+        assert sweeps == [a.n] and calls == [window]
 
     def test_exact_verify_keeps_no_sweep_vectors(self):
         """The certificate adds each vector into one running sum, so the
@@ -813,6 +975,45 @@ class TestVerification:
         got = [res for res, f in zip(report.c3["residuals"], cf.factors) if f.kind == "rational"]
         want = [1 / f.theta ** 2 + 1 for f in cf.factors if f.kind == "rational"]
         assert got == want if path == "exact" else [float(x) for x in got] == want
+
+    def test_c3_checks_each_rational_alpha_on_a_block_of_a(self, monkeypatch):
+        """Traces (3, 5) for [[1, 1], [1, 1]] (really (2, 4)) give
+        d = (1 - z)(1 - 2z), which the certificate accepts: the sweep only
+        sees the eigenvector 1.  alpha = 1 is a root of cp but no
+        eigenvalue of A, so C3 fails, with both residuals still zero."""
+        a = IntMatrix([[1, 1], [1, 1]])
+        assert verify_matrix(a, order=10).passed
+        monkeypatch.setattr(zeta_module, "block_traces", lambda *args: [[3, 5]])
+        report = verify_matrix(a, order=10)
+        assert report.path == "exact" and not report.c3["pass"] and not report.passed
+        assert report.c3["residuals"] == (0, 0)
+
+    def test_only_a_cancelled_root_goes_to_the_blocks(self, monkeypatch):
+        """A pole of m/d is an eigenvalue of A by the sweep alone; the root
+        1/4 of [[3, -1], [-1, 3]] cancels (e' = 0), so it alone is looked
+        up on the blocks, and found there."""
+        calls, real = [], zeta_module._eigenvalue_of_a_block
+        monkeypatch.setattr(zeta_module, "_eigenvalue_of_a_block",
+                            lambda a, diagonal, theta: calls.append(theta) or real(a, diagonal, theta))
+        report = verify_matrix(IntMatrix([[3, -1], [-1, 3]]), order=10)
+        assert report.passed and calls == [Fraction(1, 4)]
+
+    def test_eigenvalues_read_off_the_blocks(self):
+        # the block {0, 1} has eigenvalues 2 and -1, the 1 x 1 block {2} has 2
+        a = IntMatrix([[1, 2, 1], [1, 0, 1], [0, 0, 2]])
+        diagonal = charpoly_module.char_poly_bundle(a).diagonal
+        assert diagonal == ((2, 1),)
+        assert zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(1, 2))
+        assert zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(-1))
+        assert zeta_module._eigenvalue_of_a_block(a, (), Fraction(1, 2))  # from the 2 x 2 block
+        assert not zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(1, 3))
+        assert not zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(2))
+
+    @given(integer_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_singular_matches_the_bareiss_oracle(self, a):
+        assert zeta_module._singular([list(row) for row in a.rows]) == \
+            (bareiss_det([list(row) for row in a.rows]) == 0)
 
     def test_numeric_path_report(self, fixture_matrices):
         report = verify_matrix(fixture_matrices["pell"], order=20)
@@ -955,7 +1156,8 @@ class TestSingularities:
         with arith.context():
             factor = ZetaFactor(theta=mp.mpc(2), alpha=mp.mpc(0.5), multiplicity=1,
                                 kind="numeric", beta0=mp.mpc(0, 1), betas=())
-        cf = ClosedFormZeta(q_integral=RatPoly.zero(), factors=(factor,), arithmetic=arith)
+        cf = ClosedFormZeta(q_integral=RatPoly.zero(), factors=(factor,), arithmetic=arith,
+                            reduced=(1,))
         rep = singularity_report(cf)
         (pt,) = rep.points
         assert (pt.classification, pt.essential, pt.pole_order) == ("essential", False, None)

@@ -27,13 +27,25 @@ adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
     m(z) = d(z) sum_j #N_{j+1} z^j    mod z^N.
 
 Only m is multiplied out: the first sum is N + z times the second, so
-k = N d + z m mod z^N.  Both need d to be det(E - A z), and v_0 .. v_N
-certify that on every call, the blockwise d against the whole matrix:
+k = N d + z m mod z^N.  Both need d to be det(E - A z), and the sweep
+certifies that on every call, the blockwise d against the whole matrix:
 with P(t) = det(t E - A) = sum_i p_i t^i, the reversal of d
-(monic_charpoly), Cayley-Hamilton gives the integer vector
-sum_i p_i v_i = P(A) 1 = 0.  The z^N coefficients of the two products,
-1^T P(A) 1 and 1^T A P(A) 1, vanish with it, which pins
-z m(z) = k(z) - N d(z) down to the top coefficient.
+(monic_charpoly), P(A) 1 = 0 must hold as an integer vector.  The z^N
+coefficients of the two products, 1^T P(A) 1 and 1^T A P(A) 1, vanish
+with it, which pins z m(z) = k(z) - N d(z) down to the top coefficient.
+
+Where every block is 1 x 1, the certificate goes through a divisor of P.
+The same Tarjan pass finds, for each diagonal value lambda (0 too), the
+largest number c_lambda of vertices with a_ii = lambda on one path of
+A's support.  mu~(t) = prod (t - lambda)^(c_lambda), of degree s <= N
+(not the degree defect s below), is a multiple of the minimal
+polynomial of A on 1, by a path bound on each eigenvalue's index
+(Rothblum's index theorem), and often equal to it.  Then c_lambda <=
+e_lambda, the number of blocks with entry lambda, makes mu~ divide P,
+and mu~(A) 1 = 0 on v_0 .. v_s gives P(A) 1 = 0; the counts past #N_s
+follow mu~'s integer recurrence, so s steps replace N.  Nothing trusts
+the bound: where either check fails, or a block is larger, v_0 .. v_N
+give sum_i p_i v_i = P(A) 1 = 0 by Cayley-Hamilton.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:
@@ -50,7 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import reduce
+from itertools import compress, islice
+from operator import mul
+from typing import Callable, Iterator, Sequence
 
 from .category import IntMatrix, chain_vectors
 from .poly import RatPoly, linear_power, mul_coeffs
@@ -63,7 +78,23 @@ def strong_blocks(a: IntMatrix) -> list[list[int]]:
     Tarjan's algorithm with an explicit stack, so a long path cannot hit
     the recursion limit.  Blocks come out in reverse topological order.
     """
-    succ = [[j for j, x in enumerate(row) if x] for row in a.rows]
+    return _tarjan(a)[0]
+
+
+def _tarjan(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
+    """strong_blocks, with the path bound c_lambda (None if a block is
+    larger than 1 x 1): the most vertices v with a_vv = lambda on one path
+    of A's support, for each diagonal value lambda.  A 1 x 1 block {v} is
+    popped after every vertex it reaches, so one DP in the same pass gives
+    c_v[lambda], that count over the paths from v: the largest
+    c_w[lambda] over v's successors w, plus one where a_vv = lambda.
+    """
+    cols = range(a.n)
+    succ = [list(compress(cols, row)) for row in a.rows]
+    diag = [row[i] for i, row in enumerate(a.rows)]
+    slot = dict(zip(dict.fromkeys(diag), cols))  # each diagonal value's index in c_v
+    zero = [0] * len(slot)
+    longest: list | None = [zero] * a.n  # c_v over the slots; v's own is zero until v is popped
     index, low = [-1] * a.n, [0] * a.n
     on_stack = [False] * a.n
     stack: list[int] = []
@@ -94,13 +125,26 @@ def strong_blocks(a: IntMatrix) -> list[list[int]]:
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
+                if low[v] < index[v]:
+                    continue
+                if stack[-1] == v:  # a 1 x 1 block
+                    stack.pop()
+                    on_stack[v] = False
+                    blocks.append([v])
+                    if longest is not None:  # zero twice: max needs two arguments
+                        c = [*map(max, zero, zero, *map(longest.__getitem__, succ[v]))]
+                        c[slot[diag[v]]] += 1
+                        longest[v] = c
+                else:
                     block = []
                     while not block or block[-1] != v:
                         block.append(stack.pop())
                         on_stack[block[-1]] = False
                     blocks.append(sorted(block))
-    return blocks
+                    longest = None
+    if longest is None:
+        return blocks, None
+    return blocks, dict(zip(slot, map(max, zero, zero, *longest)))
 
 
 def power_traces(a: IntMatrix) -> list[int]:
@@ -113,19 +157,22 @@ def power_traces(a: IntMatrix) -> list[int]:
     return traces
 
 
-def block_traces(a: IntMatrix) -> list[list[int]]:
-    """tr A_BB^1 .. tr A_BB^|B| for each strongly connected block B.
+def block_traces(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
+    """tr A_BB^1 .. tr A_BB^|B| for each strongly connected block B, with
+    the path bound of the same Tarjan pass (_tarjan; None if a block is
+    larger than 1 x 1).
 
     A 1 x 1 block's one trace is its entry; only larger blocks are swept.
     """
+    blocks, bound = _tarjan(a)
     out = []
-    for block in strong_blocks(a):
+    for block in blocks:
         if len(block) == 1:
             out.append([a.rows[block[0]][block[0]]])
         else:
             out.append(power_traces(IntMatrix([[a.rows[i][j] for j in block]
                                                for i in block])))
-    return out
+    return out, bound
 
 
 def _newton(traces: Sequence[int]) -> list[int]:
@@ -160,20 +207,39 @@ class CharPolyBundle:
     diagonal: tuple[tuple[int, int], ...]
 
 
-def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[Sequence[int]]
-                      ) -> tuple[CharPolyBundle, list[int]]:
-    """d, k, m and the degree defects, with the chain counts #N_0 .. #N_N.
+def _residue(coeffs: Sequence[int], sweep: Iterator[Sequence[int]], n: int
+             ) -> tuple[list[int], list[int]]:
+    """sum_i c_i v_i over the first len(coeffs) vectors of sweep, with their
+    entry sums #N_i; zip asks for c_i first, so no vector past the last is
+    pulled."""
+    residue, chains = [0] * n, []
+    for c, v in zip(coeffs, sweep):
+        chains.append(sum(v))
+        if c:
+            residue = [r + c * x for r, x in zip(residue, v)]
+    return residue, chains
 
-    d comes from tr A_BB^1 .. tr A_BB^|B| for each strongly connected
-    block B alone (a 1 x 1 block's one trace is its entry, counted), m from
-    the counts, the entry sums of the first N + 1 vectors v_i = A^i 1 of
-    sweep (category.chain_vectors), and k = N d + z m.  That is N steps of
-    the sweep; the caller may continue it for later counts.
+
+def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
+                      blocks: tuple[Sequence[Sequence[int]], dict[int, int] | None],
+                      order: int = 0) -> tuple[CharPolyBundle, list[int]]:
+    """d, k, m and the degree defects, with the chain counts #N_0 .. #N_max(N, order).
+
+    blocks is block_traces' pair: d comes from the traces, block by block,
+    m from the counts, the entry sums of v_i = A^i 1 (sweep() starts a
+    sweep, category.chain_vectors), and k = N d + z m.  Where the path
+    bound is below N and c_lambda <= e_lambda, v_0 .. v_s are swept,
+    mu~(A) 1 = 0 is checked and the later counts come from mu~'s
+    recurrence, #N_(j+s) = -sum_(i<s) u_i #N_(j+i); then d and m are
+    products with g = d / rev, rev the reversal of mu~.  Otherwise, or
+    where mu~(A) 1 != 0, a new sweep runs N steps, checks P(A) 1 = 0 and
+    goes on to #N_order (see the module docstring).
 
     Raises ArithmeticError if a Newton division leaves a remainder or
-    P(A) 1 = sum_i p_i v_i is not zero: either way d is not det(E - A z)
-    of the matrix swept.
+    P(A) 1 is not zero: either way d is not det(E - A z) of the matrix
+    swept.
     """
+    traces_by_block, bound = blocks
     n = sum(len(traces) for traces in traces_by_block)
     d, factors, counts = [1], [], {}
     for traces in traces_by_block:
@@ -183,22 +249,42 @@ def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[
             factor = _newton(traces)
             d = mul_coeffs(d, factor)
             factors.append(RatPoly(factor))
+    length = max(n, order)
+    chains, proved = None, {}
+    # s = N leaves nothing to save: under c_lambda <= e_lambda, mu~ is P itself
+    if (bound is not None and sum(bound.values()) < n
+            and all(c <= counts.get(lam, 0) for lam, c in bound.items())):
+        mu = reduce(mul_coeffs, [linear_power(lam, 1, c) for lam, c in bound.items()])
+        residue, chains = _residue(mu, sweep(), n)
+        if any(residue):
+            chains = None
+        else:
+            s, tail = len(mu) - 1, [-u for u in mu[:-1]]
+            for _ in range(length - s):
+                chains.append(sum(map(mul, tail, chains[-s:])))
+            proved = bound
     counts.pop(0, None)
-    for lam, e in counts.items():
-        d = mul_coeffs(d, linear_power(-1, -lam, e))  # (1 - lambda z)^e
+    for lam, e in counts.items():  # d, or g on the mu~ route: (1 - lambda z)^(e - c)
+        if e > proved.get(lam, 0):
+            d = mul_coeffs(d, linear_power(-1, -lam, e - proved.get(lam, 0)))
+    if chains is not None:
+        # d = g rev, rev = z^s mu~(1/z) without its t^(c_0), and m = g R:
+        # R = rev sum_j #N_(j+1) z^j has degree below s, its z^k
+        # coefficient for k >= s being 1^T A^(k-s+1) mu~(A) 1 = 0
+        rev = mu[::-1][:len(mu) - proved.get(0, 0)]
+        m = mul_coeffs(d, mul_coeffs(rev, chains[1:s + 1], s), n)
+        d = mul_coeffs(d, rev)
     d_poly = RatPoly(d)
-    residue, chains = [0] * n, []
-    # zip asks for p_i before v_i, so v_N is the last vector pulled
-    for p, v in zip(monic_charpoly(d_poly, n).coeffs, sweep):
-        chains.append(sum(v))
-        if p:
-            p = p.numerator
-            residue = [r + p * x for r, x in zip(residue, v)]
-    bad = next((i for i, x in enumerate(residue) if x), None)
-    if bad is not None:
-        raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
-                              f"{residue[bad]}, not 0")
-    m = mul_coeffs(d, chains[1:], n)  # z^0 .. z^(N-1) of d times the counts' series
+    if chains is None:
+        vectors = sweep()
+        residue, chains = _residue([p.numerator for p in monic_charpoly(d_poly, n).coeffs],
+                                   vectors, n)
+        bad = next((i for i, x in enumerate(residue) if x), None)
+        if bad is not None:
+            raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
+                                  f"{residue[bad]}, not 0")
+        chains += map(sum, islice(vectors, length - n))
+        m = mul_coeffs(d, chains[1:n + 1], n)  # z^0 .. z^(N-1) of d times the counts' series
     # k_i = N d_i + m_(i-1): N d + z m below z^N
     k_poly = RatPoly([n * x + y for x, y in zip(d[:n] + [0] * (n - len(d)), [0] + m)])
     return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(m),
@@ -209,7 +295,7 @@ def bundle_from_sweep(sweep: Iterator[Sequence[int]], traces_by_block: Sequence[
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
     """Compute d, k, m and the degree defects for one adjacency matrix."""
-    return bundle_from_sweep(chain_vectors(a), block_traces(a))[0]
+    return bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))[0]
 
 
 def monic_charpoly(d: RatPoly, n: int) -> RatPoly:

@@ -52,7 +52,11 @@ gives delta_n = 0 for all n, once three facts hold, each checked:
       sum_i p_i t^i, the reversal of d (charpoly.monic_charpoly), so
       sum_i p_i #N_(n+i) = 1^T A^n P(A) 1 = 0 for every n >= 0 and
       sum_j #N_(j+1) z^j is m/d as a power series, which puts #N_n on
-      mu's recurrence through m/d = q + rem'/d';
+      mu's recurrence through m/d = q + rem'/d'.  Where every strongly
+      connected block is 1 x 1 the pencil proves it through a divisor:
+      mu~(A) 1 = 0 on v_0 .. v_s for mu~ = prod (t - lambda)^(c_lambda),
+      the path bound of charpoly, with each c_lambda <= e_lambda, so that
+      mu~ divides P; otherwise from v_0 .. v_N;
   (b) the roots: each closed-form factor's alpha_k is 1/theta_k of the
       root set, whose exact recombination (factor_charpoly) proved
       d = lead prod (z - theta_k)^(e_k), and its last nonzero beta has
@@ -62,12 +66,11 @@ gives delta_n = 0 for all n, once three facts hold, each checked:
       in mu, so the q_(n-1) = n Q_n left over vanish for n > N - deg d.
 
 (a) holds for every bundle: charpoly checks it on the sweep's own vectors
-as it builds d, k and m, and raises ArithmeticError where it fails.  The
-window alone would pass a wrong d, since m makes c_n = #N_n for n <= N
-whatever d is.  Where K <= W, (b) or (c) fails or the window finds a
-mismatch, C1 compares n = 1..K as it stands, so a failure reports the
-same maximum.  Numeric:
-closed_form_taylor against the series through z^K, until C1 is exact
+as it builds d, k and m, and raises ArithmeticError where neither route
+proves it.  The window alone would pass a wrong d, since m makes
+c_n = #N_n for n <= N whatever d is.  Where K <= W, (b) or (c) fails
+or the window finds a mismatch, C1 compares n = 1..K as it stands, so a
+failure reports the same maximum.  Numeric: closed_form_taylor against the series through z^K, until C1 is exact
 for irrational spectra as well.  The eigenvalue check C3 branches on
 each root's kind: a rational root is checked exactly on both paths, on
 ints, a numeric one within the tolerance.  Its residual is |cp(alpha)|,
@@ -86,7 +89,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .category import IntMatrix, chain_counts, chain_vectors
@@ -149,14 +151,15 @@ def zeta_series(a: IntMatrix, order: int) -> RatSeries:
 
 # -- closed form -----------------------------------------------------------
 
-def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
+def _hermite_terms(ints: list, mult: int, pairs: list, mults: list[int],
                    arith: Arithmetic) -> list[tuple]:
     """A_{k,j} for every root as (numerators for j = 1..e_k, one denominator;
     none for e_k = 0):
     Taylor coefficients at theta_k of rem(z) / prod_{l != k} (z - theta_l)^{e_l},
-    read off in reverse, on ints when exact.  With theta = a / b (pairs, from
-    Arithmetic.split), D rem = sum_i R_i z^i (D the lcm of rem's
-    denominators, n = deg rem) and w = z - theta_k:
+    read off in reverse, on ints when exact.  rem = sum_i R_i z^i / D, its
+    numerators R_i (ints) over one denominator D (mult), as _reduced gives
+    them.  With theta = a / b (pairs, from Arithmetic.split), n = deg rem
+    and w = z - theta_k:
 
         b^n D rem = sum_t w^t sum_i R_i C(i, t) a^(i-t) b^(n-i+t),
         z - theta_l = (a b_l - a_l b + b b_l w) / (b b_l),
@@ -166,9 +169,6 @@ def _hermite_terms(rem: RatPoly, pairs: list, mults: list[int],
     and W_i = -u sum_{s>=1} Q_s c^(s-1) W_(i-s).
     """
     zero, _ = arith.split(0)
-    coeffs = [arith.split(c) for c in rem.coeffs]
-    mult = math.lcm(*[b for _, b in coeffs])
-    ints = [a * (mult // b) for a, b in coeffs]
     n = max(len(ints) - 1, 0)
     out = []
     for k, ((a, b), e) in enumerate(zip(pairs, mults)):
@@ -240,18 +240,20 @@ def _divide_linear(ints: list[int], a: int, b: int) -> list[int] | None:
     return quot[::-1]
 
 
-def _reduced(rem: RatPoly, roots) -> tuple[RatPoly, list[int]]:
+def _reduced(rem: RatPoly, roots, arith: Arithmetic) -> tuple[list, int, list[int]]:
     """The remainder and the multiplicities e' of m/d in lowest terms.
 
-    Each rational theta = a / b is divided out of rem's ints by synthetic
+    rem = sum_i R_i z^i / D over D, the lcm of its denominators.  Each
+    rational theta = a / b is divided out of the ints R_i by synthetic
     division by b z - a, at most e times; each division that leaves no
-    remainder proves one more factor, so rem = prod (b z - a)^(e - e') R'
+    remainder proves one more factor, so D rem = prod (b z - a)^(e - e') R'
     and, with d = lead prod (z - theta)^e,
 
-        rem / d = R' prod b^(e - e') / (lead prod (z - theta)^(e')).
+        rem / d = R' prod b^(e - e') / (D lead prod (z - theta)^(e')).
 
-    Returns the new numerator R' prod b^(e - e') as a RatPoly (rem itself
-    when nothing divides) and the e'.  Irrational roots keep e.
+    Returns the new numerators R' prod b^(e - e') and D, then the e'.  On a
+    numeric root set each numerator is lifted from its Fraction over D, and
+    D becomes 1.  Irrational roots keep e.
     """
     den = math.lcm(*(c.denominator for c in rem.coeffs))
     ints = [c.numerator * (den // c.denominator) for c in rem.coeffs]
@@ -263,9 +265,10 @@ def _reduced(rem: RatPoly, roots) -> tuple[RatPoly, list[int]]:
             while e and (quot := _divide_linear(ints, a, b)) is not None:
                 ints, e, scale = quot, e - 1, scale * b
         kept.append(e)
-    if all(e == root.multiplicity for e, root in zip(kept, roots)):
-        return rem, kept
-    return RatPoly([Fraction(x * scale, den) for x in ints]), kept
+    ints = [x * scale for x in ints]
+    if not arith.exact:  # each coefficient rounded once, as rem's own Fractions are
+        return [arith.lift(Fraction(x, den)) for x in ints], 1, kept
+    return ints, den, kept
 
 
 def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta:
@@ -298,19 +301,18 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
         raise ValueError("denominator must be nonzero")
     q, rem = divmod(m_poly, d)
     arith = rootset.arithmetic
-    rem, mults = _reduced(rem, rootset.roots)
     factors = []
     with arith.context():
+        ints, rden, mults = _reduced(rem, rootset.roots, arith)
         pairs = [arith.split(root.theta) for root in rootset.roots]
-        parts = _hermite_terms(rem, pairs, mults, arith)
-        # With theta_k = a_k / b_k, B = prod_k b_k^(e'_k) and D the lcm of
-        # the denominators of the A_{k,j} and of rem':
+        parts = _hermite_terms(ints, rden, pairs, mults, arith)
+        # With theta_k = a_k / b_k, B = prod_k b_k^(e'_k), rem' = ints / rden
+        # and D the lcm of rden and the denominators of the A_{k,j}:
         # D B rem' = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e'_k - j), by
         # Horner in b_k z - a_k] * prod_{l != k} (b_l z - a_l)^(e'_l)
-        want = [arith.split(rem.coeff(t)) for t in range(sum(mults))]
-        mult = math.lcm(*[b for _, b in want], *[den for _, den in parts])
+        mult = math.lcm(rden, *[den for _, den in parts])
         powers = [linear_power(a, b, e) for (a, b), e in zip(pairs, mults)]
-        got = [0] * len(want)
+        got = [0] * sum(mults)
         for k, ((a, b), (nums, den)) in enumerate(zip(pairs, parts)):
             if not nums:
                 continue
@@ -324,10 +326,11 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
                     piece = mul_coeffs(piece, power)
             got = [g + c for g, c in zip(got, piece)]
         mult *= math.prod(b ** e for (_, b), e in zip(pairs, mults))  # D B
-        want = [a * (mult // b) for a, b in want]
+        want = [x * (mult // rden) for x in ints[:len(got)]]
+        want += [0] * (len(got) - len(want))
         err = max((abs(g - w) for g, w in zip(got, want)), default=0)
         scale = max(abs(w) for w in [arith.lift(mult)] + want)
-        if rem.degree >= len(got) or not arith.within(err, DEFAULT_TOLERANCE, scale):
+        if len(ints) > len(got) or not arith.within(err, DEFAULT_TOLERANCE, scale):
             if arith.exact:  # a wrong Hermite term, which no precision fixes
                 raise ArithmeticError("exact recombination failed for the partial "
                                       f"fractions: residual {Fraction(err, scale)}")
@@ -464,7 +467,9 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 
 @dataclass(frozen=True)
 class ZetaAnalysis:
-    chains: tuple[int, ...]  # #N_0 .. #N_max(order, N), one sweep of max(order, N) steps
+    # #N_0 .. #N_max(order, N): v_0 .. v_s swept and the rest from mu~'s
+    # recurrence where the path bound holds, else one sweep of max(order, N) steps
+    chains: tuple[int, ...]
     bundle: CharPolyBundle
     euler: EulerReport
     rootset: RootSet
@@ -479,15 +484,16 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
                    order: int = 0) -> ZetaAnalysis:
     """Everything derived from one adjacency matrix, computed once.
 
-    One sweep of chain_vectors gives the chain counts.  The pencil takes
-    its first N steps, certifies d on those vectors (P(A) 1 = 0) and
-    reads #N_0 .. #N_N off them; the same sweep then runs on to #N_order.
-    The counts, kept on the analysis, feed the series through z**order;
-    verify passes no order, so its sweep stops at #N_N.
+    The pencil certifies d (fact (a)) and gives #N_0 .. #N_max(N, order).
+    Where every block is 1 x 1 and the path bound holds, chain_vectors
+    runs s = deg mu~ steps and every later count comes from mu~'s
+    recurrence; otherwise one sweep runs N steps, certifies P(A) 1 = 0
+    and goes on to #N_order.  The counts, kept on the analysis, feed the
+    series through z**order; verify passes no order, so its counts stop
+    at #N_N.
     """
-    sweep = chain_vectors(a)
-    bundle, chains = bundle_from_sweep(sweep, block_traces(a))
-    chains = tuple(chains) + tuple(map(sum, islice(sweep, max(order - a.n, 0))))
+    bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a), order)
+    chains = tuple(chains)
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors, bundle.diagonal)
     return ZetaAnalysis(chains=chains, bundle=bundle, euler=euler, rootset=rootset,
@@ -605,8 +611,9 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Run all four identity checks on one adjacency matrix.
 
-    The analysis sweeps A for N steps, as far as the pencil needs, and
-    raises ArithmeticError where the sweep refuses d (fact (a)).  On the
+    The analysis sweeps A as far as the pencil needs, s = deg mu~ steps
+    where the path bound holds and N otherwise, and raises ArithmeticError
+    where the sweep refuses d (fact (a)).  On the
     exact path C1 compares closed_form_counts with the swept
     #N_1..#N_min(order, W), W = (N - deg d) + sum e' the window, and must
     hold with equality; facts (b) and (c) of the module docstring then

@@ -37,6 +37,9 @@ Everything here takes a different road, so that agreement means something:
 - C2's sum of the beta0 and C4's alternating sum of the beta's, added
   term by term in Fractions, against verify's sums over one int
   denominator.
+- The degree of the minimal polynomial of A on 1 as the rank of the
+  Krylov vectors 1, A 1, .., A^N 1 (plain matrix-vector products, then
+  fraction-free elimination), against the pencil's path bound deg mu~.
 
 Also here: simultaneous row/column permutation of a matrix, which the
 tests use to scramble block-triangular inputs.
@@ -506,3 +509,25 @@ def c1_k_term_oracle(cf: ClosedFormZeta, a: IntMatrix, order: int) -> Fraction:
     pairs = zip(closed_form_counts(cf, order), chain_counts(a, order)[1:])
     return max((abs(got - want) / max(1, abs(want)) for got, want in pairs if got != want),
                default=Fraction(0))
+
+
+def krylov_rank(a: IntMatrix) -> int:
+    """The degree of the minimal polynomial of A on 1: the rank of the
+    vectors 1, A 1, .., A^N 1, each by a plain matrix-vector product, by
+    fraction-free elimination on ints.  A column with no pivot left is
+    skipped; every division stays exact (Sylvester's identity)."""
+    rows, v = [], [1] * a.n
+    for _ in range(a.n + 1):
+        rows.append(v)
+        v = [sum(x * y for x, y in zip(row, v)) for row in a.rows]
+    rank, prev = 0, 1
+    for col in range(a.n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [(x * top[col] - rows[i][col] * y) // prev for x, y in zip(rows[i], top)]
+        prev, rank = top[col], rank + 1
+    return rank

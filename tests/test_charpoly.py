@@ -13,12 +13,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from catzeta import (
     IntMatrix,
     RatPoly,
     adjacency,
+    analyze_matrix,
+    chain_counts,
     char_poly_bundle,
     exp_trunc,
     factor_charpoly,
@@ -34,6 +36,7 @@ from oracles import (
     adjsum_times_a_poly,
     bareiss_det,
     det_poly,
+    krylov_rank,
     oracle_pencil,
     reversal_check,
     reversed_adjsum_poly,
@@ -317,8 +320,8 @@ class TestSweepAgainstOracle:
         good = charpoly.block_traces
 
         def corrupt(a):
-            first, *rest = good(a)
-            return [first[:-1] + [first[-1] + 2]] + rest
+            (first, *rest), bound = good(a)
+            return [first[:-1] + [first[-1] + 2]] + rest, bound
 
         for module in (charpoly, zeta):
             monkeypatch.setattr(module, "block_traces", corrupt)
@@ -338,7 +341,8 @@ class TestSweepAgainstOracle:
     def test_newton_division_must_be_exact(self):
         # traces (1, 0) would need d_2 = 1/2, which no integer matrix has
         with pytest.raises(ArithmeticError, match="Newton"):
-            bundle_from_sweep(chain_vectors(IntMatrix([[1, 0], [0, 0]])), [[1, 0]])
+            bundle_from_sweep(lambda: chain_vectors(IntMatrix([[1, 0], [0, 0]])),
+                              ([[1, 0]], None))
 
 
 # the Fibonacci block {0, 1} coupled into the 1 x 1 block {2}.  The
@@ -470,8 +474,8 @@ class TestStrongBlocks:
             [0, 1], [2], [3, 4]]
         # reverse topological order: a block comes before every block that reaches it
         assert [sorted(perm[i] for i in block) for block in blocks] == [[3, 4], [2], [0, 1]]
-        assert charpoly.block_traces(IntMatrix([[5]])) == [[5]]
-        assert charpoly.block_traces(IntMatrix([])) == []
+        assert charpoly.block_traces(IntMatrix([[5]])) == ([[5]], {5: 1})
+        assert charpoly.block_traces(IntMatrix([])) == ([], {})
 
     def test_long_path_needs_no_recursion(self):
         n = 2 * sys.getrecursionlimit()
@@ -479,3 +483,93 @@ class TestStrongBlocks:
         assert charpoly.strong_blocks(path) == [[i] for i in reversed(range(n))]
         cycle = IntMatrix([[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
         assert charpoly.strong_blocks(cycle) == [list(range(n))]
+
+
+@st.composite
+def permuted_triangular_matrices(draw):
+    """Upper triangular under a random simultaneous permutation of rows and
+    columns, entries in -3..3.  The diagonal comes from a palette of at
+    most three values, so that they repeat; a 0 in it adds nilpotent parts."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    palette = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3))
+    diag = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    entry = st.integers(min_value=-3, max_value=3)
+    a = IntMatrix([[diag[i] if i == j else draw(entry) if i < j else 0 for j in range(n)]
+                   for i in range(n)])
+    return permuted(a, draw(st.permutations(range(n))))
+
+
+def counted(a, pulled):
+    """A sweep factory over chain_vectors(a) that appends to pulled, for
+    each sweep it starts, the number of vectors taken from it."""
+    def sweep():
+        pulled.append(0)
+        for v in chain_vectors(a):
+            pulled[-1] += 1
+            yield v
+    return sweep
+
+
+# an arrow beside a 3-chain: mu~ = (t - 1)^2 t^3 is the minimal polynomial
+# of A on 1 and P itself, so one c_lambda less no longer kills 1
+ARROW_AND_CHAIN = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0],
+                   [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]
+
+
+class TestPathBound:
+    """Every block 1 x 1: the sweep stops at s = deg mu~, mu~ from the
+    path bound of Tarjan's pass, certified by mu~(A) 1 = 0 and c_lambda <=
+    e_lambda, and the counts past s come from mu~'s recurrence."""
+
+    @given(permuted_triangular_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_permuted_triangular_matrices(self, a):
+        traces, bound = charpoly.block_traces(a)
+        s = sum(bound.values())
+        assert krylov_rank(a) <= s <= a.n  # deg minpoly <= deg mu~ <= N
+        pulled = []
+        bundle, chains = bundle_from_sweep(counted(a, pulled), (traces, bound))
+        assert (bundle.d, bundle.k, bundle.m) == oracle_pencil(a)
+        assert chains == chain_counts(a, a.n)
+        assert pulled == [s + 1]  # v_0 .. v_s, one sweep
+        assert analyze_matrix(a, order=200).chains == tuple(chain_counts(a, 200))
+
+    def test_bound_of_a_chain_and_of_a_discrete_category(self):
+        chain = IntMatrix([[int(i <= j) for j in range(6)] for i in range(6)])
+        assert charpoly.block_traces(chain)[1] == {1: 6} and krylov_rank(chain) == 6
+        discrete = IntMatrix.identity(6)
+        assert charpoly.block_traces(discrete)[1] == {1: 1} and krylov_rank(discrete) == 1
+        assert charpoly.block_traces(IntMatrix([[1, 1], [1, 1]]))[1] is None
+
+    def test_a_refused_bound_falls_back(self):
+        """One c_lambda under-counted gives a mu~ that leaves mu~(A) 1 != 0;
+        a c_lambda above e_lambda (a value on no diagonal) gives a mu~ that
+        kills 1 but does not divide P.  Either way a new sweep runs N steps
+        from v_0 and gives the same bundle and counts.  A corrupt diagonal
+        count is refused by P(A) 1 itself."""
+        order = 12
+        a = IntMatrix(ARROW_AND_CHAIN)
+        traces, bound = charpoly.block_traces(a)
+        assert bound == {1: 2, 0: 3} and krylov_rank(a) == a.n
+        want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None), order)
+        assert want[1] == chain_counts(a, order)
+        for lam, c in bound.items():
+            pulled = []
+            under = bundle_from_sweep(counted(a, pulled), (traces, {**bound, lam: c - 1}), order)
+            assert under == want and pulled == [a.n, order + 1]  # s - 1 steps, then K
+        for i in range(a.n):
+            spoilt = traces[:i] + [[traces[i][0] + 2]] + traces[i + 1:]
+            with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+                bundle_from_sweep(lambda: chain_vectors(a), (spoilt, bound))
+        # an arrow beside two points: s = 2 < N = 4, and (t - 1)^2 (t - 7)
+        # still kills 1, so only c_7 <= e_7 = 0 keeps 1 - 7z out of d
+        a = IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        traces, bound = charpoly.block_traces(a)
+        assert bound == {1: 2}
+        want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None), order)
+        pulled = []
+        assert bundle_from_sweep(counted(a, pulled), (traces, bound), order) == want
+        assert pulled == [3]
+        pulled = []
+        assert bundle_from_sweep(counted(a, pulled), (traces, {**bound, 7: 1}), order) == want
+        assert pulled == [order + 1]

@@ -1,5 +1,6 @@
 """Zeta series, partial fractions, closed form, verification, singularities."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -131,8 +132,9 @@ class TestPartialFractions:
         arith = rootset.arithmetic
         q, rem = divmod(bundle.m, bundle.d)
         pairs = [arith.split(root.theta) for root in rootset.roots]
-        reduced, mults = zeta_module._reduced(rem, rootset.roots)
-        parts = zeta_module._hermite_terms(reduced, pairs, mults, arith)
+        with arith.context():
+            ints, den, mults = zeta_module._reduced(rem, rootset.roots, arith)
+            parts = zeta_module._hermite_terms(ints, den, pairs, mults, arith)
         return q, rem, tuple(tuple(Fraction(x, den) for x in nums)
                              + (Fraction(0),) * (root.multiplicity - len(nums))
                              for root, (nums, den) in zip(rootset.roots, parts))
@@ -255,7 +257,10 @@ class TestPartialFractions:
         mults = [root.multiplicity for root in rootset.roots]
         want = hermite_terms_oracle(rem, thetas, mults)
         arith = rootset.arithmetic
-        parts = zeta_module._hermite_terms(rem, [arith.split(t) for t in thetas], mults, arith)
+        den = math.lcm(*(c.denominator for c in rem.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in rem.coeffs]
+        parts = zeta_module._hermite_terms(ints, den, [arith.split(t) for t in thetas], mults,
+                                           arith)
         assert all(type(x) is int for nums, den in parts for x in [den, *nums])
         assert [tuple(Fraction(x, den) for x in nums) for nums, den in parts] == want
         got = [(f.beta0, f.betas) for f in closed_form(m, d, rootset).factors]
@@ -699,7 +704,7 @@ class TestC1Window:
     @example(IntMatrix([[0, -1], [1, 0]]))  # irrational spectrum
     @settings(max_examples=150, deadline=None)
     def test_certificate_holds_for_the_true_charpoly(self, a):
-        bundle, chains = bundle_from_sweep(chain_vectors(a), block_traces(a))
+        bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
         assert bundle.d == det_poly(a)  # the Bareiss oracle's
         assert chains == chain_counts(a, a.n)
         cp = monic_charpoly(bundle.d, a.n)
@@ -708,26 +713,33 @@ class TestC1Window:
     def test_perturbed_charpoly_is_refused(self, monkeypatch):
         a = IntMatrix([[1, 1, 0], [0, 3, 1], [1, 0, 2]])  # v_0, v_1, v_2 independent
         real = charpoly_module.monic_charpoly
-        bundle_from_sweep(chain_vectors(a), block_traces(a))  # accepted as it stands
+        bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))  # accepted as it stands
         for i in range(a.n + 1):  # p_i + 1 adds v_i
             monkeypatch.setattr(charpoly_module, "monic_charpoly",
                                 lambda d, n: real(d, n) + RatPoly([0] * i + [1]))
             with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
-                bundle_from_sweep(chain_vectors(a), block_traces(a))
+                bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
         monkeypatch.setattr(charpoly_module, "monic_charpoly",
                             lambda d, n: RatPoly(real(d, n).coeffs[1:]))
         with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
-            bundle_from_sweep(chain_vectors(a), block_traces(a))
+            bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
 
     def test_refused_certificate_raises(self, monkeypatch):
-        """No K-term route: a d that the sweep refuses ends verify."""
-        calls, real = [], charpoly_module.monic_charpoly
-        monkeypatch.setattr(charpoly_module, "monic_charpoly",
-                            lambda d, n: real(d, n) + 1)
+        """No K-term route: a d that the sweep refuses ends verify.  Every
+        block is 1 x 1, so d is spoilt through the diagonal counts: block
+        i's entry + 2 leaves e_lambda < c_lambda for its own entry, mu~ no
+        longer divides P, and the N-step sweep refuses P(A) 1."""
+        calls, real = [], zeta_module.block_traces
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
-        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
-            verify_matrix(ARROW_AND_CHAIN, order=3 * ARROW_AND_CHAIN.n)
+        for i in range(ARROW_AND_CHAIN.n):
+            def spoilt(a, i=i):
+                traces, bound = real(a)
+                return traces[:i] + [[traces[i][0] + 2]] + traces[i + 1:], bound
+
+            monkeypatch.setattr(zeta_module, "block_traces", spoilt)
+            with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+                verify_matrix(ARROW_AND_CHAIN, order=3 * ARROW_AND_CHAIN.n)
         assert calls == []
 
     @pytest.mark.parametrize("fact", ["c", "b"])
@@ -867,18 +879,21 @@ class TestC1Window:
 
     def test_exact_verify_sweeps_n_steps_whatever_k(self, monkeypatch):
         """Counted, not timed: at K = 3000 the exact path sweeps A for
-        N steps and asks closed_form_counts for (N - deg d) + sum e'
-        orders, the window, well below N here."""
+        s = deg mu~ steps, well below N (13 at N = 36), and asks
+        closed_form_counts for (N - deg d) + sum e' orders, the window,
+        well below N here."""
         a, calls = exact_ladder_item(36), []
         analysis = analyze_matrix(a)
         window = a.n - analysis.bundle.d.degree + sum(analysis.closed.reduced)
         assert window < a.n // 2
+        s = sum(block_traces(a)[1].values())
+        assert s == 13
         sweeps = counted_sweeps(monkeypatch)
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
         report = verify_matrix(a, order=3000)
         assert report.path == "exact" and report.passed
-        assert sweeps == [a.n] and calls == [window]
+        assert sweeps == [s] and calls == [window]
 
     def test_exact_verify_keeps_no_sweep_vectors(self):
         """The certificate adds each vector into one running sum, so the
@@ -898,6 +913,16 @@ class TestAnalysis:
     def test_exact_path_for_posets(self, fixture_categories):
         for name in ("terminal", "p2", "s"):
             assert analyze_matrix(adjacency(fixture_categories[name])).path == "exact"
+
+    def test_counts_past_n_come_from_the_recurrence(self, monkeypatch):
+        """zeta --closed's counts to K: v_0 .. v_s are swept, s = deg mu~,
+        and the rest read off mu~'s recurrence."""
+        a = exact_ladder_item(36)
+        want = tuple(chain_counts(a, 200))
+        s = sum(block_traces(a)[1].values())
+        sweeps = counted_sweeps(monkeypatch)
+        assert analyze_matrix(a, order=200).chains == want
+        assert sweeps == [s] and s < a.n
 
     def test_numeric_path_for_irrational_spectrum(self, fixture_matrices):
         analysis = analyze_matrix(fixture_matrices["pell"])
@@ -983,7 +1008,7 @@ class TestVerification:
         eigenvalue of A, so C3 fails, with both residuals still zero."""
         a = IntMatrix([[1, 1], [1, 1]])
         assert verify_matrix(a, order=10).passed
-        monkeypatch.setattr(zeta_module, "block_traces", lambda *args: [[3, 5]])
+        monkeypatch.setattr(zeta_module, "block_traces", lambda *args: ([[3, 5]], None))
         report = verify_matrix(a, order=10)
         assert report.path == "exact" and not report.c3["pass"] and not report.passed
         assert report.c3["residuals"] == (0, 0)

@@ -60,7 +60,7 @@ characteristic is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, islice
@@ -194,7 +194,8 @@ class CharPolyBundle:
     1 x 1 strongly connected blocks, e the number of such blocks, in the
     order first met; factors holds det(E - A_BB z) for each larger block B
     whose factor is not constant.  d is their product with the
-    (1 - lambda z)^e.
+    (1 - lambda z)^e.  pair = (R, rev) on the mu~ route, else (m, d): the
+    smallest pair the sweep proved equal to m/d, outside == and repr.
     """
 
     n: int
@@ -205,6 +206,7 @@ class CharPolyBundle:
     s: int
     factors: tuple[RatPoly, ...]
     diagonal: tuple[tuple[int, int], ...]
+    pair: tuple[RatPoly, RatPoly] = field(compare=False, repr=False)
 
 
 def _residue(coeffs: Sequence[int], sweep: Iterator[Sequence[int]], n: int
@@ -230,10 +232,10 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
     sweep, category.chain_vectors), and k = N d + z m.  Where the path
     bound is below N and c_lambda <= e_lambda, v_0 .. v_s are swept,
     mu~(A) 1 = 0 is checked and the later counts come from mu~'s
-    recurrence, #N_(j+s) = -sum_(i<s) u_i #N_(j+i); then d and m are
-    products with g = d / rev, rev the reversal of mu~.  Otherwise, or
-    where mu~(A) 1 != 0, a new sweep runs N steps, checks P(A) 1 = 0 and
-    goes on to #N_order (see the module docstring).
+    recurrence, #N_(j+s) = -sum_(i<s) u_i #N_(j+i); then d = g rev and
+    m = g R, rev the reversal of mu~, and the bundle's pair is (R, rev).
+    Otherwise, or where mu~(A) 1 != 0, a new sweep runs N steps, checks
+    P(A) 1 = 0 and goes on to #N_order (see the module docstring).
 
     Raises ArithmeticError if a Newton division leaves a remainder or
     P(A) 1 is not zero: either way d is not det(E - A z) of the matrix
@@ -250,7 +252,7 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
             d = mul_coeffs(d, factor)
             factors.append(RatPoly(factor))
     length = max(n, order)
-    chains, proved = None, {}
+    chains, proved, pair = None, {}, None
     # s = N leaves nothing to save: under c_lambda <= e_lambda, mu~ is P itself
     if (bound is not None and sum(bound.values()) < n
             and all(c <= counts.get(lam, 0) for lam, c in bound.items())):
@@ -272,8 +274,10 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
         # R = rev sum_j #N_(j+1) z^j has degree below s, its z^k
         # coefficient for k >= s being 1^T A^(k-s+1) mu~(A) 1 = 0
         rev = mu[::-1][:len(mu) - proved.get(0, 0)]
-        m = mul_coeffs(d, mul_coeffs(rev, chains[1:s + 1], s), n)
+        r_coeffs = mul_coeffs(rev, chains[1:s + 1], s)
+        m = mul_coeffs(d, r_coeffs, n)
         d = mul_coeffs(d, rev)
+        pair = RatPoly(r_coeffs), RatPoly(rev)
     d_poly = RatPoly(d)
     if chains is None:
         vectors = sweep()
@@ -285,12 +289,13 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
                                   f"{residue[bad]}, not 0")
         chains += map(sum, islice(vectors, length - n))
         m = mul_coeffs(d, chains[1:n + 1], n)  # z^0 .. z^(N-1) of d times the counts' series
+    m_poly = RatPoly(m)
     # k_i = N d_i + m_(i-1): N d + z m below z^N
     k_poly = RatPoly([n * x + y for x, y in zip(d[:n] + [0] * (n - len(d)), [0] + m)])
-    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(m),
+    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=m_poly,
                           r=n - d_poly.degree, s=n - 1 - k_poly.degree,
                           factors=tuple(f for f in factors if f.degree >= 1),
-                          diagonal=tuple(counts.items())), chains
+                          diagonal=tuple(counts.items()), pair=pair or (m_poly, d_poly)), chains
 
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:

@@ -25,28 +25,27 @@ coefficients, identities 2 to 4 and the singularity report each run one
 code path over whichever scalars the root set carries; an identity holds
 with a zero residual in exact arithmetic and within a tolerance in
 numeric arithmetic: verify's own for the four identities, the fixed
-DEFAULT_TOLERANCE for the partial-fraction recombination and
 DEFAULT_VERIFY_TOL for the singularity report.  closed_form is one stage
-from m, d and the roots: it divides m by d, cancels rem/d to lowest
-terms at the rational roots by exact synthetic division, takes the
-Hermite terms A_{k,j} of the reduced fraction as numerators over one
-denominator per root, checks them by recombination and sums the beta's
-from the same numerators.  It and closed_form_counts clear denominators once
-(Arithmetic.split) and build each result once (Arithmetic.join), so on
-an exact root set, whose theta are +-1/b, they add and multiply ints.
-So do the exact checks: C2's sum of the beta0, C3's coefficient sum and
-C4's alternating sum run on ints over one denominator
-(Arithmetic.quotient_sum), each built into one Fraction at the end.
-Two checks still branch.  The Taylor match forks on the arithmetic.
-Exact: the log coefficients c_n = n [z^n] log zeta from
-closed_form_counts must equal the swept chain counts #N_n, as good as
-equal Taylor coefficients, and this is proved for every order n from
-n = 1..min(K, W) alone.  closed_form cancels m/d to lowest terms,
+from the pencil's pair and the roots: (R, rev), of degree at most
+s = deg mu~, where the sweep proved m/d = R/rev, else (m, d).  It
+divides, cancels to lowest terms at the rational roots by exact
+synthetic division, takes the Hermite terms A_{k,j} of the reduced
+fraction as numerators over one denominator per root and sums the
+beta's from the same numerators.  It and closed_form_counts clear
+denominators once (Arithmetic.split) and build each result once
+(Arithmetic.join), so on an exact root set, whose theta are +-1/b, they
+add and multiply ints.  So do C2's sum of the beta0, C3's coefficient
+sum and C4's alternating sum (Arithmetic.quotient_sum).
+analyze_matrix checks the closed form once: its log coefficients
+c_n = n [z^n] log zeta (closed_form_counts) must equal the swept chain
+counts #N_n for n = 1..W, exactly on an exact root set and to the fixed
+DEFAULT_TOLERANCE, relative, on a numeric one.  Reduced to lowest terms,
 m/d = q + rem'/d' with d' = lead prod (z - theta_k)^(e'_k), e'_k <= e_k;
 the window W = (N - deg d) + sum_k e'_k is the degree of the monic
 mu(t) = t^(N - deg d) prod_k (t - alpha_k)^(e'_k).  delta_n = c_n - #N_n
 obeys mu's recurrence for every n >= 1, so delta_1 = .. = delta_W = 0
-gives delta_n = 0 for all n, once three facts hold, each checked:
+gives delta_n = 0 for all n, as good as equal Taylor coefficients, and
+with it every Hermite term, once three facts hold:
 
   (a) the certificate: P(A) 1 = 0 for P = cp = det(t E - A) =
       sum_i p_i t^i, the reversal of d (charpoly.monic_charpoly), so
@@ -59,7 +58,8 @@ gives delta_n = 0 for all n, once three facts hold, each checked:
       mu~ divides P; otherwise from v_0 .. v_N;
   (b) the roots: each closed-form factor's alpha_k is 1/theta_k of the
       root set, whose exact recombination (factor_charpoly) proved
-      d = lead prod (z - theta_k)^(e_k), and its last nonzero beta has
+      d = lead prod (z - theta_k)^(e_k); e'_k comes from closed_form's
+      exact divisions of the pair, and the factor's last nonzero beta has
       index below e'_k, so (t - alpha_k)^(e'_k), a factor of mu, kills
       its terms beta_j C(n, j) alpha_k^(n-j);
   (c) the polynomial part: deg Q <= N - deg d, the multiplicity of t = 0
@@ -68,10 +68,11 @@ gives delta_n = 0 for all n, once three facts hold, each checked:
 (a) holds for every bundle: charpoly checks it on the sweep's own vectors
 as it builds d, k and m, and raises ArithmeticError where neither route
 proves it.  The window alone would pass a wrong d, since m makes
-c_n = #N_n for n <= N whatever d is.  Where K <= W, (b) or (c) fails
-or the window finds a mismatch, C1 compares n = 1..K as it stands, so a
-failure reports the same maximum.  Numeric: closed_form_taylor against the series through z^K, until C1 is exact
-for irrational spectra as well.  The eigenvalue check C3 branches on
+c_n = #N_n for n <= N whatever d is.  A mismatch in the window raises
+ArithmeticError naming n.  Two checks of verify still branch.  C1, on
+the arithmetic: exact, it reads the analysis's match where K > W and (b)
+and (c) hold, else compares n = 1..K as it stands; numeric, it compares
+closed_form_taylor with the series through z^K.  C3 branches on
 each root's kind: a rational root is checked exactly on both paths, on
 ints, a numeric one within the tolerance.  Its residual is |cp(alpha)|,
 cp the reversal of the pencil's own d, and (a) ties cp to A only on the
@@ -89,6 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .category import IntMatrix, chain_counts, chain_vectors
@@ -240,30 +242,49 @@ def _divide_linear(ints: list[int], a: int, b: int) -> list[int] | None:
     return quot[::-1]
 
 
-def _reduced(rem: RatPoly, roots, arith: Arithmetic) -> tuple[list, int, list[int]]:
-    """The remainder and the multiplicities e' of m/d in lowest terms.
+def _divide_out(ints: list[int], a: int, b: int, most: int) -> tuple[list[int], int]:
+    """ints divided by b z - a while no remainder is left, at most `most` times; and how often."""
+    count = 0
+    while count < most and (quot := _divide_linear(ints, a, b)) is not None:
+        ints, count = quot, count + 1
+    return ints, count
 
-    rem = sum_i R_i z^i / D over D, the lcm of its denominators.  Each
-    rational theta = a / b is divided out of the ints R_i by synthetic
-    division by b z - a, at most e times; each division that leaves no
-    remainder proves one more factor, so D rem = prod (b z - a)^(e - e') R'
-    and, with d = lead prod (z - theta)^e,
 
-        rem / d = R' prod b^(e - e') / (D lead prod (z - theta)^(e')).
+def _clear(p: RatPoly) -> tuple[list[int], int]:
+    """p = sum_i P_i z^i / D as the ints P_i and D, the lcm of p's denominators."""
+    den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)  # no argument tuple
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
-    Returns the new numerators R' prod b^(e - e') and D, then the e'.  On a
-    numeric root set each numerator is lifted from its Fraction over D, and
-    D becomes 1.  Irrational roots keep e.
+
+def _reduced(rem: RatPoly, d: RatPoly, roots, arith: Arithmetic) -> tuple[list, int, list[int]]:
+    """The remainder and the multiplicities e' of rem/d in lowest terms.
+
+    d = lead prod (z - theta)^c divides the polynomial the roots factor:
+    it is that polynomial (c = e), or of lower degree, as the pencil's rev
+    is, each c counted by dividing d by b z - a (every root rational).
+    Each rational theta = a / b is divided out of rem's ints R_i (_clear)
+    at most c times; each division that leaves no remainder proves one
+    more factor, so D rem = prod (b z - a)^(c - e') R' and
+
+        rem / d = R' prod b^(c - e') / (D lead prod (z - theta)^(e')).
+
+    Returns the new numerators R' prod b^(c - e') and D, then the e'.  On
+    a numeric root set each numerator is lifted from its Fraction over D,
+    and D becomes 1.  Irrational roots keep e.
     """
-    den = math.lcm(*(c.denominator for c in rem.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in rem.coeffs]
+    ints, den = _clear(rem)
+    dints = _clear(d)[0] if d.degree < sum(root.multiplicity for root in roots) else None
     kept, scale = [], 1
     for root in roots:
         e = root.multiplicity
         if root.kind == "rational":
             a, b = root.theta.as_integer_ratio()
-            while e and (quot := _divide_linear(ints, a, b)) is not None:
-                ints, e, scale = quot, e - 1, scale * b
+            if dints is not None:
+                dints, e = _divide_out(dints, a, b, e)
+            ints, cut = _divide_out(ints, a, b, e)
+            e, scale = e - cut, scale * b ** cut
+        elif dints is not None:
+            raise ValueError("a proper divisor of d needs rational roots")
         kept.append(e)
     ints = [x * scale for x in ints]
     if not arith.exact:  # each coefficient rounded once, as rem's own Fractions are
@@ -272,20 +293,18 @@ def _reduced(rem: RatPoly, roots, arith: Arithmetic) -> tuple[list, int, list[in
 
 
 def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta:
-    """The closed form of zeta from its log derivative m/d and the roots of d.
+    """The closed form of zeta from its log derivative m/d and the roots.
 
-    Exact division gives m/d = q(z) + rem(z)/d(z), and Q is q's
-    antiderivative.  _reduced cancels m/d to lowest terms at the rational
-    roots, rem/d = rem'/d' with d' = lead prod_k (z - theta_k)^(e'_k), and
-    everything after runs at the multiplicities e'_k <= e_k.  Over the
-    roots theta_k of d, with lead = rootset.lead,
+    d divides the polynomial rootset factors: the pencil's d, or the
+    denominator of its pair (CharPolyBundle.pair).  Exact division gives
+    m/d = q + rem/d, Q is q's antiderivative, and _reduced cancels to
+    lowest terms at the rational roots, rem/d = rem'/d' with
+    d' = lead prod_k (z - theta_k)^(e'_k), lead = d.lead and e'_k <= e_k:
 
         rem'/d' = (1/lead) sum_k sum_{j=1..e'_k} A_{k,j} / (z - theta_k)^j,
 
     whose A_{k,j} _hermite_terms gives as numerators over one denominator
-    per root, ints when exact; recombining those numerators with
-    denominators cleared checks them against rem'.  Then beta0 =
-    -A_{k,1}/lead, and for j >= 1
+    per root, ints when exact.  Then beta0 = -A_{k,1}/lead, and for j >= 1
 
         beta_j = (1/lead) sum_{i=j}^{e'-1} C(i-1, j-1) (-1)^{i+1}
                           alpha^{i+j} A_{k,i+1}
@@ -296,6 +315,7 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
     each beta_j is one sum over lead_den den r^(2e'-2), on ints when exact.
     Partial fractions are unique, so the A_{k,j} past e'_k are zero: beta_j
     for e'_k <= j < e_k is an exact zero, and so is beta0 where e'_k = 0.
+    closed_form builds the terms; analyze_matrix checks them.
     """
     if d.is_zero():
         raise ValueError("denominator must be nonzero")
@@ -303,44 +323,12 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
     arith = rootset.arithmetic
     factors = []
     with arith.context():
-        ints, rden, mults = _reduced(rem, rootset.roots, arith)
+        ints, rden, mults = _reduced(rem, d, rootset.roots, arith)
         pairs = [arith.split(root.theta) for root in rootset.roots]
         parts = _hermite_terms(ints, rden, pairs, mults, arith)
-        # With theta_k = a_k / b_k, B = prod_k b_k^(e'_k), rem' = ints / rden
-        # and D the lcm of rden and the denominators of the A_{k,j}:
-        # D B rem' = sum_k [sum_j D A_{k,j} b_k^j (b_k z - a_k)^(e'_k - j), by
-        # Horner in b_k z - a_k] * prod_{l != k} (b_l z - a_l)^(e'_l)
-        mult = math.lcm(rden, *[den for _, den in parts])
-        powers = [linear_power(a, b, e) for (a, b), e in zip(pairs, mults)]
-        got = [0] * sum(mults)
-        for k, ((a, b), (nums, den)) in enumerate(zip(pairs, parts)):
-            if not nums:
-                continue
-            cs = [x * (mult // den * b ** j) for j, x in enumerate(nums, start=1)]
-            piece = cs[:1]
-            for c in cs[1:]:
-                piece = mul_coeffs(piece, [-a, b])
-                piece[0] = piece[0] + c
-            for l, power in enumerate(powers):
-                if l != k:
-                    piece = mul_coeffs(piece, power)
-            got = [g + c for g, c in zip(got, piece)]
-        mult *= math.prod(b ** e for (_, b), e in zip(pairs, mults))  # D B
-        want = [x * (mult // rden) for x in ints[:len(got)]]
-        want += [0] * (len(got) - len(want))
-        err = max((abs(g - w) for g, w in zip(got, want)), default=0)
-        scale = max(abs(w) for w in [arith.lift(mult)] + want)
-        if len(ints) > len(got) or not arith.within(err, DEFAULT_TOLERANCE, scale):
-            if arith.exact:  # a wrong Hermite term, which no precision fixes
-                raise ArithmeticError("exact recombination failed for the partial "
-                                      f"fractions: residual {Fraction(err, scale)}")
-            raise ArithmeticError(
-                "partial fraction recombination residual above tolerance; "
-                "raise the precision"
-            )
         one = arith.one
         zero = one * 0
-        lead_num, lead_den = arith.split(one / arith.lift(rootset.lead))
+        lead_num, lead_den = arith.split(one / arith.lift(d.lead))
         for root, (nums, den), e in zip(rootset.roots, parts, mults):
             theta = arith.lift(root.theta)
             alpha = one / theta
@@ -479,6 +467,11 @@ class ZetaAnalysis:
     def path(self) -> str:
         return "exact" if self.closed.arithmetic.exact else "numeric"
 
+    @property
+    def window(self) -> int:
+        """W = (N - deg d) + sum e': analyze_matrix matched c_n = #N_n for n = 1..W."""
+        return self.bundle.n - self.bundle.d.degree + sum(self.closed.reduced)
+
 
 def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
                    order: int = 0) -> ZetaAnalysis:
@@ -490,14 +483,24 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
     recurrence; otherwise one sweep runs N steps, certifies P(A) 1 = 0
     and goes on to #N_order.  The counts, kept on the analysis, feed the
     series through z**order; verify passes no order, so its counts stop
-    at #N_N.
+    at #N_N.  The closed form, built from the pencil's pair, must give
+    #N_1..#N_W (module docstring), or ArithmeticError names the first n off.
     """
     bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a), order)
     chains = tuple(chains)
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors, bundle.diagonal)
-    return ZetaAnalysis(chains=chains, bundle=bundle, euler=euler, rootset=rootset,
-                        closed=closed_form(bundle.m, bundle.d, rootset))
+    analysis = ZetaAnalysis(chains=chains, bundle=bundle, euler=euler, rootset=rootset,
+                            closed=closed_form(*bundle.pair, rootset))
+    arith = rootset.arithmetic
+    with arith.context():
+        got = closed_form_counts(analysis.closed, analysis.window)
+        for n, (x, want) in enumerate(zip(got, chains[1:]), start=1):
+            if x != want and not arith.within(abs(x - want), DEFAULT_TOLERANCE,
+                                              max(1, abs(want))):
+                raise ArithmeticError(f"the closed form gives {x} at n = {n}, not #N_{n} = "
+                                      f"{want}" + ("" if arith.exact else "; raise the precision"))
+    return analysis
 
 
 # -- verification of the four identities -----------------------------------
@@ -515,10 +518,9 @@ class VerificationReport:
     comparison: on the exact path a Fraction, with got = n [z^n] log of
     the closed form and want = #N_n, zero exactly when C1 holds; on the
     numeric path an mpf over the Taylor coefficients of z^0..z^order
-    against the exact series.  An exact zero is proved for every n: from
-    n = 1..min(order, W), W the window (N - deg d) + sum e', when facts
-    (b) and (c) of the module docstring hold, else from n = 1..order.  A
-    nonzero one is always the maximum over n = 1..order.
+    against the exact series.  An exact zero is proved for every n, by
+    analyze_matrix's match at n = 1..W where order > W and facts (b) and
+    (c) of the module docstring hold, else from n = 1..order.
 
     C3's residuals are |cp(alpha)|, cp the reversal of the pencil's own
     d; a rational alpha must also be an eigenvalue of A itself (see the
@@ -565,9 +567,9 @@ def _c4_terms(factors, arith: Arithmetic):
 
 
 def _c1_certified(analysis: ZetaAnalysis) -> bool:
-    """Facts (b) and (c) of the module docstring, under which C1 at
-    n = 1..(N - deg d) + sum e' proves it at every n; the pencil has
-    proved (a)."""
+    """Facts (b) and (c) of the module docstring, under which the match at
+    n = 1..W that analyze_matrix checked proves C1 at every n; the pencil
+    has proved (a)."""
     n, cf, roots = analysis.bundle.n, analysis.closed, analysis.rootset.roots
     return (cf.q_integral.degree <= n - analysis.bundle.d.degree  # (c)
             and len(cf.factors) == len(roots) == len(cf.reduced)  # (b)
@@ -613,17 +615,14 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
 
     The analysis sweeps A as far as the pencil needs, s = deg mu~ steps
     where the path bound holds and N otherwise, and raises ArithmeticError
-    where the sweep refuses d (fact (a)).  On the
-    exact path C1 compares closed_form_counts with the swept
-    #N_1..#N_min(order, W), W = (N - deg d) + sum e' the window, and must
-    hold with equality; facts (b) and (c) of the module docstring then
-    prove it for every n.  Where one of them fails, or the window finds a
-    mismatch, the comparison runs over n = 1..order, so a failure reports
-    the same maximum either way.  On the numeric path the closed form's
-    Taylor coefficients through z**order are compared with the series to
-    the tolerance.  The sweep is run again to order when a comparison
-    needs counts past #N_N.  C3 also requires each rational alpha to be an
-    eigenvalue of A.
+    where the sweep refuses d (fact (a)) or the closed form misses
+    #N_1..#N_W.  On the exact path, where order > W and facts (b) and (c)
+    of the module docstring hold, that match proves C1 for every n;
+    otherwise closed_form_counts is compared with #N_1..#N_order.  On the
+    numeric path the closed form's Taylor coefficients through z**order
+    are compared with the series to the tolerance.  The sweep is run
+    again to order when a comparison needs counts past #N_N.  C3 also
+    requires each rational alpha to be an eigenvalue of A.
     """
     analysis = analyze_matrix(a, precision_bits)
     chains, cf = analysis.chains, analysis.closed
@@ -636,15 +635,11 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     with arith.context():
         one = arith.one
         if arith.exact:  # the one fork: log coefficients against the chain counts
-            window = n - analysis.bundle.d.degree + sum(cf.reduced)
-            if order <= window or not _c1_certified(analysis):
-                window = order
-            got = closed_form_counts(cf, window)
-            if window < order and got != list(chains[1:window + 1]):
-                got = closed_form_counts(cf, order)  # a failure is reported over n = 1..K
-            if len(chains) <= len(got):
-                chains = chain_counts(a, len(got))
-            pairs = zip(got, chains[1:])
+            pairs = ()  # K > W under (b) and (c): analyze_matrix's match proves every n
+            if order <= analysis.window or not _c1_certified(analysis):
+                if len(chains) <= order:
+                    chains = chain_counts(a, order)
+                pairs = zip(closed_form_counts(cf, order), chains[1:])
         else:  # Taylor coefficients against the series
             if len(chains) <= order:
                 chains = chain_counts(a, order)

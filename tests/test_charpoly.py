@@ -22,6 +22,7 @@ from catzeta import (
     analyze_matrix,
     chain_counts,
     char_poly_bundle,
+    closed_form,
     exp_trunc,
     factor_charpoly,
     monic_charpoly,
@@ -31,6 +32,7 @@ from catzeta import charpoly, verify_matrix, zeta
 from catzeta.category import chain_vectors
 from catzeta.charpoly import bundle_from_sweep
 from catzeta.cli import cli_main
+from n_rung import random_poset
 from oracles import (
     adjsum_poly,
     adjsum_times_a_poly,
@@ -568,8 +570,91 @@ class TestPathBound:
         assert bound == {1: 2}
         want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None), order)
         pulled = []
-        assert bundle_from_sweep(counted(a, pulled), (traces, bound), order) == want
-        assert pulled == [3]
+        got = bundle_from_sweep(counted(a, pulled), (traces, bound), order)
+        assert got == want and pulled == [3]
+        # equal bundles, though only the mu~ route proved the smaller pair
+        assert got[0].pair[1] == RatPoly([1, -2, 1]) and want[0].pair == (want[0].m, want[0].d)
         pulled = []
         assert bundle_from_sweep(counted(a, pulled), (traces, {**bound, 7: 1}), order) == want
         assert pulled == [order + 1]
+
+
+class TestPencilPair:
+    """analyze_matrix builds the closed form from the pencil's pair, (R, rev)
+    on the mu~ route and (m, d) otherwise: the same closed form, field for
+    field, as closed_form on (m, d), with fewer coefficients to divide."""
+
+    @staticmethod
+    def assert_same_closed_form(bundle, rootset) -> bool:
+        """Whether the pair is smaller than (m, d); either way m/d = num/den
+        and both give the same closed form."""
+        num, den = bundle.pair
+        assert num * bundle.d == den * bundle.m
+        via_pair = closed_form(num, den, rootset)
+        via_md = closed_form(bundle.m, bundle.d, rootset)
+        assert vars(via_pair) == vars(via_md)
+        assert via_pair.reduced == via_md.reduced
+        return den.degree < bundle.d.degree
+
+    def test_corpus(self, corpus_matrices):
+        smaller = 0
+        for label, a in corpus_matrices:
+            analysis = analyze_matrix(a)
+            assert analysis.closed == closed_form(analysis.bundle.m, analysis.bundle.d,
+                                                  analysis.rootset), label
+            smaller += self.assert_same_closed_form(analysis.bundle, analysis.rootset)
+        assert smaller >= 100
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_random_posets(self, n):
+        analysis = analyze_matrix(random_poset(n, 0.1, n))
+        assert self.assert_same_closed_form(analysis.bundle, analysis.rootset)
+        assert analysis.closed == closed_form(analysis.bundle.m, analysis.bundle.d,
+                                              analysis.rootset)
+
+    @given(permuted_triangular_matrices(), st.sampled_from(["kept", "under", "over"]),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_permuted_triangular_matrices(self, a, refuse, data):
+        """The bound as found, one c_lambda under-counted (mu~ may then
+        leave mu~(A) 1 != 0, and the N-step route runs), or a value on no
+        diagonal added (mu~ no longer divides P)."""
+        traces, bound = charpoly.block_traces(a)
+        if refuse == "under" and bound:
+            lam = data.draw(st.sampled_from(sorted(bound)))
+            bound = {**bound, lam: bound[lam] - 1}
+        elif refuse == "over":
+            bound = {**bound, 7: 1}
+        bundle, _ = bundle_from_sweep(lambda: chain_vectors(a), (traces, bound))
+        assert bundle == char_poly_bundle(a)
+        rootset = factor_charpoly(bundle.d, factors=bundle.factors, diagonal=bundle.diagonal)
+        self.assert_same_closed_form(bundle, rootset)
+
+    def test_discrete_category_divides_s_plus_one_coefficients(self, monkeypatch):
+        a = IntMatrix.identity(50)
+        lengths, real = [], zeta._divide_linear
+        monkeypatch.setattr(zeta, "_divide_linear",
+                            lambda ints, p, r: lengths.append(len(ints)) or real(ints, p, r))
+        analysis = analyze_matrix(a)
+        s = sum(charpoly.block_traces(a)[1].values())
+        assert s == 1 and analysis.bundle.pair == (RatPoly([50]), RatPoly([1, -1]))
+        assert analysis.closed.reduced == (1,)
+        assert lengths and max(lengths) <= s + 1
+
+    def test_certified_exact_verify_counts_once(self, monkeypatch, corpus_matrices):
+        """Where facts (b) and (c) hold and K > W, verify reads the
+        analysis's one comparison of #N_1..#N_W and asks for no more."""
+        calls, real = [], zeta.closed_form_counts
+        monkeypatch.setattr(zeta, "closed_form_counts",
+                            lambda cf, order: calls.append(order) or real(cf, order))
+        certified = 0
+        for label, a in corpus_matrices:
+            analysis = analyze_matrix(a)
+            if (analysis.path != "exact" or analysis.window >= 30
+                    or not zeta._c1_certified(analysis)):
+                continue
+            calls.clear()
+            assert verify_matrix(a, order=30).passed, label
+            assert calls == [analysis.window], label
+            certified += 1
+        assert certified >= 200

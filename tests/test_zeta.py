@@ -133,7 +133,7 @@ class TestPartialFractions:
         q, rem = divmod(bundle.m, bundle.d)
         pairs = [arith.split(root.theta) for root in rootset.roots]
         with arith.context():
-            ints, den, mults = zeta_module._reduced(rem, rootset.roots, arith)
+            ints, den, mults = zeta_module._reduced(rem, bundle.d, rootset.roots, arith)
             parts = zeta_module._hermite_terms(ints, den, pairs, mults, arith)
         return q, rem, tuple(tuple(Fraction(x, den) for x in nums)
                              + (Fraction(0),) * (root.multiplicity - len(nums))
@@ -187,12 +187,15 @@ class TestPartialFractions:
 
     @staticmethod
     def assert_corrupt_term_caught(monkeypatch, a, exact, n_roots, j):
-        bundle = char_poly_bundle(a)
-        rs = factor_charpoly(bundle.d)
+        """A_{k,j} + 1/3 on a root with e' = e, so the term is one that
+        closed_form computes: the analysis's check of the log coefficients
+        against #N_1..#N_W refuses it and names the first n off."""
+        analysis = analyze_matrix(a)
+        rs, cf = analysis.rootset, analysis.closed
         assert rs.arithmetic.exact == exact
         k = next(i for i, root in enumerate(rs.roots) if root.multiplicity >= 3)
         assert len(rs.roots) == n_roots
-        cf = closed_form(bundle.m, bundle.d, rs)
+        assert cf == closed_form(analysis.bundle.m, analysis.bundle.d, rs)
         assert cf.arithmetic.exact == exact
         assert cf.reduced[k] == rs.roots[k].multiplicity  # e' = e: A_{k,j} is computed
         real = zeta_module._hermite_terms
@@ -205,8 +208,9 @@ class TestPartialFractions:
             return parts[:k] + [(bad, 3 * den)] + parts[k + 1:]
 
         monkeypatch.setattr(zeta_module, "_hermite_terms", corrupt)
-        with pytest.raises(ArithmeticError):
-            closed_form(bundle.m, bundle.d, rs)
+        with pytest.raises(ArithmeticError, match=r"at n = \d+, not #N_\d+ = " +
+                           ("" if exact else ".*raise the precision")):
+            analyze_matrix(a)
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_recombination_catches_a_corrupt_term(self, monkeypatch, j):
@@ -513,6 +517,8 @@ class TestClosedFormCounts:
 
     @pytest.mark.parametrize("what", ["beta0", "beta_j", "alpha", "Q"])
     def test_perturbed_closed_form_fails_c1(self, monkeypatch, what):
+        """Each ingredient off by 1/7 moves c_1, so the analysis's check
+        refuses the closed form at n = 1 before verify reports anything."""
         cf = analyze_matrix(ARROW_AND_CHAIN).closed
         assert cf.q_integral != RatPoly.zero() and cf.factors[0].betas
         bad = _perturbed(cf, what)
@@ -521,10 +527,8 @@ class TestClosedFormCounts:
         assert closed_form_counts(bad, 12) != chain_counts(ARROW_AND_CHAIN, 12)[1:]
         real = zeta_module.closed_form
         monkeypatch.setattr(zeta_module, "closed_form", lambda *args: _perturbed(real(*args), what))
-        report = verify_matrix(ARROW_AND_CHAIN, order=12)
-        assert report.path == "exact"
-        assert not report.c1["pass"] and not report.passed
-        assert report.c1["max_rel_err"] > 0
+        with pytest.raises(ArithmeticError, match="at n = 1, not #N_1 = "):
+            verify_matrix(ARROW_AND_CHAIN, order=12)
 
     def test_empty_matrix(self):
         a = IntMatrix([])
@@ -690,10 +694,10 @@ def _beta_at(cf, j):
 
 
 class TestC1Window:
-    """On the exact path C1 compares n = 1..min(K, N) and proves every
-    other order from facts (a)-(c), (a) by the pencil's certificate
-    P(A) 1 = 0; the report stays that of the K-term comparison,
-    c1_k_term_oracle."""
+    """The analysis compares n = 1..W, the window, and on the exact path C1
+    proves every other order from it and facts (a)-(c), (a) by the
+    pencil's certificate P(A) 1 = 0; the report stays that of the K-term
+    comparison, c1_k_term_oracle."""
 
     @given(integer_matrices)
     @example(IntMatrix([]))
@@ -768,7 +772,8 @@ class TestC1Window:
 
     @pytest.mark.parametrize("case", ["monoid", "nilpotent"])
     def test_first_mismatch_at_n_equal_to_N(self, monkeypatch, case):
-        """A closed form off first at n = N, with facts (a)-(c) intact.  A
+        """A closed form off first at n = N = W, with facts (a)-(c) intact,
+        is refused by the analysis's check of the window.  A
         shift of one beta_j first shows at n = max(j, 1) <= e - 1 < N once
         N >= 2, so for beta0 that takes N = 1 (a monoid delooping); the
         nilpotent case moves Q's top coefficient instead (deg Q = N)."""
@@ -789,19 +794,20 @@ class TestC1Window:
         assert closed_form_counts(bad, n - 1) == chain_counts(a, n - 1)[1:]
         assert closed_form_counts(bad, n)[-1] != chain_counts(a, n)[-1]
         assert zeta_module._c1_certified(replace(analysis, closed=bad))
+        assert analysis.window == n and c1_k_term_oracle(bad, a, order) > 0
         calls, real = [], zeta_module.closed_form
         monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
-        report = verify_matrix(a, order=order)
-        assert report.path == "exact" and not report.c1["pass"] and not report.passed
-        assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
-        assert calls == [n, order]  # the window finds it, the report covers n = 1..K
+        with pytest.raises(ArithmeticError, match=f"at n = {n}, not #N_{n} = "):
+            verify_matrix(a, order=order)
+        assert calls == [n]  # the analysis's window finds it
 
     def test_first_mismatch_at_the_window_edge(self, monkeypatch):
         """The window is (N - deg d) + sum e' = 2 orders for an arrow beside
         two points (root 1, e = 4, e' = 2).  beta0 - 1/7 and beta_1 + 1/7
-        shift c_n by (n - 1)/7: off first at n = 2, with every fact intact."""
+        shift c_n by (n - 1)/7: off first at n = 2, with every fact intact,
+        which the analysis's check of the window refuses."""
         a = ARROW_AND_TWO_POINTS
         n, order = a.n, 3 * a.n
         analysis = analyze_matrix(a)
@@ -818,25 +824,28 @@ class TestC1Window:
         assert closed_form_counts(bad, window - 1) == chain_counts(a, window - 1)[1:]
         assert closed_form_counts(bad, window)[-1] != chain_counts(a, window)[-1]
         assert zeta_module._c1_certified(replace(analysis, closed=bad))
+        assert c1_k_term_oracle(bad, a, order) > 0
         calls, real = [], zeta_module.closed_form
         monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
-        report = verify_matrix(a, order=order)
-        assert report.path == "exact" and not report.c1["pass"] and not report.passed
-        assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
-        assert calls == [window, order]
+        with pytest.raises(ArithmeticError, match=f"at n = {window}, not #N_{window} = "):
+            verify_matrix(a, order=order)
+        assert calls == [window]
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_a_beta_past_the_reduced_multiplicity_takes_the_k_term_route(self, monkeypatch, j):
         """beta_j with e' <= j < e is an exact zero of the reduced fraction.
         Made nonzero, it breaks fact (b) and first shows at n = j >= the
-        window (j = 3: past it), so only the K-term comparison runs."""
+        window W = 2.  At j = 2, the window's edge, the analysis refuses it;
+        at j = 3, past it, only the K-term comparison sees it."""
         a = ARROW_AND_TWO_POINTS
         order = 3 * a.n
         analysis = analyze_matrix(a)
         (f,) = analysis.closed.factors
         assert analysis.closed.reduced == (2,) and f.multiplicity == 4 and f.betas[j - 1] == 0
+        window = analysis.window
+        assert window == 2
 
         def spoil(cf):
             (f,) = cf.factors
@@ -852,14 +861,21 @@ class TestC1Window:
         monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
         monkeypatch.setattr(zeta_module, "closed_form_counts",
                             recording(calls, closed_form_counts))
+        if j == window:
+            with pytest.raises(ArithmeticError, match=f"at n = {j}, not #N_{j} = "):
+                verify_matrix(a, order=order)
+            assert calls == [window]
+            return
         report = verify_matrix(a, order=order)
         assert report.path == "exact" and not report.c1["pass"]
         assert report.c1["max_rel_err"] == c1_k_term_oracle(bad, a, order) > 0
-        assert calls == [order]
+        assert calls == [window, order]
 
     @given(exact_inputs, st.data(), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_window_report_equals_the_k_term_report(self, a, data, perturb):
+        """A perturbation that shows in the window ends the analysis; one
+        that does not (W = 0) leaves the report of the K-term comparison."""
         order = data.draw(st.integers(min_value=0, max_value=3 * a.n), label="order")
         real = zeta_module.closed_form
 
@@ -867,6 +883,14 @@ class TestC1Window:
             cf = real(*args)
             return _perturbed(cf, "beta0") if perturb and cf.factors else cf
 
+        analysis = analyze_matrix(a)
+        window = analysis.window
+        if closed_form_counts(closed(*analysis.bundle.pair, analysis.rootset), window) \
+                != list(analysis.chains[1:window + 1]):
+            with mock.patch.object(zeta_module, "closed_form", closed):
+                with pytest.raises(ArithmeticError, match="at n = "):
+                    verify_matrix(a, order=order)
+            return
         with mock.patch.object(zeta_module, "closed_form", closed):
             report = verify_matrix(a, order=order)
             with mock.patch.object(zeta_module, "_c1_certified", lambda *args: False):

@@ -67,16 +67,20 @@ class ValidationReport:
 
 
 class IntMatrix:
-    """Square matrix of (arbitrary-precision) integers."""
+    """Square matrix of (arbitrary-precision) integers; an entry that is
+    not an int (a bool, float, Fraction or str) raises TypeError."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(map(tuple, rows))
         n = len(rs)
-        for row in rs:
+        for i, row in enumerate(rs):
             if len(row) != n:
                 raise ValueError("matrix must be square")
+            if not {int}.issuperset(map(type, row)):
+                j = next(j for j, x in enumerate(row) if type(x) is not int)
+                raise TypeError(f"entry ({i}, {j}) is {row[j]!r}, not an int")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rs)
 

@@ -28,24 +28,23 @@ adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
 
 Only m is multiplied out: the first sum is N + z times the second, so
 k = N d + z m mod z^N.  Both need d to be det(E - A z), and the sweep
-certifies that on every call, the blockwise d against the whole matrix:
-with P(t) = det(t E - A) = sum_i p_i t^i, the reversal of d
-(monic_charpoly), P(A) 1 = 0 must hold as an integer vector.  The z^N
-coefficients of the two products, 1^T P(A) 1 and 1^T A P(A) 1, vanish
-with it, which pins z m(z) = k(z) - N d(z) down to the top coefficient.
-
-Where every block is 1 x 1, the certificate goes through a divisor of P.
-The same Tarjan pass finds, for each diagonal value lambda (0 too), the
-largest number c_lambda of vertices with a_ii = lambda on one path of
-A's support.  mu~(t) = prod (t - lambda)^(c_lambda), of degree s <= N
-(not the degree defect s below), is a multiple of the minimal
-polynomial of A on 1, by a path bound on each eigenvalue's index
-(Rothblum's index theorem), and often equal to it.  Then c_lambda <=
-e_lambda, the number of blocks with entry lambda, makes mu~ divide P,
-and mu~(A) 1 = 0 on v_0 .. v_s gives P(A) 1 = 0; the counts past #N_s
-follow mu~'s integer recurrence, so s steps replace N.  Nothing trusts
-the bound: where either check fails, or a block is larger, v_0 .. v_N
-give sum_i p_i v_i = P(A) 1 = 0 by Cayley-Hamilton.
+certifies that on every call, the blockwise d against the whole matrix,
+through one loop over candidate annihilators of 1: v_0 .. v_s are swept
+and mu(A) 1 = 0 is checked as an integer vector, s = deg mu.  The first
+is the path bound, where every block is 1 x 1: the same Tarjan pass
+finds, for each diagonal value lambda (0 too), the largest number
+c_lambda of vertices with a_ii = lambda on one path of A's support, and
+mu~ = prod (t - lambda)^(c_lambda), of degree s <= N (not the degree
+defect s below), is a multiple of the minimal polynomial of A on 1 by
+Rothblum's index theorem, and often equal to it.  It is tried where
+c_lambda <= e_lambda, the number of blocks with entry lambda, so that mu~
+divides P(t) = det(t E - A) = sum_i p_i t^i, the reversal of d
+(monic_charpoly).  The last is P itself, whose failed check raises.  A
+mu that passes gives P(A) 1 = 0, and with it the z^N coefficients of the
+two products, 1^T P(A) 1 and 1^T A P(A) 1, vanish, which pins
+z m(z) = k(z) - N d(z) down to the top coefficient.  The counts past #N_s
+follow mu's integer recurrence (continue_counts), so s steps replace N,
+and d = g rev, m = g R for rev = z^s mu(1/z) and a cofactor g.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:
@@ -62,8 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import compress, islice
+from itertools import compress
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -194,8 +192,9 @@ class CharPolyBundle:
     1 x 1 strongly connected blocks, e the number of such blocks, in the
     order first met; factors holds det(E - A_BB z) for each larger block B
     whose factor is not constant.  d is their product with the
-    (1 - lambda z)^e.  pair = (R, rev) on the mu~ route, else (m, d): the
-    smallest pair the sweep proved equal to m/d, outside == and repr.
+    (1 - lambda z)^e.  pair = (R, rev) for the annihilator mu that passed
+    its check (module docstring), (m, d) where that is P: the smallest
+    pair the sweep proved equal to m/d, outside == and repr.
     """
 
     n: int
@@ -209,17 +208,15 @@ class CharPolyBundle:
     pair: tuple[RatPoly, RatPoly] = field(compare=False, repr=False)
 
 
-def _residue(coeffs: Sequence[int], sweep: Iterator[Sequence[int]], n: int
-             ) -> tuple[list[int], list[int]]:
-    """sum_i c_i v_i over the first len(coeffs) vectors of sweep, with their
-    entry sums #N_i; zip asks for c_i first, so no vector past the last is
-    pulled."""
-    residue, chains = [0] * n, []
-    for c, v in zip(coeffs, sweep):
-        chains.append(sum(v))
-        if c:
-            residue = [r + c * x for r, x in zip(residue, v)]
-    return residue, chains
+def continue_counts(chains: Sequence[int], rev: RatPoly, length: int) -> list[int]:
+    """#N_0 .. #N_length from #N_0 .. #N_s, where rev = z^s mu(1/z) and
+    mu(A) 1 = 0, as for the pencil pair's denominator: 1^T A^(j-s) mu(A) 1
+    = 0 gives #N_j = -sum_(i>=1) rev_i #N_(j-i) for j > s, on ints."""
+    chains = list(chains)
+    taps = [-c.numerator for c in reversed(rev.coeffs[1:])]  # -rev_r .. -rev_1
+    for _ in range(length + 1 - len(chains)):
+        chains.append(sum(map(mul, taps, chains[len(chains) - len(taps):])))
+    return chains
 
 
 def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
@@ -229,13 +226,10 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
 
     blocks is block_traces' pair: d comes from the traces, block by block,
     m from the counts, the entry sums of v_i = A^i 1 (sweep() starts a
-    sweep, category.chain_vectors), and k = N d + z m.  Where the path
-    bound is below N and c_lambda <= e_lambda, v_0 .. v_s are swept,
-    mu~(A) 1 = 0 is checked and the later counts come from mu~'s
-    recurrence, #N_(j+s) = -sum_(i<s) u_i #N_(j+i); then d = g rev and
-    m = g R, rev the reversal of mu~, and the bundle's pair is (R, rev).
-    Otherwise, or where mu~(A) 1 != 0, a new sweep runs N steps, checks
-    P(A) 1 = 0 and goes on to #N_order (see the module docstring).
+    sweep, category.chain_vectors), and k = N d + z m.  The path bound,
+    where every c_lambda <= e_lambda, and then P are tried through one
+    body (module docstring); the first mu that passes gives the later
+    counts and the bundle's pair (R, rev), (m, d) where mu is P.
 
     Raises ArithmeticError if a Newton division leaves a remainder or
     P(A) 1 is not zero: either way d is not det(E - A z) of the matrix
@@ -243,59 +237,56 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
     """
     traces_by_block, bound = blocks
     n = sum(len(traces) for traces in traces_by_block)
-    d, factors, counts = [1], [], {}
+    big, factors, counts = [1], [], {}
     for traces in traces_by_block:
         if len(traces) == 1:
             counts[traces[0]] = counts.get(traces[0], 0) + 1
         else:
             factor = _newton(traces)
-            d = mul_coeffs(d, factor)
+            big = mul_coeffs(big, factor)
             factors.append(RatPoly(factor))
-    length = max(n, order)
-    chains, proved, pair = None, {}, None
-    # s = N leaves nothing to save: under c_lambda <= e_lambda, mu~ is P itself
-    if (bound is not None and sum(bound.values()) < n
-            and all(c <= counts.get(lam, 0) for lam, c in bound.items())):
-        mu = reduce(mul_coeffs, [linear_power(lam, 1, c) for lam, c in bound.items()])
-        residue, chains = _residue(mu, sweep(), n)
-        if any(residue):
-            chains = None
-        else:
-            s, tail = len(mu) - 1, [-u for u in mu[:-1]]
-            for _ in range(length - s):
-                chains.append(sum(map(mul, tail, chains[-s:])))
-            proved = bound
+    # a bound above some e_lambda kills 1 but need not divide P
+    tries = [bound] if bound is not None and all(
+        c <= counts.get(lam, 0) for lam, c in bound.items()) else []
+    for c in tries + [counts]:  # bound is not None only where big == [1]
+        rev = big
+        for lam, k in c.items():
+            if lam:
+                rev = mul_coeffs(linear_power(-1, -lam, k), rev)  # rev's 1s cost no multiplication
+        s = n - sum(counts.values()) + sum(c.values())  # the larger blocks' sizes, plus sum c
+        rev_poly = RatPoly(rev)
+        mu = [p.numerator for p in monic_charpoly(rev_poly, s).coeffs]
+        residue, chains = [0] * n, []
+        for p, v in zip(mu, sweep()):  # zip asks for p_i first: no vector past v_s is pulled
+            chains.append(sum(v))
+            if p:
+                residue = [r + p * x for r, x in zip(residue, v)]
+        if not any(residue):
+            break
+    else:
+        bad = next(i for i, x in enumerate(residue) if x)
+        raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
+                              f"{residue[bad]}, not 0")
+    chains = continue_counts(chains, rev_poly, max(n, order))
+    # R = rev sum_j #N_(j+1) z^j has degree below s, its z^k coefficient
+    # for k >= s being 1^T A^(k-s+1) mu(A) 1 = 0
+    r_coeffs = mul_coeffs(rev, chains[1:s + 1], s)
+    g = [1]  # the cofactor prod (1 - lambda z)^(e_lambda - c_lambda): d = g rev, m = g R
+    for lam, e in counts.items():
+        if lam and e > c.get(lam, 0):
+            g = mul_coeffs(linear_power(-1, -lam, e - c.get(lam, 0)), g)
+    d, m = (rev, r_coeffs + [0] * (n - s)) if g == [1] else (
+        mul_coeffs(g, rev), mul_coeffs(g, r_coeffs, n))
+    m_poly = RatPoly(m)  # where g = 1, d = rev and m = R, so the pair is (m, d)
+    d_poly, r_poly = (rev_poly, m_poly) if g == [1] else (RatPoly(d), RatPoly(r_coeffs))
     counts.pop(0, None)
-    for lam, e in counts.items():  # d, or g on the mu~ route: (1 - lambda z)^(e - c)
-        if e > proved.get(lam, 0):
-            d = mul_coeffs(d, linear_power(-1, -lam, e - proved.get(lam, 0)))
-    if chains is not None:
-        # d = g rev, rev = z^s mu~(1/z) without its t^(c_0), and m = g R:
-        # R = rev sum_j #N_(j+1) z^j has degree below s, its z^k
-        # coefficient for k >= s being 1^T A^(k-s+1) mu~(A) 1 = 0
-        rev = mu[::-1][:len(mu) - proved.get(0, 0)]
-        r_coeffs = mul_coeffs(rev, chains[1:s + 1], s)
-        m = mul_coeffs(d, r_coeffs, n)
-        d = mul_coeffs(d, rev)
-        pair = RatPoly(r_coeffs), RatPoly(rev)
-    d_poly = RatPoly(d)
-    if chains is None:
-        vectors = sweep()
-        residue, chains = _residue([p.numerator for p in monic_charpoly(d_poly, n).coeffs],
-                                   vectors, n)
-        bad = next((i for i, x in enumerate(residue) if x), None)
-        if bad is not None:
-            raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
-                                  f"{residue[bad]}, not 0")
-        chains += map(sum, islice(vectors, length - n))
-        m = mul_coeffs(d, chains[1:n + 1], n)  # z^0 .. z^(N-1) of d times the counts' series
-    m_poly = RatPoly(m)
     # k_i = N d_i + m_(i-1): N d + z m below z^N
     k_poly = RatPoly([n * x + y for x, y in zip(d[:n] + [0] * (n - len(d)), [0] + m)])
     return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=m_poly,
                           r=n - d_poly.degree, s=n - 1 - k_poly.degree,
                           factors=tuple(f for f in factors if f.degree >= 1),
-                          diagonal=tuple(counts.items()), pair=pair or (m_poly, d_poly)), chains
+                          diagonal=tuple(counts.items()),
+                          pair=(r_poly, rev_poly)), chains
 
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
@@ -309,7 +300,8 @@ def monic_charpoly(d: RatPoly, n: int) -> RatPoly:
     d has degree at most N, so the reversal pads with zeros: the
     coefficient of t^j is d_{N-j}.
     """
-    return RatPoly([d.coeff(n - j) for j in range(n + 1)])
+    cs = d.coeffs[:n + 1]
+    return RatPoly((cs + (Fraction(0),) * (n + 1 - len(cs)))[::-1])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ with a zero residual in exact arithmetic and within a tolerance in
 numeric arithmetic: verify's own for the four identities, the fixed
 DEFAULT_VERIFY_TOL for the singularity report.  closed_form is one stage
 from the pencil's pair and the roots: (R, rev), of degree at most
-s = deg mu~, where the sweep proved m/d = R/rev, else (m, d).  It
+s = deg mu for the annihilator mu whose check passed, so that the sweep
+proved m/d = R/rev; that is (m, d) where mu is P.  It
 divides, cancels to lowest terms at the rational roots by exact
 synthetic division, takes the Hermite terms A_{k,j} of the reduced
 fraction as numerators over one denominator per root and sums the
@@ -51,11 +52,11 @@ with it every Hermite term, once three facts hold:
       sum_i p_i t^i, the reversal of d (charpoly.monic_charpoly), so
       sum_i p_i #N_(n+i) = 1^T A^n P(A) 1 = 0 for every n >= 0 and
       sum_j #N_(j+1) z^j is m/d as a power series, which puts #N_n on
-      mu's recurrence through m/d = q + rem'/d'.  Where every strongly
-      connected block is 1 x 1 the pencil proves it through a divisor:
-      mu~(A) 1 = 0 on v_0 .. v_s for mu~ = prod (t - lambda)^(c_lambda),
-      the path bound of charpoly, with each c_lambda <= e_lambda, so that
-      mu~ divides P; otherwise from v_0 .. v_N;
+      mu's recurrence through m/d = q + rem'/d'.  The pencil proves it
+      on v_0 .. v_s as mu(A) 1 = 0 for the first candidate mu that
+      passes: the path bound mu~ = prod (t - lambda)^(c_lambda) of
+      charpoly where each c_lambda <= e_lambda, so that mu~ divides P,
+      then P itself, s = N;
   (b) the roots: each closed-form factor's alpha_k is 1/theta_k of the
       root set, whose exact recombination (factor_charpoly) proved
       d = lead prod (z - theta_k)^(e_k); e'_k comes from closed_form's
@@ -66,13 +67,14 @@ with it every Hermite term, once three facts hold:
       in mu, so the q_(n-1) = n Q_n left over vanish for n > N - deg d.
 
 (a) holds for every bundle: charpoly checks it on the sweep's own vectors
-as it builds d, k and m, and raises ArithmeticError where neither route
-proves it.  The window alone would pass a wrong d, since m makes
+as it builds d, k and m, and raises ArithmeticError where P's own check
+fails.  The window alone would pass a wrong d, since m makes
 c_n = #N_n for n <= N whatever d is.  A mismatch in the window raises
 ArithmeticError naming n.  Two checks of verify still branch.  C1, on
-the arithmetic: exact, it reads the analysis's match where K > W and (b)
+the arithmetic: exact, it reads the analysis's match where K <= W or (b)
 and (c) hold, else compares n = 1..K as it stands; numeric, it compares
-closed_form_taylor with the series through z^K.  C3 branches on
+closed_form_taylor with the series through z^K.  Either comparison reads
+its counts past #N_N off the pair's recurrence (charpoly.continue_counts).  C3 branches on
 each root's kind: a rational root is checked exactly on both paths, on
 ints, a numeric one within the tolerance.  Its residual is |cp(alpha)|,
 cp the reversal of the pencil's own d, and (a) ties cp to A only on the
@@ -99,6 +101,7 @@ from .charpoly import (
     EulerReport,
     block_traces,
     bundle_from_sweep,
+    continue_counts,
     monic_charpoly,
     series_euler_char,
     strong_blocks,
@@ -455,8 +458,8 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 
 @dataclass(frozen=True)
 class ZetaAnalysis:
-    # #N_0 .. #N_max(order, N): v_0 .. v_s swept and the rest from mu~'s
-    # recurrence where the path bound holds, else one sweep of max(order, N) steps
+    # #N_0 .. #N_max(order, N): v_0 .. v_s swept, s = deg mu for the
+    # annihilator mu that passed, and the rest from mu's recurrence
     chains: tuple[int, ...]
     bundle: CharPolyBundle
     euler: EulerReport
@@ -477,14 +480,14 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
                    order: int = 0) -> ZetaAnalysis:
     """Everything derived from one adjacency matrix, computed once.
 
-    The pencil certifies d (fact (a)) and gives #N_0 .. #N_max(N, order).
-    Where every block is 1 x 1 and the path bound holds, chain_vectors
-    runs s = deg mu~ steps and every later count comes from mu~'s
-    recurrence; otherwise one sweep runs N steps, certifies P(A) 1 = 0
-    and goes on to #N_order.  The counts, kept on the analysis, feed the
-    series through z**order; verify passes no order, so its counts stop
-    at #N_N.  The closed form, built from the pencil's pair, must give
-    #N_1..#N_W (module docstring), or ArithmeticError names the first n off.
+    The pencil certifies d (fact (a)) and gives #N_0 .. #N_max(N, order):
+    chain_vectors runs s = deg mu steps for the first annihilator mu that
+    passes its check (mu~ from the path bound, else P, s = N), and every
+    later count comes from mu's recurrence.  The counts, kept on the
+    analysis, feed the series through z**order; verify passes no order,
+    so its counts stop at #N_N.  The closed form, built from the pencil's
+    pair, must give #N_1..#N_W (module docstring), or ArithmeticError
+    names the first n off.
     """
     bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a), order)
     chains = tuple(chains)
@@ -519,7 +522,7 @@ class VerificationReport:
     the closed form and want = #N_n, zero exactly when C1 holds; on the
     numeric path an mpf over the Taylor coefficients of z^0..z^order
     against the exact series.  An exact zero is proved for every n, by
-    analyze_matrix's match at n = 1..W where order > W and facts (b) and
+    analyze_matrix's match at n = 1..W where order <= W or facts (b) and
     (c) of the module docstring hold, else from n = 1..order.
 
     C3's residuals are |cp(alpha)|, cp the reversal of the pencil's own
@@ -613,19 +616,22 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Run all four identity checks on one adjacency matrix.
 
-    The analysis sweeps A as far as the pencil needs, s = deg mu~ steps
-    where the path bound holds and N otherwise, and raises ArithmeticError
-    where the sweep refuses d (fact (a)) or the closed form misses
-    #N_1..#N_W.  On the exact path, where order > W and facts (b) and (c)
-    of the module docstring hold, that match proves C1 for every n;
-    otherwise closed_form_counts is compared with #N_1..#N_order.  On the
-    numeric path the closed form's Taylor coefficients through z**order
-    are compared with the series to the tolerance.  The sweep is run
-    again to order when a comparison needs counts past #N_N.  C3 also
-    requires each rational alpha to be an eigenvalue of A.
+    The analysis sweeps A as far as the pencil needs, s = deg mu steps,
+    and raises ArithmeticError where the sweep refuses d (fact (a)) or the
+    closed form misses #N_1..#N_W.  On the exact path, where order <= W,
+    or where facts (b) and (c) of the module docstring hold, that match
+    proves C1 for every n; otherwise closed_form_counts is compared with
+    #N_1..#N_order.  On the numeric path the closed form's Taylor
+    coefficients through z**order are compared with the series to the
+    tolerance.  Where a comparison reads counts past #N_N, they come from
+    the recurrence of the pencil pair's denominator, not a new sweep.  C3
+    also requires each rational alpha to be an eigenvalue of A.
     """
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
     analysis = analyze_matrix(a, precision_bits)
     chains, cf = analysis.chains, analysis.closed
+    rev = analysis.bundle.pair[1]  # its recurrence gives the counts past #N_N
     euler = analysis.euler
     n = a.n
     applicable = euler.exists
@@ -635,16 +641,13 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     with arith.context():
         one = arith.one
         if arith.exact:  # the one fork: log coefficients against the chain counts
-            pairs = ()  # K > W under (b) and (c): analyze_matrix's match proves every n
-            if order <= analysis.window or not _c1_certified(analysis):
-                if len(chains) <= order:
-                    chains = chain_counts(a, order)
-                pairs = zip(closed_form_counts(cf, order), chains[1:])
+            pairs = ()  # K <= W, or K > W under (b) and (c): analyze_matrix's match proves C1
+            if order > analysis.window and not _c1_certified(analysis):
+                pairs = zip(closed_form_counts(cf, order),
+                            continue_counts(chains, rev, order)[1:])
         else:  # Taylor coefficients against the series
-            if len(chains) <= order:
-                chains = chain_counts(a, order)
-            pairs = zip(closed_form_taylor(cf, order),
-                        map(arith.lift, series_from_counts(chains, order).coeffs))
+            series = series_from_counts(continue_counts(chains, rev, order), order)
+            pairs = zip(closed_form_taylor(cf, order), map(arith.lift, series.coeffs))
         c1_err = max((abs(got - want) / max(abs(one), abs(want))
                       for got, want in pairs if got != want), default=abs(one) * 0)
         c1 = {"max_rel_err": c1_err, "pass": arith.within(c1_err, tolerance)}

@@ -1,5 +1,7 @@
 """Finite categories: axiom checking, builders, JSON format, chain counts."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,20 @@ class TestIntMatrix:
     def test_must_be_square(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2]])
+
+    @pytest.mark.parametrize("entry", [1.7, Fraction(3, 2), Fraction(2), "1", True, 2.0])
+    def test_refuses_an_entry_it_would_truncate(self, entry):
+        """int() would read 1.7 as 1 and True as 1, so verify could pass a
+        matrix it was not given; every entry must be an int itself."""
+        with pytest.raises(TypeError, match=r"entry \(1, 0\) is "):
+            IntMatrix([[1, 0], [entry, 2]])
+
+    def test_int_entries_are_kept(self):
+        with pytest.raises(TypeError, match=r"entry \(0, 0\) is 1.7, not an int"):
+            IntMatrix([[1.7, True], [0, 2.9]])  # once read as [[1, 1], [0, 2]]
+        a = IntMatrix([[10**40, -1], [0, 2]])
+        assert a.rows == ((10**40, -1), (0, 2)) and all(
+            type(x) is int for row in a.rows for x in row)
 
     def test_identity_and_indexing(self):
         e = IntMatrix.identity(3)

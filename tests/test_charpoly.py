@@ -546,9 +546,10 @@ class TestPathBound:
     def test_a_refused_bound_falls_back(self):
         """One c_lambda under-counted gives a mu~ that leaves mu~(A) 1 != 0;
         a c_lambda above e_lambda (a value on no diagonal) gives a mu~ that
-        kills 1 but does not divide P.  Either way a new sweep runs N steps
-        from v_0 and gives the same bundle and counts.  A corrupt diagonal
-        count is refused by P(A) 1 itself."""
+        kills 1 but does not divide P.  Either way P is tried next: a new
+        sweep runs N steps from v_0, the later counts come from P's
+        recurrence, and the bundle and counts are the same.  A corrupt
+        diagonal count is refused by P(A) 1 itself."""
         order = 12
         a = IntMatrix(ARROW_AND_CHAIN)
         traces, bound = charpoly.block_traces(a)
@@ -558,7 +559,7 @@ class TestPathBound:
         for lam, c in bound.items():
             pulled = []
             under = bundle_from_sweep(counted(a, pulled), (traces, {**bound, lam: c - 1}), order)
-            assert under == want and pulled == [a.n, order + 1]  # s - 1 steps, then K
+            assert under == want and pulled == [a.n, a.n + 1]  # s - 1 steps, then P's N
         for i in range(a.n):
             spoilt = traces[:i] + [[traces[i][0] + 2]] + traces[i + 1:]
             with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
@@ -576,7 +577,28 @@ class TestPathBound:
         assert got[0].pair[1] == RatPoly([1, -2, 1]) and want[0].pair == (want[0].m, want[0].d)
         pulled = []
         assert bundle_from_sweep(counted(a, pulled), (traces, {**bound, 7: 1}), order) == want
-        assert pulled == [order + 1]
+        assert pulled == [a.n + 1]
+
+
+class TestOneRoute:
+    """bundle_from_sweep tries the path bound, then P, through one body:
+    a call pulls deg mu + 1 vectors from one sweep, and every later count
+    comes from the recurrence of the mu that passed (continue_counts).
+    small_matrices mostly have a block larger than 1 x 1, so only P is
+    tried; every block of a permuted triangular matrix is 1 x 1, and its
+    path bound always kills 1."""
+
+    @given(st.one_of(small_matrices, permuted_triangular_matrices()), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_to_3n_from_one_sweep(self, a, data):
+        order = data.draw(st.integers(min_value=0, max_value=3 * a.n), label="order")
+        traces, bound = charpoly.block_traces(a)
+        deg_mu = a.n if bound is None else sum(bound.values())
+        pulled = []
+        bundle, chains = bundle_from_sweep(counted(a, pulled), (traces, bound), order)
+        assert chains == chain_counts(a, max(a.n, order))
+        assert pulled == [deg_mu + 1]
+        assert (bundle.d, bundle.k, bundle.m) == oracle_pencil(a)
 
 
 class TestPencilPair:
@@ -642,7 +664,7 @@ class TestPencilPair:
         assert lengths and max(lengths) <= s + 1
 
     def test_certified_exact_verify_counts_once(self, monkeypatch, corpus_matrices):
-        """Where facts (b) and (c) hold and K > W, verify reads the
+        """Where facts (b) and (c) hold, or K <= W, verify reads the
         analysis's one comparison of #N_1..#N_W and asks for no more."""
         calls, real = [], zeta.closed_form_counts
         monkeypatch.setattr(zeta, "closed_form_counts",
@@ -650,8 +672,7 @@ class TestPencilPair:
         certified = 0
         for label, a in corpus_matrices:
             analysis = analyze_matrix(a)
-            if (analysis.path != "exact" or analysis.window >= 30
-                    or not zeta._c1_certified(analysis)):
+            if analysis.path != "exact" or not zeta._c1_certified(analysis):
                 continue
             calls.clear()
             assert verify_matrix(a, order=30).passed, label

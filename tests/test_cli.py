@@ -234,8 +234,9 @@ class TestZeta:
         assert float(f2["theta"][0]) == pytest.approx(-2.41421356, rel=1e-6)
 
     def test_closed_form_sweeps_chain_counts_once(self, capsys, monkeypatch):
-        # the series through z^10 and the pencil share one sweep, to #N_10;
-        # chain_counts runs its sweep through category.chain_vectors too
+        # the series through z^10 and the pencil share one sweep of N = 2
+        # steps, #N_3 .. #N_10 from P's recurrence; chain_counts runs its
+        # sweep through category.chain_vectors too
         import catzeta.category
         import catzeta.zeta
         from catzeta.category import chain_vectors
@@ -253,7 +254,7 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", "--closed", "--json", "--matrix",
                            matrix_fixture("pell"), "--order", "10")
         assert code == 0 and len(json.loads(out)["series"]) == 11
-        assert sweeps == [10]
+        assert sweeps == [2]
 
 
 class TestVerify:

@@ -557,6 +557,17 @@ class TestClosedFormCounts:
         report = verify_matrix(a, order=2)
         assert report.passed and report.c1["max_rel_err"] == 0
 
+    def test_order_within_the_window_reads_the_analysis(self, monkeypatch):
+        """K <= W: analyze_matrix matched #N_1..#N_W exactly, a superset
+        of n = 1..K, so verify asks closed_form_counts for nothing more."""
+        a = IntMatrix([[1 if i <= j else 0 for j in range(6)] for i in range(6)])
+        calls = []
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(a, order=4)
+        assert report.passed and report.c1["max_rel_err"] == 0
+        assert calls == [6]
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             closed_form_counts(analyze_matrix(ARROW_AND_CHAIN).closed, -1)
@@ -608,7 +619,7 @@ class TestExactVerifyRoute:
         report = verify_matrix(fixture_matrices["pell"], order=20)
         assert report.path == "numeric" and report.passed
         assert calls == [20]
-        assert sweeps == [2, 20]  # the pencil's N steps, then the series' K
+        assert sweeps == [2]  # the pencil's N steps; the series' counts from P's recurrence
 
 
 integer_matrices = st.integers(min_value=0, max_value=5).flatmap(
@@ -918,6 +929,20 @@ class TestC1Window:
         report = verify_matrix(a, order=3000)
         assert report.path == "exact" and report.passed
         assert sweeps == [s] and calls == [window]
+
+    def test_k_term_verify_sweeps_once(self, monkeypatch):
+        """With facts (b) and (c) taken as failed, C1 compares n = 1..K;
+        #N_(s+1)..#N_K come from the pair's recurrence, not a new sweep."""
+        a, calls, order = exact_ladder_item(36), [], 100
+        analysis = analyze_matrix(a)
+        s = sum(block_traces(a)[1].values())
+        sweeps = counted_sweeps(monkeypatch)
+        monkeypatch.setattr(zeta_module, "_c1_certified", lambda *args: False)
+        monkeypatch.setattr(zeta_module, "closed_form_counts",
+                            recording(calls, closed_form_counts))
+        report = verify_matrix(a, order=order)
+        assert report.passed and report.c1["max_rel_err"] == 0
+        assert sweeps == [s] and calls == [analysis.window, order]
 
     def test_exact_verify_keeps_no_sweep_vectors(self):
         """The certificate adds each vector into one running sum, so the

@@ -39,12 +39,14 @@ defect s below), is a multiple of the minimal polynomial of A on 1 by
 Rothblum's index theorem, and often equal to it.  It is tried where
 c_lambda <= e_lambda, the number of blocks with entry lambda, so that mu~
 divides P(t) = det(t E - A) = sum_i p_i t^i, the reversal of d
-(monic_charpoly).  The last is P itself, whose failed check raises.  A
-mu that passes gives P(A) 1 = 0, and with it the z^N coefficients of the
-two products, 1^T P(A) 1 and 1^T A P(A) 1, vanish, which pins
-z m(z) = k(z) - N d(z) down to the top coefficient.  The counts past #N_s
-follow mu's integer recurrence (continue_counts), so s steps replace N,
-and d = g rev, m = g R for rev = z^s mu(1/z) and a cofactor g.
+(monic_charpoly), and some c_lambda < e_lambda (else mu~ is P).  The
+last is P itself, whose failed check raises.  A mu that passes gives
+P(A) 1 = 0, and with it the z^N coefficients of the two products,
+1^T P(A) 1 and 1^T A P(A) 1, vanish, which pins z m(z) = k(z) - N d(z)
+down to the top coefficient.  The counts past #N_s follow mu's integer
+recurrence (continue_counts), so s steps replace N, and d = g rev,
+m = g R for the int list rev = z^s mu(1/z) and a cofactor g.  The counts
+stop at #N_N; a reader that needs more continues them by rev.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:
@@ -208,28 +210,28 @@ class CharPolyBundle:
     pair: tuple[RatPoly, RatPoly] = field(compare=False, repr=False)
 
 
-def continue_counts(chains: Sequence[int], rev: RatPoly, length: int) -> list[int]:
-    """#N_0 .. #N_length from #N_0 .. #N_s, where rev = z^s mu(1/z) and
-    mu(A) 1 = 0, as for the pencil pair's denominator: 1^T A^(j-s) mu(A) 1
-    = 0 gives #N_j = -sum_(i>=1) rev_i #N_(j-i) for j > s, on ints."""
+def continue_counts(chains: Sequence[int], rev: Sequence, length: int) -> list[int]:
+    """#N_0 .. #N_length from #N_0 .. #N_s, where the coefficients rev of
+    z^s mu(1/z) (ints, or pair[1].coeffs) have mu(A) 1 = 0: 1^T A^(j-s)
+    mu(A) 1 = 0 gives #N_j = -sum_(i>=1) rev_i #N_(j-i) for j > s, on ints."""
     chains = list(chains)
-    taps = [-c.numerator for c in reversed(rev.coeffs[1:])]  # -rev_r .. -rev_1
+    taps = [-c.numerator for c in reversed(rev[1:])]  # -rev_r .. -rev_1
     for _ in range(length + 1 - len(chains)):
         chains.append(sum(map(mul, taps, chains[len(chains) - len(taps):])))
     return chains
 
 
 def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
-                      blocks: tuple[Sequence[Sequence[int]], dict[int, int] | None],
-                      order: int = 0) -> tuple[CharPolyBundle, list[int]]:
-    """d, k, m and the degree defects, with the chain counts #N_0 .. #N_max(N, order).
+                      blocks: tuple[Sequence[Sequence[int]], dict[int, int] | None]
+                      ) -> tuple[CharPolyBundle, list[int]]:
+    """d, k, m and the degree defects, with the chain counts #N_0 .. #N_N.
 
     blocks is block_traces' pair: d comes from the traces, block by block,
     m from the counts, the entry sums of v_i = A^i 1 (sweep() starts a
     sweep, category.chain_vectors), and k = N d + z m.  The path bound,
-    where every c_lambda <= e_lambda, and then P are tried through one
-    body (module docstring); the first mu that passes gives the later
-    counts and the bundle's pair (R, rev), (m, d) where mu is P.
+    where it divides P and is not P, and then P are tried through one
+    body on int lists (module docstring); the first mu that passes gives
+    the counts past #N_s and the bundle's pair (R, rev), (m, d) on P.
 
     Raises ArithmeticError if a Newton division leaves a remainder or
     P(A) 1 is not zero: either way d is not det(E - A z) of the matrix
@@ -243,10 +245,10 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
             counts[traces[0]] = counts.get(traces[0], 0) + 1
         else:
             factor = _newton(traces)
-            big = mul_coeffs(big, factor)
+            big = mul_coeffs(factor, big)
             factors.append(RatPoly(factor))
-    # a bound above some e_lambda kills 1 but need not divide P
-    tries = [bound] if bound is not None and all(
+    # a bound above some e_lambda kills 1 but need not divide P; one equal to e is P
+    tries = [bound] if bound is not None and bound != counts and all(
         c <= counts.get(lam, 0) for lam, c in bound.items()) else []
     for c in tries + [counts]:  # bound is not None only where big == [1]
         rev = big
@@ -254,10 +256,9 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
             if lam:
                 rev = mul_coeffs(linear_power(-1, -lam, k), rev)  # rev's 1s cost no multiplication
         s = n - sum(counts.values()) + sum(c.values())  # the larger blocks' sizes, plus sum c
-        rev_poly = RatPoly(rev)
-        mu = [p.numerator for p in monic_charpoly(rev_poly, s).coeffs]
         residue, chains = [0] * n, []
-        for p, v in zip(mu, sweep()):  # zip asks for p_i first: no vector past v_s is pulled
+        # zip asks for p_i first: no vector past v_s is pulled
+        for p, v in zip(monic_charpoly(rev, s), sweep()):
             chains.append(sum(v))
             if p:
                 residue = [r + p * x for r, x in zip(residue, v)]
@@ -267,7 +268,7 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
         bad = next(i for i, x in enumerate(residue) if x)
         raise ArithmeticError(f"Cayley-Hamilton fails: entry {bad} of P(A) 1 is "
                               f"{residue[bad]}, not 0")
-    chains = continue_counts(chains, rev_poly, max(n, order))
+    chains = continue_counts(chains, rev, n)
     # R = rev sum_j #N_(j+1) z^j has degree below s, its z^k coefficient
     # for k >= s being 1^T A^(k-s+1) mu(A) 1 = 0
     r_coeffs = mul_coeffs(rev, chains[1:s + 1], s)
@@ -277,7 +278,7 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
             g = mul_coeffs(linear_power(-1, -lam, e - c.get(lam, 0)), g)
     d, m = (rev, r_coeffs + [0] * (n - s)) if g == [1] else (
         mul_coeffs(g, rev), mul_coeffs(g, r_coeffs, n))
-    m_poly = RatPoly(m)  # where g = 1, d = rev and m = R, so the pair is (m, d)
+    m_poly, rev_poly = RatPoly(m), RatPoly(rev)  # where g = 1, d = rev, m = R: the pair is (m, d)
     d_poly, r_poly = (rev_poly, m_poly) if g == [1] else (RatPoly(d), RatPoly(r_coeffs))
     counts.pop(0, None)
     # k_i = N d_i + m_(i-1): N d + z m below z^N
@@ -294,14 +295,14 @@ def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
     return bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))[0]
 
 
-def monic_charpoly(d: RatPoly, n: int) -> RatPoly:
-    """det(t E - A) recovered from d by coefficient reversal.
+def monic_charpoly(d: Sequence, n: int) -> list:
+    """det(t E - A) from d's coefficients by reversal, in their scalars.
 
-    d has degree at most N, so the reversal pads with zeros: the
-    coefficient of t^j is d_{N-j}.
+    d has degree at most N and d_0 = 1, so the reversal pads with zeros:
+    the coefficient of t^j is d_{N-j}.
     """
-    cs = d.coeffs[:n + 1]
-    return RatPoly((cs + (Fraction(0),) * (n + 1 - len(cs)))[::-1])
+    cs = list(d[:n + 1])
+    return (cs + [cs[0] * 0] * (n + 1 - len(cs)))[::-1]
 
 
 @dataclass(frozen=True)

@@ -243,8 +243,9 @@ def cmd_zeta(args) -> int:
     a = _load_adjacency(args)
     analysis = None
     if args.closed:  # one sweep of chain counts feeds the series and the pencil
-        analysis = analyze_matrix(a, args.precision, args.order)
-        series = series_from_counts(analysis.chains, args.order).coeffs
+        analysis = analyze_matrix(a, args.precision)
+        chains = analysis.counts(args.order)
+        series = series_from_counts(chains, args.order).coeffs
         cf = analysis.closed
         sing = singularity_report(cf)
     else:

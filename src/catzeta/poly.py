@@ -11,7 +11,8 @@ small integers, so the pipeline runs them on ints, Fractions and mpmath
 complex numbers alike: horner evaluates, mul_coeffs multiplies, whole or
 cut to the first n coefficients as for truncated power series,
 linear_power expands (b z - a)**e, and exp_trunc exponentiates a
-truncated power series, a plain coefficient list.
+truncated power series, a plain coefficient list; cleared puts a RatPoly
+over one denominator.
 
 RatSeries holds the exact zeta series: a fixed truncation order K and
 exactly K+1 rational coefficients (z**0 .. z**K).
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 
@@ -183,10 +185,15 @@ def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
     return a.monic()
 
 
+def cleared(p: RatPoly) -> tuple[list[int], int]:
+    """p = sum_i P_i z^i / D as the ints P_i and D, the lcm of p's denominators."""
+    den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)  # no argument tuple
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
 def primitive_ints(p: RatPoly) -> list[int]:
     """The coefficients of a nonzero p scaled to coprime ints."""
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (denom // c.denominator) for c in p.coeffs]
+    ints = cleared(p)[0]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 

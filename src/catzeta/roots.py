@@ -3,17 +3,16 @@
 d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n},
 starting from its factors over the strongly connected blocks of A (see
 charpoly).  The 1 x 1 blocks arrive as diagonal counts, (lambda, e) for
-(1 - lambda z)^e, and give the root 1/lambda with multiplicity e; a
-linear factor gives its root directly, as a pair of ints in lowest terms,
-and equal ones are counted under that key.  Only the product of the
-non-linear factors, if there are any, goes through exact square-free
-decomposition (Yun), so numeric clustering never decides a multiplicity.
-The rational roots of each square-free factor are found exactly by
-p-adic (Hensel) lifting, with no integer factoring
-(_simple_rational_roots, which factor_charpoly alone calls), and merged
-with the linear ones; whatever remains of the factor is handed to an
+(1 - lambda z)^e, and give the root 1/lambda with multiplicity e, keyed
+by a pair of ints in lowest terms.  Every other block factor, linear or
+not, goes into one product and through exact square-free decomposition
+(Yun), so numeric clustering never decides a multiplicity.  The rational
+roots of each square-free factor are found exactly by p-adic (Hensel)
+lifting, with no integer factoring (_simple_rational_roots, which
+factor_charpoly alone calls), and counted under the same keys as the
+diagonal ones; whatever remains of the factor is handed to an
 Aberth-Ehrlich simultaneous iteration polished by Newton steps.  An
-irrational root comes only from the non-linear factors, with its
+irrational root comes only from the block factors, with its
 multiplicity in d, so the numeric part does not depend on how d was split.
 
 The root set also chooses, once, the arithmetic of every later stage:
@@ -304,13 +303,13 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
 
     factors and diagonal, when given, are a CharPolyBundle's: d is the
     product of the factors and of (1 - lambda z)^e for each (lambda, e) of
-    diagonal; d alone is one factor.  The roots 1/lambda and linear
-    factors give their roots directly.  The multiplicities of the other
-    roots are read off the square-free decomposition of the product of the
-    non-linear factors, if there are any; each square-free factor gives
-    its rational roots by p-adic lifting (_simple_rational_roots), merged
-    with the linear ones, and the numeric roots of what is left once they
-    are divided out.  d(0) must be nonzero (it is 1 for determinant
+    diagonal; d alone is one factor.  The roots 1/lambda are read off
+    diagonal.  The multiplicities of the other roots are read off the
+    square-free decomposition of the product of the factors, if there are
+    any, a linear one included; each square-free factor gives its rational
+    roots by p-adic lifting (_simple_rational_roots), merged with the
+    diagonal ones, and the numeric roots of what is left once they are
+    divided out.  d(0) must be nonzero (it is 1 for determinant
     pencils), so zero is never a root.
     """
     if d.is_zero():
@@ -319,18 +318,9 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise ValueError("z = 0 must not be a root")
     # theta as (a, b) in lowest terms, b > 0: 1/lambda is (+-1, |lambda|)
     rational = {(1 if lam > 0 else -1, abs(lam)): e for lam, e in diagonal}
-    nonlinear = []
-    for factor in (d,) if factors is None else factors:
-        if factor.degree == 1:  # c0 + c1 z: theta = -c0 / c1
-            (a0, b0), (a1, b1) = (c.as_integer_ratio() for c in factor.coeffs)
-            num, den = -a0 * b1, a1 * b0
-            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-            key = (num // g, den // g)
-            rational[key] = rational.get(key, 0) + 1
-        elif factor.degree > 1:
-            nonlinear.append(factor)
+    blocks = (d,) if factors is None else factors
     roots: list[Root] = []
-    for factor, mult in squarefree_decompose(reduce(mul, nonlinear)) if nonlinear else ():
+    for factor, mult in squarefree_decompose(reduce(mul, blocks)) if blocks else ():
         cofactor = factor
         for theta in _simple_rational_roots(factor):
             key = theta.as_integer_ratio()

@@ -74,10 +74,11 @@ ArithmeticError naming n.  Two checks of verify still branch.  C1, on
 the arithmetic: exact, it reads the analysis's match where K <= W or (b)
 and (c) hold, else compares n = 1..K as it stands; numeric, it compares
 closed_form_taylor with the series through z^K.  Either comparison reads
-its counts past #N_N off the pair's recurrence (charpoly.continue_counts).  C3 branches on
+its counts past #N_N off the pair's recurrence (ZetaAnalysis.counts).  C3 branches on
 each root's kind: a rational root is checked exactly on both paths, on
 ints, a numeric one within the tolerance.  Its residual is |cp(alpha)|,
-cp the reversal of the pencil's own d, and (a) ties cp to A only on the
+cp the reversal of the pencil's own d's coefficients (monic_charpoly,
+evaluated by horner, of degree N), and (a) ties cp to A only on the
 span of the vectors A^i 1.  So a rational alpha must also be an
 eigenvalue of A itself.  Where e' > 0 the sweep shows it: under (a),
 m/d = 1^T A (E - A z)^(-1) 1, whose poles are reciprocal eigenvalues.  A
@@ -92,7 +93,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 from .category import IntMatrix, chain_counts, chain_vectors
@@ -106,7 +106,7 @@ from .charpoly import (
     series_euler_char,
     strong_blocks,
 )
-from .poly import RatPoly, RatSeries, exp_trunc, horner, linear_power, mul_coeffs
+from .poly import RatPoly, RatSeries, cleared, exp_trunc, horner, linear_power, mul_coeffs
 from .roots import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOLERANCE,
@@ -253,19 +253,13 @@ def _divide_out(ints: list[int], a: int, b: int, most: int) -> tuple[list[int], 
     return ints, count
 
 
-def _clear(p: RatPoly) -> tuple[list[int], int]:
-    """p = sum_i P_i z^i / D as the ints P_i and D, the lcm of p's denominators."""
-    den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)  # no argument tuple
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
 def _reduced(rem: RatPoly, d: RatPoly, roots, arith: Arithmetic) -> tuple[list, int, list[int]]:
     """The remainder and the multiplicities e' of rem/d in lowest terms.
 
     d = lead prod (z - theta)^c divides the polynomial the roots factor:
     it is that polynomial (c = e), or of lower degree, as the pencil's rev
     is, each c counted by dividing d by b z - a (every root rational).
-    Each rational theta = a / b is divided out of rem's ints R_i (_clear)
+    Each rational theta = a / b is divided out of rem's ints R_i (poly.cleared)
     at most c times; each division that leaves no remainder proves one
     more factor, so D rem = prod (b z - a)^(c - e') R' and
 
@@ -275,8 +269,8 @@ def _reduced(rem: RatPoly, d: RatPoly, roots, arith: Arithmetic) -> tuple[list, 
     a numeric root set each numerator is lifted from its Fraction over D,
     and D becomes 1.  Irrational roots keep e.
     """
-    ints, den = _clear(rem)
-    dints = _clear(d)[0] if d.degree < sum(root.multiplicity for root in roots) else None
+    ints, den = cleared(rem)
+    dints = cleared(d)[0] if d.degree < sum(root.multiplicity for root in roots) else None
     kept, scale = [], 1
     for root in roots:
         e = root.multiplicity
@@ -458,8 +452,9 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
 
 @dataclass(frozen=True)
 class ZetaAnalysis:
-    # #N_0 .. #N_max(order, N): v_0 .. v_s swept, s = deg mu for the
-    # annihilator mu that passed, and the rest from mu's recurrence
+    # #N_0 .. #N_N: v_0 .. v_s swept, s = deg mu for the annihilator mu
+    # that passed, and the rest from mu's recurrence; a reader that needs
+    # more calls counts(order)
     chains: tuple[int, ...]
     bundle: CharPolyBundle
     euler: EulerReport
@@ -475,21 +470,24 @@ class ZetaAnalysis:
         """W = (N - deg d) + sum e': analyze_matrix matched c_n = #N_n for n = 1..W."""
         return self.bundle.n - self.bundle.d.degree + sum(self.closed.reduced)
 
+    def counts(self, order: int) -> list[int]:
+        """#N_0 .. #N_max(N, order): chains, continued past #N_N by the
+        recurrence of the pencil pair's denominator (charpoly.continue_counts)."""
+        return continue_counts(self.chains, self.bundle.pair[1].coeffs, order)
 
-def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS,
-                   order: int = 0) -> ZetaAnalysis:
+
+def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS) -> ZetaAnalysis:
     """Everything derived from one adjacency matrix, computed once.
 
-    The pencil certifies d (fact (a)) and gives #N_0 .. #N_max(N, order):
-    chain_vectors runs s = deg mu steps for the first annihilator mu that
-    passes its check (mu~ from the path bound, else P, s = N), and every
-    later count comes from mu's recurrence.  The counts, kept on the
-    analysis, feed the series through z**order; verify passes no order,
-    so its counts stop at #N_N.  The closed form, built from the pencil's
-    pair, must give #N_1..#N_W (module docstring), or ArithmeticError
-    names the first n off.
+    The pencil certifies d (fact (a)) and gives #N_0 .. #N_N: chain_vectors
+    runs s = deg mu steps for the first annihilator mu that passes its
+    check (mu~ from the path bound, else P, s = N), and every later count
+    comes from mu's recurrence.  A reader that needs counts past #N_N
+    calls ZetaAnalysis.counts, which continues them by the pair's denominator.
+    The closed form, built from the pencil's pair, must give #N_1..#N_W
+    (module docstring), or ArithmeticError names the first n off.
     """
-    bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a), order)
+    bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
     chains = tuple(chains)
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors, bundle.diagonal)
@@ -630,12 +628,11 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     if order < 0:
         raise ValueError("series order must be nonnegative")
     analysis = analyze_matrix(a, precision_bits)
-    chains, cf = analysis.chains, analysis.closed
-    rev = analysis.bundle.pair[1]  # its recurrence gives the counts past #N_N
+    cf = analysis.closed
     euler = analysis.euler
     n = a.n
     applicable = euler.exists
-    cp = monic_charpoly(analysis.bundle.d, n)
+    cp = monic_charpoly(analysis.bundle.d.coeffs, n)
     arith = analysis.rootset.arithmetic
 
     with arith.context():
@@ -644,9 +641,9 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
             pairs = ()  # K <= W, or K > W under (b) and (c): analyze_matrix's match proves C1
             if order > analysis.window and not _c1_certified(analysis):
                 pairs = zip(closed_form_counts(cf, order),
-                            continue_counts(chains, rev, order)[1:])
+                            analysis.counts(order)[1:])
         else:  # Taylor coefficients against the series
-            series = series_from_counts(continue_counts(chains, rev, order), order)
+            series = series_from_counts(analysis.counts(order), order)
             pairs = zip(closed_form_taylor(cf, order), map(arith.lift, series.coeffs))
         c1_err = max((abs(got - want) / max(abs(one), abs(want))
                       for got, want in pairs if got != want), default=abs(one) * 0)
@@ -657,21 +654,21 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
               "pass": arith.within(c2_residual, tolerance) if applicable else None}
         residuals, scales = [], []
         roots_ok = True
-        coeff_sum = arith.quotient_sum((abs(a), b) for a, b in map(arith.split, cp.coeffs))
-        ints = [c.numerator for c in cp.coeffs]  # cp has integer coefficients
+        coeff_sum = arith.quotient_sum((abs(a), b) for a, b in map(arith.split, cp))
+        ints = [c.numerator for c in cp]  # cp has integer coefficients
         for f, root, kept in zip(cf.factors, analysis.rootset.roots, cf.reduced):
-            scale = coeff_sum * max(abs(one), abs(f.alpha)) ** cp.degree
+            scale = coeff_sum * max(abs(one), abs(f.alpha)) ** n
             if root.kind == "rational":
                 # rational roots are checked exactly on both paths, on ints:
                 # r^N cp(p / r) for alpha = 1 / theta = p / r
                 r, p = root.theta.as_integer_ratio()
-                value = horner([c * r ** (cp.degree - i) for i, c in enumerate(ints)], p)
-                exact_res = abs(Fraction(value, r ** cp.degree))
+                value = horner([c * r ** (n - i) for i, c in enumerate(ints)], p)
+                exact_res = abs(Fraction(value, r ** n))
                 res = abs(arith.lift(exact_res))
                 ok = value == 0 and (kept > 0 or _eigenvalue_of_a_block(
                     a, analysis.bundle.diagonal, root.theta))
             else:
-                res = abs(cp(f.alpha))
+                res = abs(horner(cp, f.alpha))
                 ok = arith.within(res, tolerance, scale)
             residuals.append(res)
             scales.append(scale)

@@ -42,7 +42,9 @@ Everything here takes a different road, so that agreement means something:
   fraction-free elimination), against the pencil's path bound deg mu~.
 
 Also here: simultaneous row/column permutation of a matrix, which the
-tests use to scramble block-triangular inputs.
+tests use to scramble block-triangular inputs, and the indiscrete
+category on k objects, equivalent to the terminal one, which the tests
+multiply into others as a blow-up that leaves chi unchanged.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from catzeta import (
     IntMatrix,
     Morphism,
     RatPoly,
+    category_from_dict,
     chain_counts,
     char_poly_bundle,
     closed_form_counts,
@@ -427,6 +430,27 @@ def log_trunc(s: Sequence) -> list:
                 acc = acc - (i + 1) * out[i + 1] * c
         out[n + 1] = acc / (n + 1)
     return out
+
+
+def indiscrete(k: int) -> FiniteCategory:
+    """k objects with exactly one morphism each way between any two, built
+    through the JSON wire format: g f is the one morphism from f's source
+    to g's target, an identity where they are equal."""
+    objects = [str(x) for x in range(k)]
+
+    def hom(x, y):
+        return f"id_{x}" if x == y else f"{x}>{y}"
+
+    arrows = [(x, y) for x in objects for y in objects if x != y]
+    return category_from_dict({
+        "name": f"indiscrete({k})",
+        "objects": objects,
+        "morphisms": [{"id": hom(x, y), "src": x, "tgt": y}
+                      for x in objects for y in objects],
+        "identity": {x: hom(x, x) for x in objects},
+        "compose": [[hom(y, z), hom(x, y), hom(x, z)]
+                    for x, y in arrows for z in objects if z != y],
+    })
 
 
 def permuted(a: IntMatrix, perm: Sequence[int]) -> IntMatrix:

@@ -176,6 +176,29 @@ class TestStructureAndAxioms:
         assert type(exc.value) is StructureError
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("objects, morphisms, identity, compose, message", [
+        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y")),
+         {"x": "id_y", "y": "id_y"}, {}, "identity: id_y assigned to x has endpoints y->y"),
+        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y"),
+                      Morphism("f", "x", "y")),
+         {"x": "id_x", "y": "id_y"}, {("f", "f"): "f"},
+         "closure: table entry (f, f) is not a composable pair"),
+        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y"),
+                      Morphism("f", "x", "y"), Morphism("g", "x", "y")),
+         {"x": "id_x", "y": "id_y"}, {("id_y", "f"): "g"},
+         "identity: (id_y, f) composes to g, expected f"),
+        # id_x is y's identity but not x's, so only its own square is checked
+        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y"),
+                      Morphism("u", "x", "x")),
+         {"x": "u", "y": "id_x"}, {("id_x", "id_x"): "u"},
+         "identity: (id_x, id_x) composes to u, expected id_x"),
+    ], ids=["identity-endpoints", "closure-not-composable", "left-identity-law",
+            "identity-squared"])
+    def test_axiom_violations_name_the_morphisms(self, objects, morphisms, identity, compose,
+                                                 message):
+        report = validate(FiniteCategory(objects, morphisms, identity, compose))
+        assert message in report.violations
+
     def test_duplicate_morphism_raises(self):
         c = FiniteCategory(("x",),
                            (Morphism("id_x", "x", "x"), Morphism("id_x", "x", "x")),

@@ -30,8 +30,9 @@ from catzeta import (
 )
 from catzeta import charpoly, verify_matrix, zeta
 from catzeta.category import chain_vectors
-from catzeta.charpoly import bundle_from_sweep
+from catzeta.charpoly import bundle_from_sweep, continue_counts
 from catzeta.cli import cli_main
+from catzeta.poly import horner
 from n_rung import random_poset
 from oracles import (
     adjsum_poly,
@@ -181,15 +182,15 @@ class TestMonicCharpoly:
     @given(small_matrices, st.integers(min_value=-3, max_value=3))
     def test_evaluates_as_det_of_te_minus_a(self, a, t):
         bundle = char_poly_bundle(a)
-        cp = monic_charpoly(bundle.d, a.n)
+        cp = monic_charpoly(bundle.d.coeffs, a.n)
         shifted = [[t * (i == j) - a[i, j] for j in range(a.n)] for i in range(a.n)]
-        assert cp(Fraction(t)) == bareiss_det(shifted)
+        assert horner(cp, Fraction(t)) == bareiss_det(shifted)
 
     def test_known_charpolys(self):
         d = char_poly_bundle(IntMatrix([[1, 1], [1, 1]])).d
-        assert monic_charpoly(d, 2) == RatPoly([0, -2, 1])  # t^2 - 2t
+        assert monic_charpoly(d.coeffs, 2) == [0, -2, 1]  # t^2 - 2t
         d = char_poly_bundle(IntMatrix([[1, 1], [0, 1]])).d
-        assert monic_charpoly(d, 2) == RatPoly([1, -2, 1])  # (t - 1)^2
+        assert monic_charpoly(d.coeffs, 2) == [1, -2, 1]  # (t - 1)^2
 
 
 class TestTopCoefficientFormulas:
@@ -534,7 +535,22 @@ class TestPathBound:
         assert (bundle.d, bundle.k, bundle.m) == oracle_pencil(a)
         assert chains == chain_counts(a, a.n)
         assert pulled == [s + 1]  # v_0 .. v_s, one sweep
-        assert analyze_matrix(a, order=200).chains == tuple(chain_counts(a, 200))
+        analysis = analyze_matrix(a)
+        assert analysis.counts(200) == chain_counts(a, 200)
+
+    def test_a_bound_equal_to_e_is_the_p_try(self, monkeypatch):
+        """On the arrow, c_1 = e_1 = 2: mu~ is P, so a refused P is swept
+        once, not twice."""
+        a = IntMatrix([[1, 1], [0, 1]])
+        traces, bound = charpoly.block_traces(a)
+        assert bound == {1: 2}
+        real = charpoly.monic_charpoly
+        monkeypatch.setattr(charpoly, "monic_charpoly",
+                            lambda d, n: [p + (i == 0) for i, p in enumerate(real(d, n))])
+        pulled = []
+        with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
+            bundle_from_sweep(counted(a, pulled), (traces, bound))
+        assert pulled == [a.n + 1]
 
     def test_bound_of_a_chain_and_of_a_discrete_category(self):
         chain = IntMatrix([[int(i <= j) for j in range(6)] for i in range(6)])
@@ -554,12 +570,14 @@ class TestPathBound:
         a = IntMatrix(ARROW_AND_CHAIN)
         traces, bound = charpoly.block_traces(a)
         assert bound == {1: 2, 0: 3} and krylov_rank(a) == a.n
-        want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None), order)
-        assert want[1] == chain_counts(a, order)
+        want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None))
+        assert continue_counts(want[1], want[0].pair[1].coeffs, order) == chain_counts(a, order)
         for lam, c in bound.items():
             pulled = []
-            under = bundle_from_sweep(counted(a, pulled), (traces, {**bound, lam: c - 1}), order)
+            under = bundle_from_sweep(counted(a, pulled), (traces, {**bound, lam: c - 1}))
             assert under == want and pulled == [a.n, a.n + 1]  # s - 1 steps, then P's N
+            assert continue_counts(under[1], under[0].pair[1].coeffs, order) == chain_counts(
+                a, order)
         for i in range(a.n):
             spoilt = traces[:i] + [[traces[i][0] + 2]] + traces[i + 1:]
             with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
@@ -569,15 +587,17 @@ class TestPathBound:
         a = IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         traces, bound = charpoly.block_traces(a)
         assert bound == {1: 2}
-        want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None), order)
+        want = bundle_from_sweep(lambda: chain_vectors(a), (traces, None))
         pulled = []
-        got = bundle_from_sweep(counted(a, pulled), (traces, bound), order)
+        got = bundle_from_sweep(counted(a, pulled), (traces, bound))
         assert got == want and pulled == [3]
+        assert continue_counts(got[1], got[0].pair[1].coeffs, order) == chain_counts(a, order)
         # equal bundles, though only the mu~ route proved the smaller pair
         assert got[0].pair[1] == RatPoly([1, -2, 1]) and want[0].pair == (want[0].m, want[0].d)
         pulled = []
-        assert bundle_from_sweep(counted(a, pulled), (traces, {**bound, 7: 1}), order) == want
-        assert pulled == [a.n + 1]
+        over = bundle_from_sweep(counted(a, pulled), (traces, {**bound, 7: 1}))
+        assert over == want and pulled == [a.n + 1]
+        assert continue_counts(over[1], over[0].pair[1].coeffs, order) == chain_counts(a, order)
 
 
 class TestOneRoute:
@@ -595,8 +615,10 @@ class TestOneRoute:
         traces, bound = charpoly.block_traces(a)
         deg_mu = a.n if bound is None else sum(bound.values())
         pulled = []
-        bundle, chains = bundle_from_sweep(counted(a, pulled), (traces, bound), order)
-        assert chains == chain_counts(a, max(a.n, order))
+        bundle, chains = bundle_from_sweep(counted(a, pulled), (traces, bound))
+        assert chains == chain_counts(a, a.n)
+        assert continue_counts(chains, bundle.pair[1].coeffs, order) == chain_counts(
+            a, max(a.n, order))
         assert pulled == [deg_mu + 1]
         assert (bundle.d, bundle.k, bundle.m) == oracle_pencil(a)
 

@@ -178,6 +178,15 @@ class TestGcd:
     def test_gcd_with_zero(self, a):
         assert poly_gcd(a, RatPoly.zero()) == a.monic()
 
+    def test_zero_polynomial_errors(self):
+        zero = RatPoly.zero()
+        with pytest.raises(ValueError, match="^cannot normalize the zero polynomial$"):
+            zero.monic()
+        with pytest.raises(ValueError, match="^gcd of two zero polynomials is undefined$"):
+            poly_gcd(zero, zero)
+        with pytest.raises(ValueError, match="^cannot decompose the zero polynomial$"):
+            squarefree_decompose(zero)
+
 
 class TestSquarefree:
     def test_known_factorization(self):

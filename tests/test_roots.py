@@ -348,25 +348,36 @@ class TestFactorCharpoly:
         assert [r.multiplicity for r in rs.roots if r.kind == "numeric"] == [1, 1]
 
     def test_diagonal_counts_give_their_roots_without_yun(self, monkeypatch):
-        """(1 - 2z)^3 (1 + z) (1 - z)^2 as diagonal counts, beside the
-        linear factor 1 - 3z: no non-linear factor, so no Yun; a
-        non-linear one still goes through it."""
+        """(1 - 2z)^3 (1 + z) (1 - z)^2 as diagonal counts: no block
+        factor, so no Yun.  A block factor goes through it, the linear
+        1 - 3z as well as a non-linear one."""
         diagonal, linear = ((2, 3), (-1, 1), (1, 2)), RatPoly([1, -3])
-        d = linear
+        counted = RatPoly.one()
         for lam, e in diagonal:
-            d = d * RatPoly(linear_power(-1, -lam, e))
-        want = factor_charpoly(d)
+            counted = counted * RatPoly(linear_power(-1, -lam, e))
+        d = linear * counted
+        want_counted, want = factor_charpoly(counted), factor_charpoly(d)
         quadratic = RatPoly([1, -2, -1])
         want_mixed = factor_charpoly(d * quadratic)
         calls, real = [], roots_module.squarefree_decompose
         monkeypatch.setattr(roots_module, "squarefree_decompose",
                             lambda p: calls.append(p) or real(p))
-        assert factor_charpoly(d, factors=(linear,), diagonal=diagonal) == want
+        assert factor_charpoly(counted, factors=(), diagonal=diagonal) == want_counted
         assert calls == []
+        assert factor_charpoly(d, factors=(linear,), diagonal=diagonal) == want
+        assert calls == [linear]
         assert [(r.theta, r.multiplicity) for r in want.roots] == [
             (Fraction(1, 3), 1), (Fraction(1, 2), 3), (Fraction(1), 2), (Fraction(-1), 1)]
+        calls.clear()
         mixed = factor_charpoly(d * quadratic, factors=(quadratic, linear), diagonal=diagonal)
-        assert mixed == want_mixed and calls == [quadratic]
+        assert mixed == want_mixed and calls == [quadratic * linear]
+
+    def test_a_missing_factor_leaves_the_multiplicities_short(self):
+        d = RatPoly([1, -2]) * RatPoly([1, -3])
+        with pytest.raises(ArithmeticError,
+                           match="^multiplicities do not add up to the degree$") as exc:
+            factor_charpoly(d, factors=(RatPoly([1, -2]),))
+        assert type(exc.value) is ArithmeticError
 
     def test_factors_must_multiply_to_d(self):
         # a wrong linear factor is caught by the recombination against d

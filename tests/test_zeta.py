@@ -66,6 +66,13 @@ small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 
 class TestZetaSeries:
+    def test_negative_order_raises(self):
+        a = IntMatrix([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="^series order must be nonnegative$"):
+            zeta_series(a, -1)
+        with pytest.raises(ValueError, match="^series order must be nonnegative$"):
+            closed_form_taylor(analyze_matrix(a).closed, -1)
+
     def test_golden_series(self, fixture_categories):
         expected = {
             "terminal": [1, 1, 1, 1, 1],
@@ -371,6 +378,20 @@ class TestReducedClosedForm:
 class TestClosedForm:
     def factors_of(self, rows):
         return analyze_matrix(IntMatrix(rows)).closed
+
+    def test_zero_denominator_raises(self):
+        rootset = factor_charpoly(RatPoly([1, -2]))
+        with pytest.raises(ValueError, match="^denominator must be nonzero$"):
+            closed_form(RatPoly([1]), RatPoly.zero(), rootset)
+
+    def test_a_proper_divisor_needs_rational_roots(self):
+        """1 - 2z divides d = (1 - z - z^2)(1 - 2z), but d's other roots
+        are irrational, and only a rational root's count in a divisor is
+        found by division."""
+        rootset = factor_charpoly(RatPoly([1, -1, -1]) * RatPoly([1, -2]))
+        assert not rootset.all_rational
+        with pytest.raises(ValueError, match="^a proper divisor of d needs rational roots$"):
+            closed_form(RatPoly([1]), RatPoly([1, -2]), rootset)
 
     def test_arrow_category(self):
         cf = self.factors_of([[1, 1], [0, 1]])
@@ -722,8 +743,8 @@ class TestC1Window:
         bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
         assert bundle.d == det_poly(a)  # the Bareiss oracle's
         assert chains == chain_counts(a, a.n)
-        cp = monic_charpoly(bundle.d, a.n)
-        assert cp.degree == a.n and cp.lead == 1
+        cp = monic_charpoly(bundle.d.coeffs, a.n)
+        assert len(cp) == a.n + 1 and cp[-1] == 1
 
     def test_perturbed_charpoly_is_refused(self, monkeypatch):
         a = IntMatrix([[1, 1, 0], [0, 3, 1], [1, 0, 2]])  # v_0, v_1, v_2 independent
@@ -731,11 +752,11 @@ class TestC1Window:
         bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))  # accepted as it stands
         for i in range(a.n + 1):  # p_i + 1 adds v_i
             monkeypatch.setattr(charpoly_module, "monic_charpoly",
-                                lambda d, n: real(d, n) + RatPoly([0] * i + [1]))
+                                lambda d, n: [p + (j == i) for j, p in enumerate(real(d, n))])
             with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
                 bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
         monkeypatch.setattr(charpoly_module, "monic_charpoly",
-                            lambda d, n: RatPoly(real(d, n).coeffs[1:]))
+                            lambda d, n: real(d, n)[1:])
         with pytest.raises(ArithmeticError, match="Cayley-Hamilton"):
             bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
 
@@ -970,7 +991,8 @@ class TestAnalysis:
         want = tuple(chain_counts(a, 200))
         s = sum(block_traces(a)[1].values())
         sweeps = counted_sweeps(monkeypatch)
-        assert analyze_matrix(a, order=200).chains == want
+        analysis = analyze_matrix(a)
+        assert tuple(analysis.counts(200)) == want
         assert sweeps == [s] and s < a.n
 
     def test_numeric_path_for_irrational_spectrum(self, fixture_matrices):
@@ -1042,7 +1064,8 @@ class TestVerification:
         # checked against cp + t^2 + 1, every rational alpha leaves the
         # residual |cp(alpha) + alpha^2 + 1| = alpha^2 + 1, exactly
         real = zeta_module.monic_charpoly
-        monkeypatch.setattr(zeta_module, "monic_charpoly", lambda d, n: real(d, n) + RatPoly([1, 0, 1]))
+        monkeypatch.setattr(zeta_module, "monic_charpoly",
+                            lambda d, n: [p + (i in (0, 2)) for i, p in enumerate(real(d, n))])
         report = verify_matrix(IntMatrix(rows), order=6)
         assert report.path == path and not report.c3["pass"]
         cf = analyze_matrix(IntMatrix(rows)).closed

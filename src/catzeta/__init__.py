@@ -28,8 +28,8 @@ from .category import (
     product,
     validate,
 )
-from .charpoly import (CharPolyBundle, EulerReport, char_poly_bundle, euler_char_of_matrix,
-                       monic_charpoly, series_euler_char)
+from .charpoly import (CharPolyBundle, EulerReport, char_poly_bundle, monic_charpoly,
+                       series_euler_char)
 from .poly import RatPoly, RatSeries, exp_trunc, mul_coeffs, poly_gcd, squarefree_decompose
 from .roots import (
     DEFAULT_PRECISION_BITS,

@@ -67,8 +67,9 @@ class ValidationReport:
 
 
 class IntMatrix:
-    """Square matrix of (arbitrary-precision) integers; an entry that is
-    not an int (a bool, float, Fraction or str) raises TypeError."""
+    """Square matrix of (arbitrary-precision) integers.  Row by row, a
+    wrong length raises ValueError, then an entry that is not an int (a
+    bool, float, Fraction or str) TypeError."""
 
     __slots__ = ("n", "rows")
 
@@ -77,10 +78,10 @@ class IntMatrix:
         n = len(rs)
         for i, row in enumerate(rs):
             if len(row) != n:
-                raise ValueError("matrix must be square")
+                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             if not {int}.issuperset(map(type, row)):
                 j = next(j for j, x in enumerate(row) if type(x) is not int)
-                raise TypeError(f"entry ({i}, {j}) is {row[j]!r}, not an int")
+                raise TypeError(f"entry ({i}, {j}) is not an integer")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rs)
 
@@ -171,10 +172,12 @@ def validate(c: FiniteCategory) -> ValidationReport:
                 f"expected {f.src}->{g.tgt}"
             )
 
+    into: dict[str, list[Morphism]] = {x: [] for x in c.objects}
+    for f in c.morphisms:  # the morphisms into each object, in morphism order
+        into[f.tgt].append(f)
+
     for g in c.morphisms:
-        for f in c.morphisms:
-            if g.src != f.tgt:
-                continue
+        for f in into[g.src]:
             if (g.name, f.name) not in c.compose:
                 v.append(f"totality: composable pair ({g.name}, {f.name}) missing from table")
 
@@ -193,13 +196,9 @@ def validate(c: FiniteCategory) -> ValidationReport:
 
     # Associativity over all composable triples, using the table itself.
     for h in c.morphisms:
-        for g in c.morphisms:
-            if h.src != g.tgt:
-                continue
+        for g in into[h.src]:
             hg = c.compose.get((h.name, g.name))
-            for f in c.morphisms:
-                if g.src != f.tgt:
-                    continue
+            for f in into[g.src]:
                 gf = c.compose.get((g.name, f.name))
                 if hg is None or gf is None:
                     continue  # already reported as a totality violation
@@ -318,9 +317,8 @@ def poset_category(leq: Sequence[Sequence[int]], name: str = "") -> FiniteCatego
                           name=name or f"poset({n})")
 
 
-def monoid_delooping(table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
-                     name: str = "") -> FiniteCategory:
-    """One-object category whose endomorphisms form the given monoid.
+def monoid_delooping(table: Sequence[Sequence[int]], name: str = "") -> FiniteCategory:
+    """One-object category whose endomorphisms g0, g1, ... form the given monoid.
 
     table[i][j] is the index of element_i * element_j.  The table must be
     associative and possess a two-sided identity element.
@@ -344,10 +342,7 @@ def monoid_delooping(table: Sequence[Sequence[int]], names: Sequence[str] | None
             for c in range(k):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     raise ValueError(f"multiplication not associative at ({a}, {b}, {c})")
-    if names is None:
-        names = [f"g{i}" for i in range(k)]
-    elif len(names) != k or len(set(names)) != k:
-        raise ValueError("element names must be distinct and match the table size")
+    names = [f"g{i}" for i in range(k)]
     obj = "*"
     morphisms = tuple(Morphism(names[i], obj, obj) for i in range(k))
     identity = {obj: names[unit]}

@@ -325,7 +325,3 @@ def series_euler_char(bundle: CharPolyBundle) -> EulerReport:
         return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
     chi = -bundle.k.coeff(n - 1 - s) / bundle.d.coeff(n - r)
     return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
-
-
-def euler_char_of_matrix(a: IntMatrix) -> EulerReport:
-    return series_euler_char(char_poly_bundle(a))

@@ -45,7 +45,7 @@ from .category import (
     product,
     validate,
 )
-from .charpoly import char_poly_bundle, euler_char_of_matrix
+from .charpoly import char_poly_bundle, series_euler_char
 from .poly import RatPoly
 from .roots import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, RootFindingError
 from .zeta import (
@@ -81,14 +81,10 @@ def _read_json(path: str):
 def _parse_matrix(doc, path: str) -> IntMatrix:
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise CliError(2, f"{path}: matrix must be an array of arrays")
-    n = len(doc)
-    for i, row in enumerate(doc):
-        if len(row) != n:
-            raise CliError(2, f"{path}: row {i} has {len(row)} entries, expected {n}")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise CliError(2, f"{path}: entry ({i}, {j}) is not an integer")
-    return IntMatrix(doc)
+    try:
+        return IntMatrix(doc)
+    except (ValueError, TypeError) as e:  # a row's length, an entry's type
+        raise CliError(2, f"{path}: {e}")
 
 
 def _parse_category(path: str) -> FiniteCategory:
@@ -129,16 +125,16 @@ def _json(x, digits: int):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _value_text(x, digits: int = 10) -> str:
+def _value_text(x) -> str:
     if x is None:
         return "-"
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     from mpmath import mp
-    return mp.nstr(x, digits)
+    return mp.nstr(x, 10)
 
 
-def _poly_text(p: RatPoly, var: str = "z") -> str:
+def _poly_text(p: RatPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -150,7 +146,7 @@ def _poly_text(p: RatPoly, var: str = "z") -> str:
         if i == 0:
             body = str(mag)
         else:
-            zpart = var if i == 1 else f"{var}^{i}"
+            zpart = "z" if i == 1 else f"z^{i}"
             body = zpart if mag == 1 else f"{mag} {zpart}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -228,7 +224,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_euler(args) -> int:
     a = _load_adjacency(args)
-    report = euler_char_of_matrix(a)
+    report = series_euler_char(char_poly_bundle(a))
     if args.json:
         _emit_json({"command": "euler", **vars(report)})
     else:

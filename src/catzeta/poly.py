@@ -278,11 +278,15 @@ def mul_coeffs(a: Sequence, b: Sequence, n: int | None = None) -> list:
 
 def linear_power(a, b: int, e: int) -> list:
     """Coefficients of (b z - a)**e in a's scalar type, read off the
-    binomial theorem; b = 1 gives (z - a)**e."""
+    binomial theorem; b = 1 gives (z - a)**e.  C(e, t) is the int running
+    product C(e, t + 1) = C(e, t) (e - t) / (t + 1), exact at each step."""
     if e < 0:
         raise ValueError("negative polynomial power")
-    neg = -a
-    return [math.comb(e, t) * b ** t * neg ** (e - t) for t in range(e + 1)]
+    neg, binom, out = -a, 1, []
+    for t in range(e + 1):
+        out.append(binom * b ** t * neg ** (e - t))
+        binom = binom * (e - t) // (t + 1)
+    return out
 
 
 def horner(cs: Sequence, x):

@@ -205,42 +205,39 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
         dcs = [i * cs[i] for i in range(1, len(cs))]
         lead = cs[-1]
 
-        if deg == 1:
-            roots = [-cs[0] / cs[1]]
-        else:
-            radius = 1 + max(abs(c / lead) for c in cs[:-1])
-            roots = [
-                radius * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg))
-                for i in range(deg)
-            ]
-            eps_stop = mp.mpf(2) ** (-(precision_bits + 32))
-            converged = False
-            for _ in range(500):
-                shift_max = mp.mpf(0)
-                for i in range(deg):
-                    x = roots[i]
-                    pv = horner(cs, x)
-                    dv = horner(dcs, x)
-                    if not dv:
-                        # stalled on a critical point; nudge and retry
-                        roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
-                        shift_max = max(shift_max, abs(roots[i] - x))
-                        continue
-                    newton = pv / dv
-                    diffs = [x - other for other in roots]  # 0 at x itself and at equal roots
-                    repulse = sum((1 / diff for diff in diffs if diff), mp.mpc(0))
-                    denom = 1 - newton * repulse
-                    w = newton / denom if denom else newton
-                    roots[i] = x - w
-                    shift_max = max(shift_max, abs(w))
-                if shift_max <= eps_stop:
-                    converged = True
-                    break
-            if not converged:
-                raise RootFindingError(
-                    "simultaneous iteration did not converge; raise the precision",
-                    best=roots,
-                )
+        radius = 1 + max(abs(c / lead) for c in cs[:-1])
+        roots = [
+            radius * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg))
+            for i in range(deg)
+        ]
+        eps_stop = mp.mpf(2) ** (-(precision_bits + 32))
+        converged = False
+        for _ in range(500):
+            shift_max = mp.mpf(0)
+            for i in range(deg):
+                x = roots[i]
+                pv = horner(cs, x)
+                dv = horner(dcs, x)
+                if not dv:
+                    # stalled on a critical point; nudge and retry
+                    roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
+                    shift_max = max(shift_max, abs(roots[i] - x))
+                    continue
+                newton = pv / dv
+                diffs = [x - other for other in roots]  # 0 at x itself and at equal roots
+                repulse = sum((1 / diff for diff in diffs if diff), mp.mpc(0))
+                denom = 1 - newton * repulse
+                w = newton / denom if denom else newton
+                roots[i] = x - w
+                shift_max = max(shift_max, abs(w))
+            if shift_max <= eps_stop:
+                converged = True
+                break
+        if not converged:
+            raise RootFindingError(
+                "simultaneous iteration did not converge; raise the precision",
+                best=roots,
+            )
 
         for i in range(deg):
             for _ in range(3):

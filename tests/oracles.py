@@ -27,6 +27,8 @@ Everything here takes a different road, so that agreement means something:
   library's matrix sweep and exponential.
 - n [z^n] log of a closed form summed term by term in Fractions, against
   the library's integer difference tables.
+- The closed form of a disjoint union A + B as the merge of A's and B's
+  (zeta_(A+B) = zeta_A zeta_B), against the union's own.
 - C1 over every n = 1..K (c1_k_term_oracle): the closed form's log
   coefficients against a chain-count sweep to K, against verify's window
   of min(K, N) orders under the certificate P(A) 1 = 0.
@@ -472,6 +474,28 @@ def closed_form_counts_oracle(cf: ClosedFormZeta, order: int) -> list[Fraction]:
                     acc += beta * comb(n, j) * Fraction(f.alpha) ** (n - j)
         out.append(acc)
     return out
+
+
+def closed_form_terms(cf: ClosedFormZeta) -> tuple[RatPoly, dict]:
+    """Q and, keyed by alpha, (multiplicity, (beta0, beta_1, ..)) of a
+    closed form: what determines it, with no order among the roots."""
+    return cf.q_integral, {f.alpha: (f.multiplicity, (f.beta0,) + f.betas)
+                           for f in cf.factors}
+
+
+def merged_closed_form(left: ClosedFormZeta, right: ClosedFormZeta) -> tuple[RatPoly, dict]:
+    """closed_form_terms of zeta_A zeta_B, the zeta of A + B, from A's and
+    B's closed forms: Q adds, and where an alpha is shared the
+    multiplicities add and the beta_j add, each list padded with zeros."""
+    q, terms = closed_form_terms(left)
+    q_right, terms_right = closed_form_terms(right)
+    for alpha, (e, betas) in terms_right.items():
+        e_left, betas_left = terms.get(alpha, (0, ()))
+        width = e_left + e
+        terms[alpha] = (width, tuple(
+            x + y for x, y in zip(betas_left + (0,) * (width - len(betas_left)),
+                                  betas + (0,) * (width - len(betas)))))
+    return q + q_right, terms
 
 
 def hermite_terms_oracle(rem: RatPoly, thetas: Sequence[Fraction],

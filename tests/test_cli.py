@@ -142,6 +142,30 @@ class TestErrorHandling:
         code, _, err = run(capsys, "chains", str(bad), "--matrix")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "{}", "[[1], 2]"])
+    def test_matrix_not_an_array_of_arrays(self, capsys, tmp_path, text):
+        # the one check _parse_matrix keeps; rows and entries are IntMatrix's
+        bad = tmp_path / "flat.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "chains", str(bad), "--matrix")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: matrix must be an array of arrays\n"
+
+    def test_uncertified_root_exit_1(self, capsys, monkeypatch):
+        """A RootFindingError is an ArithmeticError, but it is the user's
+        to act on, not an internal consistency failure."""
+        import catzeta.roots
+        message = "root residual above certification bound; raise the precision"
+
+        def refuse(p, precision_bits):
+            raise catzeta.roots.RootFindingError(message)
+
+        monkeypatch.setattr(catzeta.roots, "numeric_roots", refuse)
+        code, out, err = run(capsys, "verify", matrix_fixture("pell"), "--matrix")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestChains:
     def test_text(self, capsys):

@@ -9,7 +9,6 @@ from catzeta import (
     IntMatrix,
     adjacency,
     char_poly_bundle,
-    euler_char_of_matrix,
     series_euler_char,
 )
 from oracles import euler_char_oracle, mobius_euler_char
@@ -31,30 +30,30 @@ class TestGoldenValues:
         ("k2", Fraction(1)),
     ])
     def test_fixture_chi(self, fixture_categories, name, chi):
-        report = euler_char_of_matrix(adjacency(fixture_categories[name]))
+        report = series_euler_char(char_poly_bundle(adjacency(fixture_categories[name])))
         assert report.exists
         assert report.chi == chi
 
 
 class TestBranches:
     def test_empty(self):
-        report = euler_char_of_matrix(IntMatrix([]))
+        report = series_euler_char(char_poly_bundle(IntMatrix([])))
         assert report.exists and report.chi == 0
         assert report.branch == "empty"
 
     def test_vanishing(self):
-        report = euler_char_of_matrix(IntMatrix([[1, 2], [0, 1]]))
+        report = series_euler_char(char_poly_bundle(IntMatrix([[1, 2], [0, 1]])))
         assert report.exists and report.chi == 0
         assert report.branch == "vanishes"
         assert report.s > report.r
 
     def test_ratio(self):
-        report = euler_char_of_matrix(IntMatrix([[1, 1], [0, 1]]))
+        report = series_euler_char(char_poly_bundle(IntMatrix([[1, 1], [0, 1]])))
         assert report.branch == "ratio"
         assert report.chi == 1
 
     def test_undefined(self):
-        report = euler_char_of_matrix(IntMatrix([[0, 1], [0, 0]]))
+        report = series_euler_char(char_poly_bundle(IntMatrix([[0, 1], [0, 0]])))
         assert not report.exists
         assert report.chi is None
         assert report.branch == "undefined"
@@ -99,7 +98,7 @@ class TestMobiusComparison:
     def test_matches_series_chi_on_random_posets(self, random_posets):
         for c in random_posets:
             a = adjacency(c)
-            report = euler_char_of_matrix(a)
+            report = series_euler_char(char_poly_bundle(a))
             assert report.exists, c.name
             assert report.chi == mobius_euler_char(a), c.name
 

@@ -14,13 +14,11 @@ from .category import (
     FiniteCategory,
     IntMatrix,
     Morphism,
-    StructureError,
     ValidationReport,
     adjacency,
     category_from_dict,
     category_to_dict,
     chain_counts,
-    check_structure,
     discrete,
     disjoint_union,
     monoid_delooping,

@@ -5,6 +5,12 @@ A category is stored fully enumerated: object names, morphism triples
 composition table keyed by (g, f) for composable pairs g: y -> z,
 f: x -> y.  Validation is then a finite enumeration of the axioms.
 
+The structure (unique, known ids, one identity for each object, the
+file's table entries keyed only by composable pairs) has one owner,
+category_from_dict.  The raw FiniteCategory constructor trusts its
+tables, so a category comes from the parser or from a builder, which is
+sound by construction.
+
 The JSON wire format (consumed by the CLI) mirrors this structure; in
 files, composition pairs involving identities may be omitted since the
 identity laws force their values.
@@ -28,10 +34,6 @@ class CategoryFormatError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-class StructureError(ValueError):
-    """Category data references identifiers that do not exist."""
-
-
 @dataclass(frozen=True)
 class Morphism:
     name: str
@@ -41,7 +43,10 @@ class Morphism:
 
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
-    """Immutable finite category; use validate() to check the axioms."""
+    """Immutable finite category; use validate() to check the axioms.
+
+    The constructor trusts its tables to name only known ids: build one
+    with category_from_dict, which checks them, or with a builder."""
 
     objects: tuple[str, ...]
     morphisms: tuple[Morphism, ...]
@@ -116,42 +121,27 @@ class IntMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
 
-# -- structure and axiom checking ------------------------------------------
+# -- axiom checking --------------------------------------------------------
 
-def check_structure(c: FiniteCategory) -> None:
-    """Raise StructureError if any referenced identifier does not exist."""
-    objs = set(c.objects)
-    if len(objs) != len(c.objects):
-        raise StructureError("duplicate object names")
-    names = [f.name for f in c.morphisms]
-    if len(set(names)) != len(names):
-        raise StructureError("duplicate morphism names")
-    known = set(names)
-    for f in c.morphisms:
-        if f.src not in objs or f.tgt not in objs:
-            raise StructureError(f"morphism {f.name} has unknown endpoint")
-    for x in c.objects:
-        if x not in c.identity:
-            raise StructureError(f"object {x} has no identity assignment")
-        if c.identity[x] not in known:
-            raise StructureError(f"identity of {x} is an unknown morphism")
-    for x in c.identity:
-        if x not in objs:
-            raise StructureError(f"identity table mentions unknown object {x}")
-    for (g, f), h in c.compose.items():
-        for m in (g, f, h):
-            if m not in known:
-                raise StructureError(f"composition entry ({g}, {f}) mentions unknown morphism {m}")
+def _into(objects: Iterable[str], morphisms: Iterable[Morphism]) -> dict[str, list[Morphism]]:
+    """The morphisms into each object, in morphism order: the composable
+    pairs (g, f) are g with each f in into[g.src]."""
+    into: dict[str, list[Morphism]] = {x: [] for x in objects}
+    for f in morphisms:
+        into[f.tgt].append(f)
+    return into
 
 
 def validate(c: FiniteCategory) -> ValidationReport:
     """Check the category axioms; returns every violation found.
 
     Identity laws, totality and closure of composition, and associativity
-    are each checked by direct enumeration.  Structural problems (dangling
-    identifiers) raise StructureError instead of being reported.
+    are each checked by direct enumeration.  The structure is taken as
+    category_from_dict or a builder leaves it: unique, known ids and an
+    identity for each object.  The parser keys the file's table entries by
+    composable pairs only; the pairs it fills in from an identity assigned
+    with the wrong endpoints are not, and are reported here.
     """
-    check_structure(c)
     report = ValidationReport()
     v = report.violations
     ids = set(c.identity.values())
@@ -163,7 +153,7 @@ def validate(c: FiniteCategory) -> ValidationReport:
 
     for (gn, fn), hn in c.compose.items():
         g, f, h = c.morphism(gn), c.morphism(fn), c.morphism(hn)
-        if g.src != f.tgt:
+        if g.src != f.tgt:  # filled in from an identity with the wrong endpoints
             v.append(f"closure: table entry ({gn}, {fn}) is not a composable pair")
             continue
         if h.src != f.src or h.tgt != g.tgt:
@@ -172,9 +162,7 @@ def validate(c: FiniteCategory) -> ValidationReport:
                 f"expected {f.src}->{g.tgt}"
             )
 
-    into: dict[str, list[Morphism]] = {x: [] for x in c.objects}
-    for f in c.morphisms:  # the morphisms into each object, in morphism order
-        into[f.tgt].append(f)
+    into = _into(c.objects, c.morphisms)
 
     for g in c.morphisms:
         for f in into[g.src]:
@@ -182,7 +170,7 @@ def validate(c: FiniteCategory) -> ValidationReport:
                 v.append(f"totality: composable pair ({g.name}, {f.name}) missing from table")
 
     for f in c.morphisms:
-        e_src, e_tgt = c.identity.get(f.src), c.identity.get(f.tgt)
+        e_src, e_tgt = c.identity[f.src], c.identity[f.tgt]
         got = c.compose.get((f.name, e_src))
         if got is not None and got != f.name:
             v.append(f"identity: ({f.name}, {e_src}) composes to {got}, expected {f.name}")
@@ -308,11 +296,8 @@ def poset_category(leq: Sequence[Sequence[int]], name: str = "") -> FiniteCatego
             if rel[i][j]:
                 morphisms.append(Morphism(f"{i}<={j}", str(i), str(j)))
     identity = {str(i): f"{i}<={i}" for i in range(n)}
-    table = {}
-    for g in morphisms:
-        for f in morphisms:
-            if g.src == f.tgt:
-                table[(g.name, f.name)] = f"{f.src}<={g.tgt}"
+    into = _into(objects, morphisms)
+    table = {(g.name, f.name): f"{f.src}<={g.tgt}" for g in morphisms for f in into[g.src]}
     return FiniteCategory(tuple(objects), tuple(morphisms), identity, table,
                           name=name or f"poset({n})")
 
@@ -441,6 +426,7 @@ def category_from_dict(doc: dict) -> FiniteCategory:
     dup = [x for x, k in Counter(objects).items() if k > 1]
     if dup:
         raise CategoryFormatError(f"duplicate object {dup[0]!r}", "objects")
+    objs = set(objects)
 
     morphisms = []
     raw = doc["morphisms"]
@@ -453,28 +439,29 @@ def category_from_dict(doc: dict) -> FiniteCategory:
         mid, src, tgt = entry["id"], entry["src"], entry["tgt"]
         if not all(isinstance(s, str) for s in (mid, src, tgt)):
             raise CategoryFormatError("id, src and tgt must be strings", loc)
-        if src not in objects or tgt not in objects:
+        if src not in objs or tgt not in objs:
             raise CategoryFormatError(f"morphism {mid!r} references unknown object", loc)
         morphisms.append(Morphism(mid, src, tgt))
     names = [f.name for f in morphisms]
     dup = [x for x, k in Counter(names).items() if k > 1]
     if dup:
         raise CategoryFormatError(f"duplicate morphism id {dup[0]!r}", "morphisms")
-    known = set(names)
+    by_name = {f.name: f for f in morphisms}
 
     identity = doc["identity"]
     if not isinstance(identity, dict):
         raise CategoryFormatError("identity must be an object", "identity")
     for x, m in identity.items():
-        if x not in objects:
+        if x not in objs:
             raise CategoryFormatError(f"unknown object {x!r}", "identity")
-        if m not in known:
+        if not isinstance(m, str):
+            raise CategoryFormatError("morphism id must be a string", f"identity[{x!r}]")
+        if m not in by_name:
             raise CategoryFormatError(f"unknown morphism {m!r}", f"identity[{x!r}]")
     missing = [x for x in objects if x not in identity]
     if missing:
         raise CategoryFormatError(f"object {missing[0]!r} has no identity", "identity")
 
-    by_name = {f.name: f for f in morphisms}
     table: dict[tuple[str, str], str] = {}
     raw = doc["compose"]
     if not isinstance(raw, list):
@@ -486,7 +473,7 @@ def category_from_dict(doc: dict) -> FiniteCategory:
             raise CategoryFormatError("entry must be a [g, f, gf] triple of ids", loc)
         g, f, h = entry
         for m in entry:
-            if m not in known:
+            if m not in by_name:
                 raise CategoryFormatError(f"unknown morphism {m!r}", loc)
         if by_name[g].src != by_name[f].tgt:
             raise CategoryFormatError(f"({g!r}, {f!r}) is not a composable pair", loc)

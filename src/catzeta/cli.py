@@ -76,6 +76,8 @@ def _read_json(path: str):
         raise CliError(2, f"{path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
         raise CliError(2, f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise CliError(2, f"{path}: not UTF-8 text: {e.reason} at byte {e.start}")
 
 
 def _parse_matrix(doc, path: str) -> IntMatrix:

@@ -8,6 +8,12 @@ closed_form, the steps v <- A v that the chain sweeps took in one call,
 and s = deg mu~, the pencil's path bound ("-" where a strongly connected
 block is larger than 1 x 1).
 
+A second table, the load rung, gives the best of three times of
+category_from_dict, validate and adjacency on the discrete document
+(category_to_dict(discrete(N))) at N = 1000, 4000 and 10000, and of
+poset_category on the 40- and 60-point chains.  adjacency holds N^2 ints
+twice at N = 10000: maxrss reads 1.55 GB on CPython 3.11.
+
     PYTHONPATH=src python tests/n_rung.py
 
 Each poset is seeded by its N, so a rerun on the same tree measures the
@@ -21,7 +27,8 @@ from time import perf_counter
 
 import catzeta.category
 import catzeta.zeta
-from catzeta import IntMatrix, verify_matrix
+from catzeta import (IntMatrix, adjacency, category_from_dict, category_to_dict, discrete,
+                     poset_category, validate, verify_matrix)
 from catzeta.category import chain_vectors
 from catzeta.charpoly import block_traces
 
@@ -92,6 +99,30 @@ def best_times(a: IntMatrix) -> tuple[float, float]:
     return min(times), min(staged)
 
 
+def best_of(fn, arg) -> float:
+    """The best of three times of fn(arg); each result is dropped at once."""
+    times = []
+    for _ in range(REPEATS):
+        start = perf_counter()
+        fn(arg)
+        times.append(perf_counter() - start)
+    return min(times)
+
+
+def load_rung() -> None:
+    print(f"\n{'input':<14} {'N':>5} {'from_dict (s)':>14} {'validate (s)':>13} "
+          f"{'adjacency (s)':>14}")
+    for n in (1000, 4000, 10000):
+        doc = category_to_dict(discrete(n))
+        c = category_from_dict(doc)
+        print(f"{'discrete':<14} {n:>5} {best_of(category_from_dict, doc):>14.3f} "
+              f"{best_of(validate, c):>13.3f} {best_of(adjacency, c):>14.3f}", flush=True)
+    print(f"\n{'input':<14} {'N':>5} {'poset_category (s)':>19}")
+    for n in (40, 60):
+        chain = [[int(i <= j) for j in range(n)] for i in range(n)]
+        print(f"{'chain':<14} {n:>5} {best_of(poset_category, chain):>19.3f}", flush=True)
+
+
 def main() -> None:
     rungs = [(f"poset p={P}", n, random_poset(n, P, n)) for n in (100, 200, 400)]
     rungs += [("discrete", n, IntMatrix.identity(n)) for n in (400, 800)]
@@ -103,6 +134,7 @@ def main() -> None:
         total, stage = best_times(a)
         print(f"{name:<14} {n:>5} {total:>14.3f} {stage:>16.4f} {sweep_steps(a):>12} {s:>5}",
               flush=True)
+    load_rung()
 
 
 if __name__ == "__main__":

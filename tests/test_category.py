@@ -10,12 +10,10 @@ from catzeta import (
     FiniteCategory,
     IntMatrix,
     Morphism,
-    StructureError,
     adjacency,
     category_from_dict,
     category_to_dict,
     chain_counts,
-    check_structure,
     discrete,
     disjoint_union,
     monoid_delooping,
@@ -23,6 +21,7 @@ from catzeta import (
     product,
     validate,
 )
+from conftest import poset_relations
 from oracles import enumerate_chains, permuted
 
 small_matrices = st.integers(min_value=0, max_value=4).flatmap(
@@ -151,31 +150,6 @@ class TestChainCounting:
 
 
 class TestStructureAndAxioms:
-    def test_dangling_identity_raises(self):
-        c = FiniteCategory(("x",), (Morphism("id_x", "x", "x"),),
-                           {"x": "ghost"}, {})
-        with pytest.raises(StructureError):
-            check_structure(c)
-
-    @pytest.mark.parametrize("objects, morphisms, identity, compose, message", [
-        (("x", "x"), (), {}, {}, "duplicate object names"),
-        (("x",), (Morphism("id_x", "x", "x"), Morphism("f", "x", "ghost")), {"x": "id_x"}, {},
-         "morphism f has unknown endpoint"),
-        (("x",), (Morphism("id_x", "x", "x"),), {}, {}, "object x has no identity assignment"),
-        (("x",), (Morphism("id_x", "x", "x"),), {"x": "id_x", "ghost": "id_x"}, {},
-         "identity table mentions unknown object ghost"),
-        (("x",), (Morphism("id_x", "x", "x"),), {"x": "id_x"}, {("id_x", "ghost"): "id_x"},
-         "composition entry (id_x, ghost) mentions unknown morphism ghost"),
-    ], ids=["duplicate-object", "unknown-endpoint", "no-identity", "identity-of-unknown-object",
-            "compose-unknown-morphism"])
-    def test_structure_errors_name_the_identifier(self, objects, morphisms, identity, compose,
-                                                  message):
-        c = FiniteCategory(objects, morphisms, identity, compose)
-        with pytest.raises(StructureError) as exc:
-            check_structure(c)
-        assert type(exc.value) is StructureError
-        assert str(exc.value) == message
-
     @pytest.mark.parametrize("objects, morphisms, identity, compose, message", [
         (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y")),
          {"x": "id_y", "y": "id_y"}, {}, "identity: id_y assigned to x has endpoints y->y"),
@@ -199,12 +173,20 @@ class TestStructureAndAxioms:
         report = validate(FiniteCategory(objects, morphisms, identity, compose))
         assert message in report.violations
 
-    def test_duplicate_morphism_raises(self):
-        c = FiniteCategory(("x",),
-                           (Morphism("id_x", "x", "x"), Morphism("id_x", "x", "x")),
-                           {"x": "id_x"}, {})
-        with pytest.raises(StructureError):
-            validate(c)
+    def test_a_misassigned_identity_fills_pairs_that_do_not_compose(self, fixture_categories):
+        """The parser refuses a file entry that does not compose, but the
+        identity laws fill (f, e) and (e, f) in from the identity assigned
+        to each object; with e: x -> y assigned to x, validate reports them."""
+        doc = category_to_dict(fixture_categories["p2"])
+        doc["identity"]["x"] = "f"
+        report = validate(category_from_dict(doc))
+        assert report.violations == [
+            "identity: f assigned to x has endpoints x->y",
+            "closure: table entry (id_x, f) is not a composable pair",
+            "closure: (f, id_x) -> id_x has endpoints x->x, expected x->y",
+            "closure: table entry (f, f) is not a composable pair",
+            "totality: composable pair (id_x, id_x) missing from table",
+        ]
 
     def test_totality_violation_reported(self, fixture_categories):
         doc = category_to_dict(fixture_categories["k2"])
@@ -257,6 +239,19 @@ class TestBuilders:
         assert validate(c).ok
         assert adjacency(c) == IntMatrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
         assert c.morphism("0<=2").tgt == "2"
+
+    def test_poset_table_is_the_scan_of_all_pairs(self):
+        """The table, indexed by target, has the keys and values of the scan
+        over all M^2 morphism pairs, in the same insertion order."""
+        chain = [[int(i <= j) for j in range(40)] for i in range(40)]
+        for rel in poset_relations() + [chain]:
+            c = poset_category(rel)
+            scan = {}
+            for g in c.morphisms:
+                for f in c.morphisms:
+                    if g.src == f.tgt:
+                        scan[(g.name, f.name)] = f"{f.src}<={g.tgt}"
+            assert list(c.compose.items()) == list(scan.items())
 
     def test_poset_rejects_bad_relations(self):
         with pytest.raises(ValueError, match="reflexive"):
@@ -362,9 +357,19 @@ class TestJsonFormat:
          "compose"),
         (lambda d: {**d, "compose": d["compose"] + [["s", "s"]]},
          "entry must be a [g, f, gf] triple of ids", "compose[1]"),
+        (lambda d: {**d, "objects": ["x", "x"]}, "duplicate object 'x'", "objects"),
+        (lambda d: {**d, "morphisms": d["morphisms"] + [{"id": "q", "src": "x", "tgt": "y"}]},
+         "morphism 'q' references unknown object", "morphisms[2]"),
+        (lambda d: {**d, "identity": {"x": "ghost"}}, "unknown morphism 'ghost'",
+         "identity['x']"),
+        (lambda d: {**d, "identity": {"x": ["e"]}}, "morphism id must be a string",
+         "identity['x']"),
+        (lambda d: {**d, "compose": d["compose"] + [["s", "ghost", "s"]]},
+         "unknown morphism 'ghost'", "compose[1]"),
     ], ids=["name", "objects", "morphisms", "non-string-id",
             "duplicate-morphism", "identity", "identity-unknown-object", "missing-identity",
-            "compose", "compose-entry"])
+            "compose", "compose-entry", "duplicate-object", "unknown-endpoint",
+            "identity-unknown-morphism", "non-string-identity", "compose-unknown-morphism"])
     def test_format_errors_carry_message_and_location(self, make, message, location):
         doc = make({
             "objects": ["x"],

@@ -151,6 +151,25 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: matrix must be an array of arrays\n"
 
+    def test_identity_that_is_not_a_string_exit_2(self, capsys, tmp_path):
+        with open(fixture("z2")) as fh:
+            doc = json.load(fh)
+        doc["identity"] = {x: [m] for x, m in doc["identity"].items()}
+        bad = tmp_path / "listed.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: identity['*']: morphism id must be a string\n"
+
+    @pytest.mark.parametrize("argv", [["verify", "--matrix"], ["verify"]],
+                             ids=["matrix", "category"])
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe[[1]]")
+        code, out, err = run(capsys, *argv, str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n"
+
     def test_uncertified_root_exit_1(self, capsys, monkeypatch):
         """A RootFindingError is an ArithmeticError, but it is the user's
         to act on, not an internal consistency failure."""

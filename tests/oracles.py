@@ -42,6 +42,8 @@ Everything here takes a different road, so that agreement means something:
 - The degree of the minimal polynomial of A on 1 as the rank of the
   Krylov vectors 1, A 1, .., A^N 1 (plain matrix-vector products, then
   fraction-free elimination), against the pencil's path bound deg mu~.
+- The path bound c_lambda itself by depth-first search over every path
+  of A's support, against the pencil's pass over Tarjan's blocks.
 
 Also here: simultaneous row/column permutation of a matrix, which the
 tests use to scramble block-triangular inputs, and the indiscrete
@@ -579,3 +581,21 @@ def krylov_rank(a: IntMatrix) -> int:
             rows[i] = [(x * top[col] - rows[i][col] * y) // prev for x, y in zip(rows[i], top)]
         prev, rank = top[col], rank + 1
     return rank
+
+
+def path_bound_oracle(a: IntMatrix) -> dict[int, int]:
+    """For each diagonal value lambda of A, the most vertices v with
+    a_vv = lambda on one path of A's support (i -> j when a_ij != 0, i != j),
+    by depth-first search over every path from every vertex: no DP, no
+    blocks.  Meant for N <= 7 and a support with no cycle but self-loops,
+    where the paths are simple and few."""
+    diag = [a.rows[v][v] for v in range(a.n)]
+    best = dict.fromkeys(diag, 0)
+    stack = [(v, (v,)) for v in range(a.n)]
+    while stack:
+        v, path = stack.pop()
+        for lam in best:
+            best[lam] = max(best[lam], sum(diag[u] == lam for u in path))
+        stack.extend((w, path + (w,)) for w in range(a.n)
+                     if a.rows[v][w] and w not in path)
+    return best

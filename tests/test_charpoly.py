@@ -41,6 +41,7 @@ from oracles import (
     det_poly,
     krylov_rank,
     oracle_pencil,
+    path_bound_oracle,
     reversal_check,
     reversed_adjsum_poly,
     reversed_det_poly,
@@ -537,6 +538,11 @@ class TestPathBound:
         assert pulled == [s + 1]  # v_0 .. v_s, one sweep
         analysis = analyze_matrix(a)
         assert analysis.counts(200) == chain_counts(a, 200)
+
+    @given(permuted_triangular_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_bound_matches_the_path_oracle(self, a):
+        assert charpoly.block_traces(a)[1] == path_bound_oracle(a)
 
     def test_a_bound_equal_to_e_is_the_p_try(self, monkeypatch):
         """On the arrow, c_1 = e_1 = 2: mu~ is P, so a refused P is swept

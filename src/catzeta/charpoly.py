@@ -19,6 +19,9 @@ through Newton's identities,
 
 For a category, a block is a set of objects with morphisms both ways, so
 acyclic and EI categories have tiny blocks and no dense power sweep.
+strong_blocks finds the blocks and nothing else; their traces feed d,
+one pass over them gives the path bound below, and C3 of verify tests a
+cancelled root on them (eigenvalue_of_a_block).
 k and m come from the chain counts #N_j = 1^T A^j 1 of the whole matrix,
 the entry sums of v_j = A^j 1 (by v <- A v, category.chain_vectors): since
 adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
@@ -31,7 +34,7 @@ k = N d + z m mod z^N.  Both need d to be det(E - A z), and the sweep
 certifies that on every call, the blockwise d against the whole matrix,
 through one loop over candidate annihilators of 1: v_0 .. v_s are swept
 and mu(A) 1 = 0 is checked as an integer vector, s = deg mu.  The first
-is the path bound, where every block is 1 x 1: the same Tarjan pass
+is the path bound, where every block is 1 x 1: one pass over the blocks
 finds, for each diagonal value lambda (0 too), the largest number
 c_lambda of vertices with a_ii = lambda on one path of A's support, and
 mu~ = prod (t - lambda)^(c_lambda), of degree s <= N (not the degree
@@ -76,25 +79,10 @@ def strong_blocks(a: IntMatrix) -> list[list[int]]:
     a_ij != 0, each as a sorted index list.
 
     Tarjan's algorithm with an explicit stack, so a long path cannot hit
-    the recursion limit.  Blocks come out in reverse topological order.
+    the recursion limit.  Blocks come out in reverse topological order: a
+    block after every block it reaches.
     """
-    return _tarjan(a)[0]
-
-
-def _tarjan(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
-    """strong_blocks, with the path bound c_lambda (None if a block is
-    larger than 1 x 1): the most vertices v with a_vv = lambda on one path
-    of A's support, for each diagonal value lambda.  A 1 x 1 block {v} is
-    popped after every vertex it reaches, so one DP in the same pass gives
-    c_v[lambda], that count over the paths from v: the largest
-    c_w[lambda] over v's successors w, plus one where a_vv = lambda.
-    """
-    cols = range(a.n)
-    succ = [list(compress(cols, row)) for row in a.rows]
-    diag = [row[i] for i, row in enumerate(a.rows)]
-    slot = dict(zip(dict.fromkeys(diag), cols))  # each diagonal value's index in c_v
-    zero = [0] * len(slot)
-    longest: list | None = [zero] * a.n  # c_v over the slots; v's own is zero until v is popped
+    succ = [list(compress(range(a.n), row)) for row in a.rows]
     index, low = [-1] * a.n, [0] * a.n
     on_stack = [False] * a.n
     stack: list[int] = []
@@ -127,24 +115,34 @@ def _tarjan(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
                     low[parent] = min(low[parent], low[v])
                 if low[v] < index[v]:
                     continue
-                if stack[-1] == v:  # a 1 x 1 block
-                    stack.pop()
-                    on_stack[v] = False
-                    blocks.append([v])
-                    if longest is not None:  # zero twice: max needs two arguments
-                        c = [*map(max, zero, zero, *map(longest.__getitem__, succ[v]))]
-                        c[slot[diag[v]]] += 1
-                        longest[v] = c
-                else:
-                    block = []
-                    while not block or block[-1] != v:
-                        block.append(stack.pop())
-                        on_stack[block[-1]] = False
-                    blocks.append(sorted(block))
-                    longest = None
-    if longest is None:
-        return blocks, None
-    return blocks, dict(zip(slot, map(max, zero, zero, *longest)))
+                block, w = [], -1
+                while w != v:  # v's block is the stack above and at v
+                    w = stack.pop()
+                    on_stack[w] = False
+                    block.append(w)
+                block.sort()
+                blocks.append(block)
+    return blocks
+
+
+def _path_bound(a: IntMatrix, blocks: Sequence[Sequence[int]]) -> dict[int, int] | None:
+    """The path bound c_lambda: the most vertices v with a_vv = lambda on
+    one path of A's support, for each diagonal value lambda in the order
+    first met; None if a block is larger than 1 x 1.  In strong_blocks'
+    order each v comes after every vertex it reaches, so c_v[lambda], that
+    count over the paths from v, is the largest c_w[lambda] over v's
+    successors w, plus one where a_vv = lambda."""
+    if len(blocks) < a.n:  # some block is larger than 1 x 1
+        return None
+    diag = [row[i] for i, row in enumerate(a.rows)]
+    slot = dict(zip(dict.fromkeys(diag), range(a.n)))  # each diagonal value's index in c_v
+    zero = [0] * len(slot)
+    longest = [zero] * a.n  # c_v over the slots; a self-loop reads v's own as zero
+    for (v,) in blocks:  # zero twice: max needs two arguments
+        c = [*map(max, zero, zero, *compress(longest, a.rows[v]))]
+        c[slot[diag[v]]] += 1
+        longest[v] = c
+    return dict(zip(slot, map(max, zero, zero, *longest)))
 
 
 def power_traces(a: IntMatrix) -> list[int]:
@@ -159,12 +157,12 @@ def power_traces(a: IntMatrix) -> list[int]:
 
 def block_traces(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
     """tr A_BB^1 .. tr A_BB^|B| for each strongly connected block B, with
-    the path bound of the same Tarjan pass (_tarjan; None if a block is
-    larger than 1 x 1).
+    the path bound of one pass over the blocks (_path_bound; None if a
+    block is larger than 1 x 1).
 
     A 1 x 1 block's one trace is its entry; only larger blocks are swept.
     """
-    blocks, bound = _tarjan(a)
+    blocks = strong_blocks(a)
     out = []
     for block in blocks:
         if len(block) == 1:
@@ -172,7 +170,37 @@ def block_traces(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
         else:
             out.append(power_traces(IntMatrix([[a.rows[i][j] for j in block]
                                                for i in block])))
-    return out, bound
+    return out, _path_bound(a, blocks)
+
+
+def eigenvalue_of_a_block(a: IntMatrix, diagonal, theta: Fraction) -> bool:
+    """Whether alpha = 1/theta is an eigenvalue of a strongly connected
+    block of A: the entry of a 1 x 1 one, looked up in the bundle's
+    diagonal counts, or a value at which A_BB - alpha E is singular for a
+    larger block B, tested on ints as num A_BB - den E for alpha = den / num."""
+    num, den = theta.as_integer_ratio()
+    if num in (1, -1) and any(lam == num * den for lam, _ in diagonal):
+        return True
+    return any(_singular([[num * a.rows[i][j] - (den if i == j else 0) for j in block]
+                          for i in block])
+               for block in strong_blocks(a) if len(block) > 1)
+
+
+def _singular(rows: list[list[int]]) -> bool:
+    """Whether a square int matrix is singular, by fraction-free (Bareiss)
+    elimination: every division is exact, and a column with no pivot left
+    means det = 0."""
+    m, prev = [list(row) for row in rows], 1
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return True
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        for i in range(col + 1, len(m)):
+            m[i] = [(x * top[col] - m[i][col] * y) // prev for x, y in zip(m[i], top)]
+        prev = top[col]
+    return False
 
 
 def _newton(traces: Sequence[int]) -> list[int]:

@@ -4,16 +4,16 @@ d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n},
 starting from its factors over the strongly connected blocks of A (see
 charpoly).  The 1 x 1 blocks arrive as diagonal counts, (lambda, e) for
 (1 - lambda z)^e, and give the root 1/lambda with multiplicity e, keyed
-by a pair of ints in lowest terms.  Every other block factor, linear or
-not, goes into one product and through exact square-free decomposition
-(Yun), so numeric clustering never decides a multiplicity.  The rational
-roots of each square-free factor are found exactly by p-adic (Hensel)
-lifting, with no integer factoring (_simple_rational_roots, which
-factor_charpoly alone calls), and counted under the same keys as the
-diagonal ones; whatever remains of the factor is handed to an
-Aberth-Ehrlich simultaneous iteration polished by Newton steps.  An
-irrational root comes only from the block factors, with its
-multiplicity in d, so the numeric part does not depend on how d was split.
+by that Fraction.  Every other block factor, linear or not, goes into
+one product and through exact square-free decomposition (Yun), so
+numeric clustering never decides a multiplicity.  The rational roots of
+each square-free factor are found exactly by p-adic (Hensel) lifting,
+with no integer factoring (_simple_rational_roots, which factor_charpoly
+alone calls), and counted under the same keys as the diagonal ones;
+whatever remains of the factor is handed to an Aberth-Ehrlich
+simultaneous iteration polished by Newton steps.  An irrational root
+comes only from the block factors, with its multiplicity in d, so the
+numeric part does not depend on how d was split.
 
 The root set also chooses, once, the arithmetic of every later stage:
 its Arithmetic is exact (Fractions) when every root is rational and
@@ -192,7 +192,9 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
     """All complex roots of a square-free polynomial, as mpc values.
 
     Aberth-Ehrlich simultaneous iteration from points on a circle inside
-    the Cauchy bound, then Newton polishing.  Each returned root theta
+    the Cauchy bound, then Newton polishing; no step from an iterate x may
+    pass 2^-(precision_bits+32) max(1, |x| 2^-32), since past |x| = 2^32 an
+    absolute one cannot shrink below one ulp of x.  Each returned root theta
     satisfies |p(theta)| <= 2^(-precision_bits/2) max|coeff| max(1,|theta|)^deg;
     failing that raises RootFindingError with the best iterates attached.
     """
@@ -229,7 +231,7 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
                 denom = 1 - newton * repulse
                 w = newton / denom if denom else newton
                 roots[i] = x - w
-                shift_max = max(shift_max, abs(w))
+                shift_max = max(shift_max, abs(w) / max(1, abs(x) / 2 ** 32))
             if shift_max <= eps_stop:
                 converged = True
                 break
@@ -313,20 +315,18 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise ValueError("cannot factor the zero polynomial")
     if d.coeff(0) == 0:
         raise ValueError("z = 0 must not be a root")
-    # theta as (a, b) in lowest terms, b > 0: 1/lambda is (+-1, |lambda|)
-    rational = {(1 if lam > 0 else -1, abs(lam)): e for lam, e in diagonal}
+    rational = {Fraction(1, lam): e for lam, e in diagonal}
     blocks = (d,) if factors is None else factors
     roots: list[Root] = []
     for factor, mult in squarefree_decompose(reduce(mul, blocks)) if blocks else ():
         cofactor = factor
         for theta in _simple_rational_roots(factor):
-            key = theta.as_integer_ratio()
-            rational[key] = rational.get(key, 0) + mult
+            rational[theta] = rational.get(theta, 0) + mult
             cofactor = cofactor // RatPoly((-theta, 1))
         if cofactor.degree >= 1:
             for theta in numeric_roots(cofactor, precision_bits):
                 roots.append(Root(theta, mult))
-    roots += [Root(Fraction(*key), mult) for key, mult in rational.items()]
+    roots += [Root(theta, mult) for theta, mult in rational.items()]
     if sum(r.multiplicity for r in roots) != d.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
     if all(root.kind == "rational" for root in roots):  # the same order, unrounded

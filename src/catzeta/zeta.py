@@ -84,7 +84,8 @@ eigenvalue of A itself.  Where e' > 0 the sweep shows it: under (a),
 m/d = 1^T A (E - A z)^(-1) 1, whose poles are reciprocal eigenvalues.  A
 root that cancels (e' = 0) must be the entry of a 1 x 1 block, found in
 the pencil's diagonal counts, or make A_BB - alpha E singular for a
-larger strongly connected block B.  A numeric alpha is checked against
+larger strongly connected block B: charpoly owns the blocks, and that
+test is its eigenvalue_of_a_block.  A numeric alpha is checked against
 cp alone, so a wrong d with extra irrational roots can still pass C3.
 """
 
@@ -102,9 +103,9 @@ from .charpoly import (
     block_traces,
     bundle_from_sweep,
     continue_counts,
+    eigenvalue_of_a_block,
     monic_charpoly,
     series_euler_char,
-    strong_blocks,
 )
 from .poly import RatPoly, RatSeries, cleared, exp_trunc, horner, linear_power, mul_coeffs
 from .roots import (
@@ -579,36 +580,6 @@ def _c1_certified(analysis: ZetaAnalysis) -> bool:
                     for f, root, e in zip(cf.factors, roots, cf.reduced)))
 
 
-def _eigenvalue_of_a_block(a: IntMatrix, diagonal, theta: Fraction) -> bool:
-    """Whether alpha = 1/theta is an eigenvalue of a strongly connected
-    block of A: the entry of a 1 x 1 one, looked up in the bundle's
-    diagonal counts, or a value at which A_BB - alpha E is singular for a
-    larger block B, tested on ints as num A_BB - den E for alpha = den / num."""
-    num, den = theta.as_integer_ratio()
-    if num in (1, -1) and any(lam == num * den for lam, _ in diagonal):
-        return True
-    return any(_singular([[num * a.rows[i][j] - (den if i == j else 0) for j in block]
-                          for i in block])
-               for block in strong_blocks(a) if len(block) > 1)
-
-
-def _singular(rows: list[list[int]]) -> bool:
-    """Whether a square int matrix is singular, by fraction-free (Bareiss)
-    elimination: every division is exact, and a column with no pivot left
-    means det = 0."""
-    m, prev = [list(row) for row in rows], 1
-    for col in range(len(m)):
-        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
-        if pivot is None:
-            return True
-        m[col], m[pivot] = m[pivot], m[col]
-        top = m[col]
-        for i in range(col + 1, len(m)):
-            m[i] = [(x * top[col] - m[i][col] * y) // prev for x, y in zip(m[i], top)]
-        prev = top[col]
-    return False
-
-
 def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                   tolerance: float = DEFAULT_VERIFY_TOL,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
@@ -665,7 +636,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                 value = horner([c * r ** (n - i) for i, c in enumerate(ints)], p)
                 exact_res = abs(Fraction(value, r ** n))
                 res = abs(arith.lift(exact_res))
-                ok = value == 0 and (kept > 0 or _eigenvalue_of_a_block(
+                ok = value == 0 and (kept > 0 or eigenvalue_of_a_block(
                     a, analysis.bundle.diagonal, root.theta))
             else:
                 res = abs(horner(cp, f.alpha))

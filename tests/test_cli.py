@@ -349,6 +349,13 @@ class TestVerify:
         assert (doc["path"], doc["order"], doc["chi"]) == (report.path, report.order,
                                                            str(report.chi))
 
+    @pytest.mark.parametrize("k", [11, 20, 30])
+    def test_a_root_past_2_to_the_32_passes(self, capsys, tmp_path, k):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps([[10**k, 1], [1, 0]]))
+        code, out, _ = run(capsys, "verify", "--matrix", str(path), "--precision", "128")
+        assert code == 0 and "overall: PASS" in out
+
     def test_semiprime_eigenvalue_matrix(self, capsys, tmp_path):
         # eigenvalues 1 and q = p1 p2, two 12-digit primes
         q = 900000000013 * 900012345697

@@ -219,12 +219,15 @@ class TestNumericRoots:
 
 
     def test_non_convergence_carries_the_best_iterates(self):
-        # roots 1 and 10^30: at 8 bits the absolute stop 2^-40 on the
-        # Aberth step is out of reach next to the large root
+        # roots 1 and 1 +- 2^-30: at 8 bits the cluster is too tight for
+        # the stop 2^-40 on the Aberth step; 128 bits resolve it
+        eps = Fraction(1, 2**30)
+        p = RatPoly([-1, 1]) * RatPoly([-1 - eps, 1]) * RatPoly([-1 + eps, 1])
         with pytest.raises(RootFindingError, match="did not converge") as info:
-            numeric_roots(RatPoly([10**30, -(10**30 + 1), 1]), 8)
-        assert len(info.value.best) == 2
+            numeric_roots(p, 8)
+        assert len(info.value.best) == 3
         assert all(isinstance(x, mp.mpc) for x in info.value.best)
+        assert len(numeric_roots(p, 128)) == 3
 
 
 class TestFactorCharpoly:

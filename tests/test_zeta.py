@@ -1032,6 +1032,13 @@ class TestVerification:
         assert report.path == "exact"
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("k", [11, 20, 30])
+    def test_a_root_past_2_to_the_32_converges(self, k):
+        # d = 1 - 10^k z - z^2 has a root near -10^k, where an absolute
+        # Aberth step cannot shrink below one ulp at 128 + 64 bits
+        report = verify_matrix(IntMatrix([[10**k, 1], [1, 0]]), precision_bits=128)
+        assert report.path == "numeric" and report.passed
+
     def test_tiny_root_in_one_block_verifies_fast(self):
         # one 2 x 2 block with d = (1 - z)(1 - 10^14 z): the rational-root
         # search must find 1/10^14 without trial-dividing up to 10^7
@@ -1089,8 +1096,8 @@ class TestVerification:
         """A pole of m/d is an eigenvalue of A by the sweep alone; the root
         1/4 of [[3, -1], [-1, 3]] cancels (e' = 0), so it alone is looked
         up on the blocks, and found there."""
-        calls, real = [], zeta_module._eigenvalue_of_a_block
-        monkeypatch.setattr(zeta_module, "_eigenvalue_of_a_block",
+        calls, real = [], charpoly_module.eigenvalue_of_a_block
+        monkeypatch.setattr(zeta_module, "eigenvalue_of_a_block",
                             lambda a, diagonal, theta: calls.append(theta) or real(a, diagonal, theta))
         report = verify_matrix(IntMatrix([[3, -1], [-1, 3]]), order=10)
         assert report.passed and calls == [Fraction(1, 4)]
@@ -1100,16 +1107,16 @@ class TestVerification:
         a = IntMatrix([[1, 2, 1], [1, 0, 1], [0, 0, 2]])
         diagonal = charpoly_module.char_poly_bundle(a).diagonal
         assert diagonal == ((2, 1),)
-        assert zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(1, 2))
-        assert zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(-1))
-        assert zeta_module._eigenvalue_of_a_block(a, (), Fraction(1, 2))  # from the 2 x 2 block
-        assert not zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(1, 3))
-        assert not zeta_module._eigenvalue_of_a_block(a, diagonal, Fraction(2))
+        assert charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(1, 2))
+        assert charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(-1))
+        assert charpoly_module.eigenvalue_of_a_block(a, (), Fraction(1, 2))  # from the 2 x 2 block
+        assert not charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(1, 3))
+        assert not charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(2))
 
     @given(integer_matrices)
     @settings(max_examples=100, deadline=None)
     def test_singular_matches_the_bareiss_oracle(self, a):
-        assert zeta_module._singular([list(row) for row in a.rows]) == \
+        assert charpoly_module._singular([list(row) for row in a.rows]) == \
             (bareiss_det([list(row) for row in a.rows]) == 0)
 
     def test_numeric_path_report(self, fixture_matrices):

@@ -192,10 +192,11 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
     """All complex roots of a square-free polynomial, as mpc values.
 
     Aberth-Ehrlich simultaneous iteration from points on a circle inside
-    the Cauchy bound, then Newton polishing; no step from an iterate x may
-    pass 2^-(precision_bits+32) max(1, |x| 2^-32), since past |x| = 2^32 an
-    absolute one cannot shrink below one ulp of x.  Each returned root theta
-    satisfies |p(theta)| <= 2^(-precision_bits/2) max|coeff| max(1,|theta|)^deg;
+    the Cauchy bound, then Newton polishing.  The iteration stops once no
+    step from an iterate x passes 2^-(precision_bits+32) max(1, |x| 2^-32):
+    past |x| = 2^32 an absolute step cannot shrink below one ulp of x.  Each
+    returned root theta satisfies
+    |p(theta)| <= 2^(-precision_bits/2) max|coeff| max(1,|theta|)^deg;
     failing that raises RootFindingError with the best iterates attached.
     """
     from mpmath import mp
@@ -213,9 +214,8 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
             for i in range(deg)
         ]
         eps_stop = mp.mpf(2) ** (-(precision_bits + 32))
-        converged = False
         for _ in range(500):
-            shift_max = mp.mpf(0)
+            converged = True  # until a step misses the stop
             for i in range(deg):
                 x = roots[i]
                 pv = horner(cs, x)
@@ -223,7 +223,7 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
                 if not dv:
                     # stalled on a critical point; nudge and retry
                     roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
-                    shift_max = max(shift_max, abs(roots[i] - x))
+                    converged = False
                     continue
                 newton = pv / dv
                 diffs = [x - other for other in roots]  # 0 at x itself and at equal roots
@@ -231,9 +231,8 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
                 denom = 1 - newton * repulse
                 w = newton / denom if denom else newton
                 roots[i] = x - w
-                shift_max = max(shift_max, abs(w) / max(1, abs(x) / 2 ** 32))
-            if shift_max <= eps_stop:
-                converged = True
+                converged = converged and abs(w) <= eps_stop * max(1, abs(x) / 2 ** 32)
+            if converged:
                 break
         if not converged:
             raise RootFindingError(

@@ -17,6 +17,7 @@ from catzeta import (
 )
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -31,7 +32,8 @@ for name in ("terminal", "p2", "s", "z2", "k2"):
     print("objects:", ", ".join(cat.objects))
     print("adjacency:", [list(r) for r in a.rows])
     b = analysis.bundle
-    print(f"d = {list(b.d.coeffs)}  k = {list(b.k.coeffs)}  m = {list(b.m.coeffs)}")
+    d, k, m = ([Fraction(c) for c in p.coeffs] for p in (b.d, b.k, b.m))
+    print(f"d = {d}  k = {k}  m = {m}")
     print(f"chi = {analysis.euler.chi}  (r = {b.r}, s = {b.s})")
 
     # the exponential of the chain-count generating function...

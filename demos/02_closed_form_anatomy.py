@@ -19,19 +19,25 @@ from catzeta import (
     zeta_series,
 )
 
+
+def coefficients(p):
+    """p's coefficients, each as a Fraction (a RatPoly keeps ints as ints)."""
+    return [Fraction(c) for c in p.coeffs]
+
+
 # A Jordan block with eigenvalue 2: a repeated root forces an essential
 # exponential part on top of the plain binomial factor.
 a = IntMatrix([[2, 1], [0, 2]])
 bundle = char_poly_bundle(a)
-print("d(z) =", list(bundle.d.coeffs))   # (1 - 2z)^2
-print("m(z) =", list(bundle.m.coeffs))
+print("d(z) =", coefficients(bundle.d))   # (1 - 2z)^2
+print("m(z) =", coefficients(bundle.m))
 
 rootset = factor_charpoly(bundle.d)
 for root in rootset.roots:
     print(f"root theta = {root.theta} with multiplicity {root.multiplicity}")
 
 q, rem = divmod(bundle.m, bundle.d)
-print("m/d = q + rem/d with q =", list(q.coeffs), "and rem =", list(rem.coeffs))
+print("m/d = q + rem/d with q =", coefficients(q), "and rem =", coefficients(rem))
 
 cf = closed_form(bundle.m, bundle.d, rootset)
 (factor,) = cf.factors
@@ -52,7 +58,7 @@ b = IntMatrix([[0, 1, 0, 0],
                [0, 0, 0, 1]])
 from catzeta import analyze_matrix
 analysis = analyze_matrix(b)
-print("Q(z) coefficients:", list(analysis.closed.q_integral.coeffs))
+print("Q(z) coefficients:", coefficients(analysis.closed.q_integral))
 print("factors:", [(f.theta, f.beta0) for f in analysis.closed.factors])
 assert closed_form_taylor(analysis.closed, 10) == list(zeta_series(b, 10).coeffs)
 print("zeta = exp(2z + z^2/2) / (1 - z), checked through order 10")

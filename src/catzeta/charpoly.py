@@ -224,7 +224,8 @@ class CharPolyBundle:
     whose factor is not constant.  d is their product with the
     (1 - lambda z)^e.  pair = (R, rev) for the annihilator mu that passed
     its check (module docstring), (m, d) where that is P: the smallest
-    pair the sweep proved equal to m/d, outside == and repr.
+    pair the sweep proved equal to m/d, outside == and repr.  Every
+    polynomial here keeps the swept ints as its coefficients.
     """
 
     n: int
@@ -238,12 +239,12 @@ class CharPolyBundle:
     pair: tuple[RatPoly, RatPoly] = field(compare=False, repr=False)
 
 
-def continue_counts(chains: Sequence[int], rev: Sequence, length: int) -> list[int]:
-    """#N_0 .. #N_length from #N_0 .. #N_s, where the coefficients rev of
-    z^s mu(1/z) (ints, or pair[1].coeffs) have mu(A) 1 = 0: 1^T A^(j-s)
+def continue_counts(chains: Sequence[int], rev: Sequence[int], length: int) -> list[int]:
+    """#N_0 .. #N_length from #N_0 .. #N_s, where the int coefficients rev
+    of z^s mu(1/z) (pair[1].coeffs) have mu(A) 1 = 0: 1^T A^(j-s)
     mu(A) 1 = 0 gives #N_j = -sum_(i>=1) rev_i #N_(j-i) for j > s, on ints."""
     chains = list(chains)
-    taps = [-c.numerator for c in reversed(rev[1:])]  # -rev_r .. -rev_1
+    taps = [-c for c in reversed(rev[1:])]  # -rev_r .. -rev_1
     for _ in range(length + 1 - len(chains)):
         chains.append(sum(map(mul, taps, chains[len(chains) - len(taps):])))
     return chains
@@ -351,5 +352,5 @@ def series_euler_char(bundle: CharPolyBundle) -> EulerReport:
         return EulerReport(exists=False, chi=None, r=r, s=s, branch="undefined")
     if s > r:
         return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
-    chi = -bundle.k.coeff(n - 1 - s) / bundle.d.coeff(n - r)
+    chi = Fraction(-bundle.k.coeff(n - 1 - s), bundle.d.coeff(n - r))
     return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")

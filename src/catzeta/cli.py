@@ -214,7 +214,8 @@ def cmd_charpoly(args) -> int:
     if args.json:
         # every field but the block factors and the diagonal counts
         _emit_json({"command": "charpoly", "n": bundle.n, "d": bundle.d, "k": bundle.k,
-                    "m": bundle.m, "r": bundle.r, "s": bundle.s, "lead_d": bundle.d.lead})
+                    "m": bundle.m, "r": bundle.r, "s": bundle.s,
+                    "lead_d": Fraction(bundle.d.lead)})
     else:
         print(f"N = {bundle.n}")
         print(f"d(z) = {_poly_text(bundle.d)}")

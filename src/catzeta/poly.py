@@ -1,11 +1,14 @@
 """Exact dense univariate polynomials and truncated power series over the rationals.
 
-A polynomial is a tuple of Fraction coefficients, index i holding the
-coefficient of z**i, with trailing zeros trimmed.  The zero polynomial is
-the empty tuple.  Degrees in this project are bounded by the object count
-of a finite category, so the dense representation is deliberate.
+A polynomial is a tuple of exact coefficients, ints, or Fractions where a
+division leaves one, index i holding the coefficient of z**i, with
+trailing zeros trimmed; an int and the Fraction equal to it compare and
+hash alike.  The zero polynomial is the empty tuple.  Degrees in this
+project are bounded by the object count of a finite category, so the
+dense representation is deliberate.
 
-RatPoly is exact: no floats enter or leave.  The list kernels work in
+RatPoly is exact: no floats enter or leave, its divisions (divmod,
+monic, antiderivative) going through Fraction.  The list kernels work in
 whatever scalar type they are given, using only +, *, / and division by
 small integers, so the pipeline runs them on ints, Fractions and mpmath
 complex numbers alike: horner evaluates, mul_coeffs multiplies, whole or
@@ -27,12 +30,13 @@ from typing import Iterable, Sequence
 
 
 class RatPoly:
-    """Immutable dense polynomial with exact rational coefficients."""
+    """Immutable dense polynomial with exact coefficients: ints, or
+    Fractions where a division leaves one (a float becomes its Fraction)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -62,16 +66,16 @@ class RatPoly:
         return len(self.coeffs) - 1
 
     @property
-    def lead(self) -> Fraction:
+    def lead(self) -> Fraction | int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> Fraction | int:
         """Coefficient of z**i (zero beyond the degree)."""
         if i < 0:
             raise IndexError("negative coefficient index")
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -131,10 +135,10 @@ class RatPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return RatPoly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         dlead = other.lead
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / dlead
+            c = Fraction(rem[k + other.degree], dlead)
             quot[k] = c
             if c:
                 for j, b in enumerate(other.coeffs):
@@ -154,7 +158,7 @@ class RatPoly:
 
     def antiderivative(self) -> "RatPoly":
         """Antiderivative with zero constant term."""
-        return RatPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return RatPoly([0] + [Fraction(c, i + 1) for i, c in enumerate(self.coeffs)])
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, complex and mpmath types."""
@@ -163,7 +167,7 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        inv = 1 / self.lead
+        inv = Fraction(1, self.lead)
         return RatPoly(tuple(c * inv for c in self.coeffs))
 
 

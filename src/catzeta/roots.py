@@ -4,12 +4,12 @@ d(z) is factored as lead * (z - theta_1)^{e_1} ... (z - theta_n)^{e_n},
 starting from its factors over the strongly connected blocks of A (see
 charpoly).  The 1 x 1 blocks arrive as diagonal counts, (lambda, e) for
 (1 - lambda z)^e, and give the root 1/lambda with multiplicity e, keyed
-by that Fraction.  Every other block factor, linear or not, goes into
+by lambda.  Every other block factor, linear or not, goes into
 one product and through exact square-free decomposition (Yun), so
 numeric clustering never decides a multiplicity.  The rational roots of
 each square-free factor are found exactly by p-adic (Hensel) lifting,
 with no integer factoring (_simple_rational_roots, which factor_charpoly
-alone calls), and counted under the same keys as the diagonal ones;
+alone calls), and counted under 1/theta, the keys of the diagonal ones;
 whatever remains of the factor is handed to an Aberth-Ehrlich
 simultaneous iteration polished by Newton steps.  An irrational root
 comes only from the block factors, with its multiplicity in d, so the
@@ -21,7 +21,7 @@ numeric (mpmath complex numbers at the precision plus GUARD_BITS)
 otherwise.  Every RootSet is checked by recombination in that
 arithmetic: multiplying the factors back together must reproduce d,
 exactly in the all-rational case and to a relative coefficient error of
-DEFAULT_TOLERANCE otherwise, the exact check on ints (Arithmetic.split).
+DEFAULT_TOLERANCE otherwise, the exact check on ints (poly.cleared).
 Only a numeric root loads mpmath.
 """
 
@@ -35,12 +35,13 @@ from functools import reduce
 from operator import mul
 from typing import Sequence
 
-from .poly import (RatPoly, horner, linear_power, mul_coeffs, primitive_ints,
+from .poly import (RatPoly, cleared, horner, linear_power, mul_coeffs, primitive_ints,
                    squarefree_decompose)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-12
 GUARD_BITS = 64  # working precision above the requested one, for every mpmath stage
+_ONE = Fraction(1)  # the exact one, built once: a Fraction is immutable
 
 
 class RootFindingError(ArithmeticError):
@@ -81,8 +82,8 @@ class Root:
 class Arithmetic:
     """The scalars every stage after root finding computes in.
 
-    Exact: Fractions, never mpmath, and a check holds only with a zero
-    residual.  Numeric: mpmath complex numbers at precision + GUARD_BITS,
+    Exact: ints and Fractions, never mpmath, and a check holds only with a
+    zero residual.  Numeric: mpmath complex numbers at precision + GUARD_BITS,
     and a check holds when its residual is within tolerance.  The exact
     stages run denominator-free, on ints: split gives each number as a / b,
     a stage or a check scales its inputs once, and join builds each result
@@ -98,7 +99,7 @@ class Arithmetic:
 
     @property
     def one(self):
-        return Fraction(1) if self.exact else to_mpc(1)
+        return _ONE if self.exact else to_mpc(1)
 
     def lift(self, x):
         """An exact number (int or Fraction) as a scalar of this arithmetic."""
@@ -118,9 +119,7 @@ class Arithmetic:
         term by term from 0, each b being 1."""
         if not self.exact:
             return sum(a / b for a, b in pairs)
-        pairs = list(pairs)
-        # reduce, not lcm(*...): freed argument tuples of every length below
-        # 20 stay on CPython's free lists, which peak RSS then counts
+        pairs = list(pairs)  # reduce, not lcm(*...): freed argument tuples stay on free lists
         den = reduce(math.lcm, (b for _, b in pairs), 1)
         return Fraction(sum(a * (den // b) for a, b in pairs), den)
 
@@ -139,7 +138,7 @@ class Arithmetic:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple[Root, ...]
-    lead: Fraction       # leading coefficient of d
+    lead: Fraction       # leading coefficient of d, a Fraction as zeta --closed prints it
     precision: int       # working binary precision in bits
 
     @property
@@ -270,19 +269,20 @@ def _sort_key(root: Root, precision_bits: int):
 
 
 def _check_recombination(rs: RootSet, d: RatPoly) -> None:
-    """lead * prod (z - theta)^e must reproduce d: with theta = a / b
-    (Arithmetic.split), lead * prod (b z - a)^e = d * prod b^e, times the
-    lcm D of the coefficients' denominators, all ints when exact."""
+    """lead * prod (z - theta)^e must reproduce d at full degree: with
+    d = sum_i P_i z^i / D (poly.cleared), lead = d's lead and theta = a / b
+    (Arithmetic.split), D lead prod (b z - a)^e = P prod b^e, all ints
+    when exact."""
     arith = rs.arithmetic
     with arith.context():
-        (lead, lead_den), *want = [arith.split(c) for c in (rs.lead,) + d.coeffs]
-        mult = math.lcm(lead_den, *(b for _, b in want))
-        got = [lead * (mult // lead_den)]
+        want, den = cleared(d)  # a pencil's d has D = 1
+        lead, lead_den = arith.split(rs.lead)
+        got, mult = [lead * (den // lead_den)], 1
         for root in rs.roots:
             a, b = arith.split(root.theta)
             got = mul_coeffs(got, linear_power(a, b, root.multiplicity))
-            mult *= b ** root.multiplicity  # D prod b^e
-        want = [a * (mult // b) for a, b in want]
+            mult *= b ** root.multiplicity  # prod b^e
+        want = [arith.lift(w * mult) for w in want]
         err = max(abs(g - w) for g, w in zip(got, want))
         scale = max(abs(w) for w in want)
         if len(got) != len(want) or not arith.within(err, DEFAULT_TOLERANCE, scale):
@@ -314,24 +314,24 @@ def factor_charpoly(d: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise ValueError("cannot factor the zero polynomial")
     if d.coeff(0) == 0:
         raise ValueError("z = 0 must not be a root")
-    rational = {Fraction(1, lam): e for lam, e in diagonal}
+    rational = dict(diagonal)  # e by lambda = 1/theta; an int hashes as its Fraction
     blocks = (d,) if factors is None else factors
     roots: list[Root] = []
     for factor, mult in squarefree_decompose(reduce(mul, blocks)) if blocks else ():
         cofactor = factor
         for theta in _simple_rational_roots(factor):
-            rational[theta] = rational.get(theta, 0) + mult
+            rational[1 / theta] = rational.get(1 / theta, 0) + mult
             cofactor = cofactor // RatPoly((-theta, 1))
         if cofactor.degree >= 1:
             for theta in numeric_roots(cofactor, precision_bits):
                 roots.append(Root(theta, mult))
-    roots += [Root(theta, mult) for theta, mult in rational.items()]
+    roots += [Root(Fraction(1, lam), mult) for lam, mult in rational.items()]
     if sum(r.multiplicity for r in roots) != d.degree:
         raise ArithmeticError("multiplicities do not add up to the degree")
     if all(root.kind == "rational" for root in roots):  # the same order, unrounded
         roots.sort(key=lambda root: (abs(root.theta), root.theta < 0))
     else:
         roots.sort(key=lambda root: _sort_key(root, precision_bits))
-    rs = RootSet(roots=tuple(roots), lead=d.lead, precision=precision_bits)
+    rs = RootSet(roots=tuple(roots), lead=Fraction(d.lead), precision=precision_bits)
     _check_recombination(rs, d)
     return rs

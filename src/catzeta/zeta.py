@@ -18,25 +18,24 @@ beta_{k,0} = N, each 1/theta_k an eigenvalue of A, and an alternating
 sum of the beta's equal to the series Euler characteristic.  A final
 report classifies each root as a pole, zero or essential singularity.
 
-The arithmetic is chosen once, by the root set: exact Fractions when
-every root of d is rational, complex numbers at the working precision
-otherwise (roots.Arithmetic).  The closed form, its Taylor and log
-coefficients, identities 2 to 4 and the singularity report each run one
-code path over whichever scalars the root set carries; an identity holds
-with a zero residual in exact arithmetic and within a tolerance in
-numeric arithmetic: verify's own for the four identities, the fixed
-DEFAULT_VERIFY_TOL for the singularity report.  closed_form is one stage
-from the pencil's pair and the roots: (R, rev), of degree at most
-s = deg mu for the annihilator mu whose check passed, so that the sweep
-proved m/d = R/rev; that is (m, d) where mu is P.  It
+The arithmetic is chosen once, by the root set: exact (the pencil's
+ints, Fractions where a division leaves one) when every root of d is
+rational, complex numbers at the working precision otherwise
+(roots.Arithmetic).  The closed form, its Taylor and log coefficients,
+identities 2 to 4 and the singularity report each run one code path
+over whichever scalars the root set carries; an identity holds with a
+zero residual in exact arithmetic and within a tolerance in numeric
+arithmetic: verify's own for the four identities (C1 and C4 relative to
+max(1, |want|)), the fixed DEFAULT_VERIFY_TOL for the singularity report.
+closed_form is one stage from the pencil's pair and the roots: (R, rev),
+of degree at most s = deg mu for the annihilator mu whose check passed,
+so that the sweep proved m/d = R/rev; that is (m, d) where mu is P.  It
 divides, cancels to lowest terms at the rational roots by exact
 synthetic division, takes the Hermite terms A_{k,j} of the reduced
 fraction as numerators over one denominator per root and sums the
-beta's from the same numerators.  It and closed_form_counts clear
-denominators once (Arithmetic.split) and build each result once
-(Arithmetic.join), so on an exact root set, whose theta are +-1/b, they
-add and multiply ints.  So do C2's sum of the beta0, C3's coefficient
-sum and C4's alternating sum (Arithmetic.quotient_sum).
+beta's from the same numerators.  On an exact root set, whose theta are
++-1/b, it, closed_form_counts and C2 to C4 run on ints (Arithmetic.split,
+join, quotient_sum) and build Fractions only for the values they return.
 analyze_matrix checks the closed form once: its log coefficients
 c_n = n [z^n] log zeta (closed_form_counts) must equal the swept chain
 counts #N_n for n = 1..W, exactly on an exact root set and to the fixed
@@ -195,7 +194,7 @@ def _hermite_terms(ints: list, mult: int, pairs: list, mults: list[int],
             shift, bb = a * b_l - a_l * b, b * b_l  # (shift + bb w)^(e_l) through w^(e-1)
             denom = mul_coeffs(linear_power(-shift, bb, e_l), denom, e)
             scale *= bb ** e_l
-        u, c = arith.split(arith.one / denom[0])
+        u, c = arith.split(arith.join(1, denom[0]))
         cpow = [c ** s for s in range(e + 1)]
         inv = [u]
         for i in range(1, e):
@@ -324,12 +323,10 @@ def closed_form(m_poly: RatPoly, d: RatPoly, rootset: RootSet) -> ClosedFormZeta
         ints, rden, mults = _reduced(rem, d, rootset.roots, arith)
         pairs = [arith.split(root.theta) for root in rootset.roots]
         parts = _hermite_terms(ints, rden, pairs, mults, arith)
-        one = arith.one
-        zero = one * 0
-        lead_num, lead_den = arith.split(one / arith.lift(d.lead))
-        for root, (nums, den), e in zip(rootset.roots, parts, mults):
-            theta = arith.lift(root.theta)
-            alpha = one / theta
+        zero = arith.one * 0
+        lead_num, lead_den = arith.split(arith.join(1, arith.lift(d.lead)))
+        for root, (a, b), (nums, den), e in zip(rootset.roots, pairs, parts, mults):
+            theta, alpha = arith.lift(root.theta), arith.join(b, a)  # alpha = 1 / theta
             p, r = arith.split(alpha)
             ppow, rpow = ([x ** k for k in range(2 * e - 1)] for x in (p, r))
             betas = []
@@ -405,8 +402,7 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
         raise ValueError("series order must be nonnegative")
     arith = cf.arithmetic
     with arith.context():
-        one = arith.one
-        zero = one * 0
+        zero = arith.one * 0
         q = [zero + n * c for n, c in enumerate(cf.q_integral.coeffs[1:order + 1], start=1)]
         q = [arith.split(c) for c in q] + [arith.split(zero)] * (order - len(q))
         tables = []
@@ -418,20 +414,21 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
             # of it goes over one denominator D R^order, R the lcm of the r
             # in alpha = p / r: ints when exact, where alpha is an int, R = 1.
             # gamma_j = a sn / (b sd) for beta_j = a / b and alpha^(-j) =
-            # sn / sd, whose every step divides by alpha = p / r once: a
-            # quotient of ints when exact, one mpc division otherwise.
-            # A zero beta_j adds (0, 1), so only the others enter D.
+            # sn / sd, whose every step multiplies by 1/alpha = rn / rd,
+            # split once: powers of coprime ints when exact, so in lowest
+            # terms, one mpc product otherwise.  A zero beta_j adds (0, 1),
+            # so only the others enter D.
             p, r = arith.split(factor.alpha)
             betas = (factor.beta0,) + factor.betas
             last = max((j for j, beta in enumerate(betas) if beta), default=-1)
-            diffs, (sn, sd) = [], arith.split(one)
+            diffs, (sn, sd), (rn, rd) = [], (1, 1), arith.split(arith.join(r, p))
             for beta in betas[:last + 1]:
                 if beta:
                     a, b = arith.split(beta)
                     diffs.append((a * sn, b * sd))
                 else:
                     diffs.append((0 * sn, 1))
-                sn, sd = arith.split(arith.join(sn * r, sd * p))
+                sn, sd = sn * rn, sd * rd
             if diffs:
                 tables.append(((p, r), diffs))
         den = math.lcm(*(b for _, b in q), *(b for _, diffs in tables for _, b in diffs))
@@ -603,39 +600,33 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     euler = analysis.euler
     n = a.n
     applicable = euler.exists
-    cp = monic_charpoly(analysis.bundle.d.coeffs, n)
+    cp = monic_charpoly(analysis.bundle.d.coeffs, n)  # ints, as the pencil's d
     arith = analysis.rootset.arithmetic
 
     with arith.context():
-        one = arith.one
+        unit = abs(arith.one)  # 1 as a real scalar: max(1, |x|) is max(unit, abs(x))
         if arith.exact:  # the one fork: log coefficients against the chain counts
             pairs = ()  # K <= W, or K > W under (b) and (c): analyze_matrix's match proves C1
             if order > analysis.window and not _c1_certified(analysis):
-                pairs = zip(closed_form_counts(cf, order),
-                            analysis.counts(order)[1:])
+                pairs = zip(closed_form_counts(cf, order), analysis.counts(order)[1:])
         else:  # Taylor coefficients against the series
             series = series_from_counts(analysis.counts(order), order)
             pairs = zip(closed_form_taylor(cf, order), map(arith.lift, series.coeffs))
-        c1_err = max((abs(got - want) / max(abs(one), abs(want))
-                      for got, want in pairs if got != want), default=abs(one) * 0)
+        c1_err = max((abs(got - want) / max(unit, abs(want))
+                      for got, want in pairs if got != want), default=unit * 0)
         c1 = {"max_rel_err": c1_err, "pass": arith.within(c1_err, tolerance)}
         c2_sum = arith.quotient_sum(arith.split(f.beta0) for f in cf.factors)
         c2_residual = abs(c2_sum - n)
         c2 = {"applicable": applicable, "sum": c2_sum, "residual": c2_residual,
               "pass": arith.within(c2_residual, tolerance) if applicable else None}
-        residuals, scales = [], []
-        roots_ok = True
-        coeff_sum = arith.quotient_sum((abs(a), b) for a, b in map(arith.split, cp))
-        ints = [c.numerator for c in cp]  # cp has integer coefficients
+        residuals, scales, roots_ok = [], [], True
+        coeff_sum = sum(map(abs, cp))
         for f, root, kept in zip(cf.factors, analysis.rootset.roots, cf.reduced):
-            scale = coeff_sum * max(abs(one), abs(f.alpha)) ** n
-            if root.kind == "rational":
-                # rational roots are checked exactly on both paths, on ints:
-                # r^N cp(p / r) for alpha = 1 / theta = p / r
+            scale = coeff_sum * max(unit, abs(f.alpha)) ** n
+            if root.kind == "rational":  # exactly on both paths: r^N cp(p / r) on ints
                 r, p = root.theta.as_integer_ratio()
-                value = horner([c * r ** (n - i) for i, c in enumerate(ints)], p)
-                exact_res = abs(Fraction(value, r ** n))
-                res = abs(arith.lift(exact_res))
+                value = horner([c * r ** (n - i) for i, c in enumerate(cp)], p)
+                res = abs(arith.lift(Fraction(value, r ** n)))
                 ok = value == 0 and (kept > 0 or eigenvalue_of_a_block(
                     a, analysis.bundle.diagonal, root.theta))
             else:
@@ -646,12 +637,14 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
             roots_ok = roots_ok and ok
         c3 = {"residuals": tuple(residuals), "scales": tuple(scales), "pass": roots_ok}
         c4_value = arith.quotient_sum(_c4_terms(cf.factors, arith))
-        c4_residual = abs(c4_value - arith.lift(euler.chi)) if applicable else None
+        chi = arith.lift(euler.chi if applicable else 0)
+        c4_scale = max(unit, abs(chi))  # relative to max(1, |chi|), as C1 to max(1, |want|)
+        c4_residual = abs(c4_value - chi) if applicable else None
         c4_imag = abs(c4_value - c4_value.real)  # |Im|, in the scalar type
         c4 = {"applicable": applicable, "value": c4_value, "target": euler.chi,
               "residual": c4_residual, "imag": c4_imag,
-              "pass": (arith.within(c4_residual, tolerance) and arith.within(c4_imag, tolerance)
-                       if applicable else None)}
+              "pass": (arith.within(c4_residual, tolerance, c4_scale)
+                       and arith.within(c4_imag, tolerance, c4_scale) if applicable else None)}
 
     return VerificationReport(n=n, order=order, tolerance=tolerance, precision=precision_bits,
                               path=analysis.path, chi_exists=euler.exists, chi=euler.chi,

@@ -277,6 +277,15 @@ class TestSweepAgainstOracle:
             b = char_poly_bundle(a)
             assert (b.d, b.k, b.m) == oracle_pencil(a), label
 
+    def test_corpus_coefficient_strings(self, corpus_matrices):
+        """The bundle keeps the swept ints, whose str() is that of the
+        Fractions the oracle builds: what a reader of .coeffs prints."""
+        for label, a in corpus_matrices:
+            b = char_poly_bundle(a)
+            for got, want in zip((b.d, b.k, b.m), oracle_pencil(a)):
+                assert [str(c) for c in got.coeffs] == \
+                    [str(Fraction(c)) for c in want.coeffs], label
+
     @given(oracle_matrices)
     def test_random_matrices(self, a):
         b = char_poly_bundle(a)

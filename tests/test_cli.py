@@ -218,6 +218,13 @@ class TestCharpoly:
         assert doc["k"] == ["2", "-1"]
         assert doc["m"] == ["3", "-2"]
         assert (doc["r"], doc["s"], doc["n"]) == (0, 0, 2)
+        assert doc["lead_d"] == "1"  # a JSON string, as every Fraction prints
+
+    def test_json_lead_past_one(self, capsys):
+        # jordan2's d = (1 - 2z)^2 has lead 4, an int in the bundle
+        _, out, _ = run(capsys, "charpoly", matrix_fixture("jordan2"), "--matrix", "--json")
+        doc = json.loads(out)
+        assert doc["d"] == ["1", "-4", "4"] and doc["lead_d"] == "4"
 
 
 class TestEuler:

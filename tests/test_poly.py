@@ -63,6 +63,52 @@ class TestBasics:
         assert hash(p) == hash(RatPoly([1, 2, 0]))
 
 
+int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
+
+
+def fraction_form(p: RatPoly) -> RatPoly:
+    return RatPoly([Fraction(c) for c in p.coeffs])
+
+
+def assert_exact(*values):
+    """No value, nor any coefficient of a polynomial among them, is a float."""
+    for v in values:
+        for c in v.coeffs if isinstance(v, RatPoly) else (v,):
+            assert type(c) in (int, Fraction), (v, c)
+
+
+class TestIntCoefficients:
+    """A RatPoly keeps int coefficients as ints: each operation equals the
+    same one on the Fraction-coefficient form, and no float appears."""
+
+    def test_ints_stay_ints_and_compare_as_fractions(self):
+        p = RatPoly([1, -2, 0])
+        assert [type(c) for c in p.coeffs] == [int, int]
+        assert p == fraction_form(p) and hash(p) == hash(fraction_form(p))
+
+    @given(int_lists, int_lists, fractions)
+    def test_operations_match_the_fraction_form(self, a, b, x):
+        p, q = RatPoly(a), RatPoly(b)
+        pf, qf = fraction_form(p), fraction_form(q)
+        pairs = [(p + q, pf + qf), (p - q, pf - qf), (p * q, pf * qf),
+                 (p.derivative(), pf.derivative()), (p.antiderivative(), pf.antiderivative()),
+                 (p(x), pf(x)), (p(3), pf(3))]
+        if q:
+            pairs += list(zip(divmod(p, q), divmod(pf, qf)))
+            pairs.append((q.monic(), qf.monic()))
+        for got, want in pairs:
+            assert got == want
+            assert_exact(got)
+        assert all(type(c) is int for c in (p + q).coeffs + (p * q).coeffs
+                   + p.derivative().coeffs)
+
+    @given(int_lists.filter(lambda cs: any(cs[1:])))
+    def test_divisions_by_an_int_lead_leave_fractions_not_floats(self, a):
+        p = RatPoly(a)
+        assert_exact(p.monic(), *divmod(p, RatPoly([2, 3])), divmod(p * p + 1, p)[0],
+                     p.antiderivative(), p(Fraction(1, 3)))
+
+
 class TestRingLaws:
     @given(polys, polys, polys)
     def test_add_associative(self, a, b, c):

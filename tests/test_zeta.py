@@ -1146,6 +1146,28 @@ class TestVerification:
         assert report.c4["target"] == 0
         assert report.passed
 
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_alternating_sum_is_relative_to_chi(self, monkeypatch, bits):
+        """chi = 10^30 + 3, of which C4's sum is about two ulps off at 64
+        bits: C4 is judged against max(1, |chi|), as C1 against
+        max(1, |want|), and PASSes.  beta0 off by 1/7 at alpha ~ 10^-30
+        moves the sum by about 10^29 and still FAILs it."""
+        a = IntMatrix([[0, 1, 0], [0, 0, 1], [1, -10**30, 0]])
+        report = verify_matrix(a, precision_bits=bits)
+        assert report.path == "numeric" and report.chi == 10**30 + 3
+        assert report.c4["pass"] and report.passed
+        from mpmath import mp
+        real = zeta_module.closed_form
+
+        def spoil(cf):
+            k = min(range(len(cf.factors)), key=lambda i: abs(cf.factors[i].alpha))
+            bad = replace(cf.factors[k], beta0=cf.factors[k].beta0 + mp.mpf(1) / 7)
+            return replace(cf, factors=cf.factors[:k] + (bad,) + cf.factors[k + 1:])
+
+        monkeypatch.setattr(zeta_module, "closed_form", lambda *args: spoil(real(*args)))
+        report = verify_matrix(a, precision_bits=bits)
+        assert report.c4["pass"] is False and float(report.c4["residual"]) > 1e28
+
 
 class TestChecksOnInts:
     """C2's beta0 sum and C4's alternating sum, which verify adds as ints

@@ -14,14 +14,19 @@ sound by construction.
 The JSON wire format (consumed by the CLI) mirrors this structure; in
 files, composition pairs involving identities may be omitted since the
 identity laws force their values.
+
+IntMatrix holds A's support, its one nonzero view, built once: adjacency
+counts it from the morphisms in O(N + M) for N objects and M morphisms,
+and the chain sweep, the blocks and the path bound read it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -72,40 +77,75 @@ class ValidationReport:
 
 
 class IntMatrix:
-    """Square matrix of (arbitrary-precision) integers.  Row by row, a
-    wrong length raises ValueError, then an entry that is not an int (a
-    bool, float, Fraction or str) TypeError."""
+    """Square matrix of (arbitrary-precision) integers, held as its
+    support, A's one nonzero view: row i's nonzero entries as (columns
+    ascending, int values), and the diagonal, which the chain sweep, the
+    blocks and the path bound read instead of N x N rows.
 
-    __slots__ = ("n", "rows")
+    From dense rows, row by row, a wrong length raises ValueError, then an
+    entry that is not an int (a bool, float, Fraction or str) TypeError;
+    the same pass lists the nonzeros.  adjacency and identity give the
+    support with no dense fill, and rows is built on first read.  Both
+    routes give one support, so the matrices are equal and hash alike."""
+
+    __slots__ = ("n", "support", "diagonal", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rs = tuple(map(tuple, rows))
-        n = len(rs)
+        n, support = len(rs), []
         for i, row in enumerate(rs):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             if not {int}.issuperset(map(type, row)):
                 j = next(j for j, x in enumerate(row) if type(x) is not int)
                 raise TypeError(f"entry ({i}, {j}) is not an integer")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rs)
+            cols = tuple(compress(range(n), row))
+            support.append((cols, tuple(map(row.__getitem__, cols))))
+        self._hold(support, rs)
+
+    @classmethod
+    def _of_entries(cls, n: int, entries: Mapping[tuple[int, int], int]) -> "IntMatrix":
+        """The n x n matrix with the given nonzero int entries, keyed by
+        (i, j) with 0 <= i, j < n; its dense rows wait for a read."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (i, j), x in sorted(entries.items()):
+            rows[i].append((j, x))
+        a = cls.__new__(cls)
+        a._hold([tuple(zip(*row)) or ((), ()) for row in rows], None)
+        return a
+
+    def _hold(self, support, rows) -> None:
+        object.__setattr__(self, "n", len(support))
+        object.__setattr__(self, "support", tuple(support))
+        object.__setattr__(self, "diagonal", tuple(self[i, i] for i in range(self.n)))
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of_entries(n, {(i, i): 1 for i in range(n)})
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows: the input's, or built from the support on first read."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(
+                tuple(map(dict(zip(*s)).get, range(self.n), repeat(0))) for s in self.support))
+        return self._rows
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
+        i, j = ij[0], range(self.n)[ij[1]]  # a dense row's IndexError, and j < 0 from the end
+        cols, vals = self.support[i]
+        k = bisect_left(cols, j)
+        return vals[k] if cols[k:k + 1] == (j,) else 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, IntMatrix) and self.support == other.support
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.support)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
@@ -113,12 +153,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        bt = list(zip(*other.rows)) if n else []
+        bt = list(zip(*other.rows))
         return IntMatrix([[sum(map(mul, row, col)) for col in bt] for row in self.rows])
 
     def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
+        return sum(self.diagonal)
 
 
 # -- axiom checking --------------------------------------------------------
@@ -205,13 +244,11 @@ def validate(c: FiniteCategory) -> ValidationReport:
 # -- adjacency matrix and chain counting -----------------------------------
 
 def adjacency(c: FiniteCategory) -> IntMatrix:
-    """Adjacency matrix: entry (i, j) counts morphisms object_i -> object_j."""
+    """Adjacency matrix: entry (i, j) counts morphisms object_i -> object_j.
+    Its support is counted straight from the morphisms, with no N x N fill."""
     index = {x: i for i, x in enumerate(c.objects)}
-    n = len(c.objects)
-    rows = [[0] * n for _ in range(n)]
-    for f in c.morphisms:
-        rows[index[f.src]][index[f.tgt]] += 1
-    return IntMatrix(rows)
+    return IntMatrix._of_entries(len(c.objects),
+                                 Counter((index[f.src], index[f.tgt]) for f in c.morphisms))
 
 
 def chain_vectors(a: IntMatrix) -> Iterator[list[int]]:
@@ -219,16 +256,15 @@ def chain_vectors(a: IntMatrix) -> Iterator[list[int]]:
     all-ones vector; entry i of v_m counts the chains of m morphisms out of
     object i.  Each step runs only when the next vector is asked for.
 
-    Each row's nonzero columns are listed once per call: its unit entries
-    are added up with no multiplication, and only the rows with other
-    nonzero entries multiply, so a step costs A's nonzeros, not N^2."""
-    cols = range(a.n)
+    Each row's support is split once per call: its unit entries are added
+    up with no multiplication, and only the rows with other nonzero
+    entries multiply, so a step costs A's nonzeros, not N^2."""
     units, others = [], []
-    for i, row in enumerate(a.rows):
-        units.append(list(compress(cols, map((1).__eq__, row))))
-        if len(units[i]) + row.count(0) < a.n:
-            js = [j for j in cols if row[j] not in (0, 1)]
-            others.append((i, js, [row[j] for j in js]))
+    for i, (cols, vals) in enumerate(a.support):
+        units.append(list(compress(cols, map((1).__eq__, vals))))
+        if len(units[i]) < len(cols):
+            js = [j for j, x in zip(cols, vals) if x != 1]
+            others.append((i, js, [x for x in vals if x != 1]))
     v = [1] * a.n
     while True:
         yield v

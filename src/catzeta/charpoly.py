@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -82,7 +81,7 @@ def strong_blocks(a: IntMatrix) -> list[list[int]]:
     the recursion limit.  Blocks come out in reverse topological order: a
     block after every block it reaches.
     """
-    succ = [list(compress(range(a.n), row)) for row in a.rows]
+    succ = [cols for cols, _ in a.support]
     index, low = [-1] * a.n, [0] * a.n
     on_stack = [False] * a.n
     stack: list[int] = []
@@ -134,24 +133,24 @@ def _path_bound(a: IntMatrix, blocks: Sequence[Sequence[int]]) -> dict[int, int]
     successors w, plus one where a_vv = lambda."""
     if len(blocks) < a.n:  # some block is larger than 1 x 1
         return None
-    diag = [row[i] for i, row in enumerate(a.rows)]
-    slot = dict(zip(dict.fromkeys(diag), range(a.n)))  # each diagonal value's index in c_v
+    slot = dict(zip(dict.fromkeys(a.diagonal), range(a.n)))  # each diagonal value's index in c_v
     zero = [0] * len(slot)
     longest = [zero] * a.n  # c_v over the slots; a self-loop reads v's own as zero
     for (v,) in blocks:  # zero twice: max needs two arguments
-        c = [*map(max, zero, zero, *compress(longest, a.rows[v]))]
-        c[slot[diag[v]]] += 1
+        c = [*map(max, zero, zero, *map(longest.__getitem__, a.support[v][0]))]
+        c[slot[a.diagonal[v]]] += 1
         longest[v] = c
     return dict(zip(slot, map(max, zero, zero, *longest)))
 
 
-def power_traces(a: IntMatrix) -> list[int]:
-    """tr A^1 .. tr A^N, by repeated P <- P A."""
-    traces = []
-    power = IntMatrix.identity(a.n)
-    for _ in range(a.n):
-        power = power @ a
-        traces.append(power.trace())
+def power_traces(b: Sequence[Sequence[int]]) -> list[int]:
+    """tr B^1 .. tr B^n of the n x n int rows B, by repeated P <- P B on
+    plain row lists."""
+    cols, power, traces = list(zip(*b)), b, []
+    for k in range(len(b)):
+        if k:
+            power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+        traces.append(sum(row[i] for i, row in enumerate(power)))
     return traces
 
 
@@ -163,14 +162,8 @@ def block_traces(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
     A 1 x 1 block's one trace is its entry; only larger blocks are swept.
     """
     blocks = strong_blocks(a)
-    out = []
-    for block in blocks:
-        if len(block) == 1:
-            out.append([a.rows[block[0]][block[0]]])
-        else:
-            out.append(power_traces(IntMatrix([[a.rows[i][j] for j in block]
-                                               for i in block])))
-    return out, _path_bound(a, blocks)
+    return [[a.diagonal[b[0]]] if len(b) == 1 else power_traces([[a[i, j] for j in b] for i in b])
+            for b in blocks], _path_bound(a, blocks)
 
 
 def eigenvalue_of_a_block(a: IntMatrix, diagonal, theta: Fraction) -> bool:
@@ -181,7 +174,7 @@ def eigenvalue_of_a_block(a: IntMatrix, diagonal, theta: Fraction) -> bool:
     num, den = theta.as_integer_ratio()
     if num in (1, -1) and any(lam == num * den for lam, _ in diagonal):
         return True
-    return any(_singular([[num * a.rows[i][j] - (den if i == j else 0) for j in block]
+    return any(_singular([[num * a[i, j] - (den if i == j else 0) for j in block]
                           for i in block])
                for block in strong_blocks(a) if len(block) > 1)
 

@@ -31,7 +31,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 from typing import Sequence
 
@@ -145,9 +145,10 @@ class RootSet:
     def all_rational(self) -> bool:
         return all(r.kind == "rational" for r in self.roots)
 
-    @property
+    @cached_property
     def arithmetic(self) -> Arithmetic:
-        """Exact exactly when every root is rational."""
+        """Exact exactly when every root is rational; built on the first
+        read, outside ==, hash and repr."""
         return Arithmetic(self.all_rational, self.precision)
 
 

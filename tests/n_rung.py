@@ -9,10 +9,12 @@ and s = deg mu~, the pencil's path bound ("-" where a strongly connected
 block is larger than 1 x 1).
 
 A second table, the load rung, gives the best of three times of
-category_from_dict, validate and adjacency on the discrete document
-(category_to_dict(discrete(N))) at N = 1000, 4000 and 10000, and of
-poset_category on the 40- and 60-point chains.  adjacency holds N^2 ints
-twice at N = 10000: maxrss reads 1.55 GB on CPython 3.11.
+category_from_dict, validate, adjacency and verify_matrix(order=30) on
+the discrete document (category_to_dict(discrete(N))) at N = 1000, 4000
+and 10000, with the process's maxrss after each row, and of
+poset_category on the 40- and 60-point chains.  adjacency counts the
+support from the morphisms and verify reads only the support, so neither
+holds the N^2 dense ints.
 
     PYTHONPATH=src python tests/n_rung.py
 
@@ -23,6 +25,7 @@ same inputs.
 from __future__ import annotations
 
 import random
+import resource
 from time import perf_counter
 
 import catzeta.category
@@ -111,12 +114,15 @@ def best_of(fn, arg) -> float:
 
 def load_rung() -> None:
     print(f"\n{'input':<14} {'N':>5} {'from_dict (s)':>14} {'validate (s)':>13} "
-          f"{'adjacency (s)':>14}")
+          f"{'adjacency (s)':>14} {'verify (s)':>11} {'maxrss (MB)':>12}")
     for n in (1000, 4000, 10000):
         doc = category_to_dict(discrete(n))
         c = category_from_dict(doc)
-        print(f"{'discrete':<14} {n:>5} {best_of(category_from_dict, doc):>14.3f} "
-              f"{best_of(validate, c):>13.3f} {best_of(adjacency, c):>14.3f}", flush=True)
+        times = [best_of(category_from_dict, doc), best_of(validate, c), best_of(adjacency, c),
+                 best_of(lambda a: verify_matrix(a, order=ORDER), adjacency(c))]
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{'discrete':<14} {n:>5} {times[0]:>14.3f} {times[1]:>13.3f} {times[2]:>14.3f} "
+              f"{times[3]:>11.3f} {maxrss:>12.0f}", flush=True)
     print(f"\n{'input':<14} {'N':>5} {'poset_category (s)':>19}")
     for n in (40, 60):
         chain = [[int(i <= j) for j in range(n)] for i in range(n)]
@@ -125,7 +131,7 @@ def load_rung() -> None:
 
 def main() -> None:
     rungs = [(f"poset p={P}", n, random_poset(n, P, n)) for n in (100, 200, 400)]
-    rungs += [("discrete", n, IntMatrix.identity(n)) for n in (400, 800)]
+    rungs += [("discrete", n, adjacency(discrete(n))) for n in (400, 800)]
     print(f"{'input':<14} {'N':>5} {'best of 3 (s)':>14} {'closed_form (s)':>16} "
           f"{'sweep steps':>12} {'s':>5}")
     for name, n, a in rungs:

@@ -21,7 +21,7 @@ from catzeta import (
     product,
     validate,
 )
-from conftest import poset_relations
+from conftest import monoids_of_4, monoids_up_to_3, poset_relations
 from oracles import enumerate_chains, permuted
 
 small_matrices = st.integers(min_value=0, max_value=4).flatmap(
@@ -30,6 +30,14 @@ small_matrices = st.integers(min_value=0, max_value=4).flatmap(
         min_size=n, max_size=n,
     )
 ).map(IntMatrix)
+# The conftest categories, their unions and products, and N = 0: the
+# inputs adjacency builds a support for.
+BASE_CATEGORIES = ([poset_category(rel) for rel in poset_relations()]
+                   + [monoid_delooping(t) for t in monoids_up_to_3() + monoids_of_4()]
+                   + [discrete(0)])
+_base = st.sampled_from(BASE_CATEGORIES)
+built_categories = st.one_of(_base, st.builds(disjoint_union, _base, _base),
+                             st.builds(product, _base, _base))
 # For the sweep, which adds unit entries and multiplies the other nonzeros:
 # N up to 8, with zeros, +-1 and large entries of either sign.
 sweep_matrices = st.integers(min_value=0, max_value=8).flatmap(
@@ -105,6 +113,41 @@ class TestIntMatrix:
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
         assert a @ b == IntMatrix([[2, 1], [4, 3]])
+
+    @given(built_categories)
+    def test_adjacency_agrees_with_its_dense_rows(self, c):
+        """adjacency's support, counted from the morphisms, and the one
+        IntMatrix finds in the dense rows are the same matrix; those rows
+        are the morphism counts."""
+        a = adjacency(c)
+        dense = [[0] * len(c.objects) for _ in c.objects]
+        at = {x: i for i, x in enumerate(c.objects)}
+        for f in c.morphisms:
+            dense[at[f.src]][at[f.tgt]] += 1
+        b = IntMatrix(dense)
+        assert a.support == b.support and a.diagonal == b.diagonal
+        assert a == b and hash(a) == hash(b)
+        assert all(a[i, j] == b[i, j] == dense[i][j] for i in range(a.n) for j in range(a.n))
+        assert a.rows == b.rows == tuple(map(tuple, dense)) and repr(a) == repr(b)
+        for cols, vals in a.support:
+            assert list(cols) == sorted(set(cols)) and 0 not in vals
+
+    def test_indexing_past_the_row(self):
+        a = adjacency(poset_category([[1, 1], [0, 1]]))
+        assert a[0, -1] == a[0, 1] == 1 and a[-1, 0] == 0
+        with pytest.raises(IndexError):
+            a[0, 2]
+        with pytest.raises(IndexError):
+            a[2, 0]
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([[1, 2], [3]], ValueError, "row 1 has 1 entries, expected 2"),
+        ([[1, 2], [True]], ValueError, "row 1 has 1 entries"),  # the length first
+        ([[1, 0.5], [3]], TypeError, r"entry \(0, 1\) is not"),  # then row by row
+    ])
+    def test_refusals_keep_their_messages(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            IntMatrix(rows)
 
     def test_permuted_is_conjugation(self):
         a = IntMatrix([[1, 2], [3, 4]])

@@ -26,6 +26,7 @@ from catzeta import (
     closed_form,
     closed_form_counts,
     closed_form_taylor,
+    discrete,
     disjoint_union,
     factor_charpoly,
     monic_charpoly,
@@ -977,6 +978,20 @@ class TestC1Window:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 1024
+
+    def test_verify_on_an_adjacency_holds_no_dense_rows(self):
+        """adjacency gives the support straight from the morphisms, and
+        verify reads only the support, so neither holds N^2 ints: the dense
+        rows of discrete(3000) alone would take about 70 MB."""
+        c = discrete(3000)
+        tracemalloc.start()
+        try:
+            report = verify_matrix(adjacency(c), order=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.path == "exact"
+        assert peak < 32 * 1024 * 1024
 
 
 class TestAnalysis:

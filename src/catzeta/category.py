@@ -17,7 +17,8 @@ identity laws force their values.
 
 IntMatrix holds A's support, its one nonzero view, built once: adjacency
 counts it from the morphisms in O(N + M) for N objects and M morphisms,
-and the chain sweep, the blocks and the path bound read it.
+and the chain sweep, the blocks and the path bound read it.  It keeps no
+dense rows; a reader of rows gets them built from the support.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ class IntMatrix:
     From dense rows, row by row, a wrong length raises ValueError, then an
     entry that is not an int (a bool, float, Fraction or str) TypeError;
     the same pass lists the nonzeros.  adjacency and identity give the
-    support with no dense fill, and rows is built on first read.  Both
+    support with no dense fill; rows is built from it on each read.  Both
     routes give one support, so the matrices are equal and hash alike."""
 
-    __slots__ = ("n", "support", "diagonal", "_rows")
+    __slots__ = ("n", "support", "diagonal")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rs = tuple(map(tuple, rows))
@@ -101,27 +102,31 @@ class IntMatrix:
                 raise TypeError(f"entry ({i}, {j}) is not an integer")
             cols = tuple(compress(range(n), row))
             support.append((cols, tuple(map(row.__getitem__, cols))))
-        self._hold(support, rs)
+        self._hold(support)
 
     @classmethod
     def _of_entries(cls, n: int, entries: Mapping[tuple[int, int], int]) -> "IntMatrix":
         """The n x n matrix with the given nonzero int entries, keyed by
-        (i, j) with 0 <= i, j < n; its dense rows wait for a read."""
+        (i, j) with 0 <= i, j < n, with no dense fill."""
         rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (i, j), x in sorted(entries.items()):
             rows[i].append((j, x))
         a = cls.__new__(cls)
-        a._hold([tuple(zip(*row)) or ((), ()) for row in rows], None)
+        a._hold([tuple(zip(*row)) or ((), ()) for row in rows])
         return a
 
-    def _hold(self, support, rows) -> None:
+    def _hold(self, support) -> None:
         object.__setattr__(self, "n", len(support))
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "diagonal", tuple(self[i, i] for i in range(self.n)))
-        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild from the support, with no dense fill
+        entries = {(i, j): x for i, (cols, vals) in enumerate(self.support)
+                   for j, x in zip(cols, vals)}
+        return IntMatrix._of_entries, (self.n, entries)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -129,11 +134,9 @@ class IntMatrix:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The dense rows: the input's, or built from the support on first read."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(
-                tuple(map(dict(zip(*s)).get, range(self.n), repeat(0))) for s in self.support))
-        return self._rows
+        """The dense rows, built from the support on each read."""
+        return tuple(tuple(map(dict(zip(*s)).get, range(self.n), repeat(0)))
+                     for s in self.support)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij[0], range(self.n)[ij[1]]  # a dense row's IndexError, and j < 0 from the end

@@ -21,7 +21,8 @@ For a category, a block is a set of objects with morphisms both ways, so
 acyclic and EI categories have tiny blocks and no dense power sweep.
 strong_blocks finds the blocks and nothing else; their traces feed d,
 one pass over them gives the path bound below, and C3 of verify tests a
-cancelled root on them (eigenvalue_of_a_block).
+cancelled root on every one of them, 1 x 1 blocks included, on A's own
+entries (eigenvalue_of_a_block).
 k and m come from the chain counts #N_j = 1^T A^j 1 of the whole matrix,
 the entry sums of v_j = A^j 1 (by v <- A v, category.chain_vectors): since
 adj(E - A z) = d(z) (E - A z)^{-1} = d(z) sum_j A^j z^j,
@@ -166,17 +167,14 @@ def block_traces(a: IntMatrix) -> tuple[list[list[int]], dict[int, int] | None]:
             for b in blocks], _path_bound(a, blocks)
 
 
-def eigenvalue_of_a_block(a: IntMatrix, diagonal, theta: Fraction) -> bool:
+def eigenvalue_of_a_block(a: IntMatrix, theta: Fraction) -> bool:
     """Whether alpha = 1/theta is an eigenvalue of a strongly connected
-    block of A: the entry of a 1 x 1 one, looked up in the bundle's
-    diagonal counts, or a value at which A_BB - alpha E is singular for a
-    larger block B, tested on ints as num A_BB - den E for alpha = den / num."""
+    block B of A, 1 x 1 blocks included: a value at which A_BB - alpha E
+    is singular, tested on ints as num A_BB - den E for alpha = den / num."""
     num, den = theta.as_integer_ratio()
-    if num in (1, -1) and any(lam == num * den for lam, _ in diagonal):
-        return True
     return any(_singular([[num * a[i, j] - (den if i == j else 0) for j in block]
                           for i in block])
-               for block in strong_blocks(a) if len(block) > 1)
+               for block in strong_blocks(a))
 
 
 def _singular(rows: list[list[int]]) -> bool:

@@ -49,6 +49,7 @@ from .charpoly import char_poly_bundle, series_euler_char
 from .poly import RatPoly
 from .roots import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, RootFindingError
 from .zeta import (
+    DEFAULT_ORDER,
     analyze_matrix,
     series_from_counts,
     singularity_report,
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the four closed-form identities")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                    metavar="T", help="verification tolerance")
-    p.add_argument("--order", type=int, default=30, metavar="K",
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER, metavar="K",
                    help="series comparison order")
     p.set_defaults(func=cmd_verify)
 

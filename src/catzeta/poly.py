@@ -44,6 +44,9 @@ class RatPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
+    def __reduce__(self):
+        return RatPoly, (self.coeffs,)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -340,6 +343,9 @@ class RatSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatSeries is immutable")
+
+    def __reduce__(self):
+        return RatSeries, (self.order, self.coeffs)
 
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i]

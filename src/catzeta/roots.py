@@ -52,18 +52,11 @@ class RootFindingError(ArithmeticError):
         self.best = list(best) if best else []
 
 
-def to_mpf(x):
-    """Fraction or int to mpf at the current working precision."""
-    from mpmath import mp
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
 def to_mpc(x):
+    """int, Fraction (numerator / denominator) or mpc as mpc at the working precision."""
     from mpmath import mp
     if isinstance(x, Fraction):
-        return mp.mpc(to_mpf(x))
+        return mp.mpc(mp.mpf(x.numerator) / x.denominator)
     return x if isinstance(x, mp.mpc) else mp.mpc(x)  # mpc(mpc) would only copy
 
 
@@ -259,14 +252,12 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
 
 
 def _sort_key(root: Root, precision_bits: int):
-    """|theta|, then arg(theta) in (-pi, pi], as mpmath numbers (mpf and
+    """|theta|, then arg(theta) in (-pi, pi], of to_mpc(theta) (mpf and
     Fraction do not compare): the order of a root set with a numeric root."""
     from mpmath import mp
     with mp.workprec(precision_bits + GUARD_BITS):
-        if root.kind == "rational":
-            t = to_mpf(root.theta)
-            return (abs(t), mp.pi if t < 0 else mp.mpf(0))
-        return (abs(root.theta), mp.arg(root.theta))
+        t = to_mpc(root.theta)
+        return (abs(t), mp.arg(t))
 
 
 def _check_recombination(rs: RootSet, d: RatPoly) -> None:

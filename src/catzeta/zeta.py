@@ -81,9 +81,9 @@ evaluated by horner, of degree N), and (a) ties cp to A only on the
 span of the vectors A^i 1.  So a rational alpha must also be an
 eigenvalue of A itself.  Where e' > 0 the sweep shows it: under (a),
 m/d = 1^T A (E - A z)^(-1) 1, whose poles are reciprocal eigenvalues.  A
-root that cancels (e' = 0) must be the entry of a 1 x 1 block, found in
-the pencil's diagonal counts, or make A_BB - alpha E singular for a
-larger strongly connected block B: charpoly owns the blocks, and that
+root that cancels (e' = 0) must make A_BB - alpha E singular for a
+strongly connected block B, 1 x 1 ones included, on A's own entries,
+not the pencil's diagonal counts: charpoly owns the blocks, and that
 test is its eigenvalue_of_a_block.  A numeric alpha is checked against
 cp alone, so a wrong d with extra irrational roots can still pass C3.
 """
@@ -416,18 +416,15 @@ def closed_form_counts(cf: ClosedFormZeta, order: int) -> list:
             # gamma_j = a sn / (b sd) for beta_j = a / b and alpha^(-j) =
             # sn / sd, whose every step multiplies by 1/alpha = rn / rd,
             # split once: powers of coprime ints when exact, so in lowest
-            # terms, one mpc product otherwise.  A zero beta_j adds (0, 1),
-            # so only the others enter D.
+            # terms, one mpc product otherwise.  A zero beta_j is split like
+            # any other: its zero numerator adds nothing, whatever D is.
             p, r = arith.split(factor.alpha)
             betas = (factor.beta0,) + factor.betas
             last = max((j for j, beta in enumerate(betas) if beta), default=-1)
             diffs, (sn, sd), (rn, rd) = [], (1, 1), arith.split(arith.join(r, p))
             for beta in betas[:last + 1]:
-                if beta:
-                    a, b = arith.split(beta)
-                    diffs.append((a * sn, b * sd))
-                else:
-                    diffs.append((0 * sn, 1))
+                a, b = arith.split(beta)
+                diffs.append((a * sn, b * sd))
                 sn, sd = sn * rn, sd * rd
             if diffs:
                 tables.append(((p, r), diffs))
@@ -554,13 +551,11 @@ class VerificationReport:
 
 
 def _c4_terms(factors, arith: Arithmetic):
-    """C4's nonzero terms (-1)^j beta_j / alpha^(j+1), each as a split pair:
-    with beta_j = a / b and alpha = p / r, (+-a r^(j+1), b p^(j+1))."""
+    """C4's terms (-1)^j beta_j / alpha^(j+1), a zero beta_j's included, each
+    as a split pair: with beta_j = a / b and alpha = p / r, (+-a r^(j+1), b p^(j+1))."""
     for f in factors:
         p, r = arith.split(f.alpha)
         for j, beta in enumerate((f.beta0,) + f.betas):
-            if not beta:
-                continue
             a, b = arith.split(beta)
             yield (-a if j % 2 else a) * r ** (j + 1), b * p ** (j + 1)
 
@@ -627,8 +622,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
                 r, p = root.theta.as_integer_ratio()
                 value = horner([c * r ** (n - i) for i, c in enumerate(cp)], p)
                 res = abs(arith.lift(Fraction(value, r ** n)))
-                ok = value == 0 and (kept > 0 or eigenvalue_of_a_block(
-                    a, analysis.bundle.diagonal, root.theta))
+                ok = value == 0 and (kept > 0 or eigenvalue_of_a_block(a, root.theta))
             else:
                 res = abs(horner(cp, f.alpha))
                 ok = arith.within(res, tolerance, scale)

@@ -175,7 +175,7 @@ def adjsum_times_a_poly(a: IntMatrix, k: RatPoly | None = None,
     n = a.n
     if n == 0:
         return RatPoly.zero()
-    row_sums = [sum(a.rows[i]) for i in range(n)]
+    row_sums = [sum(row) for row in a.rows]
 
     def value_at(z: int) -> int:
         m = [[_pencil_entry(a, i, j, z) for j in range(n)] for i in range(n)]
@@ -460,7 +460,8 @@ def indiscrete(k: int) -> FiniteCategory:
 def permuted(a: IntMatrix, perm: Sequence[int]) -> IntMatrix:
     """Simultaneous row/column permutation: entry (i, j) of the result is
     the (perm[i], perm[j]) entry of a."""
-    return IntMatrix([[a.rows[perm[i]][perm[j]] for j in range(a.n)] for i in range(a.n)])
+    rows = a.rows  # built on each read
+    return IntMatrix([[rows[perm[i]][perm[j]] for j in range(a.n)] for i in range(a.n)])
 
 
 def closed_form_counts_oracle(cf: ClosedFormZeta, order: int) -> list[Fraction]:
@@ -566,10 +567,10 @@ def krylov_rank(a: IntMatrix) -> int:
     vectors 1, A 1, .., A^N 1, each by a plain matrix-vector product, by
     fraction-free elimination on ints.  A column with no pivot left is
     skipped; every division stays exact (Sylvester's identity)."""
-    rows, v = [], [1] * a.n
+    rows, v, dense = [], [1] * a.n, a.rows
     for _ in range(a.n + 1):
         rows.append(v)
-        v = [sum(x * y for x, y in zip(row, v)) for row in a.rows]
+        v = [sum(x * y for x, y in zip(row, v)) for row in dense]
     rank, prev = 0, 1
     for col in range(a.n):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -589,7 +590,8 @@ def path_bound_oracle(a: IntMatrix) -> dict[int, int]:
     by depth-first search over every path from every vertex: no DP, no
     blocks.  Meant for N <= 7 and a support with no cycle but self-loops,
     where the paths are simple and few."""
-    diag = [a.rows[v][v] for v in range(a.n)]
+    rows = a.rows  # built on each read
+    diag = [rows[v][v] for v in range(a.n)]
     best = dict.fromkeys(diag, 0)
     stack = [(v, (v,)) for v in range(a.n)]
     while stack:
@@ -597,5 +599,5 @@ def path_bound_oracle(a: IntMatrix) -> dict[int, int]:
         for lam in best:
             best[lam] = max(best[lam], sum(diag[u] == lam for u in path))
         stack.extend((w, path + (w,)) for w in range(a.n)
-                     if a.rows[v][w] and w not in path)
+                     if rows[v][w] and w not in path)
     return best

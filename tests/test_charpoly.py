@@ -440,7 +440,7 @@ class TestStrongBlocks:
             assert f.degree >= 1 and f.coeff(0) == 1
             product = product * f
         units = [block for block in charpoly.strong_blocks(a) if len(block) == 1]
-        diagonal = Counter(a.rows[i][i] for (i,) in units)
+        diagonal = Counter(a[i, i] for (i,) in units)
         del diagonal[0]
         assert dict(b.diagonal) == diagonal
         for lam, e in b.diagonal:

@@ -17,7 +17,7 @@ from catzeta import (
 )
 from catzeta import roots as roots_module
 from catzeta.poly import linear_power
-from catzeta.roots import RootFindingError, to_mpc, to_mpf
+from catzeta.roots import RootFindingError, to_mpc
 from oracles import rational_roots_oracle
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -29,11 +29,11 @@ small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 
 class TestConversions:
-    def test_to_mpf_exact_on_dyadic(self):
-        assert to_mpf(Fraction(3, 8)) == mp.mpf("0.375")
+    def test_to_mpc_exact_on_dyadic(self):
+        assert to_mpc(Fraction(3, 8)).real == mp.mpf("0.375")
 
-    def test_to_mpf_rounds_thirds(self):
-        x = to_mpf(Fraction(1, 3))
+    def test_to_mpc_rounds_thirds(self):
+        x = to_mpc(Fraction(1, 3)).real
         assert abs(x - mp.mpf(1) / 3) < mp.mpf(2) ** (-mp.prec + 2)
 
     def test_to_mpc(self):

@@ -1,6 +1,8 @@
 """Zeta series, partial fractions, closed form, verification, singularities."""
 
+import copy
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -1016,6 +1018,47 @@ class TestAnalysis:
         assert analysis.closed.arithmetic.precision == 128
 
 
+def pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+class TestCopyAndPickle:
+    """The immutable values rebuild through their constructors, so copy,
+    deepcopy and pickle take them, and the analyses that hold them."""
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy, pickled])
+    @pytest.mark.parametrize("x", [
+        IntMatrix([[10**40, -1], [0, 2]]), IntMatrix([]), adjacency(discrete(3)),
+        RatPoly([1, Fraction(-1, 2), 3]), RatPoly([]),
+        RatSeries(2, [1, Fraction(1, 3), 5])])
+    def test_round_trip(self, x, how):
+        y = how(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+    @pytest.mark.parametrize("name,path", [("jordan2", "exact"), ("pell", "numeric")])
+    @pytest.mark.parametrize("how", [copy.deepcopy, pickled])
+    def test_analysis(self, fixture_matrices, name, path, how):
+        analysis = analyze_matrix(fixture_matrices[name])
+        twin = how(analysis)
+        assert analysis.path == twin.path == path
+        assert twin == analysis and repr(twin) == repr(analysis)
+        assert twin.bundle.pair == analysis.bundle.pair
+        assert twin.counts(40) == analysis.counts(40)
+
+    def test_pickle_of_an_adjacency_holds_no_dense_rows(self):
+        """An IntMatrix pickles its support, so discrete(3000), whose dense
+        rows would take about 70 MB, goes both ways in a few."""
+        a = adjacency(discrete(3000))
+        tracemalloc.start()
+        try:
+            b = pickled(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b == a and b.n == 3000
+        assert peak < 32 * 1024 * 1024
+
+
 class TestVerification:
     def test_exact_report_fields(self, fixture_categories):
         report = verify_matrix(adjacency(fixture_categories["p2"]), order=12)
@@ -1107,26 +1150,38 @@ class TestVerification:
         assert report.path == "exact" and not report.c3["pass"] and not report.passed
         assert report.c3["residuals"] == (0, 0)
 
+    def test_c3_reads_a_1x1_block_off_a_not_the_pencil(self, monkeypatch):
+        """Traces ([1], [2]) for [[1, 1], [1, 1]] claim two 1 x 1 blocks, so
+        d = (1 - z)(1 - 2z) with the root theta = 1 in the pencil's diagonal
+        counts; the certificate, C1, C2 and C4 accept it.  theta = 1 cancels
+        (e' = 0), and 1 is no eigenvalue of A's one 2 x 2 block, so C3 fails."""
+        monkeypatch.setattr(zeta_module, "block_traces", lambda *args: ([[1], [2]], None))
+        report = verify_matrix(IntMatrix([[1, 1], [1, 1]]), order=10)
+        assert report.path == "exact" and report.c3["residuals"] == (0, 0)
+        assert report.c1["pass"] and report.c2["pass"] and report.c4["pass"]
+        assert report.c3["pass"] is False and report.passed is False
+
     def test_only_a_cancelled_root_goes_to_the_blocks(self, monkeypatch):
         """A pole of m/d is an eigenvalue of A by the sweep alone; the root
         1/4 of [[3, -1], [-1, 3]] cancels (e' = 0), so it alone is looked
         up on the blocks, and found there."""
         calls, real = [], charpoly_module.eigenvalue_of_a_block
         monkeypatch.setattr(zeta_module, "eigenvalue_of_a_block",
-                            lambda a, diagonal, theta: calls.append(theta) or real(a, diagonal, theta))
+                            lambda a, theta: calls.append(theta) or real(a, theta))
         report = verify_matrix(IntMatrix([[3, -1], [-1, 3]]), order=10)
         assert report.passed and calls == [Fraction(1, 4)]
 
     def test_eigenvalues_read_off_the_blocks(self):
         # the block {0, 1} has eigenvalues 2 and -1, the 1 x 1 block {2} has 2
         a = IntMatrix([[1, 2, 1], [1, 0, 1], [0, 0, 2]])
-        diagonal = charpoly_module.char_poly_bundle(a).diagonal
-        assert diagonal == ((2, 1),)
-        assert charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(1, 2))
-        assert charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(-1))
-        assert charpoly_module.eigenvalue_of_a_block(a, (), Fraction(1, 2))  # from the 2 x 2 block
-        assert not charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(1, 3))
-        assert not charpoly_module.eigenvalue_of_a_block(a, diagonal, Fraction(2))
+        assert charpoly_module.char_poly_bundle(a).diagonal == ((2, 1),)
+        assert charpoly_module.eigenvalue_of_a_block(a, Fraction(1, 2))
+        assert charpoly_module.eigenvalue_of_a_block(a, Fraction(-1))
+        # with 3 in place of 2, only the 1 x 1 block {2} carries it
+        b = IntMatrix([[1, 2, 1], [1, 0, 1], [0, 0, 3]])
+        assert charpoly_module.eigenvalue_of_a_block(b, Fraction(1, 3))
+        assert not charpoly_module.eigenvalue_of_a_block(a, Fraction(1, 3))
+        assert not charpoly_module.eigenvalue_of_a_block(a, Fraction(2))
 
     @given(integer_matrices)
     @settings(max_examples=100, deadline=None)

@@ -51,7 +51,7 @@ from .roots import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, RootFindingError
 from .zeta import (
     DEFAULT_ORDER,
     analyze_matrix,
-    series_from_counts,
+    series_from_pair,
     singularity_report,
     verify_matrix,
     zeta_series,
@@ -241,13 +241,10 @@ def cmd_euler(args) -> int:
 
 def cmd_zeta(args) -> int:
     a = _load_adjacency(args)
-    analysis = None
-    if args.closed:  # one sweep of chain counts feeds the series and the pencil
-        analysis = analyze_matrix(a, args.precision)
-        chains = analysis.counts(args.order)
-        series = series_from_counts(chains, args.order).coeffs
-        cf = analysis.closed
-        sing = singularity_report(cf)
+    analysis = analyze_matrix(a, args.precision) if args.closed else None
+    if analysis is not None:  # the pencil's pair feeds the closed form and the series
+        series = series_from_pair(*(x.coeffs for x in analysis.bundle.pair), args.order).coeffs
+        cf, sing = analysis.closed, singularity_report(analysis.closed)
     else:
         series = zeta_series(a, args.order).coeffs
     if args.json:

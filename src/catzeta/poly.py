@@ -348,6 +348,8 @@ class RatSeries:
         return RatSeries, (self.order, self.coeffs)
 
     def coeff(self, i: int) -> Fraction:
+        if i < 0:
+            raise IndexError("negative coefficient index")
         return self.coeffs[i]
 
     def __eq__(self, other) -> bool:

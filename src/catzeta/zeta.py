@@ -2,12 +2,12 @@
 
 Both ways start from integer power sums: the chain counts
 #N_m = 1^T A^m 1 from one sweep over the powers of A, and the traces of
-the powers of A's strongly connected blocks.  One way: zeta_series
-exponentiates sum_m #N_m z^m / m through an integer recurrence and
-divides by n! only at the end.  The other: the logarithmic derivative of
-zeta is the rational function m(z)/d(z), whose polynomials charpoly
-builds from the same sums, so partial fractions over the roots of d,
-found block factor by block factor, give a closed form
+the powers of A's strongly connected blocks.  One way: series_from_pair
+solves rev zeta' = r zeta on ints, for r/rev = zeta'/zeta the pencil's
+pair or, in zeta_series, (#N_1 .. #N_K, 1).  The other: the logarithmic
+derivative of zeta is the rational function m(z)/d(z), whose polynomials
+charpoly builds from the same sums, so partial fractions over the
+roots of d, found block factor by block factor, give a closed form
 
     zeta(z) = prod_k (1 - alpha_k z)^(-beta_{k,0})
               * exp(Q(z) + sum_k sum_{j>=1} beta_{k,j} z^j / (j (1 - alpha_k z)^j))
@@ -71,21 +71,21 @@ fails.  The window alone would pass a wrong d, since m makes
 c_n = #N_n for n <= N whatever d is.  A mismatch in the window raises
 ArithmeticError naming n.  Two checks of verify still branch.  C1, on
 the arithmetic: exact, it reads the analysis's match where K <= W or (b)
-and (c) hold, else compares n = 1..K as it stands; numeric, it compares
-closed_form_taylor with the series through z^K.  Either comparison reads
-its counts past #N_N off the pair's recurrence (ZetaAnalysis.counts).  C3 branches on
-each root's kind: a rational root is checked exactly on both paths, on
-ints, a numeric one within the tolerance.  Its residual is |cp(alpha)|,
-cp the reversal of the pencil's own d's coefficients (monic_charpoly,
-evaluated by horner, of degree N), and (a) ties cp to A only on the
-span of the vectors A^i 1.  So a rational alpha must also be an
-eigenvalue of A itself.  Where e' > 0 the sweep shows it: under (a),
+and (c) hold, else compares n = 1..K as it stands, its counts past #N_N
+from the pair's recurrence (ZetaAnalysis.counts); numeric, it compares
+closed_form_taylor with series_from_pair of the pencil's pair through
+z^K.  C3 branches on each root's kind: a rational root is checked exactly
+on both paths, on ints, a numeric one within the tolerance.  Its residual
+is |cp(alpha)|, cp the reversal of the pencil's own d's coefficients
+(monic_charpoly, evaluated by horner, of degree N), and (a) ties cp to A
+only on the span of the vectors A^i 1.  So a rational alpha must also be
+an eigenvalue of A itself.  Where e' > 0 the sweep shows it: under (a),
 m/d = 1^T A (E - A z)^(-1) 1, whose poles are reciprocal eigenvalues.  A
 root that cancels (e' = 0) must make A_BB - alpha E singular for a
-strongly connected block B, 1 x 1 ones included, on A's own entries,
-not the pencil's diagonal counts: charpoly owns the blocks, and that
-test is its eigenvalue_of_a_block.  A numeric alpha is checked against
-cp alone, so a wrong d with extra irrational roots can still pass C3.
+strongly connected block B, 1 x 1 ones included, on A's own entries, not
+the pencil's diagonal counts: charpoly owns the blocks, and that test is
+its eigenvalue_of_a_block.  A numeric alpha is checked against cp alone,
+so a wrong d with extra irrational roots can still pass C3.
 """
 
 from __future__ import annotations
@@ -121,37 +121,39 @@ DEFAULT_VERIFY_TOL = 1e-9
 
 # -- the series side -------------------------------------------------------
 
-def series_from_counts(chains: Sequence[int], order: int) -> RatSeries:
-    """zeta through z**order from the chain counts #N_0 .. #N_order.
+def series_from_pair(r: Sequence[int], rev: Sequence[int], order: int) -> RatSeries:
+    """zeta through z**order from int lists r, rev with rev_0 = 1 and
+    r/rev = zeta'/zeta as power series.  rev zeta' = r zeta gives, with
+    h_n = n! g_n and n^(j) = n!/(n-j)!, a recurrence on ints of order
+    max(len r, deg rev): s <= N on the pencil's pair, as zeta is D-finite
+    (Stanley, "Differentiably finite power series", European J. Combin. 1980):
 
-    zeta' = (sum_i #N_{i+1} z^i) zeta gives (n+1) g_{n+1} = sum_i #N_{i+1} g_{n-i}
-    for the coefficients g_n; with h_n = n! g_n this runs on integers:
-
-        h_{n+1} = sum_{i=0..n} #N_{i+1} n!/(n-i)! h_{n-i}
+        h_{n+1} = sum_j r_j n^(j) h_{n-j} - sum_{i>=1} rev_i n^(i) h_{n+1-i}
     """
-    h = [1]
+    h, coeffs, factorial = [1], [1], 1
     for n in range(order):
-        acc, falling = 0, 1  # falling = n!/(n-i)!
-        for i in range(n + 1):
-            acc += chains[i + 1] * falling * h[n - i]
-            falling *= n - i
+        acc, fr, fv = 0, 1, 1  # n^(j) before r_j's term, n^(j+1) at rev_(j+1)'s
+        for j, c in enumerate(r[:n + 1]):
+            acc += c * fr * h[n - j]
+            fr *= n - j
+        for j, c in enumerate(rev[1:n + 1]):
+            fv *= n - j
+            acc -= c * fv * h[n - j]
         h.append(acc)
-    coeffs, factorial = [Fraction(1)], 1
-    for n in range(1, order + 1):
-        factorial *= n
-        coeffs.append(Fraction(h[n], factorial))
+        factorial *= n + 1
+        coeffs.append(Fraction(acc, factorial))
     return RatSeries(order, coeffs)
 
 
 def zeta_series(a: IntMatrix, order: int) -> RatSeries:
     """Exact Taylor coefficients of zeta through z**order.
 
-    zeta = exp(sum_{m>=1} c_m z^m / m) where c_m counts composable chains
-    of m morphisms, i.e. the total entry sum of A**m.
+    zeta = exp(sum_{m>=1} c_m z^m / m), c_m the composable chains of m
+    morphisms, A**m's entry sum: series_from_pair of (c_1 .. c_order, 1).
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    return series_from_counts(chain_counts(a, order), order)
+    return series_from_pair(chain_counts(a, order)[1:], [1], order)
 
 
 # -- closed form -----------------------------------------------------------
@@ -371,8 +373,6 @@ def closed_form_taylor(cf: ClosedFormZeta, order: int) -> list:
         exponent = [one * 0 + cf.q_integral.coeff(i) for i in range(order + 1)]
         for factor in cf.factors:
             for j, beta in enumerate(factor.betas, start=1):
-                if not beta:
-                    continue
                 apow = one
                 for n in range(j, order + 1):
                     exponent[n] = exponent[n] + beta * math.comb(n - 1, j - 1) * apow / j
@@ -582,11 +582,11 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
     closed form misses #N_1..#N_W.  On the exact path, where order <= W,
     or where facts (b) and (c) of the module docstring hold, that match
     proves C1 for every n; otherwise closed_form_counts is compared with
-    #N_1..#N_order.  On the numeric path the closed form's Taylor
-    coefficients through z**order are compared with the series to the
-    tolerance.  Where a comparison reads counts past #N_N, they come from
-    the recurrence of the pencil pair's denominator, not a new sweep.  C3
-    also requires each rational alpha to be an eigenvalue of A.
+    #N_1..#N_order, those past #N_N from the pair's recurrence, not a new
+    sweep.  On the numeric path the closed form's Taylor coefficients
+    through z**order are compared to the tolerance with series_from_pair
+    of the pencil's pair.  C3 also requires each rational alpha to be an
+    eigenvalue of A.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -605,7 +605,7 @@ def verify_matrix(a: IntMatrix, order: int = DEFAULT_ORDER,
             if order > analysis.window and not _c1_certified(analysis):
                 pairs = zip(closed_form_counts(cf, order), analysis.counts(order)[1:])
         else:  # Taylor coefficients against the series
-            series = series_from_counts(analysis.counts(order), order)
+            series = series_from_pair(*(half.coeffs for half in analysis.bundle.pair), order)
             pairs = zip(closed_form_taylor(cf, order), map(arith.lift, series.coeffs))
         c1_err = max((abs(got - want) / max(unit, abs(want))
                       for got, want in pairs if got != want), default=unit * 0)

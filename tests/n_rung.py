@@ -16,6 +16,13 @@ poset_category on the 40- and 60-point chains.  adjacency counts the
 support from the morphisms and verify reads only the support, so neither
 holds the N^2 dense ints.
 
+A third table, the K rung, gives for pell, rot90, jordan2 and block4 at
+series order K = 30, 200 and 1000 the best of three times of
+verify_matrix(order=K) and of the zeta --closed route (analyze_matrix,
+then series_from_pair on the pencil's pair), and the first 12 hex digits
+of the sha256 of that series' coefficients, so two trees can be seen to
+give the same series.
+
     PYTHONPATH=src python tests/n_rung.py
 
 Each poset is seeded by its N, so a rerun on the same tree measures the
@@ -24,6 +31,7 @@ same inputs.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import resource
 from time import perf_counter
@@ -34,6 +42,8 @@ from catzeta import (IntMatrix, adjacency, category_from_dict, category_to_dict,
                      poset_category, validate, verify_matrix)
 from catzeta.category import chain_vectors
 from catzeta.charpoly import block_traces
+from catzeta.zeta import analyze_matrix, series_from_pair
+from conftest import load_fixture_matrix
 
 ORDER = 30
 REPEATS = 3
@@ -129,6 +139,27 @@ def load_rung() -> None:
         print(f"{'chain':<14} {n:>5} {best_of(poset_category, chain):>19.3f}", flush=True)
 
 
+def closed_series(a: IntMatrix, order: int):
+    """zeta through z**order as zeta --closed computes it: the analysis,
+    then the series from the pencil's pair."""
+    analysis = analyze_matrix(a)
+    return series_from_pair(*(half.coeffs for half in analysis.bundle.pair), order)
+
+
+def k_rung() -> None:
+    print(f"\n{'input':<14} {'K':>5} {'verify (s)':>11} {'zeta --closed (s)':>18} "
+          f"{'series sha256':>14}")
+    for name in ("pell", "rot90", "jordan2", "block4"):
+        a = load_fixture_matrix(name)
+        for order in (30, 200, 1000):
+            text = ",".join(map(str, closed_series(a, order).coeffs))
+            digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+            verify = best_of(lambda m: verify_matrix(m, order=order), a)
+            closed = best_of(lambda m: closed_series(m, order), a)
+            print(f"{name:<14} {order:>5} {verify:>11.4f} {closed:>18.4f} {digest:>14}",
+                  flush=True)
+
+
 def main() -> None:
     rungs = [(f"poset p={P}", n, random_poset(n, P, n)) for n in (100, 200, 400)]
     rungs += [("discrete", n, adjacency(discrete(n))) for n in (400, 800)]
@@ -141,6 +172,7 @@ def main() -> None:
         print(f"{name:<14} {n:>5} {total:>14.3f} {stage:>16.4f} {sweep_steps(a):>12} {s:>5}",
               flush=True)
     load_rung()
+    k_rung()
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from catzeta.category import chain_vectors
 from catzeta.charpoly import bundle_from_sweep, continue_counts
 from catzeta.cli import cli_main
 from catzeta.poly import horner
+from conftest import load_fixture_matrix
 from n_rung import random_poset
 from oracles import (
     adjsum_poly,
@@ -716,3 +717,69 @@ class TestPencilPair:
             assert calls == [analysis.window], label
             certified += 1
         assert certified >= 200
+
+
+def pair_ints(bundle):
+    """The pencil's pair (R, rev) as the int lists series_from_pair reads."""
+    return [list(half.coeffs) for half in bundle.pair]
+
+
+class TestSeriesFromPair:
+    """zeta from the recurrence of the pencil's pair, of order s, against
+    zeta_series (the pair (#N_1 .. #N_K, 1)) and against exp_trunc of the
+    log-series from matrix powers; and the callers that hold the pair
+    continue no counts past #N_N."""
+
+    @given(oracle_matrices, st.integers(min_value=0, max_value=200))
+    @settings(max_examples=40, deadline=None)
+    def test_random_matrices(self, a, order):
+        got = zeta.series_from_pair(*pair_ints(char_poly_bundle(a)), order)
+        assert got == zeta_series(a, order)
+        assert list(got.coeffs) == series_from_matrix_powers(a, order)
+
+    def test_corpus(self, corpus_matrices):
+        # the Fraction oracle runs at the corpus's verify order: at K = 200
+        # it takes some 30 s over the 200 posets
+        for label, a in corpus_matrices:
+            pair = pair_ints(char_poly_bundle(a))
+            assert zeta.series_from_pair(*pair, 200) == zeta_series(a, 200), label
+            assert list(zeta.series_from_pair(*pair, 30).coeffs) == \
+                series_from_matrix_powers(a, 30), label
+
+    def test_fixtures_against_matrix_powers(self, fixture_categories, fixture_matrices):
+        matrices = [adjacency(c) for c in fixture_categories.values()]
+        matrices += list(fixture_matrices.values())
+        for a in matrices:
+            got = zeta.series_from_pair(*pair_ints(char_poly_bundle(a)), 200)
+            assert list(got.coeffs) == series_from_matrix_powers(a, 200), a
+
+    def test_the_pair_of_the_counts_is_zeta_series(self):
+        # (#N_1 .. #N_K, 1) for A = (2): #N_m = 2^m, zeta = 1 / (1 - 2z)
+        assert zeta.series_from_pair([2 ** m for m in range(1, 6)], [1], 5) == \
+            zeta_series(IntMatrix([[2]]), 5)
+        assert zeta.series_from_pair([2], [1, -2], 5).coeffs == tuple(2 ** n for n in range(6))
+        assert zeta.series_from_pair([], [1], 0).coeffs == (1,)
+
+    def test_no_counts_past_n(self, monkeypatch, tmp_path, capsys):
+        """Numeric verify at K = 200 and zeta --closed read the series off
+        the pair: continue_counts is never asked for more than #N_N."""
+        asked, real = [], continue_counts
+
+        def wrapped(chains, rev, length):
+            asked.append(length)
+            return real(chains, rev, length)
+
+        for module in (charpoly, zeta):
+            monkeypatch.setattr(module, "continue_counts", wrapped)
+        for name in ("pell", "rot90", "jordan2"):
+            a = load_fixture_matrix(name)
+            asked.clear()
+            if name != "jordan2":
+                report = verify_matrix(a, order=200)
+                assert report.path == "numeric" and report.passed, name
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(a.rows))
+            assert cli_main(["zeta", "--closed", "--json", "--matrix", str(path),
+                             "--order", "200"]) == 0, name
+            assert len(json.loads(capsys.readouterr().out)["series"]) == 201, name
+            assert asked and max(asked) <= a.n, (name, asked)

@@ -67,6 +67,11 @@ class TestRatSeries:
         f = RatSeries(2, [5, 6, 7])
         assert [f.coeff(i) for i in range(3)] == [5, 6, 7]
 
+    def test_negative_coeff_index_raises(self):
+        # as RatPoly.coeff: no reading of the last coefficient from the end
+        with pytest.raises(IndexError, match="^negative coefficient index$"):
+            RatSeries(2, [5, 6, 7]).coeff(-1)
+
     def test_hash_consistent_with_eq(self):
         assert hash(RatSeries(2, [1, 2, 3])) == hash(RatSeries(2, [1, 2, 3]))
 

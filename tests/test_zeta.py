@@ -617,7 +617,7 @@ class TestExactVerifyRoute:
             return real_mul(a, b, n)
 
         real_mul = zeta_module.mul_coeffs
-        for name in ("closed_form_taylor", "series_from_counts", "exp_trunc"):
+        for name in ("closed_form_taylor", "series_from_pair", "exp_trunc"):
             monkeypatch.setattr(zeta_module, name, refuse)
         monkeypatch.setattr(zeta_module, "mul_coeffs", short_products_only)
         mats = [adjacency(c) for c in fixture_categories.values()]

@@ -739,26 +739,13 @@ class TestSeriesFromPair:
 
     def test_corpus(self, corpus_matrices):
         # the Fraction oracle runs at the corpus's verify order: at K = 200
-        # it takes some 30 s over the 200 posets
+        # it takes some 30 s over the 200 posets, and TestSweepAgainstOracle
+        # holds zeta_series to it at K = 200 on the fixtures
         for label, a in corpus_matrices:
             pair = pair_ints(char_poly_bundle(a))
             assert zeta.series_from_pair(*pair, 200) == zeta_series(a, 200), label
             assert list(zeta.series_from_pair(*pair, 30).coeffs) == \
                 series_from_matrix_powers(a, 30), label
-
-    def test_fixtures_against_matrix_powers(self, fixture_categories, fixture_matrices):
-        matrices = [adjacency(c) for c in fixture_categories.values()]
-        matrices += list(fixture_matrices.values())
-        for a in matrices:
-            got = zeta.series_from_pair(*pair_ints(char_poly_bundle(a)), 200)
-            assert list(got.coeffs) == series_from_matrix_powers(a, 200), a
-
-    def test_the_pair_of_the_counts_is_zeta_series(self):
-        # (#N_1 .. #N_K, 1) for A = (2): #N_m = 2^m, zeta = 1 / (1 - 2z)
-        assert zeta.series_from_pair([2 ** m for m in range(1, 6)], [1], 5) == \
-            zeta_series(IntMatrix([[2]]), 5)
-        assert zeta.series_from_pair([2], [1, -2], 5).coeffs == tuple(2 ** n for n in range(6))
-        assert zeta.series_from_pair([], [1], 0).coeffs == (1,)
 
     def test_no_counts_past_n(self, monkeypatch, tmp_path, capsys):
         """Numeric verify at K = 200 and zeta --closed read the series off

@@ -37,6 +37,6 @@ for label, rows in CASES:
         if pt.essential and pt.classification == "pole":
             desc += " with essential part"
         print(f"  theta = {root.theta} ({root.kind}, mult {root.multiplicity}): {desc}")
-    if not rep.ok:
+    if rep.violations:
         print("  -> violation flagged: some root carries no singularity")
     print()

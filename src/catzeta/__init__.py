@@ -14,7 +14,6 @@ from .category import (
     FiniteCategory,
     IntMatrix,
     Morphism,
-    ValidationReport,
     adjacency,
     category_from_dict,
     category_to_dict,

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -49,7 +48,7 @@ class Morphism:
 
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
-    """Immutable finite category; use validate() to check the axioms.
+    """Immutable finite category; validate(c) lists its axiom violations.
 
     The constructor trusts its tables to name only known ids: build one
     with category_from_dict, which checks them, or with a builder."""
@@ -59,22 +58,6 @@ class FiniteCategory:
     identity: Mapping[str, str]       # object -> identity morphism name
     compose: Mapping[tuple[str, str], str]  # (g, f) -> g after f
     name: str = ""
-
-    def morphism(self, name: str) -> Morphism:
-        return self._by_name[name]
-
-    @cached_property
-    def _by_name(self) -> dict[str, Morphism]:
-        return {f.name: f for f in self.morphisms}
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class IntMatrix:
@@ -174,27 +157,28 @@ def _into(objects: Iterable[str], morphisms: Iterable[Morphism]) -> dict[str, li
     return into
 
 
-def validate(c: FiniteCategory) -> ValidationReport:
-    """Check the category axioms; returns every violation found.
+def validate(c: FiniteCategory) -> list[str]:
+    """The violations of the category axioms, empty when they all hold.
 
     Identity laws, totality and closure of composition, and associativity
-    are each checked by direct enumeration.  The structure is taken as
-    category_from_dict or a builder leaves it: unique, known ids and an
-    identity for each object.  The parser keys the file's table entries by
-    composable pairs only; the pairs it fills in from an identity assigned
-    with the wrong endpoints are not, and are reported here.
+    are each checked by direct enumeration, over one name index of the
+    morphisms.  The structure is taken as category_from_dict or a builder
+    leaves it: unique, known ids and an identity for each object.  The
+    parser keys the file's table entries by composable pairs only; the
+    pairs it fills in from an identity assigned with the wrong endpoints
+    are not, and are reported here.
     """
-    report = ValidationReport()
-    v = report.violations
+    v: list[str] = []
     ids = set(c.identity.values())
+    by_name = {f.name: f for f in c.morphisms}
 
     for x in c.objects:
-        e = c.morphism(c.identity[x])
+        e = by_name[c.identity[x]]
         if e.src != x or e.tgt != x:
             v.append(f"identity: {e.name} assigned to {x} has endpoints {e.src}->{e.tgt}")
 
     for (gn, fn), hn in c.compose.items():
-        g, f, h = c.morphism(gn), c.morphism(fn), c.morphism(hn)
+        g, f, h = by_name[gn], by_name[fn], by_name[hn]
         if g.src != f.tgt:  # filled in from an identity with the wrong endpoints
             v.append(f"closure: table entry ({gn}, {fn}) is not a composable pair")
             continue
@@ -241,7 +225,7 @@ def validate(c: FiniteCategory) -> ValidationReport:
                         f"associativity: ({h.name}, {g.name}, {f.name}) gives "
                         f"{left} vs {right}"
                     )
-    return report
+    return v
 
 
 # -- adjacency matrix and chain counting -----------------------------------

@@ -99,9 +99,9 @@ def _parse_category(path: str) -> FiniteCategory:
 
 def _load_category(path: str) -> FiniteCategory:
     cat = _parse_category(path)
-    report = validate(cat)
-    if not report.ok:
-        raise CliError(3, f"{path}: " + "; ".join(report.violations))
+    violations = validate(cat)
+    if violations:
+        raise CliError(3, f"{path}: " + "; ".join(violations))
     return cat
 
 
@@ -174,7 +174,7 @@ def cmd_validate(args) -> int:
             print(f"ok: square integer matrix, n = {a.n}")
         return 0
     cat = _parse_category(args.file)
-    report = validate(cat)
+    violations = validate(cat)
     if args.json:
         _emit_json({
             "command": "validate",
@@ -182,19 +182,19 @@ def cmd_validate(args) -> int:
             "name": cat.name,
             "objects": len(cat.objects),
             "morphisms": len(cat.morphisms),
-            "ok": report.ok,
-            "violations": report.violations,
+            "ok": not violations,
+            "violations": violations,
         })
     else:
         label = cat.name or args.file
-        if report.ok:
+        if not violations:
             print(f"ok: {label} ({len(cat.objects)} objects, "
                   f"{len(cat.morphisms)} morphisms)")
         else:
             print(f"invalid: {label}")
-            for v in report.violations:
+            for v in violations:
                 print(f"  {v}")
-    return 0 if report.ok else 3
+    return 3 if violations else 0
 
 
 def cmd_chains(args) -> int:

@@ -130,19 +130,17 @@ class Arithmetic:
 
 @dataclass(frozen=True)
 class RootSet:
+    """The roots of d, with d's lead and the working precision."""
+
     roots: tuple[Root, ...]
     lead: Fraction       # leading coefficient of d, a Fraction as zeta --closed prints it
     precision: int       # working binary precision in bits
-
-    @property
-    def all_rational(self) -> bool:
-        return all(r.kind == "rational" for r in self.roots)
 
     @cached_property
     def arithmetic(self) -> Arithmetic:
         """Exact exactly when every root is rational; built on the first
         read, outside ==, hash and repr."""
-        return Arithmetic(self.all_rational, self.precision)
+        return Arithmetic(all(root.kind == "rational" for root in self.roots), self.precision)
 
 
 def _simple_rational_roots(f: RatPoly) -> list[Fraction]:

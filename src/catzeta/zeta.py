@@ -659,12 +659,10 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class SingularityReport:
+    """A point per closed-form factor; violations indexes those flagged."""
+
     points: tuple[SingularPoint, ...]
     violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def singularity_report(cf: ClosedFormZeta) -> SingularityReport:

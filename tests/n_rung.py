@@ -10,11 +10,14 @@ block is larger than 1 x 1).
 
 A second table, the load rung, gives the best of three times of
 category_from_dict, validate, adjacency and verify_matrix(order=30) on
-the discrete document (category_to_dict(discrete(N))) at N = 1000, 4000
-and 10000, with the process's maxrss after each row, and of
-poset_category on the 40- and 60-point chains.  adjacency counts the
-support from the morphisms and verify reads only the support, so neither
-holds the N^2 dense ints.
+the document category_to_dict writes for the discrete category at
+N = 1000, 4000 and 10000 and for the category of a random poset (drawn as
+in the N rung) at N = 50 and 100, and one run of each at N = 200, with
+the table's composable pairs and the process's maxrss after each row;
+then the best of three times of poset_category on the 40- and 60-point
+chains.  adjacency counts the support from the morphisms and verify
+reads only the support, so neither holds the N^2 dense ints.  validate
+walks every composable triple, so on a poset it outgrows verify.
 
 A third table, the K rung, gives for pell, rot90, jordan2 and block4 at
 series order K = 30, 200 and 1000 the best of three times of
@@ -112,10 +115,10 @@ def best_times(a: IntMatrix) -> tuple[float, float]:
     return min(times), min(staged)
 
 
-def best_of(fn, arg) -> float:
-    """The best of three times of fn(arg); each result is dropped at once."""
+def best_of(fn, arg, repeats: int = REPEATS) -> float:
+    """The best of repeats times of fn(arg); each result is dropped at once."""
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = perf_counter()
         fn(arg)
         times.append(perf_counter() - start)
@@ -123,16 +126,20 @@ def best_of(fn, arg) -> float:
 
 
 def load_rung() -> None:
-    print(f"\n{'input':<14} {'N':>5} {'from_dict (s)':>14} {'validate (s)':>13} "
+    print(f"\n{'input':<14} {'N':>5} {'pairs':>7} {'from_dict (s)':>14} {'validate (s)':>13} "
           f"{'adjacency (s)':>14} {'verify (s)':>11} {'maxrss (MB)':>12}")
-    for n in (1000, 4000, 10000):
-        doc = category_to_dict(discrete(n))
+    rows = [("discrete", n, discrete(n), REPEATS) for n in (1000, 4000, 10000)]
+    rows += [(f"poset p={P}", n, poset_category(random_poset(n, P, n).rows),
+              REPEATS if n < 200 else 1) for n in (50, 100, 200)]
+    for name, n, built, repeats in rows:
+        doc = category_to_dict(built)
         c = category_from_dict(doc)
-        times = [best_of(category_from_dict, doc), best_of(validate, c), best_of(adjacency, c),
-                 best_of(lambda a: verify_matrix(a, order=ORDER), adjacency(c))]
+        times = [best_of(fn, arg, repeats) for fn, arg in
+                 ((category_from_dict, doc), (validate, c), (adjacency, c),
+                  (lambda a: verify_matrix(a, order=ORDER), adjacency(c)))]
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{'discrete':<14} {n:>5} {times[0]:>14.3f} {times[1]:>13.3f} {times[2]:>14.3f} "
-              f"{times[3]:>11.3f} {maxrss:>12.0f}", flush=True)
+        print(f"{name:<14} {n:>5} {len(c.compose):>7} {times[0]:>14.3f} {times[1]:>13.3f} "
+              f"{times[2]:>14.3f} {times[3]:>11.3f} {maxrss:>12.0f}", flush=True)
     print(f"\n{'input':<14} {'N':>5} {'poset_category (s)':>19}")
     for n in (40, 60):
         chain = [[int(i <= j) for j in range(n)] for i in range(n)]

@@ -221,7 +221,7 @@ def test_criterion_8_singularity_classification(corpus_matrices):
     for label, a in corpus_matrices:
         analysis = analyze_matrix(a)
         rep = singularity_report(analysis.closed)
-        assert rep.ok, label
+        assert rep.violations == (), label
         assert len(rep.points) == len(analysis.rootset.roots), label
         for pt in rep.points:
             total_points += 1

@@ -53,8 +53,7 @@ sweep_matrices = st.integers(min_value=0, max_value=8).flatmap(
 class TestFixtures:
     def test_all_fixtures_satisfy_axioms(self, fixture_categories):
         for name, c in fixture_categories.items():
-            report = validate(c)
-            assert report.ok, (name, report.violations)
+            assert validate(c) == [], name
 
     def test_adjacency_matrices(self, fixture_categories):
         expected = {
@@ -67,16 +66,13 @@ class TestFixtures:
         for name, rows in expected.items():
             assert adjacency(fixture_categories[name]) == IntMatrix(rows)
 
-    def test_morphism_lookup_and_hom_count(self, fixture_categories):
+    def test_hom_count(self, fixture_categories):
         p2 = fixture_categories["p2"]
-        f = p2.morphism("f")
-        assert (f.src, f.tgt) == ("x", "y")
+        assert Morphism("f", "x", "y") in p2.morphisms
         # hom counts are the adjacency entries, objects in the order x, y
         hom = adjacency(p2)
         assert (hom[0, 1], hom[1, 0]) == (1, 0)
         assert adjacency(fixture_categories["s"])[0, 1] == 2
-        with pytest.raises(KeyError):
-            p2.morphism("nope")
 
 
 class TestIntMatrix:
@@ -213,8 +209,7 @@ class TestStructureAndAxioms:
             "identity-squared"])
     def test_axiom_violations_name_the_morphisms(self, objects, morphisms, identity, compose,
                                                  message):
-        report = validate(FiniteCategory(objects, morphisms, identity, compose))
-        assert message in report.violations
+        assert message in validate(FiniteCategory(objects, morphisms, identity, compose))
 
     def test_a_misassigned_identity_fills_pairs_that_do_not_compose(self, fixture_categories):
         """The parser refuses a file entry that does not compose, but the
@@ -222,8 +217,7 @@ class TestStructureAndAxioms:
         to each object; with e: x -> y assigned to x, validate reports them."""
         doc = category_to_dict(fixture_categories["p2"])
         doc["identity"]["x"] = "f"
-        report = validate(category_from_dict(doc))
-        assert report.violations == [
+        assert validate(category_from_dict(doc)) == [
             "identity: f assigned to x has endpoints x->y",
             "closure: table entry (id_x, f) is not a composable pair",
             "closure: (f, id_x) -> id_x has endpoints x->x, expected x->y",
@@ -234,15 +228,13 @@ class TestStructureAndAxioms:
     def test_totality_violation_reported(self, fixture_categories):
         doc = category_to_dict(fixture_categories["k2"])
         doc["compose"] = [t for t in doc["compose"] if t[:2] != ["g", "f"]]
-        report = validate(category_from_dict(doc))
-        assert any("totality" in v and "(g, f)" in v for v in report.violations)
+        assert any("totality" in v and "(g, f)" in v for v in validate(category_from_dict(doc)))
 
     def test_closure_violation_reported(self, fixture_categories):
         doc = category_to_dict(fixture_categories["k2"])
         doc["compose"] = [t if t[:2] != ["g", "f"] else ["g", "f", "f"]
                           for t in doc["compose"]]
-        report = validate(category_from_dict(doc))
-        assert any("closure" in v for v in report.violations)
+        assert any("closure" in v for v in validate(category_from_dict(doc)))
 
     def test_identity_law_violation_reported(self):
         doc = {
@@ -252,8 +244,7 @@ class TestStructureAndAxioms:
             "identity": {"x": "e"},
             "compose": [["s", "s", "e"], ["s", "e", "e"]],
         }
-        report = validate(category_from_dict(doc))
-        assert any("identity" in v for v in report.violations)
+        assert any("identity" in v for v in validate(category_from_dict(doc)))
 
     def test_associativity_violation_reported(self):
         # Z/3 table corrupted at one non-identity product.
@@ -266,22 +257,21 @@ class TestStructureAndAxioms:
             "compose": [["a", "a", "b"], ["a", "b", "b"], ["b", "a", "e"],
                         ["b", "b", "a"]],
         }
-        report = validate(category_from_dict(doc))
-        assert any("associativity" in v for v in report.violations)
+        assert any("associativity" in v for v in validate(category_from_dict(doc)))
 
 
 class TestBuilders:
     def test_discrete(self):
         c = discrete(3)
-        assert validate(c).ok
+        assert validate(c) == []
         assert adjacency(c) == IntMatrix.identity(3)
-        assert validate(discrete(0)).ok
+        assert validate(discrete(0)) == []
 
     def test_poset_chain(self):
         c = poset_category([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        assert validate(c).ok
+        assert validate(c) == []
         assert adjacency(c) == IntMatrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        assert c.morphism("0<=2").tgt == "2"
+        assert Morphism("0<=2", "0", "2") in c.morphisms
 
     def test_poset_table_is_the_scan_of_all_pairs(self):
         """The table, indexed by target, has the keys and values of the scan
@@ -306,14 +296,14 @@ class TestBuilders:
 
     def test_monoid_delooping_z2(self):
         c = monoid_delooping([[0, 1], [1, 0]])
-        assert validate(c).ok
+        assert validate(c) == []
         assert adjacency(c) == IntMatrix([[2]])
         assert c.compose[("g1", "g1")] == "g0"
 
     def test_monoid_identity_found_anywhere(self):
         # identity is element 1 here
         c = monoid_delooping([[1, 0], [0, 1]])
-        assert validate(c).ok
+        assert validate(c) == []
         assert c.identity["*"] == "g1"
 
     def test_monoid_rejections(self):
@@ -324,13 +314,13 @@ class TestBuilders:
 
     def test_disjoint_union_blocks(self, fixture_categories):
         u = disjoint_union(fixture_categories["p2"], fixture_categories["z2"])
-        assert validate(u).ok
+        assert validate(u) == []
         assert adjacency(u) == IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
 
     def test_product_kronecker(self, fixture_categories):
         p2 = fixture_categories["p2"]
         sq = product(p2, p2)
-        assert validate(sq).ok
+        assert validate(sq) == []
         a = adjacency(sq)
         assert a.n == 4
         # chain counts multiply across a product
@@ -437,6 +427,4 @@ class TestJsonFormat:
         doc = category_to_dict(fixture_categories["z2"])
         doc["compose"] = []
         c = category_from_dict(doc)
-        report = validate(c)
-        assert not report.ok
-        assert any("totality" in v for v in report.violations)
+        assert any("totality" in v for v in validate(c))

@@ -78,7 +78,7 @@ class TestRationalRoots:
         for r in root_list:
             p = p * RatPoly((-r, 1))
         rs = factor_charpoly(p)
-        assert rs.all_rational
+        assert rs.arithmetic.exact
         assert sum(r.multiplicity for r in rs.roots) == len(root_list)
         for r in rs.roots:
             assert p(r.theta) == 0
@@ -233,7 +233,7 @@ class TestNumericRoots:
 class TestFactorCharpoly:
     def test_repeated_rational_root(self):
         rs = factor_charpoly(RatPoly([1, -2, 1]))
-        assert rs.all_rational
+        assert rs.arithmetic.exact
         assert len(rs.roots) == 1
         (root,) = rs.roots
         assert (root.theta, root.multiplicity, root.kind) == (Fraction(1), 2, "rational")
@@ -256,7 +256,7 @@ class TestFactorCharpoly:
         d = char_poly_bundle(IntMatrix([[1, 0, 0], [0, 1, 2], [0, 1, 1]])).d
         rs = factor_charpoly(d)
         assert [r.kind for r in rs.roots] == ["numeric", "rational", "numeric"]
-        assert not rs.all_rational
+        assert not rs.arithmetic.exact
         mags = [abs(to_mpc(r.theta)) for r in rs.roots]
         assert mags == sorted(mags)
 
@@ -391,7 +391,7 @@ class TestFactorCharpoly:
     def test_constant_pencil_has_no_roots(self):
         rs = factor_charpoly(RatPoly.one())
         assert rs.roots == ()
-        assert rs.all_rational
+        assert rs.arithmetic.exact
 
     def test_root_at_origin_rejected(self):
         with pytest.raises(ValueError, match="z = 0"):

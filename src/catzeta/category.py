@@ -5,11 +5,10 @@ A category is stored fully enumerated: object names, morphism triples
 composition table keyed by (g, f) for composable pairs g: y -> z,
 f: x -> y.  Validation is then a finite enumeration of the axioms.
 
-The structure (unique, known ids, one identity for each object, the
-file's table entries keyed only by composable pairs) has one owner,
-category_from_dict.  The raw FiniteCategory constructor trusts its
-tables, so a category comes from the parser or from a builder, which is
-sound by construction.
+The structure (unique, known ids, one identity x -> x for each object,
+a table keyed only by composable pairs) has one owner, category_from_dict.
+The raw FiniteCategory constructor trusts its tables, so a category comes
+from the parser or from a builder, which is sound by construction.
 
 The JSON wire format (consumed by the CLI) mirrors this structure; in
 files, composition pairs involving identities may be omitted since the
@@ -50,8 +49,9 @@ class Morphism:
 class FiniteCategory:
     """Immutable finite category; validate(c) lists its axiom violations.
 
-    The constructor trusts its tables to name only known ids: build one
-    with category_from_dict, which checks them, or with a builder."""
+    The constructor trusts its tables to name only known ids, each
+    identity to run x -> x and the table to hold composable pairs only:
+    build one with category_from_dict, which checks them, or a builder."""
 
     objects: tuple[str, ...]
     morphisms: tuple[Morphism, ...]
@@ -68,9 +68,9 @@ class IntMatrix:
 
     From dense rows, row by row, a wrong length raises ValueError, then an
     entry that is not an int (a bool, float, Fraction or str) TypeError;
-    the same pass lists the nonzeros.  adjacency and identity give the
-    support with no dense fill; rows is built from it on each read.  Both
-    routes give one support, so the matrices are equal and hash alike."""
+    the same pass lists the nonzeros.  adjacency gives the support with no
+    dense fill; rows is built from it on each read.  Both routes give one
+    support, so the matrices are equal and hash alike."""
 
     __slots__ = ("n", "support", "diagonal")
 
@@ -111,10 +111,6 @@ class IntMatrix:
                    for j, x in zip(cols, vals)}
         return IntMatrix._of_entries, (self.n, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._of_entries(n, {(i, i): 1 for i in range(n)})
-
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows, built from the support on each read."""
@@ -142,9 +138,6 @@ class IntMatrix:
         bt = list(zip(*other.rows))
         return IntMatrix([[sum(map(mul, row, col)) for col in bt] for row in self.rows])
 
-    def trace(self) -> int:
-        return sum(self.diagonal)
-
 
 # -- axiom checking --------------------------------------------------------
 
@@ -160,53 +153,32 @@ def _into(objects: Iterable[str], morphisms: Iterable[Morphism]) -> dict[str, li
 def validate(c: FiniteCategory) -> list[str]:
     """The violations of the category axioms, empty when they all hold.
 
-    Identity laws, totality and closure of composition, and associativity
-    are each checked by direct enumeration, over one name index of the
-    morphisms.  The structure is taken as category_from_dict or a builder
-    leaves it: unique, known ids and an identity for each object.  The
-    parser keys the file's table entries by composable pairs only; the
-    pairs it fills in from an identity assigned with the wrong endpoints
-    are not, and are reported here.
+    One walk over the composable pairs (g, f) checks totality, closure and
+    the identity laws; one over the composable triples checks
+    associativity.  Both read one index of the morphisms into each object.
+    The structure is taken as category_from_dict or a builder leaves it:
+    unique, known ids, an identity x -> x for each object, and a table
+    keyed by composable pairs only.
     """
     v: list[str] = []
-    ids = set(c.identity.values())
     by_name = {f.name: f for f in c.morphisms}
-
-    for x in c.objects:
-        e = by_name[c.identity[x]]
-        if e.src != x or e.tgt != x:
-            v.append(f"identity: {e.name} assigned to {x} has endpoints {e.src}->{e.tgt}")
-
-    for (gn, fn), hn in c.compose.items():
-        g, f, h = by_name[gn], by_name[fn], by_name[hn]
-        if g.src != f.tgt:  # filled in from an identity with the wrong endpoints
-            v.append(f"closure: table entry ({gn}, {fn}) is not a composable pair")
-            continue
-        if h.src != f.src or h.tgt != g.tgt:
-            v.append(
-                f"closure: ({gn}, {fn}) -> {hn} has endpoints {h.src}->{h.tgt}, "
-                f"expected {f.src}->{g.tgt}"
-            )
-
     into = _into(c.objects, c.morphisms)
 
     for g in c.morphisms:
+        e = c.identity[g.src]
         for f in into[g.src]:
-            if (g.name, f.name) not in c.compose:
+            hn = c.compose.get((g.name, f.name))
+            if hn is None:
                 v.append(f"totality: composable pair ({g.name}, {f.name}) missing from table")
-
-    for f in c.morphisms:
-        e_src, e_tgt = c.identity[f.src], c.identity[f.tgt]
-        got = c.compose.get((f.name, e_src))
-        if got is not None and got != f.name:
-            v.append(f"identity: ({f.name}, {e_src}) composes to {got}, expected {f.name}")
-        got = c.compose.get((e_tgt, f.name))
-        if got is not None and got != f.name:
-            v.append(f"identity: ({e_tgt}, {f.name}) composes to {got}, expected {f.name}")
-        if f.name in ids and f.src == f.tgt:
-            got = c.compose.get((f.name, f.name))
-            if got is not None and got != f.name:
-                v.append(f"identity: ({f.name}, {f.name}) composes to {got}, expected {f.name}")
+                continue
+            h = by_name[hn]
+            if h.src != f.src or h.tgt != g.tgt:
+                v.append(f"closure: ({g.name}, {f.name}) -> {hn} has endpoints "
+                         f"{h.src}->{h.tgt}, expected {f.src}->{g.tgt}")
+            # e, the identity of g.src, is a unit on either side; other pairs pass
+            unit = g.name if f.name == e else f.name if g.name == e else hn
+            if hn != unit:
+                v.append(f"identity: ({g.name}, {f.name}) composes to {hn}, expected {unit}")
 
     # Associativity over all composable triples, using the table itself.
     for h in c.morphisms:
@@ -430,9 +402,10 @@ def category_to_dict(c: FiniteCategory) -> dict:
 def category_from_dict(doc: dict) -> FiniteCategory:
     """Parse the JSON wire format; raises CategoryFormatError on bad documents.
 
-    Composition entries for pairs involving identities are filled in from
-    the identity laws when omitted.  Missing non-identity pairs are *not*
-    an error here; validate() reports them as totality violations.
+    The identity named for x must run x -> x and each file entry must be a
+    composable pair; the pairs involving identities are filled in from the
+    identity laws when omitted.  Missing non-identity pairs are *not* an
+    error here; validate() reports them as totality violations.
     """
     if not isinstance(doc, dict):
         raise CategoryFormatError("document must be a JSON object", "$")
@@ -481,6 +454,10 @@ def category_from_dict(doc: dict) -> FiniteCategory:
             raise CategoryFormatError("morphism id must be a string", f"identity[{x!r}]")
         if m not in by_name:
             raise CategoryFormatError(f"unknown morphism {m!r}", f"identity[{x!r}]")
+        e = by_name[m]
+        if (e.src, e.tgt) != (x, x):
+            raise CategoryFormatError(f"morphism {m!r} runs {e.src}->{e.tgt}, not {x}->{x}",
+                                      f"identity[{x!r}]")
     missing = [x for x in objects if x not in identity]
     if missing:
         raise CategoryFormatError(f"object {missing[0]!r} has no identity", "identity")

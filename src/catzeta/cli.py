@@ -7,8 +7,9 @@ algebra pipeline is well-defined on any such matrix, which is how the
 synthetic cases are driven.
 
 Exit codes: 0 success, 1 verification or numeric failure, 2 malformed
-input (message carries the location) or a flag out of range, 3 category
-axiom violation (message carries a violating pair or triple).
+input (message carries the location; an identity that does not run
+x -> x is malformed) or a flag out of range, 3 category axiom violation
+(message carries a violating pair or triple).
 
 --json prints each command's library records as they are, by one value
 rule: None, bools, ints, floats, strings, lists, tuples and dicts are

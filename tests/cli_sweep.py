@@ -54,6 +54,10 @@ INPUTS = {
     "edge/nototal.json": json.dumps({"name": "z2", "objects": ["*"], "morphisms": [
         {"id": "e", "src": "*", "tgt": "*"}, {"id": "s", "src": "*", "tgt": "*"}],
         "identity": {"*": "e"}, "compose": []}),
+    "edge/misid.json": json.dumps({"name": "arrow", "objects": ["x", "y"], "morphisms": [
+        {"id": "id_x", "src": "x", "tgt": "x"}, {"id": "id_y", "src": "y", "tgt": "y"},
+        {"id": "f", "src": "x", "tgt": "y"}], "identity": {"x": "f", "y": "id_y"},
+        "compose": []}),
 }
 
 TEXT_AND_JSON = (
@@ -114,6 +118,9 @@ def sweep() -> list[list[str]]:
         ["validate", "edge/empty.json"],
         ["validate", "edge/nototal.json"],
         ["validate", "edge/nototal.json", "--json"],
+        ["validate", "edge/misid.json"],
+        ["validate", "edge/misid.json", "--json"],
+        ["verify", "edge/misid.json"],
         ["zeta", "edge/nototal.json"],
         ["zeta", "fixtures/z2.json", "--order", "-1"],
         ["chains", "fixtures/z2.json", "--max", "0"],

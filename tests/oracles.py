@@ -22,6 +22,9 @@ Everything here takes a different road, so that agreement means something:
 - Rational roots by the rational-root theorem, where the library lifts
   p-adically: every divisor of both end coefficients, found by trial
   division up to the coefficient itself.
+- The category axioms by brute force over every ordered pair and triple
+  of morphisms, composable where the endpoints meet, against validate's
+  walks over an index of the morphisms into each object.
 - Chain counts by brute-force enumeration of composable morphisms, and
   the series inverse and logarithm by their own recurrences, against the
   library's matrix sweep and exponential.
@@ -54,6 +57,7 @@ multiply into others as a blow-up that leaves chi unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 from typing import Callable, Sequence
 
@@ -377,6 +381,44 @@ def rational_roots_oracle(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
         if mult:
             roots.append((cand, mult))
     return roots, cof
+
+
+# -- category axioms --------------------------------------------------------
+
+def axiom_violations_oracle(c: FiniteCategory) -> list[str]:
+    """validate's lines by brute force: every ordered pair (g, f) and
+    triple (h, g, f) of morphisms, kept where the endpoints meet, with no
+    index of the morphisms into each object.  A line may appear twice
+    here (the pair (e, e) of an identity e is a unit pair on both sides);
+    compare as sets."""
+    out = []
+    by_name = {f.name: f for f in c.morphisms}
+    ids = set(c.identity.values())
+    for g, f in product(c.morphisms, repeat=2):
+        if g.src != f.tgt:
+            continue
+        h = c.compose.get((g.name, f.name))
+        if h is None:
+            out.append(f"totality: composable pair ({g.name}, {f.name}) missing from table")
+            continue
+        if (by_name[h].src, by_name[h].tgt) != (f.src, g.tgt):
+            out.append(f"closure: ({g.name}, {f.name}) -> {h} has endpoints "
+                       f"{by_name[h].src}->{by_name[h].tgt}, expected {f.src}->{g.tgt}")
+        for unit, other in ((f, g), (g, f)):
+            if unit.name in ids and h != other.name:
+                out.append(f"identity: ({g.name}, {f.name}) composes to {h}, "
+                           f"expected {other.name}")
+    for h, g, f in product(c.morphisms, repeat=3):
+        if h.src != g.tgt or g.src != f.tgt:
+            continue
+        hg, gf = c.compose.get((h.name, g.name)), c.compose.get((g.name, f.name))
+        if hg is None or gf is None:
+            continue
+        left, right = c.compose.get((h.name, gf)), c.compose.get((hg, f.name))
+        if left is not None and right is not None and left != right:
+            out.append(f"associativity: ({h.name}, {g.name}, {f.name}) gives "
+                       f"{left} vs {right}")
+    return out
 
 
 # -- chains, series inverse and logarithm, permutations ------------------------

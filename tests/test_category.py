@@ -1,5 +1,7 @@
 """Finite categories: axiom checking, builders, JSON format, chain counts."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from catzeta import (
     validate,
 )
 from conftest import monoids_of_4, monoids_up_to_3, poset_relations
-from oracles import enumerate_chains, permuted
+from oracles import axiom_violations_oracle, enumerate_chains, permuted
 
 small_matrices = st.integers(min_value=0, max_value=4).flatmap(
     lambda n: st.lists(
@@ -95,13 +97,13 @@ class TestIntMatrix:
             type(x) is int for row in a.rows for x in row)
 
     def test_identity_and_indexing(self):
-        e = IntMatrix.identity(3)
+        e = adjacency(discrete(3))
         assert e[0, 0] == 1 and e[0, 1] == 0
-        assert e.trace() == 3
+        assert sum(e.diagonal) == 3
 
     @given(small_matrices)
     def test_identity_is_neutral(self, a):
-        e = IntMatrix.identity(a.n)
+        e = adjacency(discrete(a.n))
         assert a @ e == a
         assert e @ a == a
 
@@ -149,7 +151,7 @@ class TestIntMatrix:
         a = IntMatrix([[1, 2], [3, 4]])
         b = permuted(a, [1, 0])
         assert b == IntMatrix([[4, 3], [2, 1]])
-        assert b.trace() == a.trace()
+        assert sum(b.diagonal) == sum(a.diagonal)
 
 
 class TestChainCounting:
@@ -172,7 +174,7 @@ class TestChainCounting:
 
     @given(st.one_of(small_matrices, sweep_matrices))
     def test_chain_counts_match_matrix_powers(self, a):
-        acc = IntMatrix.identity(a.n)
+        acc = adjacency(discrete(a.n))
         counts = chain_counts(a, 4)
         assert len(counts) == 5
         for m in range(5):
@@ -181,7 +183,7 @@ class TestChainCounting:
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            chain_counts(IntMatrix.identity(2), -1)
+            chain_counts(adjacency(discrete(2)), -1)
 
     def test_enumeration_cap(self, fixture_categories):
         with pytest.raises(ValueError, match="chain_count"):
@@ -190,40 +192,71 @@ class TestChainCounting:
 
 class TestStructureAndAxioms:
     @pytest.mark.parametrize("objects, morphisms, identity, compose, message", [
-        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y")),
-         {"x": "id_y", "y": "id_y"}, {}, "identity: id_y assigned to x has endpoints y->y"),
-        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y"),
-                      Morphism("f", "x", "y")),
-         {"x": "id_x", "y": "id_y"}, {("f", "f"): "f"},
-         "closure: table entry (f, f) is not a composable pair"),
         (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y"),
                       Morphism("f", "x", "y"), Morphism("g", "x", "y")),
          {"x": "id_x", "y": "id_y"}, {("id_y", "f"): "g"},
          "identity: (id_y, f) composes to g, expected f"),
-        # id_x is y's identity but not x's, so only its own square is checked
-        (("x", "y"), (Morphism("id_x", "x", "x"), Morphism("id_y", "y", "y"),
-                      Morphism("u", "x", "x")),
-         {"x": "u", "y": "id_x"}, {("id_x", "id_x"): "u"},
-         "identity: (id_x, id_x) composes to u, expected id_x"),
-    ], ids=["identity-endpoints", "closure-not-composable", "left-identity-law",
-            "identity-squared"])
+    ], ids=["left-identity-law"])
     def test_axiom_violations_name_the_morphisms(self, objects, morphisms, identity, compose,
                                                  message):
         assert message in validate(FiniteCategory(objects, morphisms, identity, compose))
 
     def test_a_misassigned_identity_fills_pairs_that_do_not_compose(self, fixture_categories):
-        """The parser refuses a file entry that does not compose, but the
-        identity laws fill (f, e) and (e, f) in from the identity assigned
-        to each object; with e: x -> y assigned to x, validate reports them."""
+        """With f: x -> y named as x's identity, the identity laws would fill
+        (f, f) and (id_x, f) in, pairs that do not compose; the parser
+        refuses the assignment before any pair is filled."""
         doc = category_to_dict(fixture_categories["p2"])
         doc["identity"]["x"] = "f"
-        assert validate(category_from_dict(doc)) == [
-            "identity: f assigned to x has endpoints x->y",
-            "closure: table entry (id_x, f) is not a composable pair",
-            "closure: (f, id_x) -> id_x has endpoints x->x, expected x->y",
-            "closure: table entry (f, f) is not a composable pair",
-            "totality: composable pair (id_x, id_x) missing from table",
-        ]
+        with pytest.raises(CategoryFormatError) as exc:
+            category_from_dict(doc)
+        assert str(exc.value) == "identity['x']: morphism 'f' runs x->y, not x->x"
+
+    def test_a_wrong_identity_square_is_reported_once(self, fixture_categories):
+        """(e, e) is a unit pair on both sides; its one table entry gives one
+        identity line, beside the associativity lines it breaks."""
+        doc = category_to_dict(fixture_categories["z2"])
+        doc["compose"].append(["e", "e", "s"])
+        lines = validate(category_from_dict(doc))
+        assert [line for line in lines if line.startswith("identity")] == [
+            "identity: (e, e) composes to s, expected e"]
+        assert len(set(lines)) == len(lines)
+
+    def test_validate_matches_the_brute_force_oracle(self, fixture_categories):
+        """2400 seeded broken tables that the parser accepts, each from a
+        fixture, a poset on at most 4 points, Z/3 or z2 x k2 by one to three
+        moves: delete a file entry, give one a random composite, or override
+        an identity pair.  validate gives the oracle's lines, none twice."""
+        cats = fixture_categories
+        bases = [*cats.values(), monoid_delooping([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+                 product(cats["z2"], cats["k2"])]
+        bases += [poset_category(rel) for rel in poset_relations() if len(rel) <= 4][:8]
+        rng = random.Random(20261020)
+        kinds = Counter()
+        for trial in range(2400):
+            base = bases[trial % len(bases)]
+            names = [f.name for f in base.morphisms]
+            entries = {(g, f): h for g, f, h in category_to_dict(base)["compose"]}
+            for _ in range(rng.randint(1, 3)):
+                move = rng.randrange(3)
+                if move < 2 and entries:
+                    pair = rng.choice(sorted(entries))
+                    if move == 0:
+                        del entries[pair]
+                    else:
+                        entries[pair] = rng.choice(names)
+                else:
+                    g = rng.choice(base.morphisms)
+                    pair = rng.choice([(g.name, base.identity[g.src]),
+                                       (base.identity[g.tgt], g.name)])
+                    entries[pair] = rng.choice(names)
+            doc = category_to_dict(base)
+            doc["compose"] = [[g, f, h] for (g, f), h in entries.items()]
+            c = category_from_dict(doc)
+            lines = validate(c)
+            assert len(set(lines)) == len(lines)
+            assert set(lines) == set(axiom_violations_oracle(c))
+            kinds.update(line.split(":")[0] for line in lines)
+        assert set(kinds) == {"totality", "closure", "identity", "associativity"}
 
     def test_totality_violation_reported(self, fixture_categories):
         doc = category_to_dict(fixture_categories["k2"])
@@ -264,7 +297,7 @@ class TestBuilders:
     def test_discrete(self):
         c = discrete(3)
         assert validate(c) == []
-        assert adjacency(c) == IntMatrix.identity(3)
+        assert adjacency(c) == IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert validate(discrete(0)) == []
 
     def test_poset_chain(self):
@@ -399,10 +432,16 @@ class TestJsonFormat:
          "identity['x']"),
         (lambda d: {**d, "compose": d["compose"] + [["s", "ghost", "s"]]},
          "unknown morphism 'ghost'", "compose[1]"),
+        (lambda d: {**d, "objects": ["x", "y"],
+                    "morphisms": d["morphisms"] + [{"id": "f", "src": "x", "tgt": "y"},
+                                                   {"id": "i", "src": "y", "tgt": "y"}],
+                    "identity": {"x": "f", "y": "i"}},
+         "morphism 'f' runs x->y, not x->x", "identity['x']"),
     ], ids=["name", "objects", "morphisms", "non-string-id",
             "duplicate-morphism", "identity", "identity-unknown-object", "missing-identity",
             "compose", "compose-entry", "duplicate-object", "unknown-endpoint",
-            "identity-unknown-morphism", "non-string-identity", "compose-unknown-morphism"])
+            "identity-unknown-morphism", "non-string-identity", "compose-unknown-morphism",
+            "identity-endpoints"])
     def test_format_errors_carry_message_and_location(self, make, message, location):
         doc = make({
             "objects": ["x"],

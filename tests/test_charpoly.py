@@ -23,6 +23,7 @@ from catzeta import (
     chain_counts,
     char_poly_bundle,
     closed_form,
+    discrete,
     exp_trunc,
     factor_charpoly,
     monic_charpoly,
@@ -125,7 +126,7 @@ class TestPencilPolynomials:
         bundle = char_poly_bundle(a)
         assert bundle.d.coeff(0) == 1
         assert bundle.k.coeff(0) == a.n
-        assert bundle.d.coeff(1) == -a.trace()
+        assert bundle.d.coeff(1) == -sum(a.diagonal)
         assert bundle.d.coeff(a.n) == (-1) ** a.n * bareiss_det(
             [list(r) for r in a.rows])
 
@@ -261,7 +262,7 @@ def series_from_matrix_powers(a, order):
     """Fraction log-series sum #N_m z^m / m with counts from A @ A @ ...,
     exponentiated by exp_trunc: independent of the chain-count sweep."""
     log_coeffs = [Fraction(0)] * (order + 1)
-    power = IntMatrix.identity(a.n)
+    power = adjacency(discrete(a.n))
     for m in range(1, order + 1):
         power = power @ a
         log_coeffs[m] = Fraction(sum(map(sum, power.rows)), m)
@@ -571,8 +572,8 @@ class TestPathBound:
     def test_bound_of_a_chain_and_of_a_discrete_category(self):
         chain = IntMatrix([[int(i <= j) for j in range(6)] for i in range(6)])
         assert charpoly.block_traces(chain)[1] == {1: 6} and krylov_rank(chain) == 6
-        discrete = IntMatrix.identity(6)
-        assert charpoly.block_traces(discrete)[1] == {1: 1} and krylov_rank(discrete) == 1
+        antichain = adjacency(discrete(6))
+        assert charpoly.block_traces(antichain)[1] == {1: 1} and krylov_rank(antichain) == 1
         assert charpoly.block_traces(IntMatrix([[1, 1], [1, 1]]))[1] is None
 
     def test_a_refused_bound_falls_back(self):
@@ -691,7 +692,7 @@ class TestPencilPair:
         self.assert_same_closed_form(bundle, rootset)
 
     def test_discrete_category_divides_s_plus_one_coefficients(self, monkeypatch):
-        a = IntMatrix.identity(50)
+        a = adjacency(discrete(50))
         lengths, real = [], zeta._divide_linear
         monkeypatch.setattr(zeta, "_divide_linear",
                             lambda ints, p, r: lengths.append(len(ints)) or real(ints, p, r))

@@ -161,6 +161,17 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: identity['*']: morphism id must be a string\n"
 
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_identity_that_does_not_run_x_to_x_exit_2(self, capsys, tmp_path, command):
+        with open(fixture("p2")) as fh:
+            doc = json.load(fh)
+        doc["identity"]["x"] = "f"
+        bad = tmp_path / "misid.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: identity['x']: morphism 'f' runs x->y, not x->x\n"
+
     @pytest.mark.parametrize("argv", [["verify", "--matrix"], ["verify"]],
                              ids=["matrix", "category"])
     def test_file_not_utf8_exit_2(self, capsys, tmp_path, argv):

@@ -156,6 +156,9 @@ def validate(c: FiniteCategory) -> list[str]:
     One walk over the composable pairs (g, f) checks totality, closure and
     the identity laws; one over the composable triples checks
     associativity.  Both read one index of the morphisms into each object.
+    The triple walk is skipped on a thin category (each hom-set holds at
+    most one morphism, as in every poset) whose pairs passed: there both
+    sides of (h g) f = h (g f) lie in one hom-set, so they are equal.
     The structure is taken as category_from_dict or a builder leaves it:
     unique, known ids, an identity x -> x for each object, and a table
     keyed by composable pairs only.
@@ -180,6 +183,8 @@ def validate(c: FiniteCategory) -> list[str]:
             if hn != unit:
                 v.append(f"identity: ({g.name}, {f.name}) composes to {hn}, expected {unit}")
 
+    if not v and len({(f.src, f.tgt) for f in c.morphisms}) == len(c.morphisms):
+        return v  # thin, and the composites have the right endpoints
     # Associativity over all composable triples, using the table itself.
     for h in c.morphisms:
         for g in into[h.src]:
@@ -468,8 +473,8 @@ def category_from_dict(doc: dict) -> FiniteCategory:
         raise CategoryFormatError("compose must be an array of [g, f, gf] triples", "compose")
     for i, entry in enumerate(raw):
         loc = f"compose[{i}]"
-        if not (isinstance(entry, list) and len(entry) == 3
-                and all(isinstance(s, str) for s in entry)):
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[1], str) and isinstance(entry[2], str)):
             raise CategoryFormatError("entry must be a [g, f, gf] triple of ids", loc)
         g, f, h = entry
         for m in entry:

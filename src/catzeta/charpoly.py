@@ -52,6 +52,10 @@ recurrence (continue_counts), so s steps replace N, and d = g rev,
 m = g R for the int list rev = z^s mu(1/z) and a cofactor g.  The counts
 stop at #N_N; a reader that needs more continues them by rev.
 
+check_pencil adds three O(N) checks that use neither Newton's identities
+nor the cofactor: d(0) = 1, k(0) = N and -d_1 = tr A, read off A's
+diagonal; char_poly_bundle and the analysis run them on every pencil.
+
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:
 
@@ -310,9 +314,25 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
                           pair=(r_poly, rev_poly)), chains
 
 
+def check_pencil(bundle: CharPolyBundle, a: IntMatrix) -> None:
+    """Three O(N) checks of A's pencil that use neither Newton's identities
+    nor the cofactor g: d(0) = 1, k(0) = N, and -d_1 = tr A, read off A's
+    diagonal.  Raises ArithmeticError on a mismatch."""
+    d0, minus_d1, k0 = bundle.d.coeff(0), -bundle.d.coeff(1), bundle.k.coeff(0)
+    if d0 != 1:
+        raise ArithmeticError(f"d(0) is {d0}, not 1")
+    if k0 != bundle.n:
+        raise ArithmeticError(f"k(0) is {k0}, not N = {bundle.n}")
+    if minus_d1 != sum(a.diagonal):
+        raise ArithmeticError(f"-d_1 is {minus_d1}, not tr A = {sum(a.diagonal)}")
+
+
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
-    """Compute d, k, m and the degree defects for one adjacency matrix."""
-    return bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))[0]
+    """Compute d, k, m and the degree defects for one adjacency matrix,
+    checked by check_pencil."""
+    bundle = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))[0]
+    check_pencil(bundle, a)
+    return bundle
 
 
 def monic_charpoly(d: Sequence, n: int) -> list:

@@ -15,7 +15,9 @@ complex numbers alike: horner evaluates, mul_coeffs multiplies, whole or
 cut to the first n coefficients as for truncated power series,
 linear_power expands (b z - a)**e, and exp_trunc exponentiates a
 truncated power series, a plain coefficient list; cleared puts a RatPoly
-over one denominator.
+over one denominator.  mul_coeffs runs its loop on mpmath.libmp's tuple
+kernels when both lists hold mpmath complex numbers, with the results
+of mpc's own operators.
 
 RatSeries holds the exact zeta series: a fixed truncation order K and
 exactly K+1 rational coefficients (z**0 .. z**K).
@@ -270,9 +272,13 @@ def mul_coeffs(a: Sequence, b: Sequence, n: int | None = None) -> list:
     with n, only its first n coefficients (a truncated power series product).
 
     b is walked in the outer loop: its zero terms are skipped and its
-    unit terms (the leads of monic factors) cost no multiplication.
+    unit terms (the leads of monic factors) cost no multiplication.  When
+    both lists hold mpmath complex numbers only, the same loop runs on
+    their tuples (_mul_mpc).
     """
     size = len(a) + len(b) - 1 if n is None else n
+    if hasattr(a[0], "_mpc_") and all(hasattr(c, "_mpc_") for c in (*a, *b)):
+        return _mul_mpc(a, b, size)
     out = [a[0] * 0] * size
     for j, cb in enumerate(b[:size]):
         if not cb:
@@ -281,6 +287,25 @@ def mul_coeffs(a: Sequence, b: Sequence, n: int | None = None) -> list:
         for i, ca in enumerate(a[:size - j], start=j):
             out[i] = out[i] + (ca if unit else ca * cb)
     return out
+
+
+def _mul_mpc(a: Sequence, b: Sequence, size: int) -> list:
+    """mul_coeffs' loop on mpc lists, run on mpmath.libmp's tuple kernels:
+    mpc_add and mpc_mul at the context's precision, rounding to nearest,
+    are the calls mpc's + and * make, so each entry is theirs bit for bit,
+    with one mpc built per entry at the end."""
+    from mpmath.libmp import mpc_add, mpc_mul, mpc_one, mpc_zero, round_nearest as rnd
+    ctx = a[0].context
+    prec, ta = ctx.prec, [c._mpc_ for c in a[:size]]
+    out = [mpc_zero] * size
+    for j, cb in enumerate(b[:size]):
+        cb = cb._mpc_
+        if cb == mpc_zero:
+            continue
+        unit = cb == mpc_one
+        for i, ca in enumerate(ta[:size - j], start=j):
+            out[i] = mpc_add(out[i], ca if unit else mpc_mul(ca, cb, prec, rnd), prec, rnd)
+    return [ctx.make_mpc(c) for c in out]
 
 
 def linear_power(a, b: int, e: int) -> list:

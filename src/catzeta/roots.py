@@ -189,54 +189,80 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
     returned root theta satisfies
     |p(theta)| <= 2^(-precision_bits/2) max|coeff| max(1,|theta|)^deg;
     failing that raises RootFindingError with the best iterates attached.
+
+    The sweep and the polish run on mpmath.libmp's tuple kernels, the
+    calls the mpc operators make, so the iterates are those of mpc
+    arithmetic bit for bit; 1 / (x - x_j) is mpc_reciprocal, equal to the
+    mpc quotient under round-to-nearest.
     """
     from mpmath import mp
+    from mpmath.libmp import (fone, from_int, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_one,
+                              mpc_reciprocal, mpc_sub, mpc_zero, mpf_div, mpf_gt, mpf_le,
+                              mpf_mul, round_nearest as rnd)
     deg = p.degree
     if deg < 1:
         raise ValueError("root finding needs degree >= 1")
     with mp.workprec(precision_bits + GUARD_BITS):
+        prec = mp.prec
         cs = [to_mpc(c) for c in p.coeffs]
         dcs = [i * cs[i] for i in range(1, len(cs))]
         lead = cs[-1]
 
+        def at(rcs, x):  # horner on tuples, the top coefficient first
+            acc = mpc_zero
+            for c in rcs:
+                acc = mpc_add(mpc_mul(acc, x, prec, rnd), c, prec, rnd)
+            return acc
+
+        rcs, rdcs = ([c._mpc_ for c in reversed(q)] for q in (cs, dcs))
         radius = 1 + max(abs(c / lead) for c in cs[:-1])
         roots = [
-            radius * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg))
+            (radius * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg)))._mpc_
             for i in range(deg)
         ]
-        eps_stop = mp.mpf(2) ** (-(precision_bits + 32))
+        eps_stop = (mp.mpf(2) ** (-(precision_bits + 32)))._mpf_
+        two32 = from_int(2 ** 32)
         for _ in range(500):
             converged = True  # until a step misses the stop
             for i in range(deg):
                 x = roots[i]
-                pv = horner(cs, x)
-                dv = horner(dcs, x)
-                if not dv:
+                pv = at(rcs, x)
+                dv = at(rdcs, x)
+                if dv == mpc_zero:
                     # stalled on a critical point; nudge and retry
-                    roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
+                    xo = mp.make_mpc(x)
+                    roots[i] = (xo + mp.mpf("0.001") * (1 + abs(xo)))._mpc_
                     converged = False
                     continue
-                newton = pv / dv
-                diffs = [x - other for other in roots]  # 0 at x itself and at equal roots
-                repulse = sum((1 / diff for diff in diffs if diff), mp.mpc(0))
-                denom = 1 - newton * repulse
-                w = newton / denom if denom else newton
-                roots[i] = x - w
-                converged = converged and abs(w) <= eps_stop * max(1, abs(x) / 2 ** 32)
+                newton = mpc_div(pv, dv, prec, rnd)
+                repulse = mpc_zero
+                for other in roots:
+                    diff = mpc_sub(x, other, prec, rnd)
+                    if diff != mpc_zero:  # 0 at x itself and at equal roots
+                        repulse = mpc_add(repulse, mpc_reciprocal(diff, prec, rnd), prec, rnd)
+                denom = mpc_sub(mpc_one, mpc_mul(newton, repulse, prec, rnd), prec, rnd)
+                w = mpc_div(newton, denom, prec, rnd) if denom != mpc_zero else newton
+                roots[i] = mpc_sub(x, w, prec, rnd)
+                if converged:  # |w| <= eps_stop max(1, |x| / 2^32), the operators' calls
+                    scale = mpf_div(mpc_abs(x, prec, rnd), two32, prec, rnd)
+                    bound = mpf_mul(eps_stop, scale, prec, rnd) if mpf_gt(scale, fone) else eps_stop
+                    converged = mpf_le(mpc_abs(w, prec, rnd), bound)
             if converged:
                 break
         if not converged:
             raise RootFindingError(
                 "simultaneous iteration did not converge; raise the precision",
-                best=roots,
+                best=[mp.make_mpc(x) for x in roots],
             )
 
         for i in range(deg):
             for _ in range(3):
-                dv = horner(dcs, roots[i])
-                if not dv:
+                dv = at(rdcs, roots[i])
+                if dv == mpc_zero:
                     break
-                roots[i] = roots[i] - horner(cs, roots[i]) / dv
+                roots[i] = mpc_sub(roots[i], mpc_div(at(rcs, roots[i]), dv, prec, rnd),
+                                   prec, rnd)
+        roots = [mp.make_mpc(x) for x in roots]
 
         max_coeff = max(abs(c) for c in cs)
         allowed = mp.mpf(2) ** (-(precision_bits // 2)) * max_coeff
@@ -246,7 +272,7 @@ def numeric_roots(p: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> l
                     "root residual above certification bound; raise the precision",
                     best=roots,
                 )
-        return [mp.mpc(x) for x in roots]
+        return roots
 
 
 def _sort_key(root: Root, precision_bits: int):

@@ -101,6 +101,7 @@ from .charpoly import (
     EulerReport,
     block_traces,
     bundle_from_sweep,
+    check_pencil,
     continue_counts,
     eigenvalue_of_a_block,
     monic_charpoly,
@@ -477,12 +478,14 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS) -
     The pencil certifies d (fact (a)) and gives #N_0 .. #N_N: chain_vectors
     runs s = deg mu steps for the first annihilator mu that passes its
     check (mu~ from the path bound, else P, s = N), and every later count
-    comes from mu's recurrence.  A reader that needs counts past #N_N
+    comes from mu's recurrence; check_pencil then checks d(0), k(0) and
+    d_1 against A.  A reader that needs counts past #N_N
     calls ZetaAnalysis.counts, which continues them by the pair's denominator.
     The closed form, built from the pencil's pair, must give #N_1..#N_W
     (module docstring), or ArithmeticError names the first n off.
     """
     bundle, chains = bundle_from_sweep(lambda: chain_vectors(a), block_traces(a))
+    check_pencil(bundle, a)
     chains = tuple(chains)
     euler = series_euler_char(bundle)
     rootset = factor_charpoly(bundle.d, precision_bits, bundle.factors, bundle.diagonal)

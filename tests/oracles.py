@@ -47,6 +47,9 @@ Everything here takes a different road, so that agreement means something:
   fraction-free elimination), against the pencil's path bound deg mu~.
 - The path bound c_lambda itself by depth-first search over every path
   of A's support, against the pencil's pass over Tarjan's blocks.
+- Aberth's sweep and Newton's polish, and the coefficient-list product,
+  in mpc operators, against numeric_roots and mul_coeffs on mpmath's
+  tuple kernels: the same operations, so equal bit for bit.
 
 Also here: simultaneous row/column permutation of a matrix, which the
 tests use to scramble block-triangular inputs, and the indiscrete
@@ -75,6 +78,8 @@ from catzeta import (
     closed_form_counts,
     mul_coeffs,
 )
+from catzeta.poly import horner
+from catzeta.roots import GUARD_BITS, to_mpc
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -643,3 +648,57 @@ def path_bound_oracle(a: IntMatrix) -> dict[int, int]:
         stack.extend((w, path + (w,)) for w in range(a.n)
                      if rows[v][w] and w not in path)
     return best
+
+
+def aberth_reference(p: RatPoly, precision_bits: int) -> list:
+    """numeric_roots' sweep and polish in mpc operators, with no
+    certificate: the iterates numeric_roots must return, bit for bit."""
+    from mpmath import mp
+    deg = p.degree
+    with mp.workprec(precision_bits + GUARD_BITS):
+        cs = [to_mpc(c) for c in p.coeffs]
+        dcs = [i * cs[i] for i in range(1, len(cs))]
+        lead = cs[-1]
+        radius = 1 + max(abs(c / lead) for c in cs[:-1])
+        roots = [radius * mp.expjpi(2 * mp.mpf(i) / deg + mp.mpf(1) / (2 * deg))
+                 for i in range(deg)]
+        eps_stop = mp.mpf(2) ** (-(precision_bits + 32))
+        for _ in range(500):
+            converged = True
+            for i in range(deg):
+                x = roots[i]
+                pv = horner(cs, x)
+                dv = horner(dcs, x)
+                if not dv:
+                    roots[i] = x + mp.mpf("0.001") * (1 + abs(x))
+                    converged = False
+                    continue
+                newton = pv / dv
+                diffs = [x - other for other in roots]
+                repulse = sum((1 / diff for diff in diffs if diff), mp.mpc(0))
+                denom = 1 - newton * repulse
+                w = newton / denom if denom else newton
+                roots[i] = x - w
+                converged = converged and abs(w) <= eps_stop * max(1, abs(x) / 2 ** 32)
+            if converged:
+                break
+        for i in range(deg):
+            for _ in range(3):
+                dv = horner(dcs, roots[i])
+                if not dv:
+                    break
+                roots[i] = roots[i] - horner(cs, roots[i]) / dv
+        return roots
+
+
+def mul_coeffs_reference(a: Sequence, b: Sequence, n: int | None = None) -> list:
+    """mul_coeffs' loop in the scalars' own operators, whatever their type."""
+    size = len(a) + len(b) - 1 if n is None else n
+    out = [a[0] * 0] * size
+    for j, cb in enumerate(b[:size]):
+        if not cb:
+            continue
+        unit = cb == 1
+        for i, ca in enumerate(a[:size - j], start=j):
+            out[i] = out[i] + (ca if unit else ca * cb)
+    return out

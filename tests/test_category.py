@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,34 @@ class TestStructureAndAxioms:
             kinds.update(line.split(":")[0] for line in lines)
         assert set(kinds) == {"totality", "closure", "identity", "associativity"}
 
+    def test_validate_walks_no_triples_on_a_thin_category(self, fixture_categories):
+        """A thin category whose pairs pass (a poset, k2) is read once per
+        composable pair; z2, which is not thin, and a poset with a wrong
+        composite are walked triple by triple as well."""
+        class Reads(dict):
+            count = 0
+
+            def get(self, key):
+                self.count += 1
+                return super().get(key)
+
+        def reads(c):
+            table = Reads(c.compose)
+            lines = validate(replace(c, compose=table))
+            return table.count, lines
+
+        poset = poset_category([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        for c in (poset, fixture_categories["k2"]):
+            assert reads(c) == (len(c.compose), [])
+        z2 = fixture_categories["z2"]
+        count, lines = reads(z2)
+        assert count > len(z2.compose) and lines == []
+        broken = replace(poset, compose={**poset.compose, ("1<=2", "0<=1"): "0<=1"})
+        count, lines = reads(broken)
+        assert count > len(poset.compose)
+        assert lines[0].startswith("closure")
+        assert set(lines) == set(axiom_violations_oracle(broken))
+
     def test_totality_violation_reported(self, fixture_categories):
         doc = category_to_dict(fixture_categories["k2"])
         doc["compose"] = [t for t in doc["compose"] if t[:2] != ["g", "f"]]
@@ -423,6 +452,8 @@ class TestJsonFormat:
          "compose"),
         (lambda d: {**d, "compose": d["compose"] + [["s", "s"]]},
          "entry must be a [g, f, gf] triple of ids", "compose[1]"),
+        (lambda d: {**d, "compose": d["compose"] + [["s", ["s"], "s"]]},
+         "entry must be a [g, f, gf] triple of ids", "compose[1]"),
         (lambda d: {**d, "objects": ["x", "x"]}, "duplicate object 'x'", "objects"),
         (lambda d: {**d, "morphisms": d["morphisms"] + [{"id": "q", "src": "x", "tgt": "y"}]},
          "morphism 'q' references unknown object", "morphisms[2]"),
@@ -439,9 +470,9 @@ class TestJsonFormat:
          "morphism 'f' runs x->y, not x->x", "identity['x']"),
     ], ids=["name", "objects", "morphisms", "non-string-id",
             "duplicate-morphism", "identity", "identity-unknown-object", "missing-identity",
-            "compose", "compose-entry", "duplicate-object", "unknown-endpoint",
-            "identity-unknown-morphism", "non-string-identity", "compose-unknown-morphism",
-            "identity-endpoints"])
+            "compose", "compose-entry", "compose-entry-type", "duplicate-object",
+            "unknown-endpoint", "identity-unknown-morphism", "non-string-identity",
+            "compose-unknown-morphism", "identity-endpoints"])
     def test_format_errors_carry_message_and_location(self, make, message, location):
         doc = make({
             "objects": ["x"],

@@ -10,6 +10,7 @@ the Bareiss + Lagrange road, and the two must agree exactly.
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,34 @@ class TestSweepAgainstOracle:
             path.write_text(json.dumps(rows))
             assert cli_main(["verify", "--matrix", str(path)]) == 1, rows
             assert "internal consistency check failed" in capsys.readouterr().err
+
+    def test_pencil_checks_d0_k0_and_the_trace(self, monkeypatch, capsys, tmp_path):
+        """check_pencil refuses a d doubled with k and m (a cofactor g = 2),
+        a k with k(0) = N + 1 and a d_1 off tr A; the first, fed through
+        the sweep, ends charpoly, euler and verify with exit 1."""
+        a = IntMatrix(GUARD_MATRIX)
+        good = char_poly_bundle(a)
+        charpoly.check_pencil(good, a)
+        doubled = replace(good, d=good.d * 2, k=good.k * 2, m=good.m * 2)
+        with pytest.raises(ArithmeticError, match="d\\(0\\) is 2, not 1"):
+            charpoly.check_pencil(doubled, a)
+        with pytest.raises(ArithmeticError, match="k\\(0\\) is 4, not N = 3"):
+            charpoly.check_pencil(replace(good, k=good.k + 1), a)
+        with pytest.raises(ArithmeticError, match="-d_1 is 0, not tr A = 2"):
+            charpoly.check_pencil(replace(good, d=good.d + RatPoly([0, 2])), a)
+
+        def doubling(*args):
+            bundle, chains = bundle_from_sweep(*args)
+            return replace(bundle, d=bundle.d * 2, k=bundle.k * 2, m=bundle.m * 2), chains
+
+        for module in (charpoly, zeta):
+            monkeypatch.setattr(module, "bundle_from_sweep", doubling)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(GUARD_MATRIX))
+        for command in ("charpoly", "euler", "verify"):
+            assert cli_main([command, "--matrix", str(path)]) == 1, command
+            err = capsys.readouterr().err
+            assert "internal consistency check failed: d(0) is 2, not 1" in err, command
 
     def test_newton_division_must_be_exact(self):
         # traces (1, 0) would need d_2 = 1/2, which no integer matrix has

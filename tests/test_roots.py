@@ -1,5 +1,6 @@
 """Root extraction: rational roots by p-adic lifting, Aberth iteration, certification."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -13,12 +14,14 @@ from catzeta import (
     Root,
     char_poly_bundle,
     factor_charpoly,
+    mul_coeffs,
     numeric_roots,
 )
 from catzeta import roots as roots_module
 from catzeta.poly import linear_power
 from catzeta.roots import RootFindingError, to_mpc
-from oracles import rational_roots_oracle
+from conftest import load_fixture_matrix
+from oracles import aberth_reference, mul_coeffs_reference, rational_roots_oracle
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -228,6 +231,43 @@ class TestNumericRoots:
         assert len(info.value.best) == 3
         assert all(isinstance(x, mp.mpc) for x in info.value.best)
         assert len(numeric_roots(p, 128)) == 3
+
+    def test_tuple_kernels_match_the_mpc_operators(self, monkeypatch):
+        """numeric_roots and mul_coeffs on mpmath.libmp's tuples give the
+        _mpc_ tuples that mpc operators give, bit for bit: the roots on the
+        inputs factor_charpoly hands numeric_roots for pell, rot90, the
+        Mignotte-type companion of x^6 - 2(10x - 1)^2, two seeded random
+        0..3 matrices, each one block, and [[10^12, 1], [1, 0]], whose root
+        near -10^12 takes the stop rule past |x| = 2^32; the products on
+        mpc lists holding exact zeros and ones."""
+        seen, real = [], roots_module.numeric_roots
+        monkeypatch.setattr(roots_module, "numeric_roots",
+                            lambda p, bits: seen.append(p) or real(p, bits))
+        rng = random.Random(36)
+        mignotte = ([[int(j == i + 1) for j in range(6)] for i in range(5)]
+                    + [[2, -40, 200, 0, 0, 0]])  # the companion of its polynomial
+        for rows in (load_fixture_matrix("pell").rows, load_fixture_matrix("rot90").rows, mignotte,
+                     *([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)] for n in (8, 14)),
+                     [[10 ** 12, 1], [1, 0]]):
+            bundle = char_poly_bundle(IntMatrix(rows))
+            factor_charpoly(bundle.d, 128, bundle.factors, bundle.diagonal)
+        assert [p.degree for p in seen] == [2, 2, 6, 8, 14, 2]
+        for p in seen:
+            assert ([x._mpc_ for x in real(p, 128)]
+                    == [x._mpc_ for x in aberth_reference(p, 128)]), p
+        with mp.workprec(192):
+            one, zero = mp.mpc(1), mp.mpc(0)
+
+            def draw(k):
+                return [mp.mpc(rng.randint(-99, 99), rng.randint(-99, 99)) / 7 for _ in range(k)]
+
+            a = [one, zero, *draw(10), one]
+            b = [*draw(3), one, zero, zero, *draw(8), one]
+            for n in (None, 1, 4, 20):
+                got = mul_coeffs(a, b, n)
+                assert all(type(x) is mp.mpc for x in got)
+                assert ([x._mpc_ for x in got]
+                        == [x._mpc_ for x in mul_coeffs_reference(a, b, n)]), n
 
 
 class TestFactorCharpoly:

@@ -1141,11 +1141,16 @@ class TestVerification:
     def test_c3_checks_each_rational_alpha_on_a_block_of_a(self, monkeypatch):
         """Traces (3, 5) for [[1, 1], [1, 1]] (really (2, 4)) give
         d = (1 - z)(1 - 2z), which the certificate accepts: the sweep only
-        sees the eigenvector 1.  alpha = 1 is a root of cp but no
-        eigenvalue of A, so C3 fails, with both residuals still zero."""
+        sees the eigenvector 1.  The pencil's trace check refuses it
+        (-d_1 = 3, tr A = 2); with that check off, alpha = 1 is a root of
+        cp but no eigenvalue of A, so C3 fails, with both residuals still
+        zero."""
         a = IntMatrix([[1, 1], [1, 1]])
         assert verify_matrix(a, order=10).passed
         monkeypatch.setattr(zeta_module, "block_traces", lambda *args: ([[3, 5]], None))
+        with pytest.raises(ArithmeticError, match="not tr A = 2"):
+            verify_matrix(a, order=10)
+        monkeypatch.setattr(zeta_module, "check_pencil", lambda *args: None)
         report = verify_matrix(a, order=10)
         assert report.path == "exact" and not report.c3["pass"] and not report.passed
         assert report.c3["residuals"] == (0, 0)
@@ -1153,9 +1158,13 @@ class TestVerification:
     def test_c3_reads_a_1x1_block_off_a_not_the_pencil(self, monkeypatch):
         """Traces ([1], [2]) for [[1, 1], [1, 1]] claim two 1 x 1 blocks, so
         d = (1 - z)(1 - 2z) with the root theta = 1 in the pencil's diagonal
-        counts; the certificate, C1, C2 and C4 accept it.  theta = 1 cancels
+        counts; the certificate, C1, C2 and C4 accept it.  The pencil's
+        trace check refuses it; with that check off, theta = 1 cancels
         (e' = 0), and 1 is no eigenvalue of A's one 2 x 2 block, so C3 fails."""
         monkeypatch.setattr(zeta_module, "block_traces", lambda *args: ([[1], [2]], None))
+        with pytest.raises(ArithmeticError, match="not tr A = 2"):
+            verify_matrix(IntMatrix([[1, 1], [1, 1]]), order=10)
+        monkeypatch.setattr(zeta_module, "check_pencil", lambda *args: None)
         report = verify_matrix(IntMatrix([[1, 1], [1, 1]]), order=10)
         assert report.path == "exact" and report.c3["residuals"] == (0, 0)
         assert report.c1["pass"] and report.c2["pass"] and report.c4["pass"]

@@ -26,17 +26,17 @@ CASES = [
 
 for label, rows in CASES:
     analysis = analyze_matrix(IntMatrix(rows))
-    rep = singularity_report(analysis.closed)
+    points = singularity_report(analysis.closed)
     print(f"== {label} ==")
-    if not rep.points:
+    if not points:
         print("  d is constant; zeta is entire")
-    for root, pt in zip(analysis.rootset.roots, rep.points):
+    for root, pt in zip(analysis.rootset.roots, points):
         desc = pt.classification
         if pt.pole_order is not None:
             desc += f" of order {pt.pole_order}"
         if pt.essential and pt.classification == "pole":
             desc += " with essential part"
         print(f"  theta = {root.theta} ({root.kind}, mult {root.multiplicity}): {desc}")
-    if rep.violations:
+    if any(pt.classification == "violation" for pt in points):
         print("  -> violation flagged: some root carries no singularity")
     print()

@@ -39,7 +39,6 @@ from .roots import (
 )
 from .zeta import (
     ClosedFormZeta,
-    SingularityReport,
     SingularPoint,
     VerificationReport,
     ZetaAnalysis,

@@ -218,8 +218,9 @@ class CharPolyBundle:
     order first met; factors holds det(E - A_BB z) for each larger block B
     whose factor is not constant.  d is their product with the
     (1 - lambda z)^e.  pair = (R, rev) for the annihilator mu that passed
-    its check (module docstring), (m, d) where that is P: the smallest
-    pair the sweep proved equal to m/d, outside == and repr.  Every
+    its check (module docstring), the smallest pair the sweep proved equal
+    to m/d, outside == and repr; d = g rev and m = g R mod z^N are one
+    product each with the cofactor g, g = 1 where mu is P.  Every
     polynomial here keeps the swept ints as its coefficients.
     """
 
@@ -300,18 +301,16 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
     for lam, e in counts.items():
         if lam and e > c.get(lam, 0):
             g = mul_coeffs(linear_power(-1, -lam, e - c.get(lam, 0)), g)
-    d, m = (rev, r_coeffs + [0] * (n - s)) if g == [1] else (
-        mul_coeffs(g, rev), mul_coeffs(g, r_coeffs, n))
-    m_poly, rev_poly = RatPoly(m), RatPoly(rev)  # where g = 1, d = rev, m = R: the pair is (m, d)
-    d_poly, r_poly = (rev_poly, m_poly) if g == [1] else (RatPoly(d), RatPoly(r_coeffs))
+    d, m = mul_coeffs(g, rev), mul_coeffs(g, r_coeffs, n)
+    d_poly = RatPoly(d)
     counts.pop(0, None)
     # k_i = N d_i + m_(i-1): N d + z m below z^N
     k_poly = RatPoly([n * x + y for x, y in zip(d[:n] + [0] * (n - len(d)), [0] + m)])
-    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=m_poly,
+    return CharPolyBundle(n=n, d=d_poly, k=k_poly, m=RatPoly(m),
                           r=n - d_poly.degree, s=n - 1 - k_poly.degree,
                           factors=tuple(f for f in factors if f.degree >= 1),
                           diagonal=tuple(counts.items()),
-                          pair=(r_poly, rev_poly)), chains
+                          pair=(RatPoly(r_coeffs), RatPoly(rev))), chains
 
 
 def check_pencil(bundle: CharPolyBundle, a: IntMatrix) -> None:

@@ -245,7 +245,7 @@ def cmd_zeta(args) -> int:
     analysis = analyze_matrix(a, args.precision) if args.closed else None
     if analysis is not None:  # the pencil's pair feeds the closed form and the series
         series = series_from_pair(*(x.coeffs for x in analysis.bundle.pair), args.order).coeffs
-        cf, sing = analysis.closed, singularity_report(analysis.closed)
+        cf, points = analysis.closed, singularity_report(analysis.closed)
     else:
         series = zeta_series(a, args.order).coeffs
     if args.json:
@@ -258,8 +258,9 @@ def cmd_zeta(args) -> int:
                 "Q": cf.q_integral,
                 # each root's facts and its classification, in one record
                 "factors": [{**vars(point), **vars(factor)}
-                            for factor, point in zip(cf.factors, sing.points)],
-                "corollary_violations": sing.violations,
+                            for factor, point in zip(cf.factors, points)],
+                "corollary_violations": [i for i, point in enumerate(points)
+                                         if point.classification == "violation"],
             }
         _emit_json(doc, args.precision)
         return 0
@@ -270,7 +271,7 @@ def cmd_zeta(args) -> int:
         print(f"lead = {analysis.rootset.lead}")
         if not cf.factors:
             print("no roots: zeta = exp(Q)")
-        for factor, point in zip(cf.factors, sing.points):
+        for factor, point in zip(cf.factors, points):
             desc = point.classification
             if point.pole_order is not None:
                 desc = f"pole of order {point.pole_order}"

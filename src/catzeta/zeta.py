@@ -16,7 +16,7 @@ with alpha_k = 1/theta_k.  Four identities tie the two together and are
 machine-checked here: the Taylor match itself, sum of the exponents
 beta_{k,0} = N, each 1/theta_k an eigenvalue of A, and an alternating
 sum of the beta's equal to the series Euler characteristic.  A final
-report classifies each root as a pole, zero or essential singularity.
+report is one point per root: a pole, a zero or an essential singularity.
 
 The arithmetic is chosen once, by the root set: exact (the pencil's
 ints, Fractions where a division leaves one) when every root of d is
@@ -660,28 +660,19 @@ class SingularPoint:
     pole_order: int | None
 
 
-@dataclass(frozen=True)
-class SingularityReport:
-    """A point per closed-form factor; violations indexes those flagged."""
-
-    points: tuple[SingularPoint, ...]
-    violations: tuple[int, ...]
-
-
-def singularity_report(cf: ClosedFormZeta) -> SingularityReport:
+def singularity_report(cf: ClosedFormZeta) -> tuple[SingularPoint, ...]:
     """Classify every root of d as a singular point or zero of zeta.
 
     A root with beta0 of positive real part is a pole-type singularity,
     negative real part a zero, and nonzero inner coefficients mark an
     essential singularity.  A root where every coefficient vanishes
     would contradict the root/singularity correspondence, so it is
-    flagged as a violation rather than silently accepted.
+    classified "violation" rather than silently accepted.
     """
     arith, tol = cf.arithmetic, DEFAULT_VERIFY_TOL
     points = []
-    violations = []
     with arith.context():
-        for idx, factor in enumerate(cf.factors):
+        for factor in cf.factors:
             beta0 = factor.beta0
             re = beta0.real
             essential = not all(arith.within(abs(b), tol) for b in factor.betas)
@@ -697,8 +688,6 @@ def singularity_report(cf: ClosedFormZeta) -> SingularityReport:
             if (classification == "pole" and arith.within(abs(beta0.imag), tol)
                     and arith.within(abs(re - round(re)), tol)):
                 pole_order = round(re)
-            if classification == "violation":
-                violations.append(idx)
             points.append(SingularPoint(classification=classification,
                                         essential=essential, pole_order=pole_order))
-    return SingularityReport(points=tuple(points), violations=tuple(violations))
+    return tuple(points)

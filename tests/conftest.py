@@ -4,7 +4,10 @@ The sweep corpus mirrors what the verification tools are meant to cover:
 the five bundled fixture categories, the bundled synthetic matrices, a
 seeded batch of 200 random posets on up to 6 objects, and one-object
 deloopings of every monoid with at most 3 elements plus a hand-picked
-shelf of 4-element monoids.
+shelf of 4-element monoids.  Beside it, a family of action categories,
+which the corpus lacks: Z/n (n <= 6), D3, D4 and S3 acting on cosets,
+points, pairs and subsets, and seeded small transformation monoids
+acting on their points.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from catzeta import (
     poset_category,
 )
 
+from oracles import action_category
+
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
@@ -35,6 +40,8 @@ MATRIX_NAMES = ("shift2", "rot90", "pell", "block4", "nilpotent2", "jordan2")
 
 POSET_SEED = 20260825
 POSET_COUNT = 200
+ACTION_SEED = 20261022
+RANDOM_MATRIX_SEED = 20261022
 
 
 def load_fixture_category(name: str) -> FiniteCategory:
@@ -112,6 +119,91 @@ def monoids_of_4() -> list[list[list[int]]]:
     tables = [cyclic, klein, chain_max, sat_add, z3_zero]
     assert all(_associative(t) for t in tables)
     return tables
+
+
+def random_matrices() -> list[tuple[str, IntMatrix]]:
+    """Six seeded random 0..3 matrices, N = 3..8, as (label, matrix):
+    irrational spectra, with a rational root beside them in some."""
+    rng = random.Random(RANDOM_MATRIX_SEED)
+    return [(f"random{n}", IntMatrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]))
+            for n in range(3, 9)]
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p after q, maps of range(n) as tuples: x -> p[q[x]]."""
+    return tuple(p[x] for x in q)
+
+
+def _generated(gens: list[tuple]) -> list[tuple]:
+    """The monoid of maps that gens generate, identity included, sorted."""
+    out = {tuple(range(len(gens[0])))}
+    todo = list(out)
+    while todo:
+        f = todo.pop()
+        for g in gens:
+            h = _compose(g, f)
+            if h not in out:
+                out.add(h)
+                todo.append(h)
+    return sorted(out)
+
+
+def action_family() -> list[tuple[str, FiniteCategory, int | None]]:
+    """(label, category of elements, |G| for a group action, else None).
+
+    Z/n acts on each Z/d, d | n, by translation; S3 (all permutations of
+    three points), D3 and D4 (rotation and reflection of a triangle and a
+    square) act on their points, on the cosets of a subgroup, on
+    themselves and on 2-subsets of points, S3 on ordered pairs of points
+    too; and six transformation monoids of at most 16 maps, each
+    generated by two seeded random maps of 2..4 points, act on those
+    points."""
+    out = []
+    for n in range(1, 7):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            c = action_category(range(n), lambda a, b, n=n: (a + b) % n,
+                                lambda g, x, d=d: (g + x) % d, range(d), 0)
+            out.append((f"Z/{n} on Z/{d}", c, n))
+
+    def on_cosets(h):
+        return lambda p, coset: tuple(sorted(_compose(p, c) for c in coset))
+
+    def on_pairs(p, xy):
+        return p[xy[0]], p[xy[1]]
+
+    def on_subsets(p, xs):
+        return tuple(sorted(p[x] for x in xs))
+
+    s3 = _generated([(1, 0, 2), (1, 2, 0)])
+    d3 = _generated([(1, 2, 0), (0, 2, 1)])
+    d4 = _generated([(1, 2, 3, 0), (0, 3, 2, 1)])
+    groups = {"S3": (s3, [(0, 1, 2), (1, 0, 2)]), "D3": (d3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+              "D4": (d4, _generated([(1, 2, 3, 0)]))}
+    for name, (g, h) in groups.items():
+        k = len(g[0])
+        cosets = sorted({tuple(sorted(_compose(p, q) for q in h)) for p in g})
+        actions = [("points", lambda p, x: p[x], range(k)),
+                   ("cosets", on_cosets(h), cosets),
+                   ("itself", _compose, g),
+                   ("2-subsets", on_subsets, list(itertools.combinations(range(k), 2)))]
+        if name == "S3":
+            actions.append(("pairs", on_pairs, list(itertools.product(range(3), repeat=2))))
+        for what, act, points in actions:
+            c = action_category(g, _compose, act, points, g[0])
+            out.append((f"{name} on {what}", c, len(g)))
+    rng, monoids = random.Random(ACTION_SEED), {}
+    while len(monoids) < 6:
+        k = rng.randint(2, 4)
+        m = _generated([tuple(rng.randrange(k) for _ in range(k)) for _ in range(2)])
+        if len(m) <= 16 and tuple(m) not in monoids:
+            c = action_category(m, _compose, lambda f, x: f[x], range(k), tuple(range(k)))
+            monoids[tuple(m)] = (f"monoid{len(monoids)}, {len(m)} maps on {k} points", c, None)
+    return out + list(monoids.values())
+
+
+@pytest.fixture(scope="session")
+def action_categories() -> list[tuple[str, FiniteCategory, int | None]]:
+    return action_family()
 
 
 @pytest.fixture(scope="session")

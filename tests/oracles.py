@@ -21,7 +21,8 @@ Everything here takes a different road, so that agreement means something:
 - The Taylor expansion of m/d against chain counts from matrix powers.
 - Rational roots by the rational-root theorem, where the library lifts
   p-adically: every divisor of both end coefficients, found by trial
-  division up to the coefficient itself.
+  division up to the coefficient itself.  And by sympy's factor_list
+  over Q, against the root set's rational roots and its path.
 - The category axioms by brute force over every ordered pair and triple
   of morphisms, composable where the endpoints meet, against validate's
   walks over an index of the morphisms into each object.
@@ -52,9 +53,11 @@ Everything here takes a different road, so that agreement means something:
   tuple kernels: the same operations, so equal bit for bit.
 
 Also here: simultaneous row/column permutation of a matrix, which the
-tests use to scramble block-triangular inputs, and the indiscrete
+tests use to scramble block-triangular inputs; the indiscrete
 category on k objects, equivalent to the terminal one, which the tests
-multiply into others as a blow-up that leaves chi unchanged.
+multiply into others as a blow-up that leaves chi unchanged; and the
+category of elements of a monoid acting on a set, a category by
+construction, whose series Euler characteristic is |X|/|G| for a group.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
+
+import sympy
 
 from catzeta import (
     CharPolyBundle,
@@ -388,6 +393,16 @@ def rational_roots_oracle(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     return roots, cof
 
 
+def rational_roots_over_q(d: RatPoly) -> dict[Fraction, int]:
+    """The rational roots of d with their multiplicities, from the linear
+    factors a z + b of sympy's factor_list over Q: theta = -b / a.  d
+    splits over Q where they add up to deg d."""
+    z = sympy.Symbol("z")
+    _, factors = sympy.Poly(list(reversed(d.coeffs)) or [0], z, domain="QQ").factor_list()
+    return {-Fraction(str(b)) / Fraction(str(a)): e
+            for (a, b), e in ((f.all_coeffs(), e) for f, e in factors if f.degree() == 1)}
+
+
 # -- category axioms --------------------------------------------------------
 
 def axiom_violations_oracle(c: FiniteCategory) -> list[str]:
@@ -501,6 +516,28 @@ def indiscrete(k: int) -> FiniteCategory:
         "identity": {x: hom(x, x) for x in objects},
         "compose": [[hom(y, z), hom(x, y), hom(x, z)]
                     for x, y in arrows for z in objects if z != y],
+    })
+
+
+def action_category(elements: Sequence[Hashable], mul: Callable, act: Callable,
+                    points: Sequence[Hashable], unit: Hashable, name: str = "") -> FiniteCategory:
+    """The category of elements of a monoid M acting on a set X on the left
+    (act(mul(m', m), x) = act(m', act(m, x))), built through the JSON wire
+    format: the points are its objects, each pair (m, x) a morphism
+    x -> m x, (m', m x) (m, x) = (m' m, x), and (unit, x) the identity of
+    x.  Elements and points are named by str, so those names must differ."""
+    def arrow(m, x):
+        return f"{m}@{x}"
+
+    moving = [m for m in elements if m != unit]
+    return category_from_dict({
+        "name": name,
+        "objects": [str(x) for x in points],
+        "morphisms": [{"id": arrow(m, x), "src": str(x), "tgt": str(act(m, x))}
+                      for x in points for m in elements],
+        "identity": {str(x): arrow(unit, x) for x in points},
+        "compose": [[arrow(m2, act(m, x)), arrow(m, x), arrow(mul(m2, m), x)]
+                    for x in points for m in moving for m2 in moving],
     })
 
 

@@ -226,7 +226,12 @@ class TestStructureAndAxioms:
         """2400 seeded broken tables that the parser accepts, each from a
         fixture, a poset on at most 4 points, Z/3 or z2 x k2 by one to three
         moves: delete a file entry, give one a random composite, or override
-        an identity pair.  validate gives the oracle's lines, none twice."""
+        an identity pair.  validate gives the oracle's lines, none twice.
+        Then 1200 tables whose only defects are one to three wrong
+        composites with the right endpoints, from Z/2 .. Z/6, a two-element
+        monoid, chain(2) x Z/3 and Z/4 + chain(3): the pair walk passes
+        them, so the triple walk decides, and its lines are the oracle's,
+        line for line."""
         cats = fixture_categories
         bases = [*cats.values(), monoid_delooping([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
                  product(cats["z2"], cats["k2"])]
@@ -258,6 +263,32 @@ class TestStructureAndAxioms:
             assert set(lines) == set(axiom_violations_oracle(c))
             kinds.update(line.split(":")[0] for line in lines)
         assert set(kinds) == {"totality", "closure", "identity", "associativity"}
+
+        def cyclic(n):
+            return monoid_delooping([[(i + j) % n for j in range(n)] for i in range(n)])
+
+        chain = [poset_category([[int(i <= j) for j in range(n)] for i in range(n)])
+                 for n in (2, 3)]
+        bases = [*map(cyclic, range(2, 7)), monoid_delooping([[0, 1], [1, 1]]),
+                 product(chain[0], cyclic(3)), disjoint_union(cyclic(4), chain[1])]
+        broken = 0
+        for trial in range(1200):
+            base = bases[trial % len(bases)]
+            by_name = {f.name: f for f in base.morphisms}
+            entries = {(g, f): h for g, f, h in category_to_dict(base)["compose"]}
+            for _ in range(rng.randint(1, 3)):
+                pair = rng.choice(sorted(entries))
+                src, tgt = by_name[pair[1]].src, by_name[pair[0]].tgt
+                entries[pair] = rng.choice([f.name for f in base.morphisms
+                                            if (f.src, f.tgt) == (src, tgt)])
+            doc = category_to_dict(base)
+            doc["compose"] = [[g, f, h] for (g, f), h in entries.items()]
+            c = category_from_dict(doc)
+            lines = validate(c)
+            assert lines == axiom_violations_oracle(c)
+            assert all(line.startswith("associativity: ") for line in lines)
+            broken += bool(lines)
+        assert broken >= 600
 
     def test_validate_walks_no_triples_on_a_thin_category(self, fixture_categories):
         """A thin category whose pairs pass (a poset, k2) is read once per

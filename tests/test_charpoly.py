@@ -496,7 +496,8 @@ class TestStrongBlocks:
     def test_unit_blocks_enter_d_by_their_counts(self, monkeypatch):
         """Only the 2 x 2 block goes through Newton's identities; the 1 x 1
         blocks are counted by their entry, zero dropped, and k needs no
-        product of its own (d by each distinct power and m, three in all)."""
+        product of its own: rev by each distinct power, R, then d and m by
+        the cofactor g, here 1."""
         newton, products = [], []
         real_newton, real_mul = charpoly._newton, charpoly.mul_coeffs
         monkeypatch.setattr(charpoly, "_newton", lambda t: newton.append(t) or real_newton(t))
@@ -507,7 +508,7 @@ class TestStrongBlocks:
         b = char_poly_bundle(a)
         assert newton == [[2, 4]]
         assert b.factors == (RatPoly([1, -2]),) and dict(b.diagonal) == {2: 3, -1: 1}
-        assert len(products) == 4  # the block factor, two powers, m
+        assert len(products) == 6  # the block factor, two powers, R, d and m
         assert (b.d, b.k, b.m) == oracle_pencil(a)
 
     def test_blocks_of_a_scrambled_matrix(self):

@@ -109,3 +109,20 @@ class TestMobiusComparison:
 
     def test_empty(self):
         assert mobius_euler_char(IntMatrix([])) == 0
+
+
+def test_chi_is_the_inverse_sum_wherever_det_a_is_nonzero(corpus_matrices, action_categories):
+    """chi = sum of the entries of A^(-1) for every invertible A, not only a
+    poset's: with deg d = N and deg k = N - 1, -k_(N-1)/d_N = sum adj(A) /
+    det A, and where that sum is 0, s > r and chi = 0 as well."""
+    inputs = corpus_matrices + [(label, adjacency(c)) for label, c, _ in action_categories]
+    invertible = 0
+    for label, a in inputs:
+        try:
+            want = mobius_euler_char(a)
+        except ZeroDivisionError:
+            continue
+        invertible += 1
+        report = series_euler_char(char_poly_bundle(a))
+        assert report.exists and report.chi == want, label
+    assert invertible >= 220

@@ -1,5 +1,6 @@
 """Root extraction: rational roots by p-adic lifting, Aberth iteration, certification."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,8 @@ from catzeta import (
     IntMatrix,
     RatPoly,
     Root,
+    adjacency,
+    analyze_matrix,
     char_poly_bundle,
     factor_charpoly,
     mul_coeffs,
@@ -20,8 +23,10 @@ from catzeta import (
 from catzeta import roots as roots_module
 from catzeta.poly import linear_power
 from catzeta.roots import RootFindingError, to_mpc
-from conftest import load_fixture_matrix
-from oracles import aberth_reference, mul_coeffs_reference, rational_roots_oracle
+from cli_sweep import INPUTS
+from conftest import load_fixture_matrix, random_matrices
+from oracles import (aberth_reference, mul_coeffs_reference, rational_roots_oracle,
+                     rational_roots_over_q)
 
 small_nonneg_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
@@ -440,3 +445,24 @@ class TestFactorCharpoly:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             factor_charpoly(RatPoly.zero())
+
+
+def test_exact_path_iff_d_splits_over_q(corpus_matrices, action_categories):
+    """The root set's rational roots are the linear factors of d over Q
+    (sympy's factor_list), and it takes the exact path exactly when they
+    are all of d: over the corpus, the command-line sweep's 3 x 3 edge
+    matrices, the action categories and six random matrices, some with a
+    rational root beside irrational ones."""
+    edges = [(name, IntMatrix(json.loads(INPUTS[f"edge/{name}.json"])))
+             for name in ("cyclic3", "mixed3", "plastic3", "z3")]
+    inputs = corpus_matrices + edges + random_matrices() + [
+        (label, adjacency(c)) for label, c, _ in action_categories]
+    paths = []
+    for label, a in inputs:
+        analysis = analyze_matrix(a)
+        d, want = analysis.bundle.d, rational_roots_over_q(analysis.bundle.d)
+        assert {root.theta: root.multiplicity for root in analysis.rootset.roots
+                if root.kind == "rational"} == want, label
+        assert (analysis.path == "exact") == (sum(want.values()) == d.degree), label
+        paths.append(analysis.path)
+    assert paths.count("numeric") >= 5 and paths.count("exact") >= 250

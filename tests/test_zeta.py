@@ -1286,60 +1286,65 @@ class TestChecksOnInts:
         self.assert_as_fractions(a)
 
 
+def violations(points):
+    """The indices of the points classified "violation"."""
+    return tuple(i for i, pt in enumerate(points) if pt.classification == "violation")
+
+
 class TestSingularities:
     def report_for(self, rows):
         return singularity_report(analyze_matrix(IntMatrix(rows)).closed)
 
     def test_pole_with_essential_part(self):
-        rep = self.report_for([[1, 1], [0, 1]])
-        (pt,) = rep.points
+        points = self.report_for([[1, 1], [0, 1]])
+        (pt,) = points
         assert pt.classification == "pole"
         assert pt.pole_order == 2
         assert pt.essential
-        assert rep.violations == ()
+        assert violations(points) == ()
 
     def test_plain_poles(self):
-        (pt,) = self.report_for([[2]]).points
+        (pt,) = self.report_for([[2]])
         assert (pt.classification, pt.pole_order, pt.essential) == ("pole", 1, False)
-        (pt,) = self.report_for([[1, 1], [1, 1]]).points
+        (pt,) = self.report_for([[1, 1], [1, 1]])
         assert (pt.classification, pt.pole_order, pt.essential) == ("pole", 2, False)
 
     def test_numeric_conjugate_poles(self):
         cf = analyze_matrix(IntMatrix([[0, 1], [-1, 0]])).closed
-        rep = singularity_report(cf)
-        assert len(rep.points) == 2
-        for factor, pt in zip(cf.factors, rep.points):
+        points = singularity_report(cf)
+        assert len(points) == 2
+        for factor, pt in zip(cf.factors, points):
             assert factor.kind == "numeric"
             assert pt.classification == "pole"
             assert pt.pole_order == 1
-        assert rep.violations == ()
+        assert violations(points) == ()
 
     def test_no_roots_no_points(self):
-        rep = self.report_for([[1, 1], [-1, -1]])
-        assert rep.points == ()
-        assert rep.violations == ()
+        points = self.report_for([[1, 1], [-1, -1]])
+        assert points == ()
+        assert violations(points) == ()
 
     def test_zero_of_zeta(self):
         # idempotent with a negative column: zeta = 1 - z exactly
         a = IntMatrix([[1, 0], [-2, 0]])
         assert list(zeta_series(a, 3).coeffs) == [1, -1, 0, 0]
         cf = analyze_matrix(a).closed
-        rep = singularity_report(cf)
-        (pt,), (factor,) = rep.points, cf.factors
+        points = singularity_report(cf)
+        (pt,), (factor,) = points, cf.factors
         assert pt.classification == "zero"
         assert factor.beta0 == -1
         assert pt.pole_order is None
-        assert rep.violations == ()
+        assert violations(points) == ()
 
     def test_cancelling_root_flagged_as_violation(self):
         # zeta = (1 - z)^(-2) but d = 1 - z^2: the root at -1 carries no
         # exponent at all, which the report must flag rather than hide.
         cf = analyze_matrix(IntMatrix([[1, 2], [0, -1]])).closed
-        rep = singularity_report(cf)
-        assert rep.violations
-        flagged = [rep.points[i] for i in rep.violations]
+        points = singularity_report(cf)
+        assert violations(points)
+        flagged = [points[i] for i in violations(points)]
         assert [pt.classification for pt in flagged] == ["violation"]
-        assert [cf.factors[i].theta for i in rep.violations] == [-1]
+        assert [cf.factors[i].theta for i in violations(points)] == [-1]
 
     def test_essential_only_point(self):
         # m/d = 1 / (z - 1)^2, a term with vanishing residue but a live
@@ -1348,11 +1353,11 @@ class TestSingularities:
         cf = closed_form(RatPoly([1]), RatPoly([1, -2, 1]), rootset)
         (f,) = cf.factors
         assert f.beta0 == 0 and f.betas == (1,)
-        rep = singularity_report(cf)
-        (pt,) = rep.points
+        points = singularity_report(cf)
+        (pt,) = points
         assert pt.classification == "essential"
         assert pt.essential and pt.pole_order is None
-        assert rep.violations == ()
+        assert violations(points) == ()
 
     def test_purely_imaginary_residue_is_essential(self):
         # hand-built numeric factor with beta0 = i: neither a pole nor a zero
@@ -1363,7 +1368,7 @@ class TestSingularities:
                                 kind="numeric", beta0=mp.mpc(0, 1), betas=())
         cf = ClosedFormZeta(q_integral=RatPoly.zero(), factors=(factor,), arithmetic=arith,
                             reduced=(1,))
-        rep = singularity_report(cf)
-        (pt,) = rep.points
+        points = singularity_report(cf)
+        (pt,) = points
         assert (pt.classification, pt.essential, pt.pole_order) == ("essential", False, None)
-        assert rep.violations == ()
+        assert violations(points) == ()

@@ -121,6 +121,18 @@ def monoids_of_4() -> list[list[list[int]]]:
     return tables
 
 
+def corpus() -> list[tuple[str, IntMatrix]]:
+    """Adjacency matrices of the corpus categories (fixtures, posets,
+    monoids, in that order) plus the synthetic matrix fixtures, as
+    (label, matrix) pairs."""
+    pairs = [(name, adjacency(load_fixture_category(name))) for name in FIXTURE_NAMES]
+    pairs += [(f"poset{i}", adjacency(poset_category(rel)))
+              for i, rel in enumerate(poset_relations())]
+    pairs += [(f"monoid{i}", adjacency(monoid_delooping(t)))
+              for i, t in enumerate(monoids_up_to_3() + monoids_of_4())]
+    return pairs + [(name, load_fixture_matrix(name)) for name in MATRIX_NAMES]
+
+
 def random_matrices() -> list[tuple[str, IntMatrix]]:
     """Six seeded random 0..3 matrices, N = 3..8, as (label, matrix):
     irrational spectra, with a rational root beside them in some."""
@@ -165,8 +177,8 @@ def action_family() -> list[tuple[str, FiniteCategory, int | None]]:
                                 lambda g, x, d=d: (g + x) % d, range(d), 0)
             out.append((f"Z/{n} on Z/{d}", c, n))
 
-    def on_cosets(h):
-        return lambda p, coset: tuple(sorted(_compose(p, c) for c in coset))
+    def on_cosets(p, coset):
+        return tuple(sorted(_compose(p, c) for c in coset))
 
     def on_pairs(p, xy):
         return p[xy[0]], p[xy[1]]
@@ -183,7 +195,7 @@ def action_family() -> list[tuple[str, FiniteCategory, int | None]]:
         k = len(g[0])
         cosets = sorted({tuple(sorted(_compose(p, q) for q in h)) for p in g})
         actions = [("points", lambda p, x: p[x], range(k)),
-                   ("cosets", on_cosets(h), cosets),
+                   ("cosets", on_cosets, cosets),
                    ("itself", _compose, g),
                    ("2-subsets", on_subsets, list(itertools.combinations(range(k), 2)))]
         if name == "S3":
@@ -240,9 +252,5 @@ def corpus_categories(fixture_categories, random_posets, monoid_deloopings):
 
 
 @pytest.fixture(scope="session")
-def corpus_matrices(corpus_categories, fixture_matrices):
-    """Adjacency matrices of the corpus categories plus the synthetic
-    matrix fixtures, as (label, matrix) pairs."""
-    pairs = [(label, adjacency(c)) for label, c in corpus_categories]
-    pairs += list(fixture_matrices.items())
-    return pairs
+def corpus_matrices() -> list[tuple[str, IntMatrix]]:
+    return corpus()

@@ -51,10 +51,8 @@ import catzeta.category
 import catzeta.charpoly
 import catzeta.roots
 import catzeta.zeta
-from catzeta import (IntMatrix, adjacency, analyze_matrix, monoid_delooping, poset_category,
-                     verify_matrix, zeta_series)
-from conftest import (FIXTURE_NAMES, MATRIX_NAMES, load_fixture_category, load_fixture_matrix,
-                      monoids_of_4, monoids_up_to_3, poset_relations, random_matrices)
+from catzeta import IntMatrix, analyze_matrix, verify_matrix, zeta_series
+from conftest import corpus, random_matrices
 
 TARGETS = {
     catzeta.zeta: ("series_from_pair", "_reduced", "_divide_linear", "_divide_out",
@@ -78,18 +76,6 @@ SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
     ast.Div: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
 }
-
-
-def corpus() -> list[tuple[str, IntMatrix]]:
-    """The acceptance corpus (tests/conftest.py's corpus_matrices, in its
-    order) and its six seeded random 0..3 matrices, N = 3..8."""
-    pairs = [(name, adjacency(load_fixture_category(name))) for name in FIXTURE_NAMES]
-    pairs += [(f"poset{i}", adjacency(poset_category(rel)))
-              for i, rel in enumerate(poset_relations())]
-    pairs += [(f"monoid{i}", adjacency(monoid_delooping(t)))
-              for i, t in enumerate(monoids_up_to_3() + monoids_of_4())]
-    pairs += [(name, load_fixture_matrix(name)) for name in MATRIX_NAMES]
-    return pairs + random_matrices()
 
 
 def fingerprint(a: IntMatrix) -> str:
@@ -206,7 +192,7 @@ def run_mutant(tree, site: Site, matrices, want) -> str:
 
 
 def main() -> None:
-    matrices = corpus()
+    matrices = corpus() + random_matrices()
     start = time.perf_counter()
     want = [fingerprint(a) for _, a in matrices]
     bad = [label for label, a in matrices if not all(verify_matrix(a, order=k).passed

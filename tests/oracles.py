@@ -520,7 +520,7 @@ def indiscrete(k: int) -> FiniteCategory:
 
 
 def action_category(elements: Sequence[Hashable], mul: Callable, act: Callable,
-                    points: Sequence[Hashable], unit: Hashable, name: str = "") -> FiniteCategory:
+                    points: Sequence[Hashable], unit: Hashable) -> FiniteCategory:
     """The category of elements of a monoid M acting on a set X on the left
     (act(mul(m', m), x) = act(m', act(m, x))), built through the JSON wire
     format: the points are its objects, each pair (m, x) a morphism
@@ -531,7 +531,7 @@ def action_category(elements: Sequence[Hashable], mul: Callable, act: Callable,
 
     moving = [m for m in elements if m != unit]
     return category_from_dict({
-        "name": name,
+        "name": "",
         "objects": [str(x) for x in points],
         "morphisms": [{"id": arrow(m, x), "src": str(x), "tgt": str(act(m, x))}
                       for x in points for m in elements],

@@ -24,17 +24,9 @@ from pathlib import Path
 
 import mpmath
 
-from catzeta import RatPoly, adjacency, monoid_delooping, poset_category, verify_matrix
+from catzeta import RatPoly, verify_matrix
 from catzeta.zeta import analyze_matrix
-from conftest import (
-    FIXTURE_NAMES,
-    MATRIX_NAMES,
-    load_fixture_category,
-    load_fixture_matrix,
-    monoids_of_4,
-    monoids_up_to_3,
-    poset_relations,
-)
+from conftest import corpus
 from n_rung import P, random_poset
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -66,12 +58,7 @@ def render(x) -> str:
 
 def inputs():
     """(label, matrix) for every input, in a fixed order."""
-    yield from ((name, adjacency(load_fixture_category(name))) for name in FIXTURE_NAMES)
-    yield from ((f"poset{i}", adjacency(poset_category(rel)))
-                for i, rel in enumerate(poset_relations()))
-    yield from ((f"monoid{i}", adjacency(monoid_delooping(t)))
-                for i, t in enumerate(monoids_up_to_3() + monoids_of_4()))
-    yield from ((name, load_fixture_matrix(name)) for name in MATRIX_NAMES)
+    yield from corpus()
     for name, seeds in (("exact-ladder", (1, 2, 3)), ("numeric-ladder", (1,))):
         for seed in seeds:
             yield from ((f"{name}/{seed}/{item.label}", item.matrix)

@@ -54,7 +54,8 @@ stop at #N_N; a reader that needs more continues them by rev.
 
 check_pencil adds three O(N) checks that use neither Newton's identities
 nor the cofactor: d(0) = 1, k(0) = N and -d_1 = tr A, read off A's
-diagonal; char_poly_bundle and the analysis run them on every pencil.
+diagonal, and checks k against the certified pair, k rev = d (N rev + z R)
+below z^N; char_poly_bundle and the analysis run them on every pencil.
 
 The degree defects r = N - deg d and s = N - 1 - deg k decide the
 series Euler characteristic:
@@ -64,7 +65,8 @@ series Euler characteristic:
     s = r : defined, equal to -k_{N-1-s} / d_{N-r}
 
 The empty category has d = 1 and k = 0, so r = s = 0; its
-characteristic is 0.
+characteristic is 0.  series_euler_char checks the branch and the value
+against the certified pair, which the degree defects do not read.
 """
 
 from __future__ import annotations
@@ -314,16 +316,39 @@ def bundle_from_sweep(sweep: Callable[[], Iterator[Sequence[int]]],
 
 
 def check_pencil(bundle: CharPolyBundle, a: IntMatrix) -> None:
-    """Three O(N) checks of A's pencil that use neither Newton's identities
-    nor the cofactor g: d(0) = 1, k(0) = N, and -d_1 = tr A, read off A's
-    diagonal.  Raises ArithmeticError on a mismatch."""
-    d0, minus_d1, k0 = bundle.d.coeff(0), -bundle.d.coeff(1), bundle.k.coeff(0)
+    """Checks of A's pencil that do not use the cofactor g: three O(N)
+    ones, d(0) = 1, k(0) = N, and -d_1 = tr A, read off A's diagonal
+    (none uses Newton's identities either), then k against the certified
+    pair (R, rev): k/d = N + z R/rev, so k rev = d (N rev + z R) below z^N.
+    Raises ArithmeticError on a mismatch."""
+    n, d, k = bundle.n, bundle.d, bundle.k
+    d0, minus_d1, k0 = d.coeff(0), -d.coeff(1), k.coeff(0)
     if d0 != 1:
         raise ArithmeticError(f"d(0) is {d0}, not 1")
-    if k0 != bundle.n:
-        raise ArithmeticError(f"k(0) is {k0}, not N = {bundle.n}")
+    if k0 != n:
+        raise ArithmeticError(f"k(0) is {k0}, not N = {n}")
     if minus_d1 != sum(a.diagonal):
         raise ArithmeticError(f"-d_1 is {minus_d1}, not tr A = {sum(a.diagonal)}")
+    if not n:
+        return
+    lhs = mul_coeffs(k.coeffs, bundle.pair[1].coeffs, n)
+    rhs = mul_coeffs(d.coeffs, _pair_numerator(bundle), n)
+    if lhs != rhs:
+        wrong = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+        raise ArithmeticError(f"k rev is not d (N rev + z R) at z^{wrong}: k disagrees "
+                              f"with the certified pair")
+
+
+def _pair_numerator(bundle: CharPolyBundle) -> list:
+    """N rev + z R for the pair (R, rev), trailing zeros dropped: the
+    numerator of k/d = N + z R/rev over rev."""
+    rem, rev = (half.coeffs for half in bundle.pair)
+    q = [bundle.n * x for x in rev] + [0] * (len(rem) + 1 - len(rev))
+    for i, x in enumerate(rem, 1):
+        q[i] += x
+    while q and not q[-1]:
+        q.pop()
+    return q
 
 
 def char_poly_bundle(a: IntMatrix) -> CharPolyBundle:
@@ -354,13 +379,33 @@ class EulerReport:
 
 
 def series_euler_char(bundle: CharPolyBundle) -> EulerReport:
-    """Euler characteristic from the degree defects of d and k."""
+    """Euler characteristic from the degree defects of d and k, checked
+    against the certified pair (R, rev).
+
+    k/d = N + z R/rev, so chi = -lim z k/d = -lim P/rev as z -> infinity,
+    P = N z rev + z^2 R: not defined where deg P > deg rev, -P_top/rev_top
+    where they are equal, and 0 where deg P < deg rev (N = 0 too).
+    Raises ArithmeticError where that disagrees with the degree defects.
+    """
     n, r, s = bundle.n, bundle.r, bundle.s
     if n == 0:
-        return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="empty")
-    if s < r:
-        return EulerReport(exists=False, chi=None, r=r, s=s, branch="undefined")
-    if s > r:
-        return EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
-    chi = Fraction(-bundle.k.coeff(n - 1 - s), bundle.d.coeff(n - r))
-    return EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
+        report = EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="empty")
+    elif s < r:
+        report = EulerReport(exists=False, chi=None, r=r, s=s, branch="undefined")
+    elif s > r:
+        report = EulerReport(exists=True, chi=Fraction(0), r=r, s=s, branch="vanishes")
+    else:
+        chi = Fraction(-bundle.k.coeff(n - 1 - s), bundle.d.coeff(n - r))
+        report = EulerReport(exists=True, chi=chi, r=r, s=s, branch="ratio")
+    q, rev = _pair_numerator(bundle), bundle.pair[1].coeffs
+    deg_p = len(q) if q else -1  # P = z q
+    if deg_p > len(rev) - 1:
+        want = None
+    elif deg_p == len(rev) - 1:
+        want = Fraction(-q[-1], rev[-1])
+    else:
+        want = Fraction(0)
+    if report.chi != want:
+        raise ArithmeticError(f"the degree defects give chi = {report.chi} ({report.branch}), "
+                              f"the certified pair gives {want}")
+    return report

@@ -479,7 +479,7 @@ def analyze_matrix(a: IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS) -
     runs s = deg mu steps for the first annihilator mu that passes its
     check (mu~ from the path bound, else P, s = N), and every later count
     comes from mu's recurrence; check_pencil then checks d(0), k(0) and
-    d_1 against A.  A reader that needs counts past #N_N
+    d_1 against A, and k against the pair.  A reader that needs counts past #N_N
     calls ZetaAnalysis.counts, which continues them by the pair's denominator.
     The closed form, built from the pencil's pair, must give #N_1..#N_W
     (module docstring), or ArithmeticError names the first n off.

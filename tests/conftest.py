@@ -29,8 +29,6 @@ from catzeta import (
     poset_category,
 )
 
-from oracles import action_category
-
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
@@ -170,6 +168,8 @@ def action_family() -> list[tuple[str, FiniteCategory, int | None]]:
     too; and six transformation monoids of at most 16 maps, each
     generated by two seeded random maps of 2..4 points, act on those
     points."""
+    from oracles import action_category  # here: conftest loads without tests/ on sys.path
+
     out = []
     for n in range(1, 7):
         for d in (d for d in range(1, n + 1) if n % d == 0):

@@ -26,7 +26,20 @@ then series_from_pair on the pencil's pair), and the first 12 hex digits
 of the sha256 of that series' coefficients, so two trees can be seen to
 give the same series.
 
+A fourth table, the start-up rung, times fresh interpreters under
+PYTHONDONTWRITEBYTECODE=1, so that every catzeta module they load is
+compiled from source: `import catzeta`, building one poset category's
+adjacency matrix, `import catzeta.cli`, and `python -m catzeta.cli
+verify --json fixtures/p2.json`, beside a bare interpreter.  Each row is
+the median of 15 launches, the rows taken in turn, with the catzeta
+modules the launch loads, read off one more launch under -X importtime.
+The children import catzeta from the tree this script imported it from.
+
     PYTHONPATH=src python tests/n_rung.py
+
+The start-up rung alone, against the catzeta on PYTHONPATH:
+
+    cd tests && PYTHONPATH=../src python -c "import n_rung; n_rung.startup_rung()"
 
 Each poset is seeded by its N, so a rerun on the same tree measures the
 same inputs.
@@ -35,8 +48,13 @@ same inputs.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import catzeta.category
@@ -51,6 +69,16 @@ from conftest import load_fixture_matrix
 ORDER = 30
 REPEATS = 3
 P = 0.1
+LAUNCHES = 15
+LAUNCH_ROWS = (
+    ("bare interpreter", ("-c", "pass")),
+    ("import catzeta", ("-c", "import catzeta")),
+    ("one poset category", ("-c", "from catzeta import adjacency, poset_category; "
+                                  "adjacency(poset_category([[1, 1], [0, 1]]))")),
+    ("import catzeta.cli", ("-c", "import catzeta.cli")),
+    ("verify p2", ("-m", "catzeta.cli", "verify", "--json",
+                   str(Path(__file__).resolve().parent.parent / "fixtures" / "p2.json"))),
+)
 
 
 def random_poset(n: int, p: float, seed: int) -> IntMatrix:
@@ -167,6 +195,32 @@ def k_rung() -> None:
                   flush=True)
 
 
+def startup_rung() -> None:
+    src = str(Path(catzeta.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def launch(args, *flags) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *flags, *args], env=env, check=True,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+    times = {name: [] for name, _ in LAUNCH_ROWS}
+    for _ in range(LAUNCHES):
+        for name, args in LAUNCH_ROWS:
+            start = perf_counter()
+            launch(args)
+            times[name].append(perf_counter() - start)
+    print(f"\n{'launch':<20} {'median of ' + str(LAUNCHES) + ' (s)':>19}  catzeta modules")
+    for name, args in LAUNCH_ROWS:
+        imported = [line.rsplit("|", 1)[1].strip()
+                    for line in launch(args, "-X", "importtime").stderr.splitlines()
+                    if line.startswith("import time:")]
+        loaded = [m for m in imported if m.split(".")[0] == "catzeta"]
+        print(f"{name:<20} {statistics.median(times[name]):>19.4f}  {', '.join(loaded) or '-'}",
+              flush=True)
+
+
 def main() -> None:
     rungs = [(f"poset p={P}", n, random_poset(n, P, n)) for n in (100, 200, 400)]
     rungs += [("discrete", n, adjacency(discrete(n))) for n in (400, 800)]
@@ -180,6 +234,7 @@ def main() -> None:
               flush=True)
     load_rung()
     k_rung()
+    startup_rung()
 
 
 if __name__ == "__main__":

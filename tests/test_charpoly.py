@@ -497,7 +497,7 @@ class TestStrongBlocks:
         """Only the 2 x 2 block goes through Newton's identities; the 1 x 1
         blocks are counted by their entry, zero dropped, and k needs no
         product of its own: rev by each distinct power, R, then d and m by
-        the cofactor g, here 1."""
+        the cofactor g, here 1; check_pencil adds k rev and d (N rev + z R)."""
         newton, products = [], []
         real_newton, real_mul = charpoly._newton, charpoly.mul_coeffs
         monkeypatch.setattr(charpoly, "_newton", lambda t: newton.append(t) or real_newton(t))
@@ -508,7 +508,7 @@ class TestStrongBlocks:
         b = char_poly_bundle(a)
         assert newton == [[2, 4]]
         assert b.factors == (RatPoly([1, -2]),) and dict(b.diagonal) == {2: 3, -1: 1}
-        assert len(products) == 6  # the block factor, two powers, R, d and m
+        assert len(products) == 8  # the block factor, two powers, R, d, m and the k check
         assert (b.d, b.k, b.m) == oracle_pencil(a)
 
     def test_blocks_of_a_scrambled_matrix(self):

@@ -1,5 +1,7 @@
 """Series Euler characteristic: branch logic, oracle, Moebius comparison."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,10 @@ from catzeta import (
     discrete,
     series_euler_char,
 )
+from catzeta import charpoly, zeta
+from catzeta.charpoly import bundle_from_sweep
+from catzeta.cli import cli_main
+from catzeta.poly import RatPoly
 from oracles import euler_char_oracle, mobius_euler_char
 
 small_matrices = st.integers(min_value=0, max_value=5).flatmap(
@@ -59,6 +65,35 @@ class TestBranches:
         assert report.chi is None
         assert report.branch == "undefined"
         assert report.s < report.r
+
+    def test_branch_is_checked_against_the_certified_pair(self, monkeypatch, capsys, tmp_path):
+        """A k one degree short moves the degree defects to "vanishes",
+        while the pair (R, rev) still gives chi = 1: series_euler_char
+        raises, and so does check_pencil, on k itself.  A right k with s
+        one too large ends euler and verify with exit 1."""
+        a = IntMatrix([[1, 1], [0, 1]])
+        good = char_poly_bundle(a)
+        assert (good.k, good.r, good.s) == (RatPoly([2, -1]), 0, 0)
+        short = replace(good, k=RatPoly([2]), s=1)
+        with pytest.raises(ArithmeticError, match="chi = 0 \\(vanishes\\), the certified "
+                                                  "pair gives 1"):
+            series_euler_char(short)
+        with pytest.raises(ArithmeticError, match="k rev is not d \\(N rev \\+ z R\\) at z\\^1"):
+            charpoly.check_pencil(short, a)
+
+        def sweep_off_by_one(*args):
+            bundle, chains = bundle_from_sweep(*args)
+            return replace(bundle, s=bundle.s + 1), chains
+
+        for module in (charpoly, zeta):
+            monkeypatch.setattr(module, "bundle_from_sweep", sweep_off_by_one)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(a.rows))
+        for command in ("euler", "verify"):
+            assert cli_main([command, "--matrix", str(path)]) == 1, command
+            err = capsys.readouterr().err
+            assert ("internal consistency check failed: the degree defects give chi = 0 "
+                    "(vanishes)") in err, command
 
 
 class TestOracle:

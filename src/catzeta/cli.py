@@ -4,7 +4,9 @@ Subcommands: validate, chains, charpoly, euler, zeta, verify, generate.
 Input is a category file (JSON with objects, morphisms, identity and
 compose tables) or, with --matrix, a raw square integer matrix; the
 algebra pipeline is well-defined on any such matrix, which is how the
-synthetic cases are driven.
+synthetic cases are driven.  validate, chains and generate load
+catzeta.category alone; each other command imports the algebra it runs
+(charpoly, poly, roots, zeta) when it runs.
 
 Exit codes: 0 success, 1 verification or numeric failure, 2 malformed
 input (message carries the location; an identity that does not run
@@ -30,6 +32,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .category import (
     CategoryFormatError,
@@ -46,17 +49,9 @@ from .category import (
     product,
     validate,
 )
-from .charpoly import char_poly_bundle, series_euler_char
-from .poly import RatPoly
-from .roots import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE, RootFindingError
-from .zeta import (
-    DEFAULT_ORDER,
-    analyze_matrix,
-    series_from_pair,
-    singularity_report,
-    verify_matrix,
-    zeta_series,
-)
+
+if TYPE_CHECKING:
+    from .poly import RatPoly
 
 
 MAX_DISCRETE_OBJECTS = 10_000
@@ -114,14 +109,23 @@ def _load_adjacency(args) -> IntMatrix:
 
 # -- output formatting -----------------------------------------------------
 
-def _json(x, digits: int):
+def _digits(precision_bits: int) -> int:
+    return max(17, int(precision_bits * 0.30103) + 2)
+
+
+def _json(x, digits: int | None):
     """The JSON form of a value that json cannot print by itself, by the
-    rule in the module docstring; mpf parts carry `digits` digits."""
+    rule in the module docstring; mpf parts carry `digits` digits, those
+    of the default precision where None."""
     if isinstance(x, Fraction):
         return str(x)
+    from .poly import RatPoly
     if isinstance(x, RatPoly):
         return [str(c) for c in x.coeffs] or ["0"]
     from mpmath import mp
+    if digits is None:
+        from .roots import DEFAULT_PRECISION_BITS
+        digits = _digits(DEFAULT_PRECISION_BITS)
     if isinstance(x, mp.mpf):
         return mp.nstr(x, digits)
     if isinstance(x, mp.mpc):
@@ -159,8 +163,8 @@ def _poly_text(p: RatPoly) -> str:
     return " ".join(parts)
 
 
-def _emit_json(doc, precision_bits: int = DEFAULT_PRECISION_BITS) -> None:
-    digits = max(17, int(precision_bits * 0.30103) + 2)
+def _emit_json(doc, precision_bits: int | None = None) -> None:
+    digits = None if precision_bits is None else _digits(precision_bits)
     print(json.dumps(doc, sort_keys=True, indent=2, default=lambda x: _json(x, digits)))
 
 
@@ -211,6 +215,8 @@ def cmd_chains(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
+    from .charpoly import char_poly_bundle
+
     a = _load_adjacency(args)
     bundle = char_poly_bundle(a)
     if args.json:
@@ -228,6 +234,8 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .charpoly import char_poly_bundle, series_euler_char
+
     a = _load_adjacency(args)
     report = series_euler_char(char_poly_bundle(a))
     if args.json:
@@ -241,6 +249,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    from .zeta import analyze_matrix, series_from_pair, singularity_report, zeta_series
+
     a = _load_adjacency(args)
     analysis = analyze_matrix(a, args.precision) if args.closed else None
     if analysis is not None:  # the pencil's pair feeds the closed form and the series
@@ -287,6 +297,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .zeta import verify_matrix
+
     a = _load_adjacency(args)
     report = verify_matrix(a, order=args.order, tolerance=args.tol,
                            precision_bits=args.precision)
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--matrix", action="store_true",
                         help="treat FILE as a raw square integer matrix")
     precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
+    precision.add_argument("--precision", type=int, default=None,
                            metavar="BITS", help="working binary precision")
 
     parser = argparse.ArgumentParser(
@@ -400,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[inputs, precision],
                        help="check the four closed-form identities")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+    p.add_argument("--tol", type=float, default=None,
                    metavar="T", help="verification tolerance")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER, metavar="K",
+    p.add_argument("--order", type=int, default=None, metavar="K",
                    help="series comparison order")
     p.set_defaults(func=cmd_verify)
 
@@ -415,9 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _library_defaults(args) -> None:
+    """Give zeta's and verify's --precision, and verify's --tol and
+    --order, the library's defaults where the flag was not passed.  They
+    are read after parsing, so that validate, chains and generate never
+    import roots or zeta."""
+    from .roots import DEFAULT_PRECISION_BITS, DEFAULT_TOLERANCE
+    from .zeta import DEFAULT_ORDER
+
+    for name, value in (("precision", DEFAULT_PRECISION_BITS), ("tol", DEFAULT_TOLERANCE),
+                        ("order", DEFAULT_ORDER)):
+        if getattr(args, name, 0) is None:
+            setattr(args, name, value)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "precision"):  # zeta and verify
+        _library_defaults(args)
     if getattr(args, "order", 0) < 0:
         print("error: --order must be nonnegative", file=sys.stderr)
         return 2
@@ -435,11 +463,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except RootFindingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ArithmeticError as e:
-        print(f"error: internal consistency check failed: {e}", file=sys.stderr)
+        from .roots import RootFindingError
+
+        prefix = "" if isinstance(e, RootFindingError) else "internal consistency check failed: "
+        print(f"error: {prefix}{e}", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,8 @@ A fourth table, the start-up rung, times fresh interpreters under
 PYTHONDONTWRITEBYTECODE=1, so that every catzeta module they load is
 compiled from source: `import catzeta`, building one poset category's
 adjacency matrix, `import catzeta.cli`, and `python -m catzeta.cli
-verify --json fixtures/p2.json`, beside a bare interpreter.  Each row is
+validate --json` and `verify --json` on fixtures/p2.json, beside a bare
+interpreter.  Each row is
 the median of 15 launches, the rows taken in turn, with the catzeta
 modules the launch loads, read off one more launch under -X importtime.
 The children import catzeta from the tree this script imported it from.
@@ -70,14 +71,15 @@ ORDER = 30
 REPEATS = 3
 P = 0.1
 LAUNCHES = 15
+P2 = str(Path(__file__).resolve().parent.parent / "fixtures" / "p2.json")
 LAUNCH_ROWS = (
     ("bare interpreter", ("-c", "pass")),
     ("import catzeta", ("-c", "import catzeta")),
     ("one poset category", ("-c", "from catzeta import adjacency, poset_category; "
                                   "adjacency(poset_category([[1, 1], [0, 1]]))")),
     ("import catzeta.cli", ("-c", "import catzeta.cli")),
-    ("verify p2", ("-m", "catzeta.cli", "verify", "--json",
-                   str(Path(__file__).resolve().parent.parent / "fixtures" / "p2.json"))),
+    ("validate p2", ("-m", "catzeta.cli", "validate", "--json", P2)),
+    ("verify p2", ("-m", "catzeta.cli", "verify", "--json", P2)),
 )
 
 

@@ -536,8 +536,31 @@ class TestPinnedOutput:
 
 
 class TestMpmathImport:
-    """An exact run never loads mpmath and a numeric one does.  Each case
-    runs in a fresh interpreter, because this one has loaded it already."""
+    """An exact run never loads mpmath and a numeric one does, and a run
+    that only builds or checks categories loads no algebra.  Each case
+    runs in a fresh interpreter, because this one has loaded it all
+    already."""
+
+    CATEGORY_RUN = """
+import sys
+def loaded(step, *modules):
+    assert "mpmath" not in sys.modules, step
+    got = sorted(m for m in sys.modules if m.split(".")[0] == "catzeta")
+    assert got == ["catzeta", *modules], (step, got)
+import catzeta
+loaded("import")
+a = catzeta.adjacency(catzeta.poset_category([[1, 1, 1], [0, 1, 1], [0, 0, 1]]))
+assert isinstance(a, catzeta.IntMatrix) and a.n == 3
+loaded("poset", "catzeta.category")
+from catzeta.cli import cli_main
+for argv in (["validate", {p2!r}], ["chains", "--json", {p2!r}], ["generate", "discrete", "2"]):
+    assert cli_main(argv) == 0, argv
+    loaded(argv[0], "catzeta.category", "catzeta.cli")
+assert "verify_matrix" not in vars(catzeta)
+for name in ("category", "charpoly", "poly", "roots", "zeta"):
+    assert getattr(catzeta, name) is sys.modules["catzeta." + name], name
+assert catzeta.verify_matrix is catzeta.zeta.verify_matrix is vars(catzeta)["verify_matrix"]
+"""
 
     EXACT_RUN = """
 import json, runpy, sys
@@ -582,6 +605,13 @@ assert code == 0 and "mpmath" in sys.modules
         out = self.run_fresh(self.EXACT_RUN.format(fixtures=fixtures, k2=fixture("k2")))
         first, second = out[:len(out) // 2], out[len(out) // 2:]
         assert first == second and json.loads(first)["path"] == "exact"
+
+    def test_category_runs_load_no_algebra(self):
+        """import catzeta loads no submodule; a poset category loads
+        catzeta.category; validate, chains and generate add catzeta.cli
+        alone.  The submodules and their names still resolve on the
+        package, each name bound there on first use."""
+        self.run_fresh(self.CATEGORY_RUN.format(p2=fixture("p2")))
 
     def test_numeric_run_loads_mpmath_and_keeps_its_bytes(self):
         out = self.run_fresh(self.NUMERIC_RUN.format(pell=matrix_fixture("pell")))
